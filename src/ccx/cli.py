@@ -19,7 +19,7 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import BudgetExceeded, NotFiniteTypeError, build_complex
+from .gcc import BudgetExceeded, build_complex, enumeration_budget
 from .invariants import METHOD_ALIASES, compute_all
 from .polygon import (
     TypeBModel,
@@ -61,9 +61,11 @@ def _load_diagram(args) -> CoxeterDiagram:
 def cmd_complex(args) -> int:
     G = _load_diagram(args)
     try:
-        cx = build_complex(G, args.m)
-    except NotFiniteTypeError as e:
-        raise DomainError("not-finite-type", str(e))
+        budget = enumeration_budget()
+    except ValueError as e:
+        raise DomainError("usage", str(e))
+    try:
+        cx = build_complex(G, args.m, budget)
     except BudgetExceeded as e:
         raise DomainError("budget", str(e))
     fv = cx.f_vector()
@@ -160,8 +162,8 @@ def cmd_dissect(args) -> int:
         model = model_cls(n, m)
     except ValueError as e:
         raise DomainError("bad-parameters", str(e))
-    facets = model.faces(model.n)
     if args.emit == "svg":
+        facets = model.faces(model.n)
         idx = args.facet
         if not 0 <= idx < len(facets):
             raise DomainError("bad-parameters", f"facet index {idx} out of range")
@@ -173,6 +175,7 @@ def cmd_dissect(args) -> int:
                 chords.append((c, style))
         print(render_svg(model.N, chords))
         return 0
+    fv = model.f_vector()
     _emit(
         {
             "family": args.family,
@@ -180,8 +183,8 @@ def cmd_dissect(args) -> int:
             "m": m,
             "polygon": model.N,
             "model_vertices": len(model.vertices),
-            "facet_count": len(facets),
-            "face_counts": [len(model.faces(k)) for k in range(model.n + 1)],
+            "facet_count": fv[model.n],
+            "face_counts": fv,
         },
         args.emit,
     )

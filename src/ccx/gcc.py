@@ -5,6 +5,10 @@ the negative simples with color 1.  Compatibility between two colored
 roots follows the five-case rule over the color comparison and the
 rotation depths; reducible diagrams are handled as joins with
 block-diagonal "always compatible" adjacency between components.
+
+``clique_counts`` and ``iter_cliques`` are the one clique engine of the
+package: the complex here, the polygon models and the dissections all
+count and list their faces through them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import os
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram, classify, connected_components
-from .rootsys import RootSystem
+from .rootsys import NotFiniteType, RootSystem
 
 
 class BudgetExceeded(ValueError):
@@ -29,12 +33,73 @@ class ColoredRoot(NamedTuple):
 
 def enumeration_budget(default: int = 2000) -> int:
     raw = os.environ.get("CCX_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CCX_BUDGET must be an integer, got {raw!r}") from None
+
+
+def compatibility_masks(items, compatible) -> list[int]:
+    """Bitmask adjacency of a symmetric relation: bit j of entry i is
+    set when ``compatible(items[i], items[j])`` holds."""
+    V = len(items)
+    adj = [0] * V
+    for i in range(V):
+        for j in range(i + 1, V):
+            if compatible(items[i], items[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def clique_counts(adj: list[int], top: int, cand: int | None = None) -> list[int]:
+    """Numbers of cliques of sizes 0..top among the vertices in ``cand``
+    (default: all), by ordered recursive enumeration.
+
+    Each clique is visited once, in increasing vertex order: candidates
+    are taken lowest first, so the ones left all lie above the vertex
+    just taken and ``cand & adj[i]`` keeps only later common neighbors.
+    """
+    counts = [0] * (top + 1)
+    counts[0] = 1
+
+    def rec(cand: int, size: int):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            counts[size] += 1
+            if size < top:
+                nxt = cand & adj[low.bit_length() - 1]
+                if nxt:
+                    rec(nxt, size + 1)
+
+    if top:
+        rec((1 << len(adj)) - 1 if cand is None else cand, 1)
+    return counts
+
+
+def iter_cliques(adj: list[int], k: int):
+    """The k-cliques as increasing index tuples, in lexicographic order."""
+
+    def rec(prefix: tuple[int, ...], cand: int, need: int):
+        if need == 1:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                yield prefix + (low.bit_length() - 1,)
+            return
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            yield from rec(prefix + (i,), cand & adj[i], need - 1)
+
+    if k == 0:
+        yield ()
+    else:
+        yield from rec((), (1 << len(adj)) - 1, k)
 
 
 def colored_ground_set(systems: list[RootSystem], m: int) -> list[ColoredRoot]:
@@ -99,16 +164,9 @@ class CliqueComplex:
                 f"{len(self.vertices)} vertices exceed budget {cap}"
             )
         self.pos = {v: i for i, v in enumerate(self.vertices)}
-        V = len(self.vertices)
-        adj = [0] * V
-        for i in range(V):
-            vi = self.vertices[i]
-            for j in range(i + 1, V):
-                vj = self.vertices[j]
-                if m_compatible(self.systems[vi.comp], vi, vj):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        self.adj = adj
+        self.adj = compatibility_masks(
+            self.vertices, lambda u, v: m_compatible(systems[u.comp], u, v)
+        )
 
     # -- structural queries ------------------------------------------------
 
@@ -123,81 +181,28 @@ class CliqueComplex:
         return self.pos[rotate_colored(self.systems[v.comp], v, self.m)]
 
     def f_vector(self) -> list[int]:
-        """Exact clique counts f_0..f_n by ordered recursive enumeration.
-
-        Each clique is visited once, in increasing vertex order; the
-        candidate mask keeps only later common neighbors.
-        """
-        counts = [0] * (self.n + 1)
-        counts[0] = 1
-        adj = self.adj
-        V = len(self.vertices)
-
-        def rec(cand: int, size: int):
-            rest = cand
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                rest ^= low
-                counts[size + 1] += 1
-                if size + 1 < self.n:
-                    nxt = cand & adj[i] & ~((low << 1) - 1)
-                    if nxt:
-                        rec(nxt, size + 1)
-
-        if V:
-            rec((1 << V) - 1, 0)
-        return counts
+        """Exact clique counts f_0..f_n."""
+        return clique_counts(self.adj, self.n)
 
     def cliques_of_size(self, size: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        adj = self.adj
-        V = len(self.vertices)
-
-        def rec(prefix: list[int], cand: int):
-            if len(prefix) == size:
-                out.append(tuple(prefix))
-                return
-            rest = cand
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                rest ^= low
-                rec(prefix + [i], cand & adj[i] & ~((low << 1) - 1))
-
-        rec([], (1 << V) - 1)
-        return out
+        return list(iter_cliques(self.adj, size))
 
     def facets(self) -> list[tuple[int, ...]]:
         """All n-cliques; by purity these are exactly the maximal faces."""
         return self.cliques_of_size(self.n)
 
     def facet_count(self) -> int:
-        return self.f_vector()[self.n] if self.n else 1
+        return self.f_vector()[self.n]
 
     def positive_facet_count(self) -> int:
         """Facets avoiding every negative simple root."""
-        neg = 0
+        if not self.n:
+            return 0
+        pos = 0
         for i, v in enumerate(self.vertices):
-            if self.systems[v.comp].is_negative(v.root):
-                neg |= 1 << i
-        count = 0
-        adj = self.adj
-
-        def rec(cand: int, size: int):
-            nonlocal count
-            if size == self.n:
-                count += 1
-                return
-            rest = cand
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                rest ^= low
-                rec(cand & adj[i] & ~((low << 1) - 1), size + 1)
-
-        rec(((1 << len(self.vertices)) - 1) & ~neg, 0)
-        return count if self.n else 0
+            if not self.systems[v.comp].is_negative(v.root):
+                pos |= 1 << i
+        return clique_counts(self.adj, self.n, pos)[self.n]
 
     # -- audits --------------------------------------------------------
 
@@ -238,11 +243,12 @@ class CliqueComplex:
         """Every (n-1)-clique extends to exactly m+1 facets."""
         if self.n == 0:
             return True
-        full = (1 << len(self.vertices)) - 1
-        for ridge in self.cliques_of_size(self.n - 1):
+        adj = self.adj
+        full = (1 << len(adj)) - 1
+        for ridge in iter_cliques(adj, self.n - 1):
             common = full
             for i in ridge:
-                common &= self.adj[i]
+                common &= adj[i]
             if common.bit_count() != self.m + 1:
                 return False
         return True
@@ -283,16 +289,11 @@ class CliqueComplex:
         return out
 
 
-class NotFiniteTypeError(ValueError):
-    def __init__(self, G: CoxeterDiagram):
-        super().__init__(f"{G.to_spec()} is not of finite type")
-
-
 def build_complex(G: CoxeterDiagram, m: int, budget: int | None = None) -> CliqueComplex:
     """Complex of the (possibly reducible) finite-type diagram G."""
     cls = classify(G)
     if not cls.is_finite:
-        raise NotFiniteTypeError(G)
+        raise NotFiniteType(f"{G.to_spec()} is not of finite type")
     systems = [RootSystem(c) for c in connected_components(G)]
     return CliqueComplex(systems, m, budget=budget)
 

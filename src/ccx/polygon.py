@@ -15,17 +15,20 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .diagram import parse_diagram
-from .gcc import ColoredRoot, colored_ground_set
+from .gcc import (
+    BudgetExceeded,
+    ColoredRoot,
+    clique_counts,
+    colored_ground_set,
+    compatibility_masks,
+    iter_cliques,
+)
 from .rootsys import RootSystem
 
 
 class AmbiguousOrbit(RuntimeError):
     """The candidate diagonals of a positive root do not form one
     contiguous rotation orbit; indicates a model bug."""
-
-
-class BudgetExceeded(ValueError):
-    pass
 
 
 Diagonal = tuple[int, int]  # sorted pair of polygon vertices
@@ -152,7 +155,26 @@ def _half_turn(d: Diagonal, N: int) -> Diagonal:
     return _diag(d[0] + N // 2, d[1] + N // 2, N)
 
 
-class TypeBModel:
+class _SymmetricModel:
+    """What the B and D models share once ``vertices``, ``to_vertex``
+    and ``adj`` (compatibility as bitmasks over ``vertices``) are set."""
+
+    def ground_set(self) -> list[ColoredRoot]:
+        return colored_ground_set([self.rs], self.m)
+
+    def model_compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
+        return self.compatible(self.to_vertex[u], self.to_vertex[v])
+
+    def faces(self, k: int) -> list[tuple[int, ...]]:
+        """k-subsets of pairwise compatible model vertices."""
+        return list(iter_cliques(self.adj, k))
+
+    def f_vector(self) -> list[int]:
+        """Face counts f_0..f_n of the model."""
+        return clique_counts(self.adj, self.n)
+
+
+class TypeBModel(_SymmetricModel):
     """Centrally symmetric model in the (2nm+2)-gon."""
 
     def __init__(self, n: int, m: int):
@@ -177,6 +199,7 @@ class TypeBModel:
                 seen.add(orbit)
                 self.vertices.append(BVertex("pair", orbit))
         self._build_bijection()
+        self.adj = compatibility_masks(self.vertices, self.compatible)
 
     def compatible(self, v1: BVertex, v2: BVertex) -> bool:
         return not any(
@@ -234,39 +257,13 @@ class TypeBModel:
         if len(images) != len(self.to_vertex) or images != vset:
             raise AmbiguousOrbit("type B bijection is not onto the model")
 
-    def ground_set(self) -> list[ColoredRoot]:
-        return colored_ground_set([self.rs], self.m)
-
-    def model_compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
-        return self.compatible(self.to_vertex[u], self.to_vertex[v])
-
     def rotate_vertex(self, v: BVertex) -> BVertex:
         return BVertex(
             v.kind, frozenset(rotate_diag(c, self.N) for c in v.chords)
         )
 
-    def faces(self, k: int) -> list[tuple[int, ...]]:
-        """k-subsets of pairwise compatible model vertices."""
-        V = len(self.vertices)
-        comp = [
-            [self.compatible(self.vertices[i], self.vertices[j]) for j in range(V)]
-            for i in range(V)
-        ]
-        out: list[tuple[int, ...]] = []
 
-        def rec(prefix: list[int], start: int):
-            if len(prefix) == k:
-                out.append(tuple(prefix))
-                return
-            for i in range(start, V):
-                if all(comp[i][j] for j in prefix):
-                    rec(prefix + [i], i + 1)
-
-        rec([], 0)
-        return out
-
-
-class TypeDModel:
+class TypeDModel(_SymmetricModel):
     """Flavored-diameter model in the (2(n-1)m+2)-gon.
 
     Positions are 1-based; position 1 is the primary diameter, fixed by
@@ -306,6 +303,7 @@ class TypeDModel:
                 seen.add(orbit)
                 self.vertices.append(DVertex("pair", orbit, 0, ""))
         self._build_bijection()
+        self.adj = compatibility_masks(self.vertices, self.compatible)
 
     def _shifted(self, d: Diagonal) -> Diagonal:
         return _diag(d[0] - self.shift, d[1] - self.shift, self.N)
@@ -441,31 +439,6 @@ class TypeDModel:
         if len(images) != len(self.to_vertex) or images != set(self.vertices):
             raise AmbiguousOrbit("type D bijection is not onto the model")
 
-    def ground_set(self) -> list[ColoredRoot]:
-        return colored_ground_set([self.rs], self.m)
-
-    def model_compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
-        return self.compatible(self.to_vertex[u], self.to_vertex[v])
-
-    def faces(self, k: int) -> list[tuple[int, ...]]:
-        V = len(self.vertices)
-        comp = [
-            [self.compatible(self.vertices[i], self.vertices[j]) for j in range(V)]
-            for i in range(V)
-        ]
-        out: list[tuple[int, ...]] = []
-
-        def rec(prefix: list[int], start: int):
-            if len(prefix) == k:
-                out.append(tuple(prefix))
-                return
-            for i in range(start, V):
-                if all(comp[i][j] for j in prefix):
-                    rec(prefix + [i], i + 1)
-
-        rec([], 0)
-        return out
-
 
 def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
     """All ways to flavor diameters at the given positions so they are
@@ -504,40 +477,24 @@ def diameter_gap_condition(n: int, m: int, positions) -> bool:
     return all(a[t + 1] - a[t] <= m for t in range(len(a) - 1))
 
 
-def _noncrossing_subsets(n: int, m: int, k: int, budget: int, collect: bool):
+def _noncrossing_graph(n: int, m: int, budget: int) -> tuple[list[Diagonal], list[int]]:
+    """Allowable diagonals and their non-crossing adjacency masks."""
     diags = allowable_diagonals(n, m)
     if len(diags) > budget:
         raise BudgetExceeded(f"{len(diags)} diagonals exceed budget {budget}")
-    count = 0
-    found: list[tuple[Diagonal, ...]] = []
-
-    def rec(start: int, chosen: list[Diagonal], size: int):
-        nonlocal count
-        if size == k:
-            count += 1
-            if collect:
-                found.append(tuple(chosen))
-            return
-        for i in range(start, len(diags)):
-            d = diags[i]
-            if all(not crossing(d, c) for c in chosen):
-                chosen.append(d)
-                rec(i + 1, chosen, size + 1)
-                chosen.pop()
-
-    rec(0, [], 0)
-    return count, found
+    return diags, compatibility_masks(diags, lambda a, b: not crossing(a, b))
 
 
 def count_dissection_faces(n: int, m: int, k: int, budget: int = 40) -> int:
-    """Brute-force count of non-crossing k-subsets of allowable diagonals."""
-    return _noncrossing_subsets(n, m, k, budget, collect=False)[0]
+    """Count of non-crossing k-subsets of allowable diagonals."""
+    return clique_counts(_noncrossing_graph(n, m, budget)[1], k)[k]
 
 
 def dissection_facets(n: int, m: int, budget: int = 40) -> list[tuple[Diagonal, ...]]:
     """The maximal dissections: non-crossing n-subsets of allowable
     diagonals, in lexicographic diagonal order."""
-    return _noncrossing_subsets(n, m, n, budget, collect=True)[1]
+    diags, adj = _noncrossing_graph(n, m, budget)
+    return [tuple(diags[i] for i in c) for c in iter_cliques(adj, n)]
 
 
 def render_svg(N: int, chords, size: int = 400) -> str:

@@ -3,6 +3,8 @@ line per check.  Tolerances are exact (integer / rational equality)
 except where an explicit 1e-9 window on irrational exponents applies.
 """
 
+import pytest
+
 from ccx.diagram import parse_diagram
 from ccx.formulas import (
     TypeInfo,
@@ -119,8 +121,14 @@ def test_criterion_6_polygon_models():
     _report("criterion 6 (polygon models)", suite_models(max_rank=4, max_m=3))
 
 
-def test_criterion_7_invariant_catalog():
-    checks = [c for c in suite_catalog(max_rank=8) if c[0].startswith(("catalog", "M("))]
+@pytest.fixture(scope="module")
+def catalog_checks():
+    """The catalog suite is shared by criteria 7-9; run it once."""
+    return suite_catalog(max_rank=8)
+
+
+def test_criterion_7_invariant_catalog(catalog_checks):
+    checks = [c for c in catalog_checks if c[0].startswith(("catalog", "M("))]
     # E8 is singled out by the criterion
     rep = compute_all(parse_diagram("E8"))
     ok = all(
@@ -134,17 +142,17 @@ def test_criterion_7_invariant_catalog():
     _report("criterion 7 (invariant catalog rank 3..8)", checks)
 
 
-def test_criterion_8_fake_catalog():
+def test_criterion_8_fake_catalog(catalog_checks):
     checks = [
         c
-        for c in suite_catalog(max_rank=8)
+        for c in catalog_checks
         if c[0].startswith(("fake", "rank3", "fail"))
     ]
     _report("criterion 8 (fake invariants)", checks)
 
 
-def test_criterion_9_cross_method_agreement():
-    checks = [c for c in suite_catalog(max_rank=8) if c[0] == "cross-method agreement"]
+def test_criterion_9_cross_method_agreement(catalog_checks):
+    checks = [c for c in catalog_checks if c[0] == "cross-method agreement"]
     # plus the negative-h and integer-h exotic examples, which criterion 8
     # does not fold into the shared pool
     for spec in ["n=4;1-2:3 2-3:3 3-4:3 1-4:5", "n=4;1-2:3 2-3:4 3-4:4", "n=4;1-2:4 2-3:3 3-4:5"]:

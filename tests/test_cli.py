@@ -40,6 +40,15 @@ def test_complex_budget(capsys, monkeypatch):
     assert json.loads(err)["error"] == "budget"
 
 
+def test_complex_malformed_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CCX_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "complex", "--type", "A2", "-m", "1")
+    assert code == 1 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "usage"
+    assert "CCX_BUDGET" in data["message"] and "abc" in data["message"]
+
+
 def test_fvector_csv(capsys):
     code, out, _ = run_cli(capsys, "fvector", "--type", "B2", "-m", "3", "--emit", "csv")
     assert code == 0
@@ -112,6 +121,24 @@ def test_dissect_b_counts(capsys):
     code, out, _ = run_cli(capsys, "dissect", "--family", "B", "-n", "2", "-m", "2")
     data = json.loads(out)
     assert data["facet_count"] == 15
+
+
+@pytest.mark.parametrize(
+    "family,n,m",
+    [(f, n, m) for f, ns in (("B", (2, 3, 4)), ("D", (3, 4, 5))) for n in ns for m in (1, 2)],
+)
+def test_dissect_counts_match_complex(capsys, family, n, m):
+    from ccx.diagram import parse_diagram
+    from ccx.gcc import build_complex
+
+    code, out, _ = run_cli(
+        capsys, "dissect", "--family", family, "-n", str(n), "-m", str(m)
+    )
+    assert code == 0
+    data = json.loads(out)
+    fv = build_complex(parse_diagram(f"{family}{n}"), m).f_vector()
+    assert data["face_counts"] == fv
+    assert data["facet_count"] == fv[n]
 
 
 def test_verify_small(capsys):

@@ -1,6 +1,9 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccx.diagram import parse_diagram, classify
 from ccx.gcc import (
@@ -8,8 +11,10 @@ from ccx.gcc import (
     CliqueComplex,
     ColoredRoot,
     build_complex,
+    clique_counts,
     colored_ground_set,
     export_complex_json,
+    iter_cliques,
     link_decomposition_check,
     m_compatible,
     rotate_colored,
@@ -220,6 +225,48 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CCX_BUDGET", "6")
     with pytest.raises(BudgetExceeded):
         build_complex(parse_diagram("A2"), 2)
+
+
+def test_budget_env_malformed(monkeypatch):
+    monkeypatch.setenv("CCX_BUDGET", "abc")
+    with pytest.raises(ValueError, match="CCX_BUDGET.*'abc'"):
+        build_complex(parse_diagram("A2"), 1)
+
+
+@st.composite
+def graphs(draw):
+    """A graph on at most 12 vertices as bitmask adjacency, plus a
+    candidate mask for the counter."""
+    V = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(V), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [0] * V
+    for (i, j), edge in zip(pairs, edges):
+        if edge:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj, draw(st.integers(0, (1 << V) - 1))
+
+
+@settings(max_examples=150, deadline=2000)
+@given(graphs())
+def test_clique_engine_matches_brute_force(graph):
+    adj, cand = graph
+    V = len(adj)
+    members = [i for i in range(V) if cand >> i & 1]
+
+    def brute(k, vertices):
+        return [
+            c
+            for c in itertools.combinations(vertices, k)
+            if all(adj[a] >> b & 1 for a, b in itertools.combinations(c, 2))
+        ]
+
+    top = V + 1
+    assert clique_counts(adj, top, cand) == [len(brute(k, members)) for k in range(top + 1)]
+    assert clique_counts(adj, top) == [len(brute(k, range(V))) for k in range(top + 1)]
+    for k in range(top + 1):
+        assert list(iter_cliques(adj, k)) == sorted(brute(k, range(V)))
 
 
 def test_export_json_deterministic():
