@@ -1,18 +1,19 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
 Polynomials are kept in the formal variable ``m`` with Fraction
-coefficients throughout; nothing here ever rounds.  Rational roots are
-extracted exactly (rational root theorem plus synthetic deflation) and
-only the root-free residual factor is handed to floating point.
+coefficients throughout.  Roots are found without factoring integers and
+without floating-point arithmetic: a square-free decomposition (Yun)
+of the primitive integer form, Sturm-sequence isolation of the real
+roots at dyadic points, and exact bisection.  Rational roots come out
+exactly; only the final approximations of irrational real roots are
+rounded to float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
+from math import gcd, lcm
 
 RationalLike = int | Fraction
 
@@ -275,42 +276,10 @@ class RatFun:
         return f"RatFun({self.num!r}, {self.den!r})"
 
 
-def _divisors(n: int) -> list[int]:
-    """All positive divisors, via trial-division factoring.
-
-    Values here come from cleared-denominator forms of the face-count
-    polynomials, so any prime factor beyond the trial bound is left as
-    a single large prime.
-    """
-    n = abs(n)
-    if n == 0:
-        raise ValueError("divisors of zero")
-    factors: dict[int, int] = {}
-    rem = n
-    p = 2
-    while p * p <= rem and p < 1_000_000:
-        while rem % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rem //= p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        factors[rem] = factors.get(rem, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**e for d in divs for e in range(mult + 1)]
-    return sorted(divs)
-
-
 def _primitive_int_coeffs(p: Poly) -> list[int]:
     """Integer coefficient list of p scaled by a positive rational."""
-    from math import lcm
-
     denls = lcm(*[c.denominator for c in p.coeffs]) if p.coeffs else 1
-    ints = [int(c * denls) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [c // g for c in ints]
+    return _zprimitive([int(c * denls) for c in p.coeffs])
 
 
 @dataclass(frozen=True)
@@ -320,7 +289,9 @@ class RootSet:
     rational: (root, multiplicity) pairs, roots ascending.
     residual: primitive integer-coefficient Poly without rational roots
         (None when the input splits over Q).
-    residual_approx: real roots of the residual to ~1e-9, ascending.
+    residual_approx: real roots of the residual with multiplicity,
+        ascending; each is isolated and bisected in exact integer
+        arithmetic to within 2^-52 relative, then rounded to float.
     """
 
     rational: tuple[tuple[Fraction, int], ...]
@@ -339,72 +310,238 @@ class RootSet:
         return sorted(vals)
 
 
-def _real_roots_numeric(p: Poly, tol: float = 1e-9) -> list[float]:
-    """Real roots of p via companion matrix, Newton-polished."""
-    coeffs = [float(c) for c in p.coeffs]
-    roots = np.roots(coeffs[::-1])
-    dp = p.derivative()
+# ---------------------------------------------------------------------------
+# exact real roots
+#
+# Integer polynomials in this section are lists of ints in ascending
+# degree without trailing zeros; the empty list is the zero polynomial.
+# No coefficient is ever converted to float.
+
+
+def _zprimitive(f: list[int]) -> list[int]:
+    """f divided by its positive content."""
+    g = gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _zderiv(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _zsub(f: list[int], g: list[int]) -> list[int]:
+    out = [a - b for a, b in zip(f, g)] + f[len(g):] + [-b for b in g[len(f):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zrem(f: list[int], g: list[int]) -> list[int]:
+    """Remainder of |lc(g)|^(deg f - deg g + 1) * f on division by g.
+
+    The multiplier is positive, so the remainder has the sign of the
+    remainder over Q, as Sturm sequences need.
+    """
+    lg, dg = g[-1], len(g) - 1
+    steps = len(f) - dg
+    f = list(f)
+    for k in range(steps - 1, -1, -1):
+        c = f.pop()
+        f = [lg * x for x in f]
+        for j in range(dg):
+            f[k + j] -= c * g[j]
+    if lg < 0 and steps > 0 and steps % 2:
+        f = [-x for x in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _zquo(f: list[int], g: list[int]) -> list[int]:
+    """f / g, where g is primitive and divides f over Q (so the quotient
+    is integral, by Gauss's lemma)."""
+    lg, dg = g[-1], len(g) - 1
+    f = list(f)
+    quo = [0] * (len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(f.pop(), lg)
+        if r:
+            raise NonZeroRemainder(f"{g} does not divide the integer polynomial")
+        quo[k] = c
+        for j in range(dg):
+            f[k + j] -= c * g[j]
+    if any(f):
+        raise NonZeroRemainder(f"{g} does not divide the integer polynomial")
+    return quo
+
+
+def _zgcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    while g:
+        f, g = g, _zprimitive(_zrem(f, g))
+    f = _zprimitive(f)
+    return f if f[-1] > 0 else [-c for c in f]
+
+
+def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition of a primitive integer polynomial.
+
+    Returns (a_i, i) for the nonconstant a_i in f = c * prod a_i^i, where
+    the a_i are primitive, square-free and pairwise coprime.  Dividing
+    the cofactors of each step by the same polynomial keeps Yun's
+    identities exact over Z without passing to monic forms over Q.
+    """
     out = []
-    for z in roots:
-        if abs(z.imag) > 1e-6 * (1 + abs(z.real)):
-            continue
-        r = float(z.real)
-        for _ in range(50):
-            fr = p(r)
-            dfr = dp(r)
-            if dfr == 0:
-                break
-            step = fr / dfr
-            r -= step
-            if abs(step) < tol * (1 + abs(r)):
-                break
-        out.append(r)
-    return sorted(out)
+    df = _zderiv(f)
+    c = _zgcd(f, df)
+    w, y = _zquo(f, c), _zquo(df, c)
+    i = 1
+    while len(w) > 1:
+        z = _zsub(y, _zderiv(w))
+        a = _zgcd(w, z)
+        if len(a) > 1:
+            out.append((a, i))
+        w, y = _zquo(w, a), _zquo(z, a)
+        i += 1
+    return out
+
+
+def _zeval(f: list[int], num: int, den: int) -> int:
+    """den^deg(f) * f(num/den), an integer with the sign of f(num/den)."""
+    acc, pw = 0, 1
+    for c in reversed(f):
+        acc = acc * num + c * pw
+        pw *= den
+    return acc
+
+
+def _dyadic(a: int, k: int) -> tuple[int, int]:
+    """a / 2^k as (numerator, positive denominator)."""
+    return (a, 1 << k) if k >= 0 else (a << -k, 1)
+
+
+def _sturm(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of a square-free f, each term made primitive."""
+    seq = [f, _zderiv(f)]
+    while True:
+        r = _zrem(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append([-c for c in _zprimitive(r)])
+
+
+def _variations(seq: list[list[int]], num: int, den: int) -> int:
+    """Sign changes of the sequence at num/den, zeros skipped."""
+    count, last = 0, 0
+    for s in seq:
+        v = _zeval(s, num, den)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _root_bound_exp(f: list[int]) -> int:
+    """e with every root of f inside (-2^e, 2^e), by Fujiwara's bound
+    2 max |a_(d-i) / a_d|^(1/i), read off bit lengths."""
+    d = len(f) - 1
+    top = abs(f[-1]).bit_length()
+    e = 0
+    for i in range(1, d + 1):
+        if f[d - i]:
+            t = abs(f[d - i]).bit_length() - top + 1
+            e = max(e, -(-t // i))
+    return e + 1
+
+
+def _squarefree_real_roots(f: list[int]) -> list[Fraction | float]:
+    """Real roots of a square-free integer polynomial, ascending.
+
+    Rational roots come back as exact Fractions, the others as floats
+    within 2^-52 relative.  Sturm counts over half-open dyadic intervals
+    (a/2^k, (a+1)/2^k] isolate the roots; _refine_root then bisects each.
+    """
+    seq = _sturm(f)
+    e = _root_bound_exp(f)
+
+    def var(a, k):
+        return _variations(seq, *_dyadic(a, k))
+
+    v0 = var(0, 0)
+    todo = [(-1, -e, var(-1, -e), v0), (0, -e, v0, var(1, -e))]
+    roots: list[Fraction | float] = []
+    while todo:
+        a, k, vlo, vhi = todo.pop()
+        if vlo - vhi == 1:
+            roots.append(_refine_root(f, a, k))
+        elif vlo - vhi > 1:
+            vmid = var(2 * a + 1, k + 1)
+            todo += [(2 * a, k + 1, vlo, vmid), (2 * a + 1, k + 1, vmid, vhi)]
+    return sorted(roots)
+
+
+def _refine_root(f: list[int], a: int, k: int) -> Fraction | float:
+    """The only root of square-free f in (a/2^k, (a+1)/2^k].
+
+    A rational root p/q of a primitive f has q | a_n, so it is j/|a_n|
+    for an integer j; once the interval is narrower than 1/|a_n| it holds
+    at most one such point, and testing that point exactly decides
+    whether the root is rational.  An irrational root is bisected on
+    until the interval's relative width is below 2^-52.
+    """
+    lead = abs(f[-1])
+    top = _zeval(f, *_dyadic(a + 1, k))
+    if top == 0:
+        return Fraction(*_dyadic(a + 1, k))
+    tested = False
+    while True:
+        if not tested and k > 0 and 1 << k > lead:
+            tested = True
+            j = (a * lead >> k) + 1
+            if j << k < (a + 1) * lead and _zeval(f, j, lead) == 0:
+                return Fraction(j, lead)
+        if tested and min(abs(a), abs(a + 1)) >> 52:
+            return float(Fraction(*_dyadic(2 * a + 1, k + 1)))
+        mid = _zeval(f, *_dyadic(2 * a + 1, k + 1))
+        if mid == 0:
+            return Fraction(*_dyadic(2 * a + 1, k + 1))
+        a, k = (2 * a if (mid > 0) == (top > 0) else 2 * a + 1), k + 1
 
 
 def rational_roots(p: Poly) -> RootSet:
     """Factor out every rational root of p, exactly.
 
-    Candidates come from the rational root theorem applied to the
-    primitive integer form; each is deflated with multiplicity.  The
+    The primitive integer form is split into square-free factors (Yun),
+    and the real roots of each factor are isolated and refined exactly
+    (_squarefree_real_roots); a rational root found in a factor of
+    multiplicity i is deflated i times.  No integer is factored, so
+    large prime factors in the coefficients cost nothing extra.  The
     returned factorization is re-multiplied and checked against the
     input before returning.
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    found: list[tuple[Fraction, int]] = []
-    work = Poly(_primitive_int_coeffs(p))
+    work = _primitive_int_coeffs(p)
 
     # root 0 first: factor out x^k
     k0 = 0
-    while not work.is_zero() and work.coeffs[0] == 0:
-        work = Poly(work.coeffs[1:])
+    while work[k0] == 0:
         k0 += 1
-    if k0:
-        found.append((Fraction(0), k0))
+    work = work[k0:]
+    found: list[tuple[Fraction, int]] = [(Fraction(0), k0)] if k0 else []
 
-    if work.degree >= 1:
-        a0 = int(work.coeffs[0])
-        an = int(work.leading())
-        cands = sorted(
-            {Fraction(s * pnum, pden) for pnum in _divisors(a0)
-             for pden in _divisors(an) for s in (1, -1)}
-        )
-        for r in cands:
-            mult = 0
-            while work.degree >= 1 and work(r) == 0:
-                work = poly_divide_exact(work, Poly([-r, 1]))
-                mult += 1
-            if mult:
+    approx: list[float] = []
+    for factor, mult in _squarefree_factors(work):
+        for r in _squarefree_real_roots(factor):
+            if isinstance(r, Fraction):
                 found.append((r, mult))
+                for _ in range(mult):
+                    work = _zquo(work, [-r.numerator, r.denominator])
+            else:
+                approx.extend([r] * mult)
 
     found.sort(key=lambda t: t[0])
-    if work.degree >= 1:
-        residual = Poly(_primitive_int_coeffs(work))
-        approx = tuple(_real_roots_numeric(residual))
-    else:
-        residual = None
-        approx = ()
+    residual = Poly(work) if len(work) > 1 else None
 
     # exact audit: product of found factors times residual matches input
     rebuilt = residual if residual is not None else ONE
@@ -414,4 +551,10 @@ def rational_roots(p: Poly) -> RootSet:
     scale = p.leading() / rebuilt.leading()
     assert rebuilt * scale == p, "root extraction lost a factor"
 
-    return RootSet(tuple(found), residual, approx)
+    return RootSet(tuple(found), residual, tuple(sorted(approx)))
+
+
+def real_roots(p: Poly) -> tuple[float, ...]:
+    """Real roots of p with multiplicity, ascending, as floats within
+    2^-52 relative (rational roots are rounded from their exact value)."""
+    return tuple(rational_roots(p).all_real_approx())

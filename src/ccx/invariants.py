@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .diagram import (
     CoxeterDiagram,
@@ -31,6 +31,7 @@ from .exactmath import (
     format_fraction,
     poly_divide_exact,
     rational_roots,
+    real_roots,
 )
 from .formulas import f_polys_recursive, f_plus_poly
 
@@ -53,8 +54,11 @@ class ExponentData:
     """Exponent multiset: exact rationals plus an irrational residual.
 
     ``residual`` is a primitive integer polynomial in the exponent
-    variable, free of rational roots; its real roots (to ~1e-9) are the
-    irrational exponents.
+    variable, free of rational roots; its real roots are the irrational
+    exponents.  ``approx`` lists every real exponent with multiplicity,
+    ascending: rationals rounded from their exact value, irrational ones
+    isolated and bisected exactly to within 2^-52 relative, then rounded
+    (``exactmath.real_roots``).
     """
 
     rational: tuple[Fraction, ...]
@@ -106,16 +110,10 @@ def exponents_from_facet_poly(npoly: Poly, h: Fraction) -> ExponentData:
     if roots.residual is not None:
         # map the residual to the exponent variable: mu = -(e+1)/h
         transformed = roots.residual.compose(Poly([F(-1, h), F(-1, h)]))
-        scale = lcm(*[c.denominator for c in transformed.coeffs])
-        ints = transformed * scale
-        if ints.leading() < 0:
-            ints = ints * -1
-        from .exactmath import _primitive_int_coeffs
-
-        residual = Poly(_primitive_int_coeffs(ints))
-        from .exactmath import _real_roots_numeric
-
-        approx.extend(_real_roots_numeric(residual))
+        ints = transformed * lcm(*[c.denominator for c in transformed.coeffs])
+        content = gcd(*[int(c) for c in ints.coeffs])
+        residual = ints / (content if ints.leading() > 0 else -content)
+        approx.extend(real_roots(residual))
     return ExponentData(tuple(rationals), residual, tuple(sorted(approx)))
 
 

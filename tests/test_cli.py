@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ccx
 from ccx.cli import main
 
 
@@ -166,3 +171,10 @@ def test_missing_diagram_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "complex", "-m", "1")
     assert code == 1
     assert json.loads(err)["error"] == "usage"
+
+
+def test_cli_imports_only_the_standard_library():
+    src = str(Path(ccx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ccx.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

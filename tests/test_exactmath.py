@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccx.exactmath import (
@@ -14,6 +15,7 @@ from ccx.exactmath import (
     poly_gcd,
     poly_shift,
     rational_roots,
+    real_roots,
 )
 
 
@@ -98,6 +100,40 @@ def test_rational_roots_irrational_residual():
     assert rs.residual_approx == pytest.approx((-(2**0.5), 2**0.5), abs=1e-9)
 
 
+def test_rational_roots_large_prime_factors():
+    # (m - 1000003)(m - 1000033): both primes lie above any trial-division bound
+    rs = rational_roots(Poly([1000003 * 1000033, -2000036, 1]))
+    assert rs.rational == ((F(1000003), 1), (F(1000033), 1))
+    assert rs.residual is None
+
+
+def test_residual_with_huge_coefficients():
+    # A m^2 - (2A + 1) with 1100-bit A: roots +-sqrt(2 + 1/A), past float range
+    a = 3**701
+    rs = rational_roots(Poly([-(2 * a + 1), 0, a]))
+    assert rs.rational == ()
+    assert list(rs.residual.coeffs) == [-(2 * a + 1), 0, a]
+    assert rs.residual_approx == pytest.approx((-(2**0.5), 2**0.5), abs=1e-9)
+
+
+def test_real_roots_with_multiplicity():
+    p = Poly([-2, 0, 1]) * Poly([-2, 0, 1]) * Poly([1, 1])
+    expected = (-(2**0.5), -(2**0.5), -1.0, 2**0.5, 2**0.5)
+    assert real_roots(p) == pytest.approx(expected, abs=1e-9)
+
+
+def test_real_roots_across_a_sturm_degree_gap():
+    # the Sturm sequence of m^4 + m - 1 drops from degree 3 to degree 1
+    # under a negative leading coefficient
+    p = Poly([-1, 1, 0, 0, 1])
+    roots = real_roots(p)
+    assert len(roots) == 2
+    eps = F(1, 10**9)
+    for x in roots:
+        assert p(F(x) - eps) * p(F(x) + eps) < 0
+    assert real_roots(Poly([1, 1, 0, 0, 1])) == ()
+
+
 def test_binomial_poly_matches_binomials():
     from math import comb
 
@@ -155,3 +191,48 @@ def test_root_extraction_reassembles(p):
 @settings(max_examples=40, deadline=None)
 def test_shift_agrees_pointwise(p, x):
     assert poly_shift(p)(x) == p(x - 1)
+
+
+# rational roots p/q whose numerators and denominators carry primes above
+# 10^6, with multiplicities, times an irreducible quadratic
+PRIMES = (2, 3, 7, 1000003, 1000033, 2147483647)
+prime_products = st.lists(st.sampled_from(PRIMES), max_size=2).map(prod)
+rational_root = st.builds(
+    lambda sign, p, q: F(sign * p, q),
+    st.sampled_from((1, -1)),
+    prime_products,
+    prime_products,
+)
+
+
+@st.composite
+def irreducible_quadratics(draw):
+    a = draw(st.integers(min_value=1, max_value=50))
+    b = draw(st.integers(min_value=-50, max_value=50))
+    c = draw(st.integers(min_value=-50, max_value=50).filter(bool))
+    disc = b * b - 4 * a * c
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    return a, b, c
+
+
+@given(
+    st.dictionaries(rational_root, st.integers(min_value=1, max_value=3), max_size=4),
+    irreducible_quadratics(),
+    small_fracs.filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_recovers_large_prime_roots(roots, quad, scale):
+    a, b, c = quad
+    p = Poly([c, b, a]) * scale
+    for r, mult in roots.items():
+        for _ in range(mult):
+            p = p * Poly([-r, 1])
+    rs = rational_roots(p)
+    assert rs.rational == tuple(sorted(roots.items()))
+    g = gcd(a, b, c)
+    assert list(rs.residual.coeffs) == [x // g * (1 if scale > 0 else -1) for x in (c, b, a)]
+    disc = b * b - 4 * a * c
+    expected = []
+    if disc > 0:
+        expected = sorted((-b + s * disc**0.5) / (2 * a) for s in (1, -1))
+    assert rs.residual_approx == pytest.approx(expected, abs=1e-9)

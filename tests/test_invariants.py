@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ccx.diagram import classify, connected_components, induced_subdiagram, parse_diagram
 from ccx.exactmath import Poly
 from ccx.invariants import (
     METHODS,
+    YIELDING,
     compute_all,
     euler_method,
     exponents_from_facet_poly,
@@ -339,3 +342,58 @@ def test_cross_method_agreement_over_catalog():
             if res.yielded and "specialization-suspect" not in res.flags
         }
         assert len(keys) <= 1, spec
+
+
+STATUSES = {
+    "ok",
+    "negative-h",
+    "asymmetric-Q",
+    "non-constant-h",
+    "zero-denominator",
+    "non-polynomial-Q",
+    "not-applicable",
+    "budget-exceeded",
+}
+
+
+def _check_report(rep):
+    assert rep.consensus in ("agree", "disagree", "partial")
+    for res in rep.methods.values():
+        assert res.status in STATUSES
+        if res.status in YIELDING:
+            assert res.h is not None
+            assert res.facet_poly is not None and res.positive_poly is not None
+            assert res.exponents is not None
+
+
+def test_huge_residual_diagram_reports():
+    # the exponent residual of this diagram has coefficients past float range
+    G = parse_diagram("n=6; 1-2:7 1-4:8 1-6:8 2-5:5 3-4:6 3-5:7 4-5:3 5-6:6")
+    _check_report(compute_all(G))
+
+
+@st.composite
+def infinite_diagrams(draw):
+    """Connected diagrams of rank 3-6 with labels 3-8, not of finite type:
+    a random spanning tree plus random further edges."""
+    rank = draw(st.integers(min_value=3, max_value=6))
+    labels = st.integers(min_value=3, max_value=8)
+    edges = {}
+    for v in range(2, rank + 1):
+        edges[(draw(st.integers(min_value=1, max_value=v - 1)), v)] = draw(labels)
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            if (i, j) not in edges and draw(st.booleans()):
+                edges[(i, j)] = draw(labels)
+    spec = f"n={rank}; " + " ".join(f"{i}-{j}:{a}" for (i, j), a in sorted(edges.items()))
+    G = parse_diagram(spec)
+    assume(classify(G).kind != "finite")
+    return G
+
+
+@given(infinite_diagrams())
+@settings(max_examples=25, deadline=None)
+def test_compute_all_never_raises_on_random_diagrams(G):
+    rep = compute_all(G)
+    _check_report(rep)
+    assert rep.to_json() == compute_all(G).to_json()
