@@ -1,15 +1,19 @@
-"""Coxeter diagrams: parsing, induced subdiagrams, bipartition, classification.
+"""Coxeter diagrams: parsing, induced subdiagrams, the subset lattice,
+bipartition, classification.
 
 A diagram is a loopless undirected graph with integer edge labels >= 3;
 every absent pair implicitly carries label 2.  Vertices are integers in
 declaration order, and induced subdiagrams keep their parent's ids so
-that vertex subsets work as memoization keys.
+that vertex subsets work as memoization keys.  The recursions over
+induced subdiagrams run on ``SubsetLattice`` masks instead, and build
+no diagram objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import re
 
 
@@ -304,6 +308,96 @@ def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
     return comps
 
 
+class SubsetLattice:
+    """The induced subdiagrams of one diagram as int masks.
+
+    Bit i stands for ``G.vertices[i]``, so masks compare in the order of
+    the vertex lists of the subdiagrams they name.  Components are
+    memoized per mask.  ``fpolys`` is the face-polynomial store of
+    ``formulas.face_polys``, shared by every caller of the lattice.
+    """
+
+    __slots__ = ("diagram", "rank", "full", "nbr", "_labels", "_components", "_connected",
+                 "fpolys")
+
+    def __init__(self, G: CoxeterDiagram):
+        self.diagram = G
+        self.rank = G.rank
+        self.full = (1 << G.rank) - 1
+        bit = {v: 1 << i for i, v in enumerate(G.vertices)}
+        self.nbr = [0] * G.rank  # neighbour mask of each vertex
+        self._labels: dict[int, int] = {}
+        for (i, j), lab in G.labels.items():
+            self.nbr[bit[i].bit_length() - 1] |= bit[j]
+            self.nbr[bit[j].bit_length() - 1] |= bit[i]
+            self._labels[bit[i] | bit[j]] = lab
+        self._components: dict[int, tuple[int, ...]] = {}
+        self._connected: tuple[int, ...] | None = None
+        self.fpolys: dict = {}
+
+    def vertices(self, mask: int) -> list[int]:
+        return [v for i, v in enumerate(self.diagram.vertices) if mask >> i & 1]
+
+    def label(self, pair_mask: int) -> int:
+        """Label of the pair of vertices whose two bits are set."""
+        return self._labels.get(pair_mask, 2)
+
+    def components(self, mask: int) -> tuple[int, ...]:
+        """Component masks of the label>=3 skeleton, lowest bit first."""
+        comps = self._components.get(mask)
+        if comps is not None:
+            return comps
+        out = []
+        rest = mask
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = self.nbr[low.bit_length() - 1] & mask & ~comp
+                comp |= new
+                frontier |= new
+            out.append(comp)
+            rest &= ~comp
+        comps = self._components[mask] = tuple(out)
+        return comps
+
+    def connected_masks(self) -> tuple[int, ...]:
+        """Every connected nonempty mask, by rank, then ascending."""
+        if self._connected is None:
+            self._connected = tuple(sorted(
+                (m for m in range(1, self.full + 1) if len(self.components(m)) == 1),
+                key=int.bit_count,
+            ))
+        return self._connected
+
+    def codim1(self, mask: int) -> list[int]:
+        """The masks with one vertex removed, lowest removed bit first."""
+        out = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out.append(mask ^ low)
+            rest ^= low
+        return out
+
+    def submasks(self, mask: int):
+        """Every subset of mask, ascending, from 0 to mask itself."""
+        sub = 0
+        while True:
+            yield sub
+            if sub == mask:
+                return
+            sub = (sub - mask) & mask
+
+
+@lru_cache(maxsize=1)
+def subset_lattice(G: CoxeterDiagram) -> SubsetLattice:
+    """The lattice of G, kept while G is the diagram last asked for, so
+    the invariant methods of one report share its memos."""
+    return SubsetLattice(G)
+
+
 def bipartition(G: CoxeterDiagram) -> tuple[frozenset[int], frozenset[int]]:
     """Deterministic 2-coloring of the skeleton: the smallest vertex id of
     each component lands in the plus class; BFS extends the coloring."""
@@ -496,6 +590,8 @@ def classify(G: CoxeterDiagram) -> Classification:
         return _classify_connected(comps[0]) if comps else _classify_connected(G)
     parts = tuple(_classify_connected(c) for c in comps)
     if all(p.kind == "finite" for p in parts):
+        # larger rank first, then by name: the vertex order must not matter
+        parts = tuple(sorted(parts, key=lambda p: (-p.rank, p.type_name or "?")))
         return Classification(
             "finite-reducible",
             "x".join(p.type_name or "?" for p in parts),

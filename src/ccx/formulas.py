@@ -8,10 +8,11 @@ them; downstream code may use either.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
-from .diagram import CoxeterDiagram, classify, codim1_subdiagrams, connected_components
+from .diagram import CoxeterDiagram, SubsetLattice, classify, induced_subdiagram, subset_lattice
 from .exactmath import Poly, binomial_poly
 from .tables import exponent_levels, face_correction, h_correction
 
@@ -99,51 +100,71 @@ def f_polys_recursive(G: CoxeterDiagram, h_of=classified_h) -> list[Poly]:
     ``h_of`` supplies the Coxeter number of each connected induced
     subdiagram; the default reads it off the classification.
     """
-    memo: dict[frozenset, list[Poly]] = {}
+    lat = subset_lattice(G)
+    fp = face_polys(lat, lambda mask, sums: h_of(induced_subdiagram(G, lat.vertices(mask))))
+    return list(fp(lat.full))
 
-    def for_diagram(D: CoxeterDiagram) -> list[Poly]:
-        key = frozenset(D.vertices)
-        if key in memo:
-            return memo[key]
-        comps = connected_components(D)
-        if len(comps) != 1:
-            polys = [Poly([1])]
-            for c in comps:
-                polys = _convolve(polys, for_diagram(c))
+
+def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
+    """The vertex-deletion recurrence: a function giving, for a mask of
+    rank r, its face polynomials f_0..f_r, memoized per mask.
+
+    On a connected mask of rank >= 3, f_k = (hm + 2)/(2k) * sums[k-1],
+    where sums[j] is the sum of f_j over the masks with one vertex
+    removed and ``h_of(mask, sums)`` gives h (it may raise).  Ranks one
+    and two are postulated; a disconnected mask convolves its lowest
+    component with the rest.
+
+    Results live in ``lat.fpolys`` for the life of the lattice, keyed
+    by the mask, h and the ids of the stored sub-results they were built
+    from: callers whose h agree on a subdiagram share its polynomials.
+    """
+    store = lat.fpolys
+    seen: dict[int, tuple[Poly, ...]] = {}
+
+    def walk(mask: int) -> tuple[Poly, ...]:
+        out = seen.get(mask)
+        if out is not None:
+            return out
+        comps = lat.components(mask)
+        r = mask.bit_count()
+        if len(comps) > 1:
+            low, rest = walk(comps[0]), walk(mask ^ comps[0])
+            key = (mask, id(low), id(rest))
+            out = store.get(key)
+            if out is None:
+                acc = [Poly()] * (len(low) + len(rest) - 1)
+                for i, p in enumerate(low):
+                    for j, q in enumerate(rest):
+                        acc[i + j] = acc[i + j] + p * q
+                out = store[key] = tuple(acc)
+        elif r <= 2:
+            out = store.get((mask,))
+            if out is None:
+                base = [Poly([1]), Poly([1, 1])]
+                if r == 2:
+                    f1 = Poly([2, lat.label(mask)])
+                    base = [Poly([1]), f1, f1 * Poly([1, 1]) / 2]
+                out = store[(mask,)] = tuple(base[: r + 1])
         else:
-            polys = connected(comps[0])
-        memo[key] = polys
-        return polys
-
-    def connected(D: CoxeterDiagram) -> list[Poly]:
-        r = D.rank
-        if r == 1:
-            return [Poly([1]), Poly([1, 1])]
-        if r == 2:
-            a = D.label(*D.vertices)
-            f1 = Poly([2, a])
-            return [Poly([1]), f1, f1 * Poly([1, 1]) / 2]
-        h = Fraction(h_of(D))
-        prefactor = Poly([2, h])  # mh + 2
-        subs = [for_diagram(sub) for _, sub in codim1_subdiagrams(D)]
-        out = [Poly([1])]
-        for k in range(1, r + 1):
-            total = Poly()
-            for fs in subs:
-                if k - 1 < len(fs):
-                    total = total + fs[k - 1]
-            out.append(prefactor * total / (2 * k))
+            subs = [walk(sub) for sub in lat.codim1(mask)]
+            ids = tuple(map(id, subs))
+            sums = store.get((mask, ids))
+            if sums is None:
+                sums = store[(mask, ids)] = tuple(
+                    sum((fs[j] for fs in subs), Poly()) for j in range(r)
+                )
+            h = Fraction(h_of(mask, sums))
+            out = store.get((mask, h, ids))
+            if out is None:
+                prefactor = Poly([2, h])  # mh + 2
+                out = store[(mask, h, ids)] = (Poly([1]),) + tuple(
+                    prefactor * sums[k - 1] / (2 * k) for k in range(1, r + 1)
+                )
+        seen[mask] = out
         return out
 
-    return for_diagram(G)
-
-
-def _convolve(a: list[Poly], b: list[Poly]) -> list[Poly]:
-    out = [Poly() for _ in range(len(a) + len(b) - 1)]
-    for i, p in enumerate(a):
-        for j, q in enumerate(b):
-            out[i + j] = out[i + j] + p * q
-    return out
+    return walk
 
 
 # ---------------------------------------------------------------------------

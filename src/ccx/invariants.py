@@ -14,15 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from .diagram import (
-    CoxeterDiagram,
-    classify,
-    codim1_subdiagrams,
-    connected_components,
-    induced_subdiagram,
-)
+from .diagram import CoxeterDiagram, SubsetLattice, classify, subset_lattice
 from .exactmath import (
     NonZeroRemainder,
     NotConstant,
@@ -33,7 +28,7 @@ from .exactmath import (
     rational_roots,
     real_roots,
 )
-from .formulas import f_polys_recursive, f_plus_poly
+from .formulas import f_plus_poly, face_polys
 
 F = Fraction
 ONE = Poly([1])
@@ -93,9 +88,14 @@ def _fail(exc: MethodFailure) -> MethodResult:
     return MethodResult(status=exc.status, detail=exc.detail)
 
 
-def _label(D: CoxeterDiagram) -> int:
-    v1, v2 = D.vertices
-    return D.label(v1, v2)
+_NOT_APPLICABLE = "invariants are defined for connected nonempty diagrams"
+
+
+def _connected_lattice(G: CoxeterDiagram) -> SubsetLattice:
+    lat = subset_lattice(G)
+    if len(lat.components(lat.full)) != 1:
+        raise MethodFailure("not-applicable", _NOT_APPLICABLE)
+    return lat
 
 
 def exponents_from_facet_poly(npoly: Poly, h: Fraction) -> ExponentData:
@@ -103,6 +103,13 @@ def exponents_from_facet_poly(npoly: Poly, h: Fraction) -> ExponentData:
     correspondence root = -(e+1)/h."""
     if h == 0:
         raise MethodFailure("zero-denominator", "h = 0 admits no exponents")
+    return _exponents(npoly, h)
+
+
+@lru_cache(maxsize=64)
+def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
+    """Root extraction, once per distinct (N, h): the methods of one
+    report usually share their facet polynomial."""
     roots = rational_roots(npoly)
     rationals = sorted(-h * mu - 1 for mu in roots.rational_multiset())
     residual = None
@@ -126,9 +133,9 @@ def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
     return "ok", tuple(flags)
 
 
-def _base_result(D: CoxeterDiagram) -> MethodResult:
-    """Postulated invariants for ranks one and two."""
-    if D.rank == 1:
+def _base_result(lat: SubsetLattice, mask: int) -> MethodResult:
+    """Postulated invariants of a connected mask of rank one or two."""
+    if mask.bit_count() == 1:
         return MethodResult(
             status="ok",
             h=F(2),
@@ -137,7 +144,7 @@ def _base_result(D: CoxeterDiagram) -> MethodResult:
             exponents=ExponentData((F(1),), None, (1.0,)),
             full_support_count=F(1),
         )
-    a = _label(D)
+    a = lat.label(mask)
     f2 = Poly([2, a]) * Poly([1, 1]) / 2
     return MethodResult(
         status="ok",
@@ -147,6 +154,48 @@ def _base_result(D: CoxeterDiagram) -> MethodResult:
         exponents=ExponentData((F(1), F(a - 1)), None, (1.0, float(a - 1))),
         full_support_count=F(a - 2),
     )
+
+
+def _each_connected(lat: SubsetLattice, step) -> None:
+    """Run ``step`` on every connected mask, lowest rank first.
+
+    A step sees every proper connected subdiagram already computed.
+    When steps fail, the failure raised is the least (by status, then
+    detail) among those of the lowest failing rank, so which failure a
+    method reports does not depend on the order of the vertices.
+    """
+    failures: list[MethodFailure] = []
+    rank = 0
+    for mask in lat.connected_masks():
+        if failures and mask.bit_count() > rank:
+            break
+        try:
+            step(mask)
+        except MethodFailure as exc:
+            failures.append(exc)
+            rank = mask.bit_count()
+    if failures:
+        raise min(failures, key=lambda exc: (exc.status, exc.detail))
+
+
+def _products(lat: SubsetLattice, connected, unit):
+    """Per-mask product of ``connected(component)`` over the components
+    of a mask, memoized: a disconnected mask multiplies its lowest
+    component by the memoized rest.  ``unit`` is the empty product."""
+    memo = {0: unit}
+
+    def product(mask: int):
+        out = memo.get(mask)
+        if out is None:
+            comps = lat.components(mask)
+            if len(comps) == 1:
+                out = connected(mask)
+            else:
+                out = product(comps[0]) * product(mask ^ comps[0])
+            memo[mask] = out
+        return out
+
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -161,69 +210,35 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
     subdiagram face polynomials; a finite-type diagram makes the
     solution a constant.
     """
-    cache: dict[frozenset, tuple[Fraction, list[Poly]]] = {}
+    hs: dict[int, Fraction] = {}
 
-    def fpolys(D: CoxeterDiagram) -> list[Poly]:
-        comps = connected_components(D)
-        if len(comps) == 1:
-            return connected(comps[0])[1]
-        out = [ONE]
-        for c in comps:
-            cf = connected(c)[1]
-            new = [Poly() for _ in range(len(out) + len(cf) - 1)]
-            for i, p in enumerate(out):
-                for j, q in enumerate(cf):
-                    new[i + j] = new[i + j] + p * q
-            out = new
-        return out
-
-    def connected(D: CoxeterDiagram) -> tuple[Fraction, list[Poly]]:
-        key = frozenset(D.vertices)
-        if key in cache:
-            return cache[key]
-        r = D.rank
-        if r <= 2:
-            base = _base_result(D)
-            if r == 1:
-                res = (base.h, [ONE, Poly([1, 1])])
-            else:
-                a = _label(D)
-                res = (base.h, [ONE, Poly([2, a]), base.facet_poly])
-        else:
-            subs = [fpolys(sub) for _, sub in codim1_subdiagrams(D)]
-            S = [None] + [
-                sum((fs[k - 1] for fs in subs), Poly()) for k in range(1, r + 1)
-            ]
-            S_top_prev = S[r].shifted_arg(-1)  # S_r evaluated at m-1
-            A = Poly()
-            B = Poly.const((-1) ** r)
-            for k in range(1, r + 1):
-                sign = (-1) ** (r - k)
-                A = A + Poly([0, sign]) * S[k] / (2 * k)
-                B = B + S[k] * F(sign, k)
-            A = A - Poly([-1, 1]) * S_top_prev / (2 * r)
-            B = B - S_top_prev / r
-            if A.is_zero():
-                raise MethodFailure(
-                    "zero-denominator", "h-coefficient vanishes identically"
-                )
-            try:
-                h = RatFun(-1 * B, A).constant_value()
-            except NotConstant:
-                raise MethodFailure(
-                    "non-constant-h", "alternating-sum equation has no constant solution"
-                )
-            fp = [ONE] + [Poly([2, h]) * S[k] / (2 * k) for k in range(1, r + 1)]
-            res = (h, fp)
-        cache[key] = res
-        return res
+    def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+        r = len(sums)
+        top_prev = sums[r - 1].shifted_arg(-1)  # S_r evaluated at m-1
+        A = Poly()
+        B = Poly.const((-1) ** r)
+        for k in range(1, r + 1):
+            sign = (-1) ** (r - k)
+            A = A + Poly([0, sign]) * sums[k - 1] / (2 * k)
+            B = B + sums[k - 1] * F(sign, k)
+        A = A - Poly([-1, 1]) * top_prev / (2 * r)
+        B = B - top_prev / r
+        if A.is_zero():
+            raise MethodFailure("zero-denominator", "h-coefficient vanishes identically")
+        try:
+            h = hs[mask] = RatFun(-1 * B, A).constant_value()
+        except NotConstant:
+            raise MethodFailure(
+                "non-constant-h", "alternating-sum equation has no constant solution"
+            )
+        return h
 
     try:
-        h, fp = connected(G)
-    except MethodFailure as exc:
-        return _fail(exc)
-    npoly = fp[G.rank]
-    try:
+        lat = _connected_lattice(G)
+        fp = face_polys(lat, h_of)
+        _each_connected(lat, fp)
+        npoly = fp(lat.full)[-1]
+        h = hs[lat.full] if lat.rank > 2 else _base_result(lat, lat.full).h
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
@@ -245,77 +260,56 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
 def symmetry_method(G: CoxeterDiagram) -> MethodResult:
     """Use invariance of the facet-poly roots under reflection about
     their mean to pin h from two coefficients of Q = sum N(G') / (m+1)."""
-    cache: dict[frozenset, tuple[Fraction, Poly]] = {}
-    flags: set[str] = set()
-    top_key = frozenset(G.vertices)
-    top_asym = [False]
+    hs: dict[int, Fraction] = {}
+    asymmetric: set[int] = set()
 
-    def npoly(D: CoxeterDiagram) -> Poly:
-        comps = connected_components(D)
-        out = ONE
-        for c in comps:
-            out = out * connected(c)[1]
-        return out
-
-    def connected(D: CoxeterDiagram) -> tuple[Fraction, Poly]:
-        key = frozenset(D.vertices)
-        if key in cache:
-            return cache[key]
-        r = D.rank
-        if r <= 2:
-            base = _base_result(D)
-            res = (base.h, base.facet_poly)
-        else:
-            total = sum(
-                (npoly(sub) for _, sub in codim1_subdiagrams(D)), Poly()
+    def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+        r = len(sums)
+        try:
+            Q = poly_divide_exact(sums[r - 1], Poly([1, 1]))
+        except NonZeroRemainder:
+            raise MethodFailure(
+                "non-polynomial-Q", "subdiagram facet sum not divisible by m+1"
             )
-            try:
-                Q = poly_divide_exact(total, Poly([1, 1]))
-            except NonZeroRemainder:
-                raise MethodFailure(
-                    "non-polynomial-Q", "subdiagram facet sum not divisible by m+1"
-                )
-            if Q.degree != r - 2:
-                raise MethodFailure(
-                    "zero-denominator", f"Q has degree {Q.degree}, expected {r - 2}"
-                )
-            ratio = Q.coeff(r - 3) / Q.coeff(r - 2)
-            denom = 2 * ratio - (r - 2)
-            if denom == 0:
-                raise MethodFailure(
-                    "zero-denominator", "mean-of-roots equation degenerates"
-                )
-            h = 2 * (r - 2) / denom
-            if h == 0:
-                raise MethodFailure("zero-denominator", "h = 0")
-            # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
-            c = (h + 2) / h
-            reflected = Q.compose(Poly([-c, -1]))
-            if reflected != Q * ((-1) ** Q.degree):
-                if key == top_key:
-                    top_asym[0] = True
-                else:
-                    flags.add("subgraph-asymmetric-Q")
-            N = Poly([2, h]) * Poly([1, 1]) * Q / (2 * r)
-            res = (h, N)
-        cache[key] = res
-        return res
+        if Q.degree != r - 2:
+            raise MethodFailure(
+                "zero-denominator", f"Q has degree {Q.degree}, expected {r - 2}"
+            )
+        ratio = Q.coeff(r - 3) / Q.coeff(r - 2)
+        denom = 2 * ratio - (r - 2)
+        if denom == 0:
+            raise MethodFailure("zero-denominator", "mean-of-roots equation degenerates")
+        h = 2 * (r - 2) / denom
+        if h == 0:
+            raise MethodFailure("zero-denominator", "h = 0")
+        # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
+        c = (h + 2) / h
+        if Q.compose(Poly([-c, -1])) != Q * ((-1) ** Q.degree):
+            asymmetric.add(mask)
+        hs[mask] = h
+        return h
 
     try:
-        h, npoly_top = connected(G)
-        exps = exponents_from_facet_poly(npoly_top, h)
+        lat = _connected_lattice(G)
+        fp = face_polys(lat, h_of)
+        _each_connected(lat, fp)
+        npoly = fp(lat.full)[-1]
+        h = hs[lat.full] if lat.rank > 2 else _base_result(lat, lat.full).h
+        exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
-    status, hflags = _status_for_h(h)
-    if top_asym[0]:
+    status, flags = _status_for_h(h)
+    if lat.full in asymmetric:
         status = "asymmetric-Q"
+    if asymmetric - {lat.full}:
+        flags = tuple(sorted(set(flags) | {"subgraph-asymmetric-Q"}))
     return MethodResult(
         status=status,
         h=h,
-        facet_poly=npoly_top,
-        positive_poly=f_plus_poly(npoly_top, G.rank),
+        facet_poly=npoly,
+        positive_poly=f_plus_poly(npoly, G.rank),
         exponents=exps,
-        flags=tuple(sorted(set(hflags) | flags)),
+        flags=flags,
     )
 
 
@@ -325,56 +319,36 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
 
 def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
     """Three linear equations in h, N(G), N+(G) at m = 1."""
-    cache: dict[frozenset, tuple[Fraction, Fraction, Fraction]] = {}
+    cache: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
 
-    def values(D: CoxeterDiagram) -> tuple[Fraction, Fraction]:
-        """(N, N+) at m=1 for a possibly disconnected diagram."""
-        n_val, p_val = F(1), F(1)
-        for c in connected_components(D):
-            _, nv, pv = connected(c)
-            n_val *= nv
-            p_val *= pv
-        return n_val, p_val
-
-    def connected(D: CoxeterDiagram) -> tuple[Fraction, Fraction, Fraction]:
-        key = frozenset(D.vertices)
-        if key in cache:
-            return cache[key]
-        r = D.rank
-        if r == 1:
-            res = (F(2), F(2), F(1))
-        elif r == 2:
-            a = _label(D)
-            res = (F(a), F(a + 2), F(a - 1))
+    def connected(mask: int) -> tuple[Fraction, Fraction, Fraction]:
+        res = cache.get(mask)
+        if res is not None:
+            return res
+        r = mask.bit_count()
+        if r <= 2:
+            base = _base_result(lat, mask)
+            res = (base.h, base.facet_poly(1), base.positive_poly(1))
         else:
-            S = T = F(0)
-            for _, sub in codim1_subdiagrams(D):
-                nv, pv = values(sub)
-                S += nv
-                T += pv
-            U = F(0)
-            verts = list(D.vertices)
-            for mask in range(1 << r):
-                if mask == (1 << r) - 1:
-                    continue
-                subset = [v for t, v in enumerate(verts) if mask >> t & 1]
-                U += values(induced_subdiagram(D, subset))[1]
+            S = sum((n_at_1(sub) for sub in lat.codim1(mask)), F(0))
+            T = sum((nplus_at_1(sub) for sub in lat.codim1(mask)), F(0))
+            U = sum((nplus_at_1(sub) for sub in lat.submasks(mask) if sub != mask), F(0))
             den = S - 2 * T
             if den == 0:
-                raise MethodFailure(
-                    "zero-denominator", "3x3 reciprocity system is singular"
-                )
+                raise MethodFailure("zero-denominator", "3x3 reciprocity system is singular")
             h = (2 * r * U - 2 * S - 2 * T) / den
             res = (h, (h + 2) * S / (2 * r), (h - 1) * T / r)
-        cache[key] = res
+        cache[mask] = res
         return res
 
-    def h_of(D: CoxeterDiagram) -> Fraction:
-        return connected(D)[0]
-
     try:
-        h, n1, np1 = connected(G)
-        npoly = f_polys_recursive(G, h_of)[G.rank]
+        lat = _connected_lattice(G)
+        # N and N+ at m=1 of any mask, products over its components
+        n_at_1 = _products(lat, lambda mask: connected(mask)[1], F(1))
+        nplus_at_1 = _products(lat, lambda mask: connected(mask)[2], F(1))
+        _each_connected(lat, connected)
+        h, n1, np1 = connected(lat.full)
+        npoly = face_polys(lat, lambda mask, sums: connected(mask)[0])(lat.full)[-1]
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
@@ -396,35 +370,26 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
 def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
     """Full polynomial reciprocity: h as a rational function of m that
     must collapse to a constant."""
-    cache: dict[frozenset, tuple[Fraction, Poly]] = {}
+    cache: dict[int, tuple[Fraction, Poly]] = {}
 
-    def ppoly(D: CoxeterDiagram) -> Poly:
-        out = ONE
-        for c in connected_components(D):
-            out = out * connected(c)[1]
-        return out
-
-    def connected(D: CoxeterDiagram) -> tuple[Fraction, Poly]:
-        key = frozenset(D.vertices)
-        if key in cache:
-            return cache[key]
-        r = D.rank
+    def connected(mask: int) -> tuple[Fraction, Poly]:
+        res = cache.get(mask)
+        if res is not None:
+            return res
+        r = mask.bit_count()
         if r <= 2:
-            base = _base_result(D)
+            base = _base_result(lat, mask)
             res = (base.h, base.positive_poly)
         else:
-            P = sum((ppoly(sub) for _, sub in codim1_subdiagrams(D)), Poly())
-            W = Poly()  # sum over small subsets of (r - |H|) N+(H)
-            Xs = Poly()  # sum over small subsets of |H| N+(H)
-            verts = list(D.vertices)
-            for mask in range(1 << r):
-                size = bin(mask).count("1")
-                if size > r - 2:
-                    continue
-                subset = [v for t, v in enumerate(verts) if mask >> t & 1]
-                val = ppoly(induced_subdiagram(D, subset))
-                W = W + val * (r - size)
-                Xs = Xs + val * size
+            P = sum((nplus(sub) for sub in lat.codim1(mask)), Poly())
+            # sum of N+(H) over the subsets H of each size up to r - 2
+            by_size = [Poly()] * (r - 1)
+            for sub in lat.submasks(mask):
+                size = sub.bit_count()
+                if size <= r - 2:
+                    by_size[size] = by_size[size] + nplus(sub)
+            W = sum((g * (r - s) for s, g in enumerate(by_size)), Poly())
+            Xs = sum((g * s for s, g in enumerate(by_size)), Poly())
             num = ((r - 2) * P + Xs) * 2
             den = Poly([0, 1]) * W - P
             if den.is_zero():
@@ -435,21 +400,16 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                 raise MethodFailure(
                     "non-constant-h", "reciprocity h is a non-constant function of m"
                 )
-            nplus = Poly([h - 2, h]) * P / (2 * r)
-            res = (h, nplus)
-        cache[key] = res
+            res = (h, Poly([h - 2, h]) * P / (2 * r))
+        cache[mask] = res
         return res
 
     try:
-        h, nplus = connected(G)
-        npoly = Poly()
-        verts = list(G.vertices)
-        for mask in range(1 << G.rank):
-            subset = [v for t, v in enumerate(verts) if mask >> t & 1]
-            if len(subset) == G.rank:
-                npoly = npoly + nplus
-            else:
-                npoly = npoly + ppoly(induced_subdiagram(G, subset))
+        lat = _connected_lattice(G)
+        nplus = _products(lat, lambda mask: connected(mask)[1], ONE)
+        _each_connected(lat, connected)
+        h, nplus_top = connected(lat.full)
+        npoly = sum((nplus(sub) for sub in lat.submasks(lat.full)), Poly())
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
@@ -458,7 +418,7 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
         status=status,
         h=h,
         facet_poly=npoly,
-        positive_poly=nplus,
+        positive_poly=nplus_top,
         exponents=exps,
         flags=flags,
     )
@@ -475,64 +435,54 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
     subgraphs enter the sums; h then follows from the total reflection
     count identity and the face polynomials from the recurrence.
     """
-    mcache: dict[frozenset, Fraction] = {}
-    sigma2_cache: dict[frozenset, Fraction] = {}
+    mcache: dict[int, Fraction] = {}
+    sigma2_cache: dict[int, Fraction] = {}
 
-    def m_connected(D: CoxeterDiagram) -> Fraction:
-        key = frozenset(D.vertices)
-        if key in mcache:
-            return mcache[key]
-        r = D.rank
-        if r == 1:
-            res = F(1)
-        elif r == 2:
-            res = F(_label(D) - 2)
+    def m_connected(mask: int) -> Fraction:
+        res = mcache.get(mask)
+        if res is not None:
+            return res
+        r = mask.bit_count()
+        if r <= 2:
+            res = _base_result(lat, mask).full_support_count
         else:
-            sigma1 = F(0)
-            for _, sub in codim1_subdiagrams(D):
-                comps = connected_components(sub)
-                if len(comps) == 1:
-                    sigma1 += m_connected(comps[0])
+            sigma1 = sum(
+                (m_connected(sub) for sub in lat.codim1(mask)
+                 if len(lat.components(sub)) == 1),
+                F(0),
+            )
             den = r * (r - 1) - sigma1
             if den == 0:
                 raise MethodFailure(
                     "zero-denominator", "full-support recursion denominator is 0"
                 )
-            res = sigma1 * sigma2(D) / den
-        mcache[key] = res
+            res = sigma1 * sigma2(mask) / den
+        mcache[mask] = res
         return res
 
-    def sigma2(D: CoxeterDiagram) -> Fraction:
-        key = frozenset(D.vertices)
-        if key in sigma2_cache:
-            return sigma2_cache[key]
-        total = F(0)
-        verts = list(D.vertices)
-        r = D.rank
-        for mask in range(1 << r):
-            size = bin(mask).count("1")
-            if not 2 <= size <= r - 1:
-                continue
-            subset = [v for t, v in enumerate(verts) if mask >> t & 1]
-            sub = induced_subdiagram(D, subset)
-            comps = connected_components(sub)
-            if len(comps) == 1:
-                total += m_connected(sub)
-        sigma2_cache[key] = total
+    def sigma2(mask: int) -> Fraction:
+        total = sigma2_cache.get(mask)
+        if total is None:
+            r = mask.bit_count()
+            total = sigma2_cache[mask] = sum(
+                (m_connected(sub) for sub in lat.submasks(mask)
+                 if 2 <= sub.bit_count() <= r - 1 and len(lat.components(sub)) == 1),
+                F(0),
+            )
         return total
 
-    def h_of(D: CoxeterDiagram) -> Fraction:
-        r = D.rank
-        if r == 1:
-            return F(2)
-        if r == 2:
-            return F(_label(D))
-        return 2 * (m_connected(D) + sigma2(D) + r) / r
+    def h_of(mask: int) -> Fraction:
+        r = mask.bit_count()
+        if r <= 2:
+            return _base_result(lat, mask).h
+        return 2 * (m_connected(mask) + sigma2(mask) + r) / r
 
     try:
-        mg = m_connected(G)
-        h = h_of(G)
-        npoly = f_polys_recursive(G, h_of)[G.rank]
+        lat = _connected_lattice(G)
+        _each_connected(lat, m_connected)
+        mg = m_connected(lat.full)
+        h = h_of(lat.full)
+        npoly = face_polys(lat, lambda mask, sums: h_of(mask))(lat.full)[-1]
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
@@ -631,20 +581,22 @@ def _method_json(res: MethodResult) -> dict:
     return out
 
 
-RANK_BUDGET = 12  # the subset recursions walk 2^rank induced subgraphs
+# The subset recursions walk up to 2^rank masks.  A rank limit does not
+# bound their work: the rank-12 star (one vertex joined to eleven) takes
+# over a minute, most of it in Fraction coefficient growth, while A14
+# takes seconds.  So the budget stays at 12 rather than growing with the
+# speed of A_r.
+RANK_BUDGET = 12
 
 
 def compute_all(G: CoxeterDiagram, methods=None) -> InvariantReport:
     """Run the requested methods (default all) and compare answers."""
     report = InvariantReport(G)
     names = list(METHODS) if methods is None else list(methods)
-    comps = connected_components(G)
-    if G.rank == 0 or len(comps) != 1:
+    lat = subset_lattice(G)
+    if len(lat.components(lat.full)) != 1:
         for name in names:
-            report.methods[name] = MethodResult(
-                status="not-applicable",
-                detail="invariants are defined for connected nonempty diagrams",
-            )
+            report.methods[name] = MethodResult(status="not-applicable", detail=_NOT_APPLICABLE)
         report.consensus = "partial"
         return report
     if G.rank > RANK_BUDGET:
@@ -656,10 +608,8 @@ def compute_all(G: CoxeterDiagram, methods=None) -> InvariantReport:
         report.consensus = "partial"
         return report
     if G.rank <= 2:
-        from dataclasses import replace
-
         for name in names:
-            res = replace(_base_result(G))
+            res = _base_result(lat, lat.full)
             if name != "mg":
                 res.full_support_count = None
             report.methods[name] = res

@@ -1,10 +1,15 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccx.diagram import (
+    CoxeterDiagram,
     DiagramError,
     OddCycle,
+    SubsetLattice,
     bipartition,
     classify,
     codim1_subdiagrams,
@@ -183,3 +188,39 @@ def test_subdiagrams_keep_parent_ids():
     sub = induced_subdiagram(G, {2, 3, 4})
     assert sub.vertices == (2, 3, 4)
     assert sub.label(3, 4) == 3
+
+
+@st.composite
+def shuffled_diagrams(draw):
+    """Rank 0-8, every pair labelled 2-8 (2 drops the edge), vertex ids
+    declared in a random order."""
+    rank = draw(st.integers(min_value=0, max_value=8))
+    ids = draw(st.permutations(range(1, rank + 1)))
+    labels = st.integers(min_value=2, max_value=8)
+    return CoxeterDiagram(ids, {pair: draw(labels) for pair in combinations(ids, 2)})
+
+
+@given(shuffled_diagrams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_subset_lattice_matches_reference_helpers(G, data):
+    lat = SubsetLattice(G)
+    bit = {v: 1 << i for i, v in enumerate(G.vertices)}
+    for i, j in combinations(G.vertices, 2):
+        assert lat.label(bit[i] | bit[j]) == G.label(i, j)
+    connected = []
+    for mask in range(lat.full + 1):
+        if len(connected_components(induced_subdiagram(G, lat.vertices(mask)))) == 1:
+            connected.append(mask)
+    assert sorted(lat.connected_masks()) == connected
+    assert [m.bit_count() for m in lat.connected_masks()] == sorted(
+        m.bit_count() for m in connected
+    )
+    for mask in data.draw(st.lists(st.integers(min_value=0, max_value=lat.full), max_size=8)):
+        D = induced_subdiagram(G, lat.vertices(mask))
+        assert [lat.vertices(c) for c in lat.components(mask)] == [
+            list(C.vertices) for C in connected_components(D)
+        ]
+        assert [lat.vertices(c) for c in lat.codim1(mask)] == [
+            list(sub.vertices) for _, sub in codim1_subdiagrams(D)
+        ]
+        assert list(lat.submasks(mask)) == [s for s in range(lat.full + 1) if s & mask == s]

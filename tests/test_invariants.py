@@ -1,14 +1,23 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ccx.diagram import classify, connected_components, induced_subdiagram, parse_diagram
-from ccx.exactmath import Poly
+from ccx import invariants
+from ccx.diagram import (
+    classify,
+    connected_components,
+    induced_subdiagram,
+    parse_diagram,
+    subset_lattice,
+)
+from ccx.exactmath import Poly, rational_roots
 from ccx.invariants import (
     METHODS,
     YIELDING,
+    MethodFailure,
+    _each_connected,
     compute_all,
     euler_method,
     exponents_from_facet_poly,
@@ -288,6 +297,12 @@ def test_disconnected_not_applicable():
     assert all(res.status == "not-applicable" for res in rep.methods.values())
 
 
+def test_methods_on_disconnected_diagram_not_applicable():
+    G = parse_diagram("n=3; 1-2:3")
+    for method in METHODS.values():
+        assert method(G).status == "not-applicable"
+
+
 def test_rank_budget():
     rep = compute_all(parse_diagram("A13"))
     assert all(res.status == "budget-exceeded" for res in rep.methods.values())
@@ -374,10 +389,11 @@ def test_huge_residual_diagram_reports():
 
 @st.composite
 def infinite_diagrams(draw):
-    """Connected diagrams of rank 3-6 with labels 3-8, not of finite type:
-    a random spanning tree plus random further edges."""
+    """Diagrams of rank 3-6 with labels 2-8, not of finite type: a random
+    spanning tree plus random further edges, where label 2 drops an edge
+    and so may disconnect the diagram."""
     rank = draw(st.integers(min_value=3, max_value=6))
-    labels = st.integers(min_value=3, max_value=8)
+    labels = st.integers(min_value=2, max_value=8)
     edges = {}
     for v in range(2, rank + 1):
         edges[(draw(st.integers(min_value=1, max_value=v - 1)), v)] = draw(labels)
@@ -397,3 +413,65 @@ def test_compute_all_never_raises_on_random_diagrams(G):
     rep = compute_all(G)
     _check_report(rep)
     assert rep.to_json() == compute_all(G).to_json()
+
+
+def test_compute_all_extracts_roots_once_per_facet_poly(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return rational_roots(p)
+
+    monkeypatch.setattr(invariants, "rational_roots", counting)
+    invariants._exponents.cache_clear()
+    rep = compute_all(parse_diagram("E8"))
+    assert rep.consensus == "agree"
+    assert len(calls) == 1
+
+
+def _relabelled(G, perm) -> str:
+    """Explicit spec of G with vertex i renamed perm[i - 1]."""
+    edges = " ".join(f"{perm[i - 1]}-{perm[j - 1]}:{a}" for i, j, a in G.edges())
+    return f"n={G.rank}; {edges}"
+
+
+@st.composite
+def relabellings(draw):
+    G = draw(infinite_diagrams())
+    return G, draw(st.permutations(range(1, G.rank + 1)))
+
+
+# two subdiagrams of this diagram fail with different statuses under
+# euler and reciprocity_general; the vertex order once chose between them
+@example((
+    parse_diagram("n=6; 1-2:7 1-3:5 1-5:4 2-3:6 2-4:8 2-5:6 2-6:4 3-4:6 3-5:6 5-6:3"),
+    [3, 4, 1, 5, 6, 2],
+))
+@example((parse_diagram("n=3; 1-3:3"), [2, 1, 3]))  # reducible type name A2xA1
+@given(relabellings())
+@settings(max_examples=25, deadline=None)
+def test_report_invariant_under_relabelling(pair):
+    G, perm = pair
+    H = parse_diagram(_relabelled(G, perm))
+    a, b = compute_all(G).to_json(), compute_all(H).to_json()
+    assert a["methods"] == b["methods"]
+    assert a["consensus"] == b["consensus"]
+    assert (classify(G).kind, classify(G).type_name) == (classify(H).kind, classify(H).type_name)
+
+
+def test_reported_failure_is_the_least_of_the_lowest_failing_rank():
+    lat = subset_lattice(parse_diagram("A4"))
+    failing = {
+        0b1100: MethodFailure("zero-denominator", "b"),
+        0b0011: MethodFailure("zero-denominator", "c"),
+        0b0110: MethodFailure("zero-denominator", "a"),
+        0b0111: MethodFailure("non-constant-h", "a"),
+    }
+
+    def step(mask):
+        if mask in failing:
+            raise failing[mask]
+
+    with pytest.raises(MethodFailure) as info:
+        _each_connected(lat, step)
+    assert info.value is failing[0b0110]
