@@ -1,7 +1,8 @@
 """Command line surface: complex, fvector, hvector, dissect, invariants, verify.
 
 JSON on stdout by default; exit code 0 on success, 1 on domain errors
-(with a structured error object on stderr), 2 on usage errors.
+and failed internal checks (with a structured error object on stderr),
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,17 +20,10 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import BudgetExceeded, build_complex, enumeration_budget
+from .gcc import BudgetExceeded, build_complex, clique_counts, enumeration_budget, iter_cliques
 from .invariants import METHOD_ALIASES, compute_all
-from .polygon import (
-    TypeBModel,
-    TypeDModel,
-    allowable_diagonals,
-    count_dissection_faces,
-    dissection_facets,
-    render_svg,
-)
-from .rootsys import NotFiniteType
+from .polygon import AmbiguousOrbit, TypeBModel, TypeDModel, noncrossing_graph, render_svg
+from .rootsys import LookupMiss, NotFiniteType
 from .verify import run_suites
 
 
@@ -134,15 +128,15 @@ def cmd_dissect(args) -> int:
     n, m = args.n, args.m
     if args.family == "A":
         N = (n + 1) * m + 2
-        diags = allowable_diagonals(n, m)
-        counts = [count_dissection_faces(n, m, k) for k in range(n + 1)]
+        diags, adj = noncrossing_graph(n, m)
+        counts = clique_counts(adj, n)
         if args.emit == "svg":
-            facets = dissection_facets(n, m)
+            facets = list(iter_cliques(adj, n))
             if not 0 <= args.facet < len(facets):
                 raise DomainError(
                     "bad-parameters", f"facet index {args.facet} out of range"
                 )
-            chords = [(d, "plain") for d in facets[args.facet]]
+            chords = [(diags[i], "plain") for i in facets[args.facet]]
             print(render_svg(N, chords))
             return 0
         _emit(
@@ -279,18 +273,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DomainError as e:
-        print(
-            json.dumps({"error": e.kind, "message": str(e)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 1
+        kind, message = e.kind, str(e)
     except (DiagramError, NotFiniteType, BudgetExceeded, ValueError) as e:
         kind = "not-finite-type" if isinstance(e, NotFiniteType) else "domain-error"
-        print(
-            json.dumps({"error": kind, "message": str(e)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 1
+        message = str(e)
+    except (LookupMiss, AmbiguousOrbit, AssertionError) as e:
+        # a failed internal consistency check: a bug, not a bad input
+        kind, message = "internal-error", f"{type(e).__name__}: {e}"
+    print(json.dumps({"error": kind, "message": message}, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

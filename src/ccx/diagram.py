@@ -1,5 +1,5 @@
 """Coxeter diagrams: parsing, induced subdiagrams, the subset lattice,
-bipartition, classification.
+bipartition, classification and the data of the finite types.
 
 A diagram is a loopless undirected graph with integer edge labels >= 3;
 every absent pair implicitly carries label 2.  Vertices are integers in
@@ -11,10 +11,12 @@ no diagram objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 import re
+
+from .tables import exponent_levels
 
 
 class DiagramError(ValueError):
@@ -424,6 +426,31 @@ def bipartition(G: CoxeterDiagram) -> tuple[frozenset[int], frozenset[int]]:
 # classification against the finite / affine catalogs
 
 
+class TypeInfo:
+    """Resolved data for one finite irreducible type, read from its
+    exponent levels: the exponents are their first entries and h is the
+    largest exponent plus one."""
+
+    def __init__(self, family: str, n: int, a: int | None = None):
+        self.family = family
+        self.n = n
+        self.a = a
+        self.levels = exponent_levels(family, n, a)
+        self.exponents = sorted(e for e, _ in self.levels)
+        self.h = self.exponents[-1] + 1
+
+    @staticmethod
+    def of(name_or_diagram) -> "TypeInfo":
+        """The type of a diagram, or of a name that ``parse_diagram`` reads."""
+        G = name_or_diagram
+        if isinstance(G, TypeInfo):
+            return G
+        cls = classify(G if isinstance(G, CoxeterDiagram) else parse_diagram(str(G)))
+        if cls.info is None:
+            raise ValueError(f"not finite irreducible: {cls.type_name or cls.kind}")
+        return cls.info
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "finite" | "finite-reducible" | "affine" | "other-infinite"
@@ -433,15 +460,23 @@ class Classification:
     coxeter_number: Fraction | None = None
     minus_one_longest: bool | None = None
     components: tuple["Classification", ...] = ()
+    info: TypeInfo | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
         return self.kind in ("finite", "finite-reducible")
 
 
-def _finite(name, rank, exps, h, minus_one) -> Classification:
+def _finite(family: str, n: int, a: int | None = None) -> Classification:
+    """A finite irreducible type; -1 lies in W iff every exponent is odd."""
+    info = TypeInfo(family, n, a)
+    if family == "I2":
+        name = {3: "A2", 4: "B2", 6: "G2"}.get(a, f"I2({a})")
+    else:
+        name = family if family[-1].isdigit() else f"{family}{n}"
+    exps = tuple(info.exponents)
     return Classification(
-        "finite", name, rank, tuple(exps), Fraction(h), minus_one
+        "finite", name, n, exps, Fraction(info.h), all(e % 2 for e in exps), info=info
     )
 
 
@@ -450,11 +485,9 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
     if n == 0:
         return Classification("finite", "empty", 0, (), Fraction(0), True)
     if n == 1:
-        return _finite("A1", 1, (1,), 2, True)
+        return _finite("A", 1)
     if n == 2:
-        a = G.label(*G.vertices)
-        names = {3: "A2", 4: "B2", 6: "G2"}
-        return _finite(names.get(a, f"I2({a})"), 2, (1, a - 1), a, a % 2 == 0)
+        return _finite("I2", 2, G.label(*G.vertices))
 
     edges = G.edges()
     high = [(i, j, lab) for i, j, lab in edges if lab >= 4]
@@ -489,7 +522,7 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
 
     if not high:  # simply laced tree
         if is_path:
-            return _finite(f"A{n}", n, range(1, n + 1), n + 1, False)
+            return _finite("A", n)
         if branch_big:
             if len(branch_big) == 1 and degrees[branch_big[0]] == 4 and n == 5:
                 return Classification("affine", "~D4", n)
@@ -497,17 +530,12 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
         if len(branch3) == 1:
             arms = tuple(sorted(_arm_lengths(G, branch3[0]), reverse=True))
             if arms[1:] == (1, 1):
-                exps = list(range(1, 2 * n - 2, 2)) + [n - 1]
-                return _finite(f"D{n}", n, sorted(exps), 2 * n - 2, n % 2 == 0)
-            table = {
-                (2, 2, 1): _finite("E6", 6, (1, 4, 5, 7, 8, 11), 12, False),
-                (3, 2, 1): _finite("E7", 7, (1, 5, 7, 9, 11, 13, 17), 18, True),
-                (4, 2, 1): _finite("E8", 8, (1, 7, 11, 13, 17, 19, 23, 29), 30, True),
-                (2, 2, 2): Classification("affine", "~E6", n),
-                (3, 3, 1): Classification("affine", "~E7", n),
-                (5, 2, 1): Classification("affine", "~E8", n),
-            }
-            return table.get(arms, Classification("other-infinite", None, n))
+                return _finite("D", n)
+            name = {(2, 2, 1): "E6", (3, 2, 1): "E7", (4, 2, 1): "E8",
+                    (2, 2, 2): "~E6", (3, 3, 1): "~E7", (5, 2, 1): "~E8"}.get(arms)
+            if name is None:
+                return Classification("other-infinite", None, n)
+            return Classification("affine", name, n) if name[0] == "~" else _finite(name, n)
         if len(branch3) == 2:
             arm_sets = [sorted(_arm_lengths(G, b))[:2] for b in branch3]
             if all(a == [1, 1] for a in arm_sets):
@@ -519,9 +547,9 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
         if is_path:
             seq = path_label_seq()
             if seq[0] == 4 or seq[-1] == 4:
-                return _finite(f"B{n}", n, range(1, 2 * n, 2), 2 * n, True)
+                return _finite("B", n)
             if n == 4 and seq == [3, 4, 3]:
-                return _finite("F4", 4, (1, 5, 7, 11), 12, True)
+                return _finite("F4", 4)
             if n == 5 and seq in ([3, 3, 4, 3], [3, 4, 3, 3]):
                 return Classification("affine", "~F4", n)
             return Classification("other-infinite", None, n)
@@ -538,10 +566,8 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
         if is_path:
             seq = path_label_seq()
             if seq[0] == 5 or seq[-1] == 5:
-                if n == 3:
-                    return _finite("H3", 3, (1, 5, 9), 10, True)
-                if n == 4:
-                    return _finite("H4", 4, (1, 11, 19, 29), 30, True)
+                if n in (3, 4):
+                    return _finite(f"H{n}", n)
         return Classification("other-infinite", None, n)
 
     if len(high) == 1 and high[0][2] == 6:

@@ -12,74 +12,11 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
-from .diagram import CoxeterDiagram, SubsetLattice, classify, induced_subdiagram, subset_lattice
+from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, classify, induced_subdiagram, subset_lattice
 from .exactmath import Poly, binomial_poly
-from .tables import exponent_levels, face_correction, h_correction
+from .tables import face_correction, h_correction
 
 F = Fraction
-
-
-class TypeInfo:
-    """Resolved data for one finite irreducible type."""
-
-    def __init__(self, family: str, n: int, a: int | None = None):
-        self.family = family
-        self.n = n
-        self.a = a
-        if family == "A":
-            self.h = n + 1
-            self.exponents = list(range(1, n + 1))
-        elif family == "B":
-            self.h = 2 * n
-            self.exponents = list(range(1, 2 * n, 2))
-        elif family == "D":
-            self.h = 2 * n - 2
-            self.exponents = sorted(list(range(1, 2 * n - 2, 2)) + [n - 1])
-        elif family == "I2":
-            self.h = a
-            self.exponents = [1, a - 1]
-        else:
-            fixed = {
-                "E6": (12, [1, 4, 5, 7, 8, 11]),
-                "E7": (18, [1, 5, 7, 9, 11, 13, 17]),
-                "E8": (30, [1, 7, 11, 13, 17, 19, 23, 29]),
-                "F4": (12, [1, 5, 7, 11]),
-                "G2": (6, [1, 5]),
-                "H3": (10, [1, 5, 9]),
-                "H4": (30, [1, 11, 19, 29]),
-            }
-            self.h, self.exponents = fixed[family]
-        self.levels = exponent_levels(family, n, a)
-
-    @staticmethod
-    def of(name_or_diagram) -> "TypeInfo":
-        if isinstance(name_or_diagram, TypeInfo):
-            return name_or_diagram
-        if isinstance(name_or_diagram, CoxeterDiagram):
-            cls = classify(name_or_diagram)
-            if cls.kind != "finite":
-                raise ValueError(f"not finite irreducible: {cls.kind}")
-            return TypeInfo._from_name(cls.type_name, rank=cls.rank)
-        return TypeInfo._from_name(str(name_or_diagram))
-
-    @staticmethod
-    def _from_name(name: str, rank: int | None = None) -> "TypeInfo":
-        name = name.strip()
-        if name.startswith("I2(") and name.endswith(")"):
-            return TypeInfo("I2", 2, int(name[3:-1]))
-        fam, num = name[0], name[1:]
-        n = int(num) if num else (rank or 0)
-        if fam == "C":
-            fam = "B"
-        if fam in ("E", "F", "G", "H"):
-            return TypeInfo(f"{fam}{n}", n)
-        if fam == "A" and n == 1:
-            return TypeInfo("A", 1)
-        if fam == "B" and n == 2:
-            return TypeInfo("I2", 2, 4)
-        if fam == "G" and n == 2:
-            return TypeInfo("I2", 2, 6)
-        return TypeInfo(fam, n)
 
 
 # ---------------------------------------------------------------------------

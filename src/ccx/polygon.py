@@ -477,7 +477,7 @@ def diameter_gap_condition(n: int, m: int, positions) -> bool:
     return all(a[t + 1] - a[t] <= m for t in range(len(a) - 1))
 
 
-def _noncrossing_graph(n: int, m: int, budget: int) -> tuple[list[Diagonal], list[int]]:
+def noncrossing_graph(n: int, m: int, budget: int = 40) -> tuple[list[Diagonal], list[int]]:
     """Allowable diagonals and their non-crossing adjacency masks."""
     diags = allowable_diagonals(n, m)
     if len(diags) > budget:
@@ -487,13 +487,13 @@ def _noncrossing_graph(n: int, m: int, budget: int) -> tuple[list[Diagonal], lis
 
 def count_dissection_faces(n: int, m: int, k: int, budget: int = 40) -> int:
     """Count of non-crossing k-subsets of allowable diagonals."""
-    return clique_counts(_noncrossing_graph(n, m, budget)[1], k)[k]
+    return clique_counts(noncrossing_graph(n, m, budget)[1], k)[k]
 
 
 def dissection_facets(n: int, m: int, budget: int = 40) -> list[tuple[Diagonal, ...]]:
     """The maximal dissections: non-crossing n-subsets of allowable
     diagonals, in lexicographic diagonal order."""
-    diags, adj = _noncrossing_graph(n, m, budget)
+    diags, adj = noncrossing_graph(n, m, budget)
     return [tuple(diags[i] for i in c) for c in iter_cliques(adj, n)]
 
 

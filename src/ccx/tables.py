@@ -140,7 +140,6 @@ M_VALUES = {
 def _canonical_dump() -> str:
     lines = []
     for fam in ("A", "B", "D", "I2"):
-        n = {"A": 8, "B": 8, "D": 8, "I2": None}[fam]
         lines.append(f"levels {fam} {exponent_levels(fam, 8, 9)}")
     for fam in ("E6", "E7", "E8", "F4", "G2", "H3", "H4"):
         lines.append(f"levels {fam} {exponent_levels(fam, 0)}")
@@ -163,10 +162,9 @@ def self_check() -> None:
     got = hashlib.sha256(_canonical_dump().encode()).hexdigest()
     if got != _DIGEST:
         raise AssertionError(f"table digest mismatch: {got}")
-    ranks = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "H4": 4}
     for (fam, k), poly in FACE_CORRECTIONS.items():
         assert poly.coeff(0) == 1
-        levels = exponent_levels(fam, ranks[fam])
+        levels = exponent_levels(fam, 0)
         low = sum(1 for _, lv in levels if lv <= k)
         assert poly.degree == k - low, (fam, k)
     for k, poly in FACE_CORRECTIONS_D8.items():

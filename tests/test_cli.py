@@ -173,6 +173,22 @@ def test_missing_diagram_is_domain_error(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_internal_check_failure_is_structured_exit_1(capsys, monkeypatch):
+    import ccx.cli
+    from ccx.rootsys import LookupMiss
+
+    def broken(*args, **kwargs):
+        raise LookupMiss("reflected root not found")
+
+    monkeypatch.setattr(ccx.cli, "build_complex", broken)
+    code, out, err = run_cli(capsys, "complex", "--type", "A2", "-m", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "internal-error",
+        "message": "LookupMiss: reflected root not found",
+    }
+
+
 def test_cli_imports_only_the_standard_library():
     src = str(Path(ccx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

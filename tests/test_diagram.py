@@ -17,6 +17,7 @@ from ccx.diagram import (
     induced_subdiagram,
     parse_diagram,
 )
+from ccx.formulas import TypeInfo
 
 
 def test_parse_dihedral():
@@ -156,15 +157,30 @@ def test_classify_labeled_four_cycle_infinite():
         ("G2", 6),
         ("H3", 10),
         ("I2(9)", 9),
+        ("A2", 3),
+        ("B2", 4),
+        ("B8", 16),
+        ("D4", 6),
+        ("D8", 14),
+        ("E8", 30),
+        ("H4", 30),
+        ("I2(5)", 5),
+        ("I2(12)", 12),
     ],
 )
 def test_classify_agrees_with_named_constructors(name, h):
-    cls = classify(parse_diagram(name))
+    G = parse_diagram(name)
+    cls = classify(G)
     assert cls.kind == "finite"
     assert cls.coxeter_number == h
     n = cls.rank
     assert len(cls.exponents) == n
     assert F(2, n) * sum(cls.exponents) == F(h)
+    # catalog laws: e <-> h - e pairs the exponents, the levels carry the
+    # same exponents, and -1 lies in W iff every exponent is odd
+    assert sorted(h - e for e in cls.exponents) == list(cls.exponents)
+    assert sorted(e for e, _ in TypeInfo.of(G).levels) == list(cls.exponents)
+    assert cls.minus_one_longest == all(e % 2 for e in cls.exponents)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from ccx import tables
-from ccx.diagram import parse_diagram
+from ccx.diagram import DiagramError, parse_diagram
 from ccx.exactmath import Poly
 from ccx.formulas import (
     IdentityViolated,
@@ -46,6 +46,20 @@ ALL_TYPES = [
     ("H4", TypeInfo("H4", 4)),
     ("I2(7)", TypeInfo("I2", 2, 7)),
 ]
+
+
+def test_type_names_resolve_through_the_diagram_parser():
+    def key(info):
+        return (info.family, info.n, info.a)
+
+    h2 = TypeInfo.of("H2")
+    assert key(h2) == ("I2", 2, 5)
+    assert (h2.h, h2.exponents, h2.levels) == (5, [1, 4], [(1, 1), (4, 2)])
+    with pytest.raises(DiagramError):
+        TypeInfo.of("E9")
+    g2 = key(TypeInfo.of("G2"))
+    assert g2 == ("I2", 2, 6)
+    assert key(TypeInfo.of("I2(6)")) == g2 == key(TypeInfo.of(parse_diagram("G2")))
 
 
 def test_tables_self_check():

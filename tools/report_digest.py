@@ -1,12 +1,17 @@
-"""Print one digest line per diagram for comparing two versions of ccx.
+"""Print digest lines for comparing two versions of ccx.
 
-Each line is the diagram spec and the sha256 of the canonical JSON of
-``compute_all(G).to_json()`` (sorted keys), with the float
+Each report line is the diagram spec and the sha256 of the canonical
+JSON of ``compute_all(G).to_json()`` (sorted keys), with the float
 approximations of the exponents (``approx``, ``exponents_approx``)
 removed, since only the exact values are meant to be identical.
 
-The diagrams: the finite catalog of ranks 3-8, the fake catalog, the
+The diagrams: the finite catalog of ranks 1-8, the fake catalog, the
 affine types, and a fixed random draw of rank 3-6 with labels 2-8.
+
+Then each type of the finite catalog gets a ``catalog`` line: the sha256
+of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
+``facet_count_poly``, ``positive_facet_count_poly`` and the fields of
+``classify``, among them ``minus_one_longest``, which no CLI output shows.
 
 Usage, from the root of a checkout (standard library only)::
 
@@ -19,7 +24,14 @@ import hashlib
 import json
 import random
 
-from ccx.diagram import parse_diagram
+from ccx.diagram import classify, parse_diagram
+from ccx.formulas import (
+    TypeInfo,
+    f_k_closed,
+    facet_count_poly,
+    h_k_closed,
+    positive_facet_count_poly,
+)
 from ccx.invariants import compute_all
 from ccx.verify import FAKE_CATALOG
 
@@ -29,7 +41,8 @@ RANDOM_PER_RANK = 8
 
 def finite_catalog() -> list[str]:
     return (
-        [f"A{n}" for n in range(3, 9)]
+        ["A1", "A2", "B2", "G2", "I2(5)", "I2(12)"]
+        + [f"A{n}" for n in range(3, 9)]
         + [f"B{n}" for n in range(3, 9)]
         + [f"D{n}" for n in range(4, 9)]
         + ["E6", "E7", "E8", "F4", "H3", "H4"]
@@ -72,11 +85,25 @@ def canonical(report: dict) -> str:
     return json.dumps(report, sort_keys=True)
 
 
+def catalog_text(spec: str) -> str:
+    G = parse_diagram(spec)
+    cls = classify(G)
+    info = TypeInfo.of(G)
+    polys = [f_k_closed(info, k) for k in range(G.rank + 1)]
+    polys += [h_k_closed(info, k) for k in range(G.rank + 1)]
+    polys += [facet_count_poly(info), positive_facet_count_poly(info)]
+    fields = (cls.kind, cls.type_name, cls.rank, cls.exponents, cls.coxeter_number,
+              cls.minus_one_longest, cls.components)
+    return "\n".join([repr(fields)] + [" ".join(p.serialize()) for p in polys])
+
+
 def main() -> None:
     specs = finite_catalog() + [e["spec"] for e in FAKE_CATALOG] + affine_list() + random_draw()
     for spec in specs:
         text = canonical(compute_all(parse_diagram(spec)).to_json())
         print(spec, hashlib.sha256(text.encode()).hexdigest())
+    for spec in finite_catalog():
+        print(spec, "catalog", hashlib.sha256(catalog_text(spec).encode()).hexdigest())
 
 
 if __name__ == "__main__":
