@@ -12,9 +12,8 @@ import json
 import sys
 
 from . import __version__
-from .diagram import CoxeterDiagram, DiagramError, classify, parse_diagram
+from .diagram import CoxeterDiagram, InputError, classify, parse_diagram
 from .formulas import (
-    TypeInfo,
     f_k_closed,
     f_polys_recursive,
     h_vector_from_f,
@@ -56,7 +55,7 @@ def cmd_complex(args) -> int:
     G = _load_diagram(args)
     try:
         budget = enumeration_budget()
-    except ValueError as e:
+    except InputError as e:
         raise DomainError("usage", str(e))
     try:
         cx = build_complex(G, args.m, budget)
@@ -84,9 +83,8 @@ def cmd_complex(args) -> int:
 
 def _face_table(G: CoxeterDiagram, m: int) -> tuple[list, list]:
     cls = classify(G)
-    if cls.kind == "finite":
-        info = TypeInfo.of(G)
-        fv = [f_k_closed(info, k)(m) for k in range(G.rank + 1)]
+    if cls.info is not None:
+        fv = [f_k_closed(cls.info, k)(m) for k in range(G.rank + 1)]
     elif cls.is_finite:
         fv = [p(m) for p in f_polys_recursive(G)]
     else:
@@ -154,7 +152,7 @@ def cmd_dissect(args) -> int:
     model_cls = {"B": TypeBModel, "D": TypeDModel}[args.family]
     try:
         model = model_cls(n, m)
-    except ValueError as e:
+    except InputError as e:
         raise DomainError("bad-parameters", str(e))
     if args.emit == "svg":
         facets = model.faces(model.n)
@@ -274,11 +272,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as e:
         kind, message = e.kind, str(e)
-    except (DiagramError, NotFiniteType, BudgetExceeded, ValueError) as e:
+    except InputError as e:
         kind = "not-finite-type" if isinstance(e, NotFiniteType) else "domain-error"
         message = str(e)
-    except (LookupMiss, AmbiguousOrbit, AssertionError) as e:
-        # a failed internal consistency check: a bug, not a bad input
+    except (LookupMiss, AmbiguousOrbit, AssertionError, ValueError) as e:
+        # a failed internal consistency check or any other ValueError:
+        # a bug, not a bad input
         kind, message = "internal-error", f"{type(e).__name__}: {e}"
     print(json.dumps({"error": kind, "message": message}, sort_keys=True), file=sys.stderr)
     return 1

@@ -19,7 +19,12 @@ import re
 from .tables import exponent_levels
 
 
-class DiagramError(ValueError):
+class InputError(ValueError):
+    """An input the program rejects: a bad spec, parameter or budget.
+    The CLI reports it as exit 1; any other ``ValueError`` is a bug."""
+
+
+class DiagramError(InputError):
     pass
 
 

@@ -6,22 +6,26 @@ roots follows the five-case rule over the color comparison and the
 rotation depths; reducible diagrams are handled as joins with
 block-diagonal "always compatible" adjacency between components.
 
-``clique_counts`` and ``iter_cliques`` are the one clique engine of the
-package: the complex here, the polygon models and the dissections all
-count and list their faces through them.
+The clique engine of the package is one counter, one survey and one
+lister.  ``clique_counts`` counts the faces of the polygon models and
+the dissections.  ``clique_survey`` gives the complex here its face
+numbers, positive facet count, ridge degrees and purity in a single
+ordered traversal.  ``iter_cliques`` lists facets for ``--facets`` and
+svg output.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from functools import cached_property
 from typing import NamedTuple
 
-from .diagram import CoxeterDiagram, classify, connected_components
+from .diagram import CoxeterDiagram, InputError, classify, connected_components
 from .rootsys import NotFiniteType, RootSystem
 
 
-class BudgetExceeded(ValueError):
+class BudgetExceeded(InputError):
     pass
 
 
@@ -38,7 +42,7 @@ def enumeration_budget(default: int = 2000) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"CCX_BUDGET must be an integer, got {raw!r}") from None
+        raise InputError(f"CCX_BUDGET must be an integer, got {raw!r}") from None
 
 
 def compatibility_masks(items, compatible) -> list[int]:
@@ -54,9 +58,8 @@ def compatibility_masks(items, compatible) -> list[int]:
     return adj
 
 
-def clique_counts(adj: list[int], top: int, cand: int | None = None) -> list[int]:
-    """Numbers of cliques of sizes 0..top among the vertices in ``cand``
-    (default: all), by ordered recursive enumeration.
+def clique_counts(adj: list[int], top: int) -> list[int]:
+    """Numbers of cliques of sizes 0..top, by ordered recursive enumeration.
 
     Each clique is visited once, in increasing vertex order: candidates
     are taken lowest first, so the ones left all lie above the vertex
@@ -76,8 +79,81 @@ def clique_counts(adj: list[int], top: int, cand: int | None = None) -> list[int
                     rec(nxt, size + 1)
 
     if top:
-        rec((1 << len(adj)) - 1 if cand is None else cand, 1)
+        rec((1 << len(adj)) - 1, 1)
     return counts
+
+
+class CliqueSurvey(NamedTuple):
+    counts: list[int]         # cliques of sizes 0..top
+    unmarked_top: int         # top-cliques with no vertex in ``marked``
+    ridge_degrees: frozenset  # common-neighbor counts of the (top-1)-cliques
+    pure: bool                # every maximal clique has exactly top vertices
+
+
+def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
+    """Face numbers, unmarked facets, ridge degrees and purity of the
+    clique complex of ``adj`` with facet size ``top``, in one ordered
+    traversal.
+
+    A node is a clique with ``later``, its common neighbors above its
+    last vertex (as in ``clique_counts``), and ``common``, all its
+    common neighbors.  A nonempty clique below ``top`` with no common
+    neighbor is maximal, so the complex is impure; the empty clique is
+    not checked, so the graph without vertices counts as pure.  The
+    top-cliques are counted from ``later`` at each (top-1)-clique
+    without being visited, and one AND each confirms that none of them
+    has a common neighbor.
+    """
+    V = len(adj)
+    full = (1 << V) - 1
+    if top == 0:
+        return CliqueSurvey([1], 1, frozenset(), V == 0)
+    if top == 1:  # the empty clique is the one ridge, the vertices are the facets
+        return CliqueSurvey([1, V], (full & ~marked).bit_count(), frozenset({V}), not any(adj))
+    counts = [0] * (top + 1)
+    counts[0] = 1
+    ridges: set[int] = set()
+    unmarked = 0
+    pure = True
+
+    def rec(later: int, common: int, clean: bool, size: int):
+        # the children of a (size-1)-clique, which have ``size`` vertices
+        nonlocal unmarked, pure
+        counts[size] += later.bit_count()
+        if size < top - 1:
+            while later:
+                low = later & -later
+                later ^= low
+                a = adj[low.bit_length() - 1]
+                nxt = common & a
+                if not nxt:
+                    pure = False
+                elif later & a:
+                    rec(later & a, nxt, clean and not marked & low, size + 1)
+            return
+        # the children are the ridges; their own children are facets
+        while later:
+            low = later & -later
+            later ^= low
+            a = adj[low.bit_length() - 1]
+            nxt = common & a
+            ridges.add(nxt.bit_count())
+            up = later & a
+            if not up:
+                if not nxt:
+                    pure = False
+                continue
+            counts[top] += up.bit_count()
+            if clean and not marked & low:
+                unmarked += (up & ~marked).bit_count()
+            while pure and up:
+                low = up & -up
+                up ^= low
+                if nxt & adj[low.bit_length() - 1]:
+                    pure = False
+
+    rec(full, full, True, 1)
+    return CliqueSurvey(counts, unmarked, frozenset(ridges), pure)
 
 
 def iter_cliques(adj: list[int], k: int):
@@ -105,7 +181,7 @@ def iter_cliques(adj: list[int], k: int):
 def colored_ground_set(systems: list[RootSystem], m: int) -> list[ColoredRoot]:
     """Vertices of the m-colored complex, ordered (component, root, color)."""
     if m < 0:
-        raise ValueError("color count must be >= 0")
+        raise InputError("color count must be >= 0")
     out = []
     for ci, rs in enumerate(systems):
         for rid in range(rs.n):
@@ -180,9 +256,19 @@ class CliqueComplex:
         v = self.vertices[i]
         return self.pos[rotate_colored(self.systems[v.comp], v, self.m)]
 
+    @cached_property
+    def survey(self) -> CliqueSurvey:
+        """The one clique traversal every count and audit reads; the
+        marked vertices are the negative simples."""
+        negative = 0
+        for i, v in enumerate(self.vertices):
+            if self.systems[v.comp].is_negative(v.root):
+                negative |= 1 << i
+        return clique_survey(self.adj, self.n, negative)
+
     def f_vector(self) -> list[int]:
         """Exact clique counts f_0..f_n."""
-        return clique_counts(self.adj, self.n)
+        return list(self.survey.counts)
 
     def cliques_of_size(self, size: int) -> list[tuple[int, ...]]:
         return list(iter_cliques(self.adj, size))
@@ -192,66 +278,22 @@ class CliqueComplex:
         return self.cliques_of_size(self.n)
 
     def facet_count(self) -> int:
-        return self.f_vector()[self.n]
+        return self.survey.counts[self.n]
 
     def positive_facet_count(self) -> int:
-        """Facets avoiding every negative simple root."""
-        if not self.n:
-            return 0
-        pos = 0
-        for i, v in enumerate(self.vertices):
-            if not self.systems[v.comp].is_negative(v.root):
-                pos |= 1 << i
-        return clique_counts(self.adj, self.n, pos)[self.n]
+        """Facets avoiding every negative simple root; the empty facet
+        of rank 0 is one."""
+        return self.survey.unmarked_top
 
     # -- audits --------------------------------------------------------
 
     def audit_pure(self) -> bool:
-        """Every maximal clique has exactly n vertices (Bron-Kerbosch)."""
-        V = len(self.vertices)
-        adj = self.adj
-        sizes: set[int] = set()
-
-        def bk(R: int, P: int, X: int):
-            if not P and not X:
-                sizes.add(R.bit_count())
-                return
-            pivot_pool = P | X
-            u = (pivot_pool & -pivot_pool).bit_length() - 1
-            best, bestdeg = u, -1
-            pool = pivot_pool
-            while pool:
-                low = pool & -pool
-                w = low.bit_length() - 1
-                pool ^= low
-                d = (P & adj[w]).bit_count()
-                if d > bestdeg:
-                    best, bestdeg = w, d
-            ext = P & ~adj[best]
-            while ext:
-                low = ext & -ext
-                v = low.bit_length() - 1
-                ext ^= low
-                bk(R | low, P & adj[v], X & adj[v])
-                P &= ~low
-                X |= low
-
-        bk(0, (1 << V) - 1, 0)
-        return sizes == {self.n} if V else True
+        """Every maximal clique has exactly n vertices."""
+        return self.survey.pure
 
     def audit_ridge_degree(self) -> bool:
         """Every (n-1)-clique extends to exactly m+1 facets."""
-        if self.n == 0:
-            return True
-        adj = self.adj
-        full = (1 << len(adj)) - 1
-        for ridge in iter_cliques(adj, self.n - 1):
-            common = full
-            for i in ridge:
-                common &= adj[i]
-            if common.bit_count() != self.m + 1:
-                return False
-        return True
+        return self.survey.ridge_degrees <= {self.m + 1}
 
     def link_vertices(self, i: int) -> list[int]:
         mask = self.adj[i]

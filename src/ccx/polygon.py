@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .diagram import parse_diagram
+from .diagram import InputError, parse_diagram
 from .gcc import (
     BudgetExceeded,
     ColoredRoot,
@@ -59,7 +59,7 @@ def is_allowable(d: Diagonal, N: int, m: int) -> bool:
 def allowable_diagonals(n: int, m: int) -> list[Diagonal]:
     """All m-allowable diagonals of the ((n+1)m+2)-gon."""
     if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+        raise InputError("need n >= 1 and m >= 1")
     N = (n + 1) * m + 2
     return [
         (a, b)
@@ -179,7 +179,7 @@ class TypeBModel(_SymmetricModel):
 
     def __init__(self, n: int, m: int):
         if n < 2:
-            raise ValueError("type B model needs n >= 2")
+            raise InputError("type B model needs n >= 2")
         self.n, self.m = n, m
         self.N = 2 * n * m + 2
         self.half = self.N // 2
@@ -274,7 +274,7 @@ class TypeDModel(_SymmetricModel):
 
     def __init__(self, n: int, m: int):
         if n < 3:
-            raise ValueError("type D model needs n >= 3")
+            raise InputError("type D model needs n >= 3")
         self.n, self.m = n, m
         self.N = 2 * (n - 1) * m + 2
         self.half = self.N // 2
@@ -444,7 +444,7 @@ def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
     """All ways to flavor diameters at the given positions so they are
     pairwise compatible: either none, or exactly two (global flips)."""
     if n <= 2:
-        raise ValueError("needs n > 2")
+        raise InputError("needs n > 2")
     model = TypeDModel(n, m)
     positions = list(positions)
     out = []

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .diagram import CoxeterDiagram, bipartition, classify
+from .diagram import CoxeterDiagram, InputError, bipartition, classify
 
 EPS = 1e-9
 QUANT = 1e-6
 
 
-class NotFiniteType(ValueError):
+class NotFiniteType(InputError):
     pass
 
 

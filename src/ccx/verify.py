@@ -20,13 +20,13 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import build_complex, link_decomposition_check
+from .gcc import build_complex, clique_counts, link_decomposition_check
 from .invariants import compute_all
 from .polygon import (
     TypeAModel,
     TypeBModel,
     TypeDModel,
-    count_dissection_faces,
+    noncrossing_graph,
     rotate_diag,
 )
 from .gcc import m_compatible, rotate_colored
@@ -218,7 +218,7 @@ def suite_models(max_rank: int = 4, max_m: int = 3) -> list[Check]:
     for n in range(1, min(4, max_rank) + 1):
         for m in range(1, min(3, max_m) + 1):
             want = [f_k_closed(TypeInfo("A", n), k)(m) for k in range(n + 1)]
-            got = [count_dissection_faces(n, m, k) for k in range(n + 1)]
+            got = clique_counts(noncrossing_graph(n, m)[1], n)
             checks.append(
                 _check(f"dissection-counts A{n} m={m}", got == want, f"{got} vs {want}")
             )

@@ -49,9 +49,10 @@ def test_complex_malformed_budget(capsys, monkeypatch):
     monkeypatch.setenv("CCX_BUDGET", "abc")
     code, out, err = run_cli(capsys, "complex", "--type", "A2", "-m", "1")
     assert code == 1 and out == ""
-    data = json.loads(err)
-    assert data["error"] == "usage"
-    assert "CCX_BUDGET" in data["message"] and "abc" in data["message"]
+    assert json.loads(err) == {
+        "error": "usage",
+        "message": "CCX_BUDGET must be an integer, got 'abc'",
+    }
 
 
 def test_fvector_csv(capsys):
@@ -187,6 +188,55 @@ def test_internal_check_failure_is_structured_exit_1(capsys, monkeypatch):
         "error": "internal-error",
         "message": "LookupMiss: reflected root not found",
     }
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["complex", "--type", "A2", "-m", "-1"],
+         {"error": "domain-error", "message": "color count must be >= 0"}),
+        (["dissect", "--family", "A", "-n", "0", "-m", "1"],
+         {"error": "domain-error", "message": "need n >= 1 and m >= 1"}),
+        (["dissect", "--family", "B", "-n", "1", "-m", "1"],
+         {"error": "bad-parameters", "message": "type B model needs n >= 2"}),
+    ],
+)
+def test_input_errors_are_structured_exit_1(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == expected
+
+
+def test_bare_value_error_is_internal(capsys, monkeypatch):
+    import ccx.cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("an unexpected value")
+
+    monkeypatch.setattr(ccx.cli, "build_complex", broken)
+    code, out, err = run_cli(capsys, "complex", "--type", "A2", "-m", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "internal-error",
+        "message": "ValueError: an unexpected value",
+    }
+
+
+def test_empty_diagram_complex(capsys):
+    code, out, _ = run_cli(capsys, "complex", "--diagram", "n=0;", "-m", "1")
+    data = json.loads(out)
+    assert code == 0
+    assert data["f_vector"] == [1] and data["facet_count"] == 1
+    assert data["positive_facet_count"] == 1
+    assert data["audit_pure"] and data["audit_ridge_degree"]
+
+
+@pytest.mark.parametrize("command", ["fvector", "hvector"])
+def test_empty_diagram_face_numbers(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--diagram", "n=0;", "-m", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["f_vector"] == ["1"] and data["h_vector"] == ["1"]
 
 
 def test_cli_imports_only_the_standard_library():

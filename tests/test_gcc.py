@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccx.diagram import parse_diagram, classify
+from ccx.formulas import positive_facet_count_poly
 from ccx.gcc import (
     BudgetExceeded,
     CliqueComplex,
+    CliqueSurvey,
     ColoredRoot,
     build_complex,
     clique_counts,
+    clique_survey,
     colored_ground_set,
     export_complex_json,
     iter_cliques,
@@ -236,7 +239,7 @@ def test_budget_env_malformed(monkeypatch):
 @st.composite
 def graphs(draw):
     """A graph on at most 12 vertices as bitmask adjacency, plus a
-    candidate mask for the counter."""
+    random vertex mask."""
     V = draw(st.integers(0, 12))
     pairs = list(itertools.combinations(range(V), 2))
     edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -263,10 +266,76 @@ def test_clique_engine_matches_brute_force(graph):
         ]
 
     top = V + 1
-    assert clique_counts(adj, top, cand) == [len(brute(k, members)) for k in range(top + 1)]
+    outside = ((1 << V) - 1) & ~cand
+    assert [clique_survey(adj, k, outside).unmarked_top for k in range(top + 1)] == [
+        len(brute(k, members)) for k in range(top + 1)
+    ]
     assert clique_counts(adj, top) == [len(brute(k, range(V))) for k in range(top + 1)]
     for k in range(top + 1):
         assert list(iter_cliques(adj, k)) == sorted(brute(k, range(V)))
+
+
+def brute_survey(adj: list[int], top: int, marked: int) -> CliqueSurvey:
+    """``clique_survey`` from every vertex subset, by itertools."""
+    V = len(adj)
+    cliques = [
+        c
+        for k in range(V + 1)
+        for c in itertools.combinations(range(V), k)
+        if all(adj[a] >> b & 1 for a, b in itertools.combinations(c, 2))
+    ]
+
+    def common(c):
+        out = (1 << V) - 1
+        for i in c:
+            out &= adj[i]
+        return out & ~sum(1 << i for i in c)
+
+    return CliqueSurvey(
+        [sum(len(c) == k for c in cliques) for k in range(top + 1)],
+        sum(len(c) == top and not any(marked >> i & 1 for i in c) for c in cliques),
+        frozenset(common(c).bit_count() for c in cliques if len(c) == top - 1),
+        V == 0 or all(len(c) == top for c in cliques if not common(c)),
+    )
+
+
+@settings(max_examples=150, deadline=4000)
+@given(graphs())
+def test_clique_survey_matches_brute_force(graph):
+    adj, marked = graph
+    for top in range(len(adj) + 2):
+        assert clique_survey(adj, top, marked) == brute_survey(adj, top, marked)
+
+
+@pytest.mark.parametrize(
+    "adj,top,marked,expected",
+    [
+        # no vertices: pure at every top, and one ridge (the empty clique) at top 1
+        ([], 0, 0, ([1], 1, frozenset(), True)),
+        ([], 1, 0, ([1, 0], 0, frozenset({0}), True)),
+        ([], 2, 0, ([1, 0, 0], 0, frozenset(), True)),
+        # top 0 on a nonempty graph: the empty clique is not maximal
+        ([0b10, 0b01], 0, 0b01, ([1], 1, frozenset(), False)),
+        # top 1: the empty ridge sees every vertex; an edge makes it impure
+        ([0b10, 0b01], 1, 0b01, ([1, 2], 1, frozenset({2}), False)),
+        ([0, 0], 1, 0b01, ([1, 2], 1, frozenset({2}), True)),
+        # a triangle at top 2: every edge has a common neighbor
+        ([0b110, 0b101, 0b011], 2, 0b001, ([1, 3, 3], 1, frozenset({2}), False)),
+        # an isolated vertex is a ridge with no common neighbor at top 2
+        ([0b010, 0b001, 0], 2, 0, ([1, 3, 1], 1, frozenset({0, 1}), False)),
+    ],
+)
+def test_clique_survey_edge_cases(adj, top, marked, expected):
+    assert clique_survey(adj, top, marked) == CliqueSurvey(*expected)
+    assert brute_survey(adj, top, marked) == CliqueSurvey(*expected)
+
+
+def test_reducible_complex_audits():
+    G = parse_diagram("n=4; 1-2:3 3-4:4")  # A2 x B2
+    cx = build_complex(G, 2)
+    assert cx.audit_pure() and cx.audit_ridge_degree()
+    nplus = positive_facet_count_poly("A2")(2) * positive_facet_count_poly("B2")(2)
+    assert cx.positive_facet_count() == nplus == 70
 
 
 def test_export_json_deterministic():

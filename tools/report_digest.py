@@ -13,6 +13,10 @@ of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
 ``facet_count_poly``, ``positive_facet_count_poly`` and the fields of
 ``classify``, among them ``minus_one_longest``, which no CLI output shows.
 
+Last, each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
+sha256 of the JSON stdout of ``ccx complex --diagram <spec> -m <m>``,
+which carries the f-vector, the facet counts and both audits.
+
 Usage, from the root of a checkout (standard library only)::
 
     PYTHONPATH=src python3 tools/report_digest.py > digests.txt
@@ -20,10 +24,13 @@ Usage, from the root of a checkout (standard library only)::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 
+from ccx.cli import main as ccx_main
 from ccx.diagram import classify, parse_diagram
 from ccx.formulas import (
     TypeInfo,
@@ -76,6 +83,22 @@ def random_draw() -> list[str]:
     return out
 
 
+def complex_cases() -> list[tuple[str, int]]:
+    """The benchmark's complex pairs, small types at m = 0..3, a
+    reducible diagram and the empty one."""
+    bench = [("E8", 1), ("E7", 2), ("E6", 2), ("D6", 2), ("F4", 3),
+             ("H4", 2), ("B5", 2), ("A6", 2), ("A5", 3), ("I2(7)", 3)]
+    small = [(name, m) for name in ("A1", "A2", "A3", "B2", "G2", "H3") for m in range(4)]
+    return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)]
+
+
+def complex_stdout(spec: str, m: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        ccx_main(["complex", "--diagram", spec, "-m", str(m)])
+    return out.getvalue()
+
+
 def canonical(report: dict) -> str:
     for res in report["methods"].values():
         res.pop("exponents_approx", None)
@@ -104,6 +127,9 @@ def main() -> None:
         print(spec, hashlib.sha256(text.encode()).hexdigest())
     for spec in finite_catalog():
         print(spec, "catalog", hashlib.sha256(catalog_text(spec).encode()).hexdigest())
+    for spec, m in complex_cases():
+        digest = hashlib.sha256(complex_stdout(spec, m).encode()).hexdigest()
+        print(spec, f"m={m}", "complex", digest)
 
 
 if __name__ == "__main__":
