@@ -276,8 +276,8 @@ def main(argv=None) -> int:
         kind = "not-finite-type" if isinstance(e, NotFiniteType) else "domain-error"
         message = str(e)
     except (LookupMiss, AmbiguousOrbit, AssertionError, ValueError) as e:
-        # a failed internal consistency check or any other ValueError:
-        # a bug, not a bad input
+        # a failed internal check (a root-system invariant, a polygon
+        # bijection, root reassembly) or any other ValueError: a bug
         kind, message = "internal-error", f"{type(e).__name__}: {e}"
     print(json.dumps({"error": kind, "message": message}, sort_keys=True), file=sys.stderr)
     return 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 RationalLike = int | Fraction
@@ -372,6 +373,30 @@ def _zquo(f: list[int], g: list[int]) -> list[int]:
     if any(f):
         raise NonZeroRemainder(f"{g} does not divide the integer polynomial")
     return quo
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n: z^n - 1 divided by Phi_d for every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f = _zquo(f, _cyclotomic(d))
+    return tuple(f)
+
+
+@lru_cache(maxsize=None)
+def minpoly_2cos(L: int) -> tuple[int, ...]:
+    """Minimal polynomial of 2cos(pi/L) = z + 1/z, z = exp(i pi/L), L >= 2:
+    z^-k Phi_2L(z) = c_k + sum_j c_(k+j) D_j(z + 1/z), with the Dickson
+    polynomials D_0 = 2, D_1 = x, D_(j+1) = x D_j - D_(j-1)."""
+    phi = _cyclotomic(2 * L)
+    k = len(phi) // 2
+    out, prev, cur = [phi[k]], [2], [0, 1]
+    for j in range(1, k + 1):
+        out = _zsub(out, [-phi[k + j] * c for c in cur])
+        prev, cur = cur, _zsub([0] + cur, prev)
+    return tuple(out)
 
 
 def _zgcd(f: list[int], g: list[int]) -> list[int]:

@@ -50,15 +50,20 @@ class ExponentData:
 
     ``residual`` is a primitive integer polynomial in the exponent
     variable, free of rational roots; its real roots are the irrational
-    exponents.  ``approx`` lists every real exponent with multiplicity,
-    ascending: rationals rounded from their exact value, irrational ones
-    isolated and bisected exactly to within 2^-52 relative, then rounded
-    (``exactmath.real_roots``).
+    exponents, ascending in ``residual_approx``: isolated and bisected
+    exactly to within 2^-52 relative, then rounded
+    (``exactmath.real_roots``).  ``approx`` lists every real exponent
+    with multiplicity, ascending, the rationals rounded from their exact
+    value.
     """
 
     rational: tuple[Fraction, ...]
     residual: Poly | None
-    approx: tuple[float, ...]
+    residual_approx: tuple[float, ...] = ()
+
+    @property
+    def approx(self) -> tuple[float, ...]:
+        return tuple(sorted([*map(float, self.rational), *self.residual_approx]))
 
     def key(self):
         res = self.residual.coeffs if self.residual is not None else None
@@ -112,16 +117,14 @@ def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
     report usually share their facet polynomial."""
     roots = rational_roots(npoly)
     rationals = sorted(-h * mu - 1 for mu in roots.rational_multiset())
-    residual = None
-    approx = [float(e) for e in rationals]
-    if roots.residual is not None:
-        # map the residual to the exponent variable: mu = -(e+1)/h
-        transformed = roots.residual.compose(Poly([F(-1, h), F(-1, h)]))
-        ints = transformed * lcm(*[c.denominator for c in transformed.coeffs])
-        content = gcd(*[int(c) for c in ints.coeffs])
-        residual = ints / (content if ints.leading() > 0 else -content)
-        approx.extend(real_roots(residual))
-    return ExponentData(tuple(rationals), residual, tuple(sorted(approx)))
+    if roots.residual is None:
+        return ExponentData(tuple(rationals), None)
+    # map the residual to the exponent variable: mu = -(e+1)/h
+    transformed = roots.residual.compose(Poly([F(-1, h), F(-1, h)]))
+    ints = transformed * lcm(*[c.denominator for c in transformed.coeffs])
+    content = gcd(*[int(c) for c in ints.coeffs])
+    residual = ints / (content if ints.leading() > 0 else -content)
+    return ExponentData(tuple(rationals), residual, real_roots(residual))
 
 
 def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
@@ -141,7 +144,7 @@ def _base_result(lat: SubsetLattice, mask: int) -> MethodResult:
             h=F(2),
             facet_poly=Poly([1, 1]),
             positive_poly=Poly([0, 1]),
-            exponents=ExponentData((F(1),), None, (1.0,)),
+            exponents=ExponentData((F(1),), None),
             full_support_count=F(1),
         )
     a = lat.label(mask)
@@ -151,7 +154,7 @@ def _base_result(lat: SubsetLattice, mask: int) -> MethodResult:
         h=F(a),
         facet_poly=f2,
         positive_poly=Poly([0, F(a - 2, 2), F(a, 2)]),
-        exponents=ExponentData((F(1), F(a - 1)), None, (1.0, float(a - 1))),
+        exponents=ExponentData((F(1), F(a - 1)), None),
         full_support_count=F(a - 2),
     )
 
@@ -565,15 +568,10 @@ def _method_json(res: MethodResult) -> dict:
     if res.exponents is not None:
         exps: list = [format_fraction(e) for e in res.exponents.rational]
         if res.exponents.residual is not None:
-            irr_approx = [
-                x
-                for x in res.exponents.approx
-                if all(abs(x - float(r)) > 1e-7 for r in res.exponents.rational)
-            ]
             exps.append(
                 {
                     "poly": res.exponents.residual.serialize(),
-                    "approx": irr_approx,
+                    "approx": list(res.exponents.residual_approx),
                 }
             )
         out["exponents"] = exps

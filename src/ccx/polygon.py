@@ -217,6 +217,7 @@ class TypeBModel(_SymmetricModel):
     def _build_bijection(self):
         n, m = self.n, self.m
         self.rs = RootSystem(parse_diagram(f"B{n}"))
+        zero, one = self.rs.integer(0), self.rs.integer(1)
         self.to_vertex: dict[ColoredRoot, BVertex] = {}
         snake = self.amodel.snake
         for i in range(1, n):
@@ -227,17 +228,17 @@ class TypeBModel(_SymmetricModel):
             "diam", frozenset([snake[n - 1]])
         )
         for rid in range(n, self.rs.size):
-            coords = self.rs.roots[rid]
+            coords = self.rs.exact[rid]
             supp = sorted(self.rs.support[rid])
             last = coords[n - 1]
             for k in range(1, m + 1):
-                if abs(last) < 0.5:  # category I: no short-root content
+                if last == zero:  # category I: no short-root content
                     i, j = supp[0] + 1, supp[-1] + 1
                     chords = frozenset(
                         [self._amap(i, j, k), self._amap(2 * n - j, 2 * n - i, k)]
                     )
                     vx = BVertex("pair", chords)
-                elif abs(last - 1.0) < 0.25:  # category II: short root
+                elif last == one:  # category II: short root
                     i = supp[0] + 1
                     vx = BVertex(
                         "diam", frozenset([self._amap(i, 2 * n - i, k)])
@@ -245,7 +246,7 @@ class TypeBModel(_SymmetricModel):
                 else:  # category III: doubled tail
                     i = supp[0] + 1
                     j = next(
-                        t + 1 for t, c in enumerate(coords) if c > 1.3
+                        t + 1 for t, c in enumerate(coords) if c not in (zero, one)
                     )
                     chords = frozenset(
                         [self._amap(i, 2 * n - j, k), self._amap(j, 2 * n - i, k)]
@@ -374,6 +375,7 @@ class TypeDModel(_SymmetricModel):
     def _build_bijection(self):
         n, m = self.n, self.m
         self.rs = RootSystem(parse_diagram(f"D{n}"))
+        zero, one = self.rs.integer(0), self.rs.integer(1)
         self.to_vertex: dict[ColoredRoot, DVertex] = {}
         snake = self.amodel.snake
         for i in range(1, n - 1):
@@ -389,12 +391,12 @@ class TypeDModel(_SymmetricModel):
             primary, "gray"
         )
         for rid in range(n, self.rs.size):
-            coords = self.rs.roots[rid]
+            coords = self.rs.exact[rid]
             supp = sorted(self.rs.support[rid])
             c_last = coords[n - 1]
             c_fork = coords[n - 2]
             for k in range(1, m + 1):
-                if abs(c_last) < 0.5:  # category I
+                if c_last == zero:  # category I
                     i, j = supp[0] + 1, supp[-1] + 1
                     if j <= n - 2:
                         vx = DVertex(
@@ -412,7 +414,7 @@ class TypeDModel(_SymmetricModel):
                         vx = self._diam_vertex(
                             self._amap(i, 2 * n - i - 2, k), "gray"
                         )
-                elif abs(c_fork) < 0.5:  # category II with j = n
+                elif c_fork == zero:  # category II with j = n
                     rest = [s for s in supp if s != n - 1]
                     i = rest[0] + 1 if rest else n - 1
                     vx = self._diam_vertex(
@@ -421,7 +423,8 @@ class TypeDModel(_SymmetricModel):
                 else:  # category II with j < n
                     i = supp[0] + 1
                     j = next(
-                        (t + 1 for t, c in enumerate(coords) if c > 1.3), n - 1
+                        (t + 1 for t, c in enumerate(coords) if c not in (zero, one)),
+                        n - 1,
                     )
                     vx = DVertex(
                         "pair",

@@ -1,10 +1,13 @@
 """Finite root systems in the symmetric geometric representation.
 
-Roots live in the simple-root basis with float coordinates; the Gram
-matrix has entries -cos(pi/m_ij).  Everything trusted downstream
-(orbits, depths, compatibility) is discrete data read off after
-deduplication on a 1e-6 grid, and a post-build audit checks that the
-grid could not have merged distinct roots.
+Roots live in the simple-root basis with exact coordinates in Z[zeta],
+zeta = 2cos(pi/L), L the one label above 3 of the diagram (L = 3 and
+zeta = 1 when it is simply laced).  A coordinate is the int tuple of its
+coefficients over 1, zeta, ..., reduced modulo the minimal polynomial of
+zeta, so equal roots are equal tuples.  A simple reflection s_i permutes
+the positive roots other than alpha_i, so their closure needs no sign
+test.  The float ``roots`` for output follow the same closure with the
+float reflection, so their error grows with the closure depth only.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ from __future__ import annotations
 import math
 
 from .diagram import CoxeterDiagram, InputError, bipartition, classify
-
-EPS = 1e-9
-QUANT = 1e-6
+from .exactmath import minpoly_2cos
 
 
 class NotFiniteType(InputError):
@@ -22,11 +23,8 @@ class NotFiniteType(InputError):
 
 
 class LookupMiss(RuntimeError):
-    """A reflected root failed to match any known root: numeric dedup broke."""
-
-
-def _key(coords) -> tuple[int, ...]:
-    return tuple(int(round(c / QUANT)) for c in coords)
+    """A root-system invariant failed (root count nh/2, rotation order,
+    depth, compatibility period), or no root has the given coordinates."""
 
 
 class RootSystem:
@@ -34,9 +32,11 @@ class RootSystem:
 
     Root ids: 0..n-1 are the negative simple roots (in vertex order),
     then the positive roots in breadth-first discovery order starting
-    from the simple roots.  ``rotate`` is the deformed Coxeter element
-    (the minus-twist after the plus-twist) acting on almost-positive
-    roots; ``depth`` counts rotations needed to reach a negative root.
+    from the simple roots.  ``exact`` holds each root's Z[zeta]
+    coordinates, ``roots`` their float values.  ``rotate`` is the
+    deformed Coxeter element (the minus-twist after the plus-twist)
+    acting on almost-positive roots; ``depth`` counts rotations needed
+    to reach a negative root.
     """
 
     def __init__(self, G: CoxeterDiagram, plus_class=None):
@@ -60,13 +60,12 @@ class RootSystem:
                         if i < j and G.label(i, j) >= 3:
                             raise ValueError("plus_class is not totally disconnected")
             self.I_plus, self.I_minus = plus, minus
-        self.gram = [
-            [
-                1.0 if i == j else -math.cos(math.pi / G.label(vi, vj))
-                for j, vj in enumerate(G.vertices)
-            ]
-            for i, vi in enumerate(G.vertices)
-        ]
+        self.L = max(G.labels.values(), default=3)
+        self._minpoly = minpoly_2cos(self.L)
+        self.degree = len(self._minpoly) - 1
+        self._zeta = 2 * math.cos(math.pi / self.L)
+        self._nbrs = [[(self.vertex_index[w], lab) for w, lab in G.neighbors(v).items()]
+                      for v in G.vertices]
         self._build_roots()
         self._build_rotation()
         self._build_depths()
@@ -74,90 +73,65 @@ class RootSystem:
 
     # -- construction ---------------------------------------------------
 
-    def _reflect(self, i: int, coords: tuple[float, ...]) -> tuple[float, ...]:
-        """Simple reflection s_i in the simple-root basis."""
-        proj = sum(self.gram[i][j] * c for j, c in enumerate(coords))
-        out = list(coords)
-        out[i] -= 2.0 * proj
-        return tuple(out)
+    def integer(self, k: int) -> tuple[int, ...]:
+        """The ring element k of Z[zeta]."""
+        return (k,) + (0,) * (self.degree - 1)
+
+    def _reflect(self, i: int, root: tuple) -> tuple:
+        """Simple reflection s_i in the simple-root basis: c_i becomes -c_i
+        plus c_j over the label-3 neighbours and zeta c_j over label L."""
+        ci = tuple(-c for c in root[i])
+        for j, lab in self._nbrs[i]:
+            cj = root[j]
+            if lab != 3:  # times zeta, reduced by its minimal polynomial
+                cj = tuple(a - cj[-1] * p for a, p in zip((0, *cj[:-1]), self._minpoly))
+            ci = tuple(a + b for a, b in zip(ci, cj))
+        return root[:i] + (ci,) + root[i + 1:]
+
+    def _reflect_float(self, i: int, coords: tuple) -> tuple:
+        """``_reflect`` on float coordinates."""
+        ci = sum(coords[j] * (1 if lab == 3 else self._zeta) for j, lab in self._nbrs[i])
+        return coords[:i] + (ci - coords[i],) + coords[i + 1:]
 
     def _build_roots(self):
         n = self.n
-        budget = max(60 * n, 40)
-        pos: list[tuple[float, ...]] = []
-        index: dict[tuple[int, ...], int] = {}
-
-        # ids 0..n-1: negative simples
-        self.neg_simple_ids = list(range(n))
-        roots: list[tuple[float, ...]] = []
-        for i in range(n):
-            coords = tuple(-1.0 if j == i else 0.0 for j in range(n))
-            roots.append(coords)
-
-        queue = []
-        for i in range(n):
-            coords = tuple(1.0 if j == i else 0.0 for j in range(n))
-            if _key(coords) not in index:
-                index[_key(coords)] = len(pos)
-                pos.append(coords)
-                queue.append(coords)
-        while queue:
-            coords = queue.pop(0)
+        self.h = int(self.classification.coxeter_number)
+        expected, budget = n * self.h // 2, max(60 * n, 40)
+        if expected > budget:
+            raise NotFiniteType(f"root closure exceeded {budget} roots")
+        simple = [tuple(self.integer(int(j == i)) for j in range(n)) for i in range(n)]
+        pos, flt = list(simple), [tuple(float(j == i) for j in range(n)) for i in range(n)]
+        index = {root: k for k, root in enumerate(pos)}
+        # the list grows while it is walked: a breadth-first closure;
+        # s_i maps every positive root but alpha_i to a positive root
+        for k, root in enumerate(pos):
+            if len(pos) > expected:
+                break
             for i in range(n):
-                img = self._reflect(i, coords)
-                if all(c >= -EPS for c in img):
-                    k = _key(img)
-                    if k not in index:
-                        if len(pos) >= budget:
-                            raise NotFiniteType(
-                                f"root closure exceeded {budget} roots"
-                            )
-                        index[k] = len(pos)
+                if i != k:
+                    img = self._reflect(i, root)
+                    if img not in index:
+                        index[img] = len(pos)
                         pos.append(img)
-                        queue.append(img)
-                elif not all(c <= EPS for c in img):
-                    raise LookupMiss("reflection produced a sign-mixed vector")
-
-        self.positive_roots = pos
+                        flt.append(self._reflect_float(i, flt[k]))
+        if len(pos) != expected:
+            raise LookupMiss(f"found {len(pos)} positive roots, expected {expected}")
+        self.exact = [tuple(tuple(-c for c in x) for x in r) for r in simple] + pos
+        self.size = len(self.exact)
+        self._index = {root: rid for rid, root in enumerate(self.exact)}
+        self.positive_roots = flt  # float coordinates, in id order
+        self.roots = [tuple(float(-(j == i)) for j in range(n)) for i in range(n)] + flt
         self.num_positive = len(pos)
-        h = cls_h = self.classification.coxeter_number
-        expected = self.n * int(cls_h) // 2
-        if self.num_positive != expected:
-            raise LookupMiss(
-                f"found {self.num_positive} positive roots, expected {expected}"
-            )
-        self.h = int(h)
-
-        roots.extend(pos)
-        self.roots = roots  # id -> coords over all of the ground set
-        self.size = len(roots)
-        self._index = {_key(c): i for i, c in enumerate(roots)}
-        if len(self._index) != self.size:
-            raise LookupMiss("quantization merged distinct roots")
-        self._audit_separation()
-        self.support = [
-            frozenset(
-                j for j, c in enumerate(coords) if abs(c) > EPS
-            )
-            for coords in roots
-        ]
-
-    def _audit_separation(self, min_gap: float = 1e-4):
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                gap = max(
-                    abs(a - b) for a, b in zip(self.roots[i], self.roots[j])
-                )
-                if gap <= min_gap:
-                    raise LookupMiss(
-                        f"roots {i} and {j} separated by only {gap:.2e}"
-                    )
+        self.support = [frozenset(j for j, c in enumerate(r) if any(c)) for r in self.exact]
 
     def root_id(self, coords) -> int:
-        k = _key(coords)
-        if k not in self._index:
-            raise LookupMiss(f"no root with key {k}")
-        return self._index[k]
+        """Id of the root with these integer (or integral float)
+        coordinates in the simple-root basis."""
+        if all(c == int(c) for c in coords):
+            rid = self._index.get(tuple(self.integer(int(c)) for c in coords))
+            if rid is not None:
+                return rid
+        raise LookupMiss(f"no root with coordinates {list(coords)}")
 
     def neg_simple_id(self, vertex: int) -> int:
         return self.vertex_index[vertex]
@@ -178,14 +152,10 @@ class RootSystem:
             vertex = self.diagram.vertices[rid]
             if vertex in other:
                 return rid
-        coords = self.roots[rid]
+        root = self.exact[rid]
         for v in own:
-            coords = self._reflect(self.vertex_index[v], coords)
-        if all(c >= -EPS for c in coords):
-            return self.root_id(coords)
-        if all(c <= EPS for c in coords):
-            return self.root_id(coords)
-        raise LookupMiss("twist produced a sign-mixed vector")
+            root = self._reflect(self.vertex_index[v], root)
+        return self._index[root]
 
     def _build_rotation(self):
         perm = []
@@ -267,13 +237,16 @@ class RootSystem:
         out = []
         for comp in connected_components(sub):
             crs = RootSystem(comp, plus_class=self.I_plus)
-            emb: dict[int, int] = {}
+            # the component keeps the label L or is simply laced: its
+            # coordinates zero-pad into this system's ring
+            pad = (0,) * (self.degree - crs.degree)
             cols = [self.vertex_index[v] for v in comp.vertices]
-            for rid in range(crs.size):
-                coords = [0.0] * self.n
-                for local, c in enumerate(crs.roots[rid]):
-                    coords[cols[local]] = c
-                emb[rid] = self.root_id(coords)
+            emb: dict[int, int] = {}
+            for rid, root in enumerate(crs.exact):
+                coords = [self.integer(0)] * self.n
+                for local, c in enumerate(root):
+                    coords[cols[local]] = c + pad
+                emb[rid] = self._index[tuple(coords)]
             out.append((crs, emb))
         return out
 

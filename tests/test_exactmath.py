@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd, isqrt, prod
+from math import cos, gcd, isqrt, pi, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +11,7 @@ from ccx.exactmath import (
     Poly,
     RatFun,
     binomial_poly,
+    minpoly_2cos,
     poly_divide_exact,
     poly_gcd,
     poly_shift,
@@ -236,3 +237,13 @@ def test_rational_roots_recovers_large_prime_roots(roots, quad, scale):
     if disc > 0:
         expected = sorted((-b + s * disc**0.5) / (2 * a) for s in (1, -1))
     assert rs.residual_approx == pytest.approx(expected, abs=1e-9)
+
+
+def test_minpoly_2cos_degree_and_root():
+    for L in range(3, 31):
+        p = minpoly_2cos(L)
+        phi = sum(1 for k in range(1, 2 * L) if gcd(k, 2 * L) == 1)
+        assert len(p) - 1 == phi // 2 and p[-1] == 1, L
+        z = 2 * cos(pi / L)
+        terms = [c * z**k for k, c in enumerate(p)]
+        assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms)), L

@@ -17,7 +17,9 @@ from ccx.invariants import (
     METHODS,
     YIELDING,
     MethodFailure,
+    MethodResult,
     _each_connected,
+    _method_json,
     compute_all,
     euler_method,
     exponents_from_facet_poly,
@@ -142,6 +144,21 @@ def test_fake_c3_sqrt17():
         lo = (13 - 17**0.5) / 2
         hi = (13 + 17**0.5) / 2
         assert res.exponents.approx == pytest.approx((1.0, lo, hi, 12.0), abs=1e-9)
+
+
+def test_irrational_exponents_next_to_a_rational_one_are_reported():
+    # (2*10^18 (e-1)^2 - 1)(e-1) in mu = -e-1: the residual's real roots
+    # 1 +- 1/sqrt(2*10^18) lie within 1e-7 of the rational exponent 1
+    e_minus_1 = Poly([-2, -1])
+    npoly = (e_minus_1 * e_minus_1 * 2 * 10**18 - 1) * e_minus_1
+    ex = exponents_from_facet_poly(npoly, F(1))
+    assert ex.rational == (1,)
+    offset = 1 / (2 * 10**18) ** 0.5
+    report = _method_json(MethodResult(status="ok", h=F(1), exponents=ex))
+    block = report["exponents"][1]
+    assert block["approx"] == pytest.approx([1 - offset, 1 + offset], abs=1e-15)
+    assert block["approx"] == list(ex.residual_approx)
+    assert ex.approx == (ex.residual_approx[0], 1.0, ex.residual_approx[1])
 
 
 def test_fake_b3_fractional():

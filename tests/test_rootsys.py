@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ccx.diagram import parse_diagram, classify
@@ -9,7 +11,7 @@ CATALOG = [
     "D4", "D5", "D6", "D7", "D8",
     "E6", "E7", "E8", "F4", "G2", "H3", "H4",
     "I2(5)", "I2(7)", "I2(8)", "I2(12)",
-]
+] + [f"I2({a})" for a in range(9, 31) if a != 12]
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -133,6 +135,25 @@ def test_b2_roots_match_crystallographic_directions():
     # alpha1 + sqrt2 alpha2 and sqrt2 alpha1 + alpha2 are the unit-length
     # images of alpha1 + alpha2 and 2 alpha1 + alpha2
     assert (1.0, 1.4142) in rounded and (1.4142, 1.0) in rounded
+
+
+def test_dihedral_float_roots_match_closed_form():
+    # the positive roots of I2(a) are (s_(k+1), s_k), k = 0..a-1, with
+    # s_k = sin(k pi/a)/sin(pi/a); their exact coefficients grow like
+    # (1 + sqrt2)^k, so the floats must not be summed from them
+    for a in range(3, 121):
+        rs = RootSystem(parse_diagram(f"I2({a})"))
+        s = [math.sin(k * math.pi / a) / math.sin(math.pi / a) for k in range(a + 1)]
+        expected = [(s[k + 1], s[k]) for k in range(a)]
+        assert len(rs.positive_roots) == a
+        for r in rs.positive_roots:
+            gap = min(max(abs(r[0] - x), abs(r[1] - y)) for x, y in expected)
+            assert gap <= 1e-9, (a, r)
+
+
+def test_dihedral_beyond_closure_budget_rejected():
+    with pytest.raises(NotFiniteType, match="exceeded 120 roots"):
+        RootSystem(parse_diagram("I2(121)"))
 
 
 def test_parabolic_identity_and_empty():

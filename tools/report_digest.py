@@ -13,9 +13,14 @@ of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
 ``facet_count_poly``, ``positive_facet_count_poly`` and the fields of
 ``classify``, among them ``minus_one_longest``, which no CLI output shows.
 
-Last, each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
+Then each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
 sha256 of the JSON stdout of ``ccx complex --diagram <spec> -m <m>``,
 which carries the f-vector, the facet counts and both audits.
+
+Last, each (type, m) of ``facet_cases`` gets a ``facets`` line: the
+sha256 of ``ccx complex --type <type> -m <m> --facets``, whose vertex
+``coords`` are the root coordinates rounded to 6 decimals, so these lines
+pin the root order and values of the non-simply-laced types.
 
 Usage, from the root of a checkout (standard library only)::
 
@@ -92,10 +97,16 @@ def complex_cases() -> list[tuple[str, int]]:
     return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)]
 
 
-def complex_stdout(spec: str, m: int) -> str:
+def facet_cases() -> list[tuple[str, int]]:
+    """Non-simply-laced types, whose root coordinates lie in Z[sqrt 2]
+    (B3, F4), Z[golden ratio] (H4), Z[sqrt 3] (G2) and Z[2cos(pi/7)]."""
+    return [("H4", 1), ("B3", 2), ("F4", 1), ("G2", 2), ("I2(7)", 3)]
+
+
+def cli_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        ccx_main(["complex", "--diagram", spec, "-m", str(m)])
+        ccx_main(argv)
     return out.getvalue()
 
 
@@ -128,8 +139,11 @@ def main() -> None:
     for spec in finite_catalog():
         print(spec, "catalog", hashlib.sha256(catalog_text(spec).encode()).hexdigest())
     for spec, m in complex_cases():
-        digest = hashlib.sha256(complex_stdout(spec, m).encode()).hexdigest()
-        print(spec, f"m={m}", "complex", digest)
+        text = cli_stdout(["complex", "--diagram", spec, "-m", str(m)])
+        print(spec, f"m={m}", "complex", hashlib.sha256(text.encode()).hexdigest())
+    for name, m in facet_cases():
+        text = cli_stdout(["complex", "--type", name, "-m", str(m), "--facets"])
+        print(name, f"m={m}", "facets", hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":
