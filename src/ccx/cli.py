@@ -19,7 +19,14 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import BudgetExceeded, build_complex, clique_counts, enumeration_budget, iter_cliques
+from .gcc import (
+    BudgetExceeded,
+    build_complex,
+    check_color_count,
+    clique_counts,
+    enumeration_budget,
+    iter_cliques,
+)
 from .invariants import METHOD_ALIASES, compute_all
 from .polygon import AmbiguousOrbit, TypeBModel, TypeDModel, noncrossing_graph, render_svg
 from .rootsys import LookupMiss, NotFiniteType
@@ -83,12 +90,13 @@ def cmd_complex(args) -> int:
 
 def _face_table(G: CoxeterDiagram, m: int) -> tuple[list, list]:
     cls = classify(G)
+    if not cls.is_finite:
+        raise DomainError("not-finite-type", f"{G.to_spec()} is not of finite type")
+    check_color_count(m)
     if cls.info is not None:
         fv = [f_k_closed(cls.info, k)(m) for k in range(G.rank + 1)]
-    elif cls.is_finite:
-        fv = [p(m) for p in f_polys_recursive(G)]
     else:
-        raise DomainError("not-finite-type", f"{G.to_spec()} is not of finite type")
+        fv = [p(m) for p in f_polys_recursive(G)]
     return fv, h_vector_from_f(fv)
 
 

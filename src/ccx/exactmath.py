@@ -1,12 +1,13 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Polynomials are kept in the formal variable ``m`` with Fraction
-coefficients throughout.  Roots are found without factoring integers and
-without floating-point arithmetic: a square-free decomposition (Yun)
-of the primitive integer form, Sturm-sequence isolation of the real
-roots at dyadic points, and exact bisection.  Rational roots come out
-exactly; only the final approximations of irrational real roots are
-rounded to float.
+A polynomial in the formal variable ``m`` is integer numerators over
+one positive denominator (FLINT's ``fmpq_poly`` layout), and all its
+arithmetic runs on the integer lists of the root-finding section.
+Roots are found without factoring integers and without floating-point
+arithmetic: a square-free decomposition (Yun) of the primitive
+numerator, Sturm-sequence isolation of the real roots at dyadic points,
+and exact bisection.  Rational roots come out exactly; only the final
+approximations of irrational real roots are rounded to float.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-RationalLike = int | Fraction
-
 
 class NonZeroRemainder(ValueError):
     """Exact polynomial division left a remainder."""
@@ -36,147 +34,113 @@ def _as_fraction(x) -> Fraction:
 
 
 class Poly:
-    """Univariate polynomial with Fraction coefficients, ascending degree.
+    """Univariate polynomial over Q: the coefficient of m^k is num[k]/den.
 
-    Immutable; trailing zero coefficients are stripped so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Immutable and canonical: ``num`` is a tuple of ints without trailing
+    zeros, ``den`` a positive int, gcd(den, *num) = 1; so equal
+    polynomials have equal fields, and zero is num = (), den = 1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        _set(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
-    # -- constructors -------------------------------------------------
-
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([_as_fraction(c)])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
-    @staticmethod
-    def linear(a, b) -> "Poly":
-        """The polynomial a*x + b."""
-        return Poly([_as_fraction(b), _as_fraction(a)])
+        return Poly([c])
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.den, other.den
+        if a == b:
+            return _of(_zadd(self.num, other.num), a)
+        g = gcd(a, b)
+        u, v = [c * (b // g) for c in self.num], [c * (a // g) for c in other.num]
+        return _of(_zadd(u, v), a // g * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _of([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if isinstance(other, Poly):
+            return _of(_zmul(self.num, other.num), self.den * other.den)
+        s = _as_fraction(other)
+        return _of([c * s.numerator for c in self.num], self.den * s.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         s = _as_fraction(scalar)
-        return Poly([c / s for c in self.coeffs])
+        if not s:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _of([c * s.denominator for c in self.num], self.den * s.numerator)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int input."""
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, (int, Fraction)) else float(c))
-        return acc
+        """Exact value at an int or Fraction x."""
+        x = _as_fraction(x)
+        scale = self.den * x.denominator ** max(self.degree, 0)
+        return Fraction(_zeval(self.num, x.numerator, x.denominator), scale)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner over polynomials."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
+        """self(inner(x)).  With inner = u/v and self = (sum a_i x^i)/d,
+        Horner over the numerators gives sum a_i u^i v^(n-i) over d v^n."""
+        u, v = inner.num, inner.den
+        acc: list[int] = []
+        pw = 1
+        for c in reversed(self.num):
+            acc = _zadd(_zmul(acc, u), [c * pw])
+            pw *= v
+        return _of(acc, self.den * v ** max(self.degree, 0))
 
     def shifted_arg(self, delta) -> "Poly":
         """self(x + delta)."""
-        return self.compose(Poly([_as_fraction(delta), 1]))
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self / self.leading()
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        dq = len(rem) - len(den)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            if len(rem) < len(den) + k:
-                continue
-            c = rem[len(den) + k - 1] / den[-1]
-            quo[k] = c
-            if c:
-                for j, d in enumerate(den):
-                    rem[j + k] -= c * d
-        return Poly(quo), Poly(rem)
+        return self.compose(Poly([delta, 1]))
 
     def __repr__(self):
         if self.is_zero():
@@ -193,17 +157,33 @@ class Poly:
         return [format_fraction(c) for c in self.coeffs]
 
 
+def _set(p: Poly, num: list[int], den: int) -> Poly:
+    """Store num/den (den != 0) in p in canonical form: trailing zeros
+    stripped, the common factor and the sign of den divided out."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    object.__setattr__(p, "num", tuple(num))
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _of(num: list[int], den: int) -> Poly:
+    """The Poly num/den, built without the Fraction constructor."""
+    return _set(object.__new__(Poly), num, den)
+
+
 ZERO = Poly()
 ONE = Poly.const(1)
-X = Poly.x()
 
 
 def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def poly_shift(p: Poly) -> Poly:
@@ -212,19 +192,24 @@ def poly_shift(p: Poly) -> Poly:
 
 
 def poly_divide_exact(p: Poly, q: Poly) -> Poly:
-    """p / q, raising NonZeroRemainder unless the division is exact."""
-    quo, rem = p.divmod(q)
-    if not rem.is_zero():
-        raise NonZeroRemainder(f"{p!r} not divisible by {q!r}")
-    return quo
+    """p / q, raising NonZeroRemainder unless the division is exact.
+
+    q.num is c times a primitive g with c > 0; g divides p.num over Z
+    whenever q divides p over Q (Gauss's lemma).
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    g = _zprimitive(list(q.num))
+    return _of([a * q.den for a in _zquo(p.num, g)], p.den * (q.num[-1] // g[-1]))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over Q."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd: the primitive gcd of the numerators over its leading
+    coefficient; zero when both are zero."""
+    if p.is_zero() and q.is_zero():
+        return ZERO
+    g = _zgcd(list(p.num), list(q.num))
+    return _of(g, g[-1])
 
 
 def binomial_poly(p: Poly, k: int) -> Poly:
@@ -266,21 +251,8 @@ class RatFun:
             return self.num.coeffs[0] / self.den.coeffs[0]
         raise NotConstant(f"{self.num!r} / {self.den!r} is not constant")
 
-    def is_constant(self) -> bool:
-        try:
-            self.constant_value()
-            return True
-        except NotConstant:
-            return False
-
     def __repr__(self):
         return f"RatFun({self.num!r}, {self.den!r})"
-
-
-def _primitive_int_coeffs(p: Poly) -> list[int]:
-    """Integer coefficient list of p scaled by a positive rational."""
-    denls = lcm(*[c.denominator for c in p.coeffs]) if p.coeffs else 1
-    return _zprimitive([int(c * denls) for c in p.coeffs])
 
 
 @dataclass(frozen=True)
@@ -329,10 +301,25 @@ def _zderiv(f: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _zsub(f: list[int], g: list[int]) -> list[int]:
-    out = [a - b for a, b in zip(f, g)] + f[len(g):] + [-b for b in g[len(f):]]
+def _zadd(f, g) -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, b in enumerate(g):
+        out[i] += b
     while out and not out[-1]:
         out.pop()
+    return out
+
+
+def _zmul(f, g) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
     return out
 
 
@@ -394,8 +381,8 @@ def minpoly_2cos(L: int) -> tuple[int, ...]:
     k = len(phi) // 2
     out, prev, cur = [phi[k]], [2], [0, 1]
     for j in range(1, k + 1):
-        out = _zsub(out, [-phi[k + j] * c for c in cur])
-        prev, cur = cur, _zsub([0] + cur, prev)
+        out = _zadd(out, [phi[k + j] * c for c in cur])
+        prev, cur = cur, _zadd([0] + cur, [-c for c in prev])
     return tuple(out)
 
 
@@ -421,7 +408,7 @@ def _squarefree_factors(f: list[int]) -> list[tuple[list[int], int]]:
     w, y = _zquo(f, c), _zquo(df, c)
     i = 1
     while len(w) > 1:
-        z = _zsub(y, _zderiv(w))
+        z = _zadd(y, [-c for c in _zderiv(w)])
         a = _zgcd(w, z)
         if len(a) > 1:
             out.append((a, i))
@@ -546,13 +533,13 @@ def rational_roots(p: Poly) -> RootSet:
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    work = _primitive_int_coeffs(p)
+    prim = _zprimitive(list(p.num))
 
     # root 0 first: factor out x^k
     k0 = 0
-    while work[k0] == 0:
+    while prim[k0] == 0:
         k0 += 1
-    work = work[k0:]
+    work = prim[k0:]
     found: list[tuple[Fraction, int]] = [(Fraction(0), k0)] if k0 else []
 
     approx: list[float] = []
@@ -566,16 +553,15 @@ def rational_roots(p: Poly) -> RootSet:
                 approx.extend([r] * mult)
 
     found.sort(key=lambda t: t[0])
-    residual = Poly(work) if len(work) > 1 else None
 
     # exact audit: product of found factors times residual matches input
-    rebuilt = residual if residual is not None else ONE
+    rebuilt = work
     for r, mult in found:
         for _ in range(mult):
-            rebuilt = rebuilt * Poly([-r, 1])
-    scale = p.leading() / rebuilt.leading()
-    assert rebuilt * scale == p, "root extraction lost a factor"
+            rebuilt = _zmul(rebuilt, [-r.numerator, r.denominator])
+    assert rebuilt == prim, "root extraction lost a factor"
 
+    residual = _of(work, 1) if len(work) > 1 else None
     return RootSet(tuple(found), residual, tuple(sorted(approx)))
 
 

@@ -178,10 +178,15 @@ def iter_cliques(adj: list[int], k: int):
         yield from rec((), (1 << len(adj)) - 1, k)
 
 
-def colored_ground_set(systems: list[RootSystem], m: int) -> list[ColoredRoot]:
-    """Vertices of the m-colored complex, ordered (component, root, color)."""
+def check_color_count(m: int) -> None:
+    """Reject a negative color count; m = 0 is valid."""
     if m < 0:
         raise InputError("color count must be >= 0")
+
+
+def colored_ground_set(systems: list[RootSystem], m: int) -> list[ColoredRoot]:
+    """Vertices of the m-colored complex, ordered (component, root, color)."""
+    check_color_count(m)
     out = []
     for ci, rs in enumerate(systems):
         for rid in range(rs.n):

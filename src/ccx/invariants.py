@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
 from .diagram import CoxeterDiagram, SubsetLattice, classify, subset_lattice
 from .exactmath import (
@@ -23,6 +22,7 @@ from .exactmath import (
     NotConstant,
     Poly,
     RatFun,
+    _zprimitive,
     format_fraction,
     poly_divide_exact,
     rational_roots,
@@ -120,10 +120,8 @@ def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
     if roots.residual is None:
         return ExponentData(tuple(rationals), None)
     # map the residual to the exponent variable: mu = -(e+1)/h
-    transformed = roots.residual.compose(Poly([F(-1, h), F(-1, h)]))
-    ints = transformed * lcm(*[c.denominator for c in transformed.coeffs])
-    content = gcd(*[int(c) for c in ints.coeffs])
-    residual = ints / (content if ints.leading() > 0 else -content)
+    num = _zprimitive(list(roots.residual.compose(Poly([F(-1, h), F(-1, h)])).num))
+    residual = Poly(num if num[-1] > 0 else [-c for c in num])
     return ExponentData(tuple(rationals), residual, real_roots(residual))
 
 
@@ -581,9 +579,9 @@ def _method_json(res: MethodResult) -> dict:
 
 # The subset recursions walk up to 2^rank masks.  A rank limit does not
 # bound their work: the rank-12 star (one vertex joined to eleven) takes
-# over a minute, most of it in Fraction coefficient growth, while A14
-# takes seconds.  So the budget stays at 12 rather than growing with the
-# speed of A_r.
+# 56 s (Python 3.11, shared 2-vCPU host), four fifths of it in _zeval
+# refining irrational roots, while A14 takes seconds.  So the budget
+# stays at 12 rather than growing with the speed of A_r.
 RANK_BUDGET = 12
 
 

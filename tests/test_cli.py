@@ -195,6 +195,10 @@ def test_internal_check_failure_is_structured_exit_1(capsys, monkeypatch):
     [
         (["complex", "--type", "A2", "-m", "-1"],
          {"error": "domain-error", "message": "color count must be >= 0"}),
+        (["fvector", "--type", "A3", "-m", "-1"],
+         {"error": "domain-error", "message": "color count must be >= 0"}),
+        (["hvector", "--type", "A3", "-m", "-1"],
+         {"error": "domain-error", "message": "color count must be >= 0"}),
         (["dissect", "--family", "A", "-n", "0", "-m", "1"],
          {"error": "domain-error", "message": "need n >= 1 and m >= 1"}),
         (["dissect", "--family", "B", "-n", "1", "-m", "1"],

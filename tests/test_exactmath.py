@@ -194,6 +194,68 @@ def test_shift_agrees_pointwise(p, x):
     assert poly_shift(p)(x) == p(x - 1)
 
 
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    out = [F(0)] * n
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_add(out, ())
+
+
+def _ref_compose(a, b):
+    out = ()
+    for c in reversed(a):
+        out = _ref_add(_ref_mul(out, b), (c,))
+    return out
+
+
+@st.composite
+def built_polys(draw):
+    """Polys built by a random chain of sums, products, scalar divisions,
+    compositions and exact divisions, each paired with its coefficients
+    computed alongside on plain Fraction tuples."""
+    seeds = draw(st.lists(st.lists(small_fracs, max_size=4), min_size=1, max_size=3))
+    pool = [(Poly(cs), _ref_add(cs, ())) for cs in seeds]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        (p, a), (q, b) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        op = draw(st.sampled_from(["add", "mul", "div", "compose", "divide"]))
+        if op == "add":
+            pool.append((p + q, _ref_add(a, b)))
+        elif op == "mul":
+            pool.append((p * q, _ref_mul(a, b)))
+        elif op == "div":
+            s = draw(small_fracs.filter(bool))
+            pool.append((p / s, tuple(c / s for c in a)))
+        elif op == "compose" and p.degree * q.degree <= 12:
+            pool.append((p.compose(q), _ref_compose(a, b)))
+        elif op == "divide" and not q.is_zero():
+            pool.append((poly_divide_exact(p * q, q), a))
+    return pool
+
+
+@given(built_polys())
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_matches_fractions_in_canonical_form(pool):
+    for p, ref in pool:
+        assert p.coeffs == ref
+        assert p.den > 0 and gcd(p.den, *p.num) == 1
+        assert not p.num or p.num[-1] != 0
+        # equal values, equal fields: compare with the Poly built directly
+        twin = Poly(ref)
+        assert (p.num, p.den) == (twin.num, twin.den) and hash(p) == hash(twin)
+
+
 # rational roots p/q whose numerators and denominators carry primes above
 # 10^6, with multiplicities, times an irreducible quadratic
 PRIMES = (2, 3, 7, 1000003, 1000033, 2147483647)

@@ -17,10 +17,16 @@ Then each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
 sha256 of the JSON stdout of ``ccx complex --diagram <spec> -m <m>``,
 which carries the f-vector, the facet counts and both audits.
 
-Last, each (type, m) of ``facet_cases`` gets a ``facets`` line: the
+Then each (type, m) of ``facet_cases`` gets a ``facets`` line: the
 sha256 of ``ccx complex --type <type> -m <m> --facets``, whose vertex
 ``coords`` are the root coordinates rounded to 6 decimals, so these lines
 pin the root order and values of the non-simply-laced types.
+
+Last, each diagram of the fake catalog and each affine type gets a
+``stdout`` line: the sha256 of the full stdout of ``ccx invariants
+--diagram <spec>``, floats included, so these lines pin the last bit of
+the ``approx`` and ``exponents_approx`` values that the report lines
+leave out.
 
 Usage, from the root of a checkout (standard library only)::
 
@@ -144,6 +150,9 @@ def main() -> None:
     for name, m in facet_cases():
         text = cli_stdout(["complex", "--type", name, "-m", str(m), "--facets"])
         print(name, f"m={m}", "facets", hashlib.sha256(text.encode()).hexdigest())
+    for spec in [e["spec"] for e in FAKE_CATALOG] + affine_list():
+        text = cli_stdout(["invariants", "--diagram", spec])
+        print(spec, "stdout", hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":
