@@ -30,7 +30,7 @@ from .gcc import (
 from .invariants import METHOD_ALIASES, compute_all
 from .polygon import AmbiguousOrbit, TypeBModel, TypeDModel, noncrossing_graph, render_svg
 from .rootsys import LookupMiss, NotFiniteType
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 class DomainError(Exception):
@@ -126,10 +126,6 @@ def cmd_fvector(args) -> int:
     return 0
 
 
-def cmd_hvector(args) -> int:
-    return cmd_fvector(args)
-
-
 def cmd_dissect(args) -> int:
     n, m = args.n, args.m
     if args.family == "A":
@@ -203,7 +199,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = ["oracle", "models", "catalog"] if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(suites, args.max_rank, args.max_m)
     failed = 0
     for name, ok, detail in checks:
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rank", type=int, default=8)
     sp.add_argument("--max-m", type=int, default=3)
     sp.add_argument(
-        "--suite", default="all", choices=["oracle", "models", "catalog", "all"]
+        "--suite", default="all", choices=[*SUITES, "all"]
     )
     sp.set_defaults(func=cmd_verify)
     return p

@@ -1,5 +1,6 @@
-"""Coxeter diagrams: parsing, induced subdiagrams, the subset lattice,
-bipartition, classification and the data of the finite types.
+"""Coxeter diagrams: parsing, the named types, induced subdiagrams, the
+subset lattice, bipartition, classification and the data of the finite
+types.
 
 A diagram is a loopless undirected graph with integer edge labels >= 3;
 every absent pair implicitly carries label 2.  Vertices are integers in
@@ -7,6 +8,13 @@ declaration order, and induced subdiagrams keep their parent's ids so
 that vertex subsets work as memoization keys.  The recursions over
 induced subdiagrams run on ``SubsetLattice`` masks instead, and build
 no diagram objects.
+
+The constructors ``_named`` and ``_named_affine`` are the one
+description of each finite and affine type.  Classification is
+membership in the catalog they draw: a tree-shaped diagram is named by
+looking up its exact canonical key (``_tree_key``) among the keys of
+the named diagrams of its rank; the affine cycles ~A are the one shape
+checked directly.
 """
 
 from __future__ import annotations
@@ -485,6 +493,78 @@ def _finite(family: str, n: int, a: int | None = None) -> Classification:
     )
 
 
+_OPEN, _CLOSE = 0, 1  # run delimiters; every label token is >= 3
+
+
+def _tree_key(G: CoxeterDiagram) -> tuple[int, ...]:
+    """Exact isomorphism-invariant key of a connected diagram whose
+    skeleton is a tree: the AHU encoding rooted at its centre.
+
+    Leaves are stripped layer by layer until one or two centres remain.
+    Each stripped vertex becomes a flat run of tokens: open, its sorted
+    (label, child run) pairs, close; the run is handed to the one
+    neighbour still in the tree.  The key is the least run over the
+    centres.  Two trees have equal keys exactly when they are isomorphic
+    with their labels; neither recursion nor nesting grows with rank.
+    """
+    degree = {v: len(G.neighbors(v)) for v in G.vertices}
+    below: dict[int, list] = {v: [] for v in G.vertices}  # (label, run) pairs
+
+    def run(pairs) -> tuple[int, ...]:
+        # (label, run) pairs sort as their flat concatenations would
+        out = [_OPEN]
+        for lab, code in sorted(pairs):
+            out.append(lab)
+            out += code
+        out.append(_CLOSE)
+        return tuple(out)
+
+    layer = [v for v, d in degree.items() if d == 1]
+    while len(below) > 2:
+        nxt = []
+        for v in layer:
+            code = run(below.pop(v))
+            for w, lab in G.neighbors(v).items():
+                if w in below:
+                    below[w].append((lab, code))
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    if len(below) == 1:
+        return run(*below.values())
+    (a, pa), (b, pb) = below.items()
+    lab = G.label(a, b)
+    return min(run(pa + [(lab, run(pb))]), run(pb + [(lab, run(pa))]))
+
+
+@lru_cache(maxsize=None)
+def _catalog(n: int) -> dict[tuple[int, ...], Classification]:
+    """The finite and affine types of rank n >= 3 whose diagram is a
+    tree, keyed by ``_tree_key`` of the diagram their constructor draws.
+
+    Membership here is what it means to be of a named type.  The
+    constructors decide which types exist at rank n; where two draw the
+    same tree, the first name in family order A C B D E F G H wins, so
+    D3 reads as A3 and ~B2 as ~C2.  ~A is the cycle and has no key.
+    """
+    table: dict[tuple[int, ...], Classification] = {}
+    for letter in "ACBDEFGH":
+        for affine in (False, True):
+            try:
+                G = _named_affine(letter, n - 1) if affine else _named(letter, n)
+            except DiagramError:
+                continue
+            if len(G.labels) != n - 1:
+                continue
+            if affine:
+                cls = Classification("affine", f"~{letter}{n - 1}", n)
+            else:  # level data: A, B, D by letter, the others by full name
+                cls = _finite(letter if letter in "ABD" else f"{letter}{n}", n)
+            table.setdefault(_tree_key(G), cls)
+    return table
+
+
 def _classify_connected(G: CoxeterDiagram) -> Classification:
     n = G.rank
     if n == 0:
@@ -493,126 +573,15 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
         return _finite("A", 1)
     if n == 2:
         return _finite("I2", 2, G.label(*G.vertices))
-
-    edges = G.edges()
-    high = [(i, j, lab) for i, j, lab in edges if lab >= 4]
-    degrees = {v: len(G.neighbors(v)) for v in G.vertices}
-    has_cycle = len(edges) >= n  # skeleton of a connected diagram
-
-    if has_cycle:
-        is_plain_cycle = len(edges) == n and all(d == 2 for d in degrees.values())
-        if is_plain_cycle and not high:
+    if len(G.labels) >= n:  # the skeleton has a cycle
+        plain_cycle = len(G.labels) == n and all(
+            len(G.neighbors(v)) == 2 for v in G.vertices
+        )
+        if plain_cycle and all(lab == 3 for lab in G.labels.values()):
             return Classification("affine", f"~A{n - 1}", n)
         return Classification("other-infinite", None, n)
-
-    # tree cases from here on
-    leaves = [v for v, d in degrees.items() if d == 1]
-    branch3 = [v for v, d in degrees.items() if d == 3]
-    branch_big = [v for v, d in degrees.items() if d >= 4]
-    is_path = not branch3 and not branch_big
-
-    def path_label_seq() -> list[int]:
-        end = min(leaves)
-        seq, prev, cur = [], None, end
-        while True:
-            nbrs = [(w, lab) for w, lab in G.neighbors(cur).items() if w != prev]
-            if not nbrs:
-                return seq
-            (w, lab) = nbrs[0]
-            seq.append(lab)
-            prev, cur = cur, w
-
-    if any(lab >= 7 for _, _, lab in high):
-        return Classification("other-infinite", None, n)
-
-    if not high:  # simply laced tree
-        if is_path:
-            return _finite("A", n)
-        if branch_big:
-            if len(branch_big) == 1 and degrees[branch_big[0]] == 4 and n == 5:
-                return Classification("affine", "~D4", n)
-            return Classification("other-infinite", None, n)
-        if len(branch3) == 1:
-            arms = tuple(sorted(_arm_lengths(G, branch3[0]), reverse=True))
-            if arms[1:] == (1, 1):
-                return _finite("D", n)
-            name = {(2, 2, 1): "E6", (3, 2, 1): "E7", (4, 2, 1): "E8",
-                    (2, 2, 2): "~E6", (3, 3, 1): "~E7", (5, 2, 1): "~E8"}.get(arms)
-            if name is None:
-                return Classification("other-infinite", None, n)
-            return Classification("affine", name, n) if name[0] == "~" else _finite(name, n)
-        if len(branch3) == 2:
-            arm_sets = [sorted(_arm_lengths(G, b))[:2] for b in branch3]
-            if all(a == [1, 1] for a in arm_sets):
-                return Classification("affine", f"~D{n - 1}", n)
-        return Classification("other-infinite", None, n)
-
-    if len(high) == 1 and high[0][2] == 4:
-        (hi, hj, _) = high[0]
-        if is_path:
-            seq = path_label_seq()
-            if seq[0] == 4 or seq[-1] == 4:
-                return _finite("B", n)
-            if n == 4 and seq == [3, 4, 3]:
-                return _finite("F4", 4)
-            if n == 5 and seq in ([3, 3, 4, 3], [3, 4, 3, 3]):
-                return Classification("affine", "~F4", n)
-            return Classification("other-infinite", None, n)
-        if len(branch3) == 1 and not branch_big:
-            hub = branch3[0]
-            arms = tuple(sorted(_arm_lengths(G, hub), reverse=True))
-            leaf_end = hi if degrees[hi] == 1 else (hj if degrees[hj] == 1 else None)
-            if arms[1:] == (1, 1) and leaf_end is not None:
-                if _dist(G, hub, leaf_end) == arms[0]:
-                    return Classification("affine", f"~B{n - 1}", n)
-        return Classification("other-infinite", None, n)
-
-    if len(high) == 1 and high[0][2] == 5:
-        if is_path:
-            seq = path_label_seq()
-            if seq[0] == 5 or seq[-1] == 5:
-                if n in (3, 4):
-                    return _finite(f"H{n}", n)
-        return Classification("other-infinite", None, n)
-
-    if len(high) == 1 and high[0][2] == 6:
-        if is_path and n == 3:
-            return Classification("affine", "~G2", n)
-        return Classification("other-infinite", None, n)
-
-    if len(high) == 2 and all(lab == 4 for _, _, lab in high) and is_path:
-        seq = path_label_seq()
-        if seq[0] == 4 and seq[-1] == 4 and all(l == 3 for l in seq[1:-1]):
-            return Classification("affine", f"~C{n - 1}", n)
-    return Classification("other-infinite", None, n)
-
-
-def _dist(G: CoxeterDiagram, u: int, v: int) -> int:
-    seen = {u: 0}
-    queue = [u]
-    while queue:
-        w = queue.pop(0)
-        if w == v:
-            return seen[w]
-        for x in G.neighbors(w):
-            if x not in seen:
-                seen[x] = seen[w] + 1
-                queue.append(x)
-    raise DiagramError("vertices in different components")
-
-
-def _arm_lengths(G: CoxeterDiagram, hub: int) -> list[int]:
-    out = []
-    for start in G.neighbors(hub):
-        length, prev, cur = 1, hub, start
-        while True:
-            nxt = [w for w in G.neighbors(cur) if w != prev]
-            if len(nxt) != 1:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        out.append(length)
-    return out
+    named = _catalog(n).get(_tree_key(G))
+    return named if named is not None else Classification("other-infinite", None, n)
 
 
 def classify(G: CoxeterDiagram) -> Classification:

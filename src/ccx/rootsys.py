@@ -133,9 +133,6 @@ class RootSystem:
                 return rid
         raise LookupMiss(f"no root with coordinates {list(coords)}")
 
-    def neg_simple_id(self, vertex: int) -> int:
-        return self.vertex_index[vertex]
-
     def is_negative(self, rid: int) -> bool:
         return rid < self.n
 

@@ -8,6 +8,7 @@ command line and the test suite share one implementation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .diagram import parse_diagram, classify
 from .formulas import (
@@ -20,7 +21,7 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import build_complex, clique_counts, link_decomposition_check
+from .gcc import CliqueComplex, build_complex, clique_counts, link_decomposition_check
 from .invariants import compute_all
 from .polygon import (
     TypeAModel,
@@ -29,7 +30,6 @@ from .polygon import (
     noncrossing_graph,
     rotate_diag,
 )
-from .gcc import m_compatible, rotate_colored
 from .tables import M_VALUES
 
 F = Fraction
@@ -158,62 +158,45 @@ def suite_oracle(max_rank: int = 5, max_m: int = 3) -> list[Check]:
 
 
 def _model_audit(model, label: str, checks: list[Check]):
-    gs = model.ground_set()
-    mismatches = 0
-    for a in range(len(gs)):
-        for b in range(a + 1, len(gs)):
-            root_side = m_compatible(model.rs, gs[a], gs[b])
-            if root_side != model.model_compatible(gs[a], gs[b]):
-                mismatches += 1
+    """The colored complex of ``model.rs`` against the polygon model under
+    its bijection (``to_diagonal`` for type A, ``to_vertex`` for B and D):
+    the same adjacency, and the colored rotation as the model's."""
+    if isinstance(model, TypeAModel):
+        items, adj = noncrossing_graph(model.n, model.m)
+        to_model = model.to_diagonal
+        rotate = partial(rotate_diag, N=model.N)
+    else:
+        items, adj, to_model = model.vertices, model.adj, model.to_vertex
+        rotate = model.rotate_vertex
+    cx = CliqueComplex([model.rs], model.m)
+    index = {x: i for i, x in enumerate(items)}
+    image = [index[to_model[v]] for v in cx.vertices]
+    pulled = [sum(1 << b for b, j in enumerate(image) if adj[i] >> j & 1) for i in image]
+    mismatches = sum((x ^ y).bit_count() for x, y in zip(cx.adj, pulled)) // 2
     checks.append(
         _check(f"model-iso {label}", mismatches == 0, f"{mismatches} pair mismatches")
     )
     rot_ok = all(
-        model.to_vertex[rotate_colored(model.rs, v, model.m)]
-        == model.rotate_vertex(model.to_vertex[v])
-        for v in gs
+        image[cx.rotate_vertex(a)] == index[rotate(items[i])]
+        for a, i in enumerate(image)
     )
     checks.append(_check(f"model-rotation {label}", rot_ok))
 
 
 def suite_models(max_rank: int = 4, max_m: int = 3) -> list[Check]:
     checks: list[Check] = []
-    for n in range(2, 5):
-        if n > max_rank:
-            continue
-        for m in (1, 2):
-            if m > max_m:
+    for model_cls, family, ranks in (
+        (TypeAModel, "A", (2, 3, 4)),
+        (TypeBModel, "B", (2, 3)),
+        (TypeDModel, "D", (3, 4)),
+    ):
+        for n in ranks:
+            if n > max_rank:
                 continue
-            model = TypeAModel(n, m)
-            gs = model.ground_set()
-            mismatches = sum(
-                1
-                for a in range(len(gs))
-                for b in range(a + 1, len(gs))
-                if m_compatible(model.rs, gs[a], gs[b])
-                != model.compatible(gs[a], gs[b])
-            )
-            checks.append(_check(f"model-iso A{n} m={m}", mismatches == 0))
-            rot_ok = all(
-                model.to_diagonal[rotate_colored(model.rs, v, m)]
-                == rotate_diag(model.to_diagonal[v], model.N)
-                for v in gs
-            )
-            checks.append(_check(f"model-rotation A{n} m={m}", rot_ok))
-    for n in (2, 3):
-        if n > max_rank:
-            continue
-        for m in (1, 2):
-            if m > max_m:
-                continue
-            _model_audit(TypeBModel(n, m), f"B{n} m={m}", checks)
-    for n in (3, 4):
-        if n > max_rank:
-            continue
-        for m in (1, 2):
-            if m > max_m:
-                continue
-            _model_audit(TypeDModel(n, m), f"D{n} m={m}", checks)
+            for m in (1, 2):
+                if m > max_m:
+                    continue
+                _model_audit(model_cls(n, m), f"{family}{n} m={m}", checks)
     # dissection counts
     for n in range(1, min(4, max_rank) + 1):
         for m in range(1, min(3, max_m) + 1):
@@ -425,12 +408,7 @@ SUITES = {
 def run_suites(names, max_rank: int, max_m: int) -> list[Check]:
     out: list[Check] = []
     for name in names:
-        if name == "oracle":
-            out.extend(suite_oracle(max_rank, max_m))
-        elif name == "models":
-            out.extend(suite_models(min(max_rank, 4), max_m))
-        elif name == "catalog":
-            out.extend(suite_catalog(max_rank, max_m))
-        else:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        out.extend(SUITES[name](max_rank, max_m))
     return out

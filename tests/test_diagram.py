@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -184,7 +184,7 @@ def test_classify_agrees_with_named_constructors(name, h):
 
 
 @pytest.mark.parametrize(
-    "name", ["~A2", "~A5", "~B3", "~B5", "~C2", "~C4", "~D4", "~D6", "~E6", "~E7", "~E8", "~F4", "~G2"]
+    "name", ["~A2", "~A5", "~B2", "~B3", "~B5", "~C2", "~C4", "~D4", "~D6", "~E6", "~E7", "~E8", "~F4", "~G2"]
 )
 def test_classify_affine_names(name):
     cls = classify(parse_diagram(name))
@@ -240,3 +240,105 @@ def test_subset_lattice_matches_reference_helpers(G, data):
             list(sub.vertices) for _, sub in codim1_subdiagrams(D)
         ]
         assert list(lat.submasks(mask)) == [s for s in range(lat.full + 1) if s & mask == s]
+
+
+def _relabel(G: CoxeterDiagram, perm, order) -> CoxeterDiagram:
+    """G with vertex G.vertices[k] renamed perm[k], declared in ``order``."""
+    f = dict(zip(G.vertices, perm))
+    return CoxeterDiagram(order, {(f[i], f[j]): lab for (i, j), lab in G.labels.items()})
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    [
+        # two branch vertices whose short arms are not both leaves: the
+        # adjacency eigenvalue exceeds 2, so neither tree is affine
+        ("n=7; 1-2:3 2-3:3 2-4:3 4-5:3 5-6:3 4-7:3", None),
+        ("n=8; 1-6:3 1-7:3 2-3:3 2-4:3 2-6:3 5-6:3 7-8:3", None),
+        # named trees with their vertex ids reversed
+        ("n=7; 7-5:3 6-5:3 5-4:3 4-3:3 3-2:3 3-1:3", "~D6"),
+        ("n=8; 8-6:3 7-6:3 6-5:3 5-4:3 4-3:3 3-2:3 3-1:3", "~D7"),
+        ("n=4; 1-2:4 2-3:3 3-4:3", "B4"),
+        ("n=7; 7-5:3 6-4:3 5-4:3 4-3:3 3-2:3 2-1:3", "E7"),
+    ],
+)
+def test_classify_tree_shapes(spec, name):
+    cls = classify(parse_diagram(spec))
+    assert cls.type_name == name
+    if name is None:
+        assert cls.kind == "other-infinite"
+
+
+@pytest.mark.parametrize("name", ["A1000", "B1000", "~D1000"])
+def test_classify_rank_1000(name):
+    assert classify(parse_diagram(name)).type_name == name
+
+
+# every named constructor up to rank 12; D3 is drawn as A3 and ~B2 as ~C2
+NAMED = (
+    [f"{f}{n}" for f in "ABD" for n in range(3, 13)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"~{f}{n}" for f in "ABC" for n in range(2, 12)]
+    + [f"~D{n}" for n in range(4, 12)]
+    + ["~E6", "~E7", "~E8", "~F4", "~G2"]
+)
+ALIASES = {"D3": "A3", "~B2": "~C2"}
+
+
+@given(st.sampled_from(NAMED), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_named_constructors_keep_their_names_after_relabelling(spec, rng):
+    G = parse_diagram(spec)
+    perm = rng.sample(range(1, 2 * G.rank + 1), G.rank)
+    order = rng.sample(perm, G.rank)
+    cls = classify(_relabel(G, perm, order))
+    assert cls.kind == ("affine" if spec[0] == "~" else "finite")
+    assert cls.type_name == ALIASES.get(spec, spec)
+    assert cls == classify(G)
+
+
+def _isomorphic(G: CoxeterDiagram, H: CoxeterDiagram) -> bool:
+    """Brute force: some bijection of the vertices carries G's labelled
+    edges onto H's."""
+    if sorted(G.labels.values()) != sorted(H.labels.values()):
+        return False
+    if sorted(map(len, map(G.neighbors, G.vertices))) != sorted(
+        map(len, map(H.neighbors, H.vertices))
+    ):
+        return False
+    for perm in permutations(H.vertices):
+        f = dict(zip(G.vertices, perm))
+        if all(H.label(f[i], f[j]) == lab for (i, j), lab in G.labels.items()):
+            return True
+    return False
+
+
+# the named trees of ranks 3-7, one name per diagram
+NAMED_TREES: dict[int, list[tuple[str, CoxeterDiagram]]] = {}
+for _name in NAMED:
+    _G = parse_diagram(_name)
+    if _name not in ALIASES and _G.rank <= 7 and len(_G.labels) == _G.rank - 1:
+        NAMED_TREES.setdefault(_G.rank, []).append((_name, _G))
+
+
+@st.composite
+def labelled_trees(draw):
+    """A random tree on 3-7 vertices with random vertex ids; at most two
+    edges carry a label 4-7, the others 3, so named trees come up often."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    ids = draw(st.permutations(range(1, n + 1)))
+    edges = [(ids[draw(st.integers(min_value=0, max_value=v - 1))], ids[v]) for v in range(1, n)]
+    labels = dict.fromkeys(edges, 3)
+    for e in draw(st.lists(st.sampled_from(edges), max_size=2)):
+        labels[e] = draw(st.integers(min_value=4, max_value=7))
+    return CoxeterDiagram(range(1, n + 1), labels)
+
+
+@given(labelled_trees())
+@settings(max_examples=150, deadline=None)
+def test_tree_is_named_exactly_when_isomorphic_to_a_named_diagram(G):
+    matches = {name for name, H in NAMED_TREES[G.rank] if _isomorphic(G, H)}
+    cls = classify(G)
+    assert matches == ({cls.type_name} if cls.type_name else set())
+    if not matches:
+        assert cls.kind == "other-infinite"
