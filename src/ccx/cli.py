@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .diagram import CoxeterDiagram, InputError, classify, parse_diagram
+from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, parse_diagram
 from .formulas import (
     f_k_closed,
     f_polys_recursive,
@@ -23,6 +23,7 @@ from .gcc import (
     BudgetExceeded,
     build_complex,
     check_color_count,
+    check_face_budget,
     clique_counts,
     enumeration_budget,
     iter_cliques,
@@ -64,10 +65,7 @@ def cmd_complex(args) -> int:
         budget = enumeration_budget()
     except InputError as e:
         raise DomainError("usage", str(e))
-    try:
-        cx = build_complex(G, args.m, budget)
-    except BudgetExceeded as e:
-        raise DomainError("budget", str(e))
+    cx = build_complex(G, args.m, budget)
     fv = cx.f_vector()
     payload = {
         "diagram": G.to_spec(),
@@ -128,6 +126,8 @@ def cmd_fvector(args) -> int:
 
 def cmd_dissect(args) -> int:
     n, m = args.n, args.m
+    if n >= 1 and m >= 1:  # otherwise the model rejects the parameters
+        check_face_budget([TypeInfo(args.family, n)], m)
     if args.family == "A":
         N = (n + 1) * m + 2
         diags, adj = noncrossing_graph(n, m)
@@ -276,6 +276,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as e:
         kind, message = e.kind, str(e)
+    except BudgetExceeded as e:
+        kind, message = "budget", str(e)
     except InputError as e:
         kind = "not-finite-type" if isinstance(e, NotFiniteType) else "domain-error"
         message = str(e)

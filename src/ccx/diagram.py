@@ -1,20 +1,21 @@
-"""Coxeter diagrams: parsing, the named types, induced subdiagrams, the
-subset lattice, bipartition, classification and the data of the finite
-types.
+"""Coxeter diagrams: parsing, the named types, induced subdiagrams,
+canonical keys, the subset lattice, bipartition, classification and the
+data of the finite types.
 
 A diagram is a loopless undirected graph with integer edge labels >= 3;
 every absent pair implicitly carries label 2.  Vertices are integers in
 declaration order, and induced subdiagrams keep their parent's ids so
 that vertex subsets work as memoization keys.  The recursions over
-induced subdiagrams run on ``SubsetLattice`` masks instead, and build
-no diagram objects.
+induced subdiagrams run on ``SubsetLattice`` masks instead, build no
+diagram objects, and share their work between masks whose subdiagrams
+are isomorphic: the lattice keys each mask by its isomorphism class.
 
 The constructors ``_named`` and ``_named_affine`` are the one
 description of each finite and affine type.  Classification is
 membership in the catalog they draw: a tree-shaped diagram is named by
-looking up its exact canonical key (``_tree_key``) among the keys of
-the named diagrams of its rank; the affine cycles ~A are the one shape
-checked directly.
+looking up its exact canonical key (``_tree_key``, which the lattice
+keys share) among the keys of the named diagrams of its rank; the
+affine cycles ~A are the one shape checked directly.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def parse_diagram(text: str) -> CoxeterDiagram:
 
 
 # ---------------------------------------------------------------------------
-# subdiagrams and bipartition
+# subdiagrams
 
 
 def induced_subdiagram(G: CoxeterDiagram, S) -> CoxeterDiagram:
@@ -323,17 +324,180 @@ def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
     return comps
 
 
+# ---------------------------------------------------------------------------
+# canonical keys: equal exactly when the labelled diagrams are isomorphic
+
+
+_OPEN, _CLOSE = 0, 1  # run delimiters; every label token is >= 3
+
+
+def _tree_key(adj: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """Exact isomorphism-invariant key of a connected diagram whose
+    skeleton is a tree, given as its adjacency: each vertex maps to its
+    neighbours and their labels.  The key is the AHU encoding rooted at
+    the centre.
+
+    Leaves are stripped layer by layer until one or two centres remain.
+    Each stripped vertex becomes a flat run of tokens: open, its sorted
+    (label, child run) pairs, close; the run is handed to the one
+    neighbour still in the tree.  The key is the least run over the
+    centres.  Two trees have equal keys exactly when they are isomorphic
+    with their labels; neither recursion nor nesting grows with rank.
+    """
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    below: dict[int, list] = {v: [] for v in adj}  # (label, run) pairs
+
+    def run(pairs) -> tuple[int, ...]:
+        # (label, run) pairs sort as their flat concatenations would
+        out = [_OPEN]
+        for lab, code in sorted(pairs):
+            out.append(lab)
+            out += code
+        out.append(_CLOSE)
+        return tuple(out)
+
+    layer = [v for v, d in degree.items() if d == 1]
+    while len(below) > 2:
+        nxt = []
+        for v in layer:
+            code = run(below.pop(v))
+            for w, lab in adj[v].items():
+                if w in below:
+                    below[w].append((lab, code))
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    if len(below) == 1:
+        return run(*below.values())
+    (a, pa), (b, pb) = below.items()
+    lab = adj[a][b]
+    return min(run(pa + [(lab, run(pb))]), run(pb + [(lab, run(pa))]))
+
+
+def _refine(nbrs: list[list[tuple[int, int]]], colour: list[int]) -> list[int]:
+    """Label-aware colour refinement to the coarsest stable colouring
+    below ``colour``.
+
+    A round gives each vertex the signature (its colour, the sorted
+    (label, colour) pairs of its neighbours) and recolours by the rank
+    of the signature among all of them.  A signature starts with the old
+    colour, so cells split in place and keep their order; colours are
+    ranks of values, never of vertex numbers, so the result is
+    equivariant: relabelling the vertices relabels the colouring.
+    """
+    count = len(set(colour))
+    while True:
+        sigs = [
+            (colour[v], tuple(sorted((lab, colour[w]) for w, lab in pairs)))
+            for v, pairs in enumerate(nbrs)
+        ]
+        rank = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
+        colour = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+
+
+def _certificate(rows: list[list[int]], order: list[int]) -> tuple[int, ...]:
+    """The label matrix above the diagonal, vertices in ``order``: the
+    certificate of a search leaf."""
+    return tuple(rows[a][b] for i, a in enumerate(order) for b in order[i + 1:])
+
+
+def _twin_classes(rows: list[list[int]]) -> list[int]:
+    """A class number per vertex: u and v share one when they carry the
+    same label to every other vertex.  Such twins carry one label l to
+    each other, and their rows agree once both diagonals read l."""
+    n = len(rows)
+    twin = list(range(n))
+    for lab in {x for row in rows for x in row}:
+        first: dict[tuple[int, ...], int] = {}
+        for v, row in enumerate(rows):
+            rep = first.setdefault((*row[:v], lab, *row[v + 1:]), v)
+            if rep != v:
+                twin[v] = twin[rep]
+    return twin
+
+
+def _graph_key(adj: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """Exact isomorphism-invariant key of a diagram, given as its
+    adjacency; used for the connected ones whose skeleton has a cycle.
+
+    Refinement plus individualisation (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): refine to a stable colouring.  While a cell
+    holds more than one twin class (``_twin_classes``), take the first
+    such cell and branch once per twin class in it: the class's vertices
+    get colours of their own, first in the cell, and the colouring is
+    refined again.  A leaf is a colouring whose every cell is one twin
+    class; its ``_certificate`` takes the vertices by colour, twins in
+    any order, and the key is the least certificate over the leaves.
+
+    Twins are exchanged by automorphisms that fix every other vertex,
+    and refinement never separates them, so the order chosen inside a
+    twin class changes no certificate, and giving a class's vertices
+    colours of their own splits no other cell.  Hence the leaves of two
+    isomorphic diagrams correspond with equal certificates, and the
+    least ones agree; equal certificates are one labelled diagram, so
+    the key is exact.  Complete and complete bipartite diagrams take one
+    or two leaves instead of a factorial number.
+    """
+    pos = {v: i for i, v in enumerate(adj)}
+    n = len(pos)
+    nbrs = [[(pos[w], lab) for w, lab in adj[v].items()] for v in adj]
+    rows = [[2] * n for _ in range(n)]
+    for v, pairs in enumerate(nbrs):
+        for w, lab in pairs:
+            rows[v][w] = lab
+    twin = _twin_classes(rows)
+    best = None
+    stack = [_refine(nbrs, [0] * n)]
+    while stack:
+        colour = stack.pop()
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        split = [vs for vs in cells.values() if len({twin[v] for v in vs}) > 1]
+        if not split:
+            cert = _certificate(rows, sorted(range(n), key=colour.__getitem__))
+            if best is None or cert < best:
+                best = cert
+            continue
+        branches: dict[int, list[int]] = {}
+        for v in min(split, key=lambda vs: colour[vs[0]]):
+            branches.setdefault(twin[v], []).append(v)
+        for group in branches.values():
+            # the group's vertices first in their cell, in any order
+            place = {v: k for k, v in enumerate(group)}
+            keys = [(c, place.get(v, n)) for v, c in enumerate(colour)]
+            rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+            stack.append(_refine(nbrs, [rank[k] for k in keys]))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# the subset lattice and bipartition
+
+
 class SubsetLattice:
     """The induced subdiagrams of one diagram as int masks.
 
     Bit i stands for ``G.vertices[i]``, so masks compare in the order of
     the vertex lists of the subdiagrams they name.  Components are
-    memoized per mask.  ``fpolys`` is the face-polynomial store of
-    ``formulas.face_polys``, shared by every caller of the lattice.
+    memoized per mask.
+
+    ``key(mask)`` is the isomorphism class of the labelled subdiagram of
+    a mask, as a small int: two masks of one lattice get the same key
+    exactly when their induced subdiagrams are isomorphic with their
+    labels.  The invariant recursions compute a function of the
+    subdiagram alone, so they memoize by key and visit one mask of each
+    class.  ``fpolys`` is the face-polynomial store of
+    ``formulas.face_polys``, shared by every caller of the lattice and
+    keyed by class as well.
     """
 
     __slots__ = ("diagram", "rank", "full", "nbr", "_labels", "_components", "_connected",
-                 "fpolys")
+                 "_keys", "_classes", "fpolys")
 
     def __init__(self, G: CoxeterDiagram):
         self.diagram = G
@@ -348,6 +512,8 @@ class SubsetLattice:
             self._labels[bit[i] | bit[j]] = lab
         self._components: dict[int, tuple[int, ...]] = {}
         self._connected: tuple[int, ...] | None = None
+        self._keys: dict[int, int] = {}
+        self._classes: dict[tuple, int] = {}  # canonical form -> key
         self.fpolys: dict = {}
 
     def vertices(self, mask: int) -> list[int]:
@@ -385,6 +551,43 @@ class SubsetLattice:
                 key=int.bit_count,
             ))
         return self._connected
+
+    def key(self, mask: int) -> int:
+        """The isomorphism class of the subdiagram of mask, memoized.
+
+        The canonical form behind the key: for a disconnected or empty
+        mask, the sorted keys of its components; for a connected tree,
+        ``_tree_key``; for a connected mask with a cycle, ``_graph_key``.
+        Each form is numbered the first time the lattice meets it.
+        """
+        out = self._keys.get(mask)
+        if out is None:
+            comps = self.components(mask)
+            if len(comps) != 1:
+                form = ("union", *sorted(map(self.key, comps)))
+            else:
+                adj = self._adjacency(mask)
+                if sum(map(len, adj.values())) == 2 * (len(adj) - 1):
+                    form = ("tree", _tree_key(adj))
+                else:
+                    form = ("cycle", _graph_key(adj))
+            out = self._keys[mask] = self._classes.setdefault(form, len(self._classes))
+        return out
+
+    def _adjacency(self, mask: int) -> dict[int, dict[int, int]]:
+        """Each bit of mask: its neighbours in mask, with their labels."""
+        adj = {}
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nbrs = adj[low.bit_length() - 1] = {}
+            others = self.nbr[low.bit_length() - 1] & mask
+            while others:
+                b = others & -others
+                others ^= b
+                nbrs[b.bit_length() - 1] = self._labels[low | b]
+        return adj
 
     def codim1(self, mask: int) -> list[int]:
         """The masks with one vertex removed, lowest removed bit first."""
@@ -493,51 +696,6 @@ def _finite(family: str, n: int, a: int | None = None) -> Classification:
     )
 
 
-_OPEN, _CLOSE = 0, 1  # run delimiters; every label token is >= 3
-
-
-def _tree_key(G: CoxeterDiagram) -> tuple[int, ...]:
-    """Exact isomorphism-invariant key of a connected diagram whose
-    skeleton is a tree: the AHU encoding rooted at its centre.
-
-    Leaves are stripped layer by layer until one or two centres remain.
-    Each stripped vertex becomes a flat run of tokens: open, its sorted
-    (label, child run) pairs, close; the run is handed to the one
-    neighbour still in the tree.  The key is the least run over the
-    centres.  Two trees have equal keys exactly when they are isomorphic
-    with their labels; neither recursion nor nesting grows with rank.
-    """
-    degree = {v: len(G.neighbors(v)) for v in G.vertices}
-    below: dict[int, list] = {v: [] for v in G.vertices}  # (label, run) pairs
-
-    def run(pairs) -> tuple[int, ...]:
-        # (label, run) pairs sort as their flat concatenations would
-        out = [_OPEN]
-        for lab, code in sorted(pairs):
-            out.append(lab)
-            out += code
-        out.append(_CLOSE)
-        return tuple(out)
-
-    layer = [v for v, d in degree.items() if d == 1]
-    while len(below) > 2:
-        nxt = []
-        for v in layer:
-            code = run(below.pop(v))
-            for w, lab in G.neighbors(v).items():
-                if w in below:
-                    below[w].append((lab, code))
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    if len(below) == 1:
-        return run(*below.values())
-    (a, pa), (b, pb) = below.items()
-    lab = G.label(a, b)
-    return min(run(pa + [(lab, run(pb))]), run(pb + [(lab, run(pa))]))
-
-
 @lru_cache(maxsize=None)
 def _catalog(n: int) -> dict[tuple[int, ...], Classification]:
     """The finite and affine types of rank n >= 3 whose diagram is a
@@ -561,7 +719,7 @@ def _catalog(n: int) -> dict[tuple[int, ...], Classification]:
                 cls = Classification("affine", f"~{letter}{n - 1}", n)
             else:  # level data: A, B, D by letter, the others by full name
                 cls = _finite(letter if letter in "ABD" else f"{letter}{n}", n)
-            table.setdefault(_tree_key(G), cls)
+            table.setdefault(_tree_key(G._adj), cls)
     return table
 
 
@@ -580,7 +738,7 @@ def _classify_connected(G: CoxeterDiagram) -> Classification:
         if plain_cycle and all(lab == 3 for lab in G.labels.values()):
             return Classification("affine", f"~A{n - 1}", n)
         return Classification("other-infinite", None, n)
-    named = _catalog(n).get(_tree_key(G))
+    named = _catalog(n).get(_tree_key(G._adj))
     return named if named is not None else Classification("other-infinite", None, n)
 
 

@@ -35,7 +35,9 @@ def f_polys_recursive(G: CoxeterDiagram, h_of=classified_h) -> list[Poly]:
     recurrence, convolving over components when a deletion disconnects.
 
     ``h_of`` supplies the Coxeter number of each connected induced
-    subdiagram; the default reads it off the classification.
+    subdiagram; the default reads it off the classification.  It must
+    be an isomorphism invariant, since it is asked once per class of
+    isomorphic subdiagrams (see ``face_polys``).
     """
     lat = subset_lattice(G)
     fp = face_polys(lat, lambda mask, sums: h_of(induced_subdiagram(G, lat.vertices(mask))))
@@ -44,30 +46,35 @@ def f_polys_recursive(G: CoxeterDiagram, h_of=classified_h) -> list[Poly]:
 
 def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
     """The vertex-deletion recurrence: a function giving, for a mask of
-    rank r, its face polynomials f_0..f_r, memoized per mask.
+    rank r, its face polynomials f_0..f_r, memoized per isomorphism
+    class (``lat.key``).
 
     On a connected mask of rank >= 3, f_k = (hm + 2)/(2k) * sums[k-1],
     where sums[j] is the sum of f_j over the masks with one vertex
-    removed and ``h_of(mask, sums)`` gives h (it may raise).  Ranks one
-    and two are postulated; a disconnected mask convolves its lowest
-    component with the rest.
+    removed and ``h_of(mask, sums)`` gives h (it may raise).  ``h_of``
+    must be an isomorphism invariant: it is asked about one mask of each
+    class and its answer serves them all.  Ranks one and two are
+    postulated; a disconnected mask convolves the component of least
+    key with the rest.
 
     Results live in ``lat.fpolys`` for the life of the lattice, keyed
-    by the mask, h and the ids of the stored sub-results they were built
+    by class, h and the ids of the stored sub-results they were built
     from: callers whose h agree on a subdiagram share its polynomials.
     """
     store = lat.fpolys
     seen: dict[int, tuple[Poly, ...]] = {}
 
     def walk(mask: int) -> tuple[Poly, ...]:
-        out = seen.get(mask)
+        cls = lat.key(mask)
+        out = seen.get(cls)
         if out is not None:
             return out
         comps = lat.components(mask)
         r = mask.bit_count()
         if len(comps) > 1:
-            low, rest = walk(comps[0]), walk(mask ^ comps[0])
-            key = (mask, id(low), id(rest))
+            first = min(comps, key=lat.key)
+            low, rest = walk(first), walk(mask ^ first)
+            key = (cls, id(low), id(rest))
             out = store.get(key)
             if out is None:
                 acc = [Poly()] * (len(low) + len(rest) - 1)
@@ -76,29 +83,29 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
                         acc[i + j] = acc[i + j] + p * q
                 out = store[key] = tuple(acc)
         elif r <= 2:
-            out = store.get((mask,))
+            out = store.get((cls,))
             if out is None:
                 base = [Poly([1]), Poly([1, 1])]
                 if r == 2:
                     f1 = Poly([2, lat.label(mask)])
                     base = [Poly([1]), f1, f1 * Poly([1, 1]) / 2]
-                out = store[(mask,)] = tuple(base[: r + 1])
+                out = store[(cls,)] = tuple(base[: r + 1])
         else:
             subs = [walk(sub) for sub in lat.codim1(mask)]
-            ids = tuple(map(id, subs))
-            sums = store.get((mask, ids))
+            ids = tuple(sorted(map(id, subs)))
+            sums = store.get((cls, ids))
             if sums is None:
-                sums = store[(mask, ids)] = tuple(
+                sums = store[(cls, ids)] = tuple(
                     sum((fs[j] for fs in subs), Poly()) for j in range(r)
                 )
             h = Fraction(h_of(mask, sums))
-            out = store.get((mask, h, ids))
+            out = store.get((cls, h, ids))
             if out is None:
                 prefactor = Poly([2, h])  # mh + 2
-                out = store[(mask, h, ids)] = (Poly([1]),) + tuple(
+                out = store[(cls, h, ids)] = (Poly([1]),) + tuple(
                     prefactor * sums[k - 1] / (2 * k) for k in range(1, r + 1)
                 )
-        seen[mask] = out
+        seen[cls] = out
         return out
 
     return walk

@@ -11,7 +11,9 @@ lister.  ``clique_counts`` counts the faces of the polygon models and
 the dissections.  ``clique_survey`` gives the complex here its face
 numbers, positive facet count, ridge degrees and purity in a single
 ordered traversal.  ``iter_cliques`` lists facets for ``--facets`` and
-svg output.
+svg output.  ``check_face_budget`` refuses, before anything is built, a
+complex or model whose face count by the closed forms exceeds
+``FACE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,13 @@ import os
 from functools import cached_property
 from typing import NamedTuple
 
-from .diagram import CoxeterDiagram, InputError, classify, connected_components
+from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, connected_components
+from .formulas import f_k_closed
 from .rootsys import NotFiniteType, RootSystem
+
+# faces, the empty one included, that one complex or polygon model may
+# enumerate: E8 at m = 2 has 1.3e7 and takes a few seconds
+FACE_BUDGET = 20_000_000
 
 
 class BudgetExceeded(InputError):
@@ -43,6 +50,25 @@ def enumeration_budget(default: int = 2000) -> int:
         return int(raw)
     except ValueError:
         raise InputError(f"CCX_BUDGET must be an integer, got {raw!r}") from None
+
+
+def check_face_budget(infos: list[TypeInfo], m: int) -> None:
+    """Refuse a complex whose face count exceeds FACE_BUDGET before any
+    face is enumerated.  The count comes from the closed forms: the
+    product over the irreducible components (``infos``) of the sum of
+    their f_k(m), m >= 0.  The sums run by increasing k and stop once
+    the product passes the budget, so a large rank costs a few terms,
+    and the refusal gives the count reached by then."""
+    faces = 1
+    for info in infos:
+        total = 0
+        for k in range(info.n + 1):
+            total += f_k_closed(info, k)(m)
+            if faces * total > FACE_BUDGET:
+                raise BudgetExceeded(
+                    f"at least {faces * total} faces predicted, over the budget of {FACE_BUDGET}"
+                )
+        faces *= total
 
 
 def compatibility_masks(items, compatible) -> list[int]:
@@ -341,6 +367,8 @@ def build_complex(G: CoxeterDiagram, m: int, budget: int | None = None) -> Cliqu
     cls = classify(G)
     if not cls.is_finite:
         raise NotFiniteType(f"{G.to_spec()} is not of finite type")
+    check_color_count(m)
+    check_face_budget([p.info for p in cls.components or (cls,) if p.info is not None], m)
     systems = [RootSystem(c) for c in connected_components(G)]
     return CliqueComplex(systems, m, budget=budget)
 

@@ -8,6 +8,10 @@ m=1 version and the full polynomial version), and the recursion on the
 count of fully supported reflections.  Applied to diagrams of infinite
 type they produce "fake" invariants; failure is a first-class result,
 recorded per method, never an exception out of compute_all.
+
+The recursions run on the subset lattice of the diagram and memoize by
+the isomorphism class of each subdiagram (``SubsetLattice.key``), so
+each runs once per class, not once per vertex subset.
 """
 
 from __future__ import annotations
@@ -180,20 +184,22 @@ def _each_connected(lat: SubsetLattice, step) -> None:
 
 
 def _products(lat: SubsetLattice, connected, unit):
-    """Per-mask product of ``connected(component)`` over the components
-    of a mask, memoized: a disconnected mask multiplies its lowest
-    component by the memoized rest.  ``unit`` is the empty product."""
-    memo = {0: unit}
+    """The product of ``connected(component)`` over the components of a
+    mask, memoized per class (``lat.key``): a disconnected mask
+    multiplies its lowest component by the memoized rest.  ``unit`` is
+    the empty product."""
+    memo = {lat.key(0): unit}
 
     def product(mask: int):
-        out = memo.get(mask)
+        cls = lat.key(mask)
+        out = memo.get(cls)
         if out is None:
             comps = lat.components(mask)
             if len(comps) == 1:
                 out = connected(mask)
             else:
                 out = product(comps[0]) * product(mask ^ comps[0])
-            memo[mask] = out
+            memo[cls] = out
         return out
 
     return product
@@ -227,7 +233,7 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
         if A.is_zero():
             raise MethodFailure("zero-denominator", "h-coefficient vanishes identically")
         try:
-            h = hs[mask] = RatFun(-1 * B, A).constant_value()
+            h = hs[lat.key(mask)] = RatFun(-1 * B, A).constant_value()
         except NotConstant:
             raise MethodFailure(
                 "non-constant-h", "alternating-sum equation has no constant solution"
@@ -239,7 +245,7 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
         fp = face_polys(lat, h_of)
         _each_connected(lat, fp)
         npoly = fp(lat.full)[-1]
-        h = hs[lat.full] if lat.rank > 2 else _base_result(lat, lat.full).h
+        h = hs[lat.key(lat.full)] if lat.rank > 2 else _base_result(lat, lat.full).h
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
@@ -286,8 +292,8 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
         # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
         c = (h + 2) / h
         if Q.compose(Poly([-c, -1])) != Q * ((-1) ** Q.degree):
-            asymmetric.add(mask)
-        hs[mask] = h
+            asymmetric.add(lat.key(mask))
+        hs[lat.key(mask)] = h
         return h
 
     try:
@@ -295,14 +301,14 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
         fp = face_polys(lat, h_of)
         _each_connected(lat, fp)
         npoly = fp(lat.full)[-1]
-        h = hs[lat.full] if lat.rank > 2 else _base_result(lat, lat.full).h
+        h = hs[lat.key(lat.full)] if lat.rank > 2 else _base_result(lat, lat.full).h
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return _fail(exc)
     status, flags = _status_for_h(h)
-    if lat.full in asymmetric:
+    if lat.key(lat.full) in asymmetric:
         status = "asymmetric-Q"
-    if asymmetric - {lat.full}:
+    if asymmetric - {lat.key(lat.full)}:
         flags = tuple(sorted(set(flags) | {"subgraph-asymmetric-Q"}))
     return MethodResult(
         status=status,
@@ -323,7 +329,8 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
     cache: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
 
     def connected(mask: int) -> tuple[Fraction, Fraction, Fraction]:
-        res = cache.get(mask)
+        cls = lat.key(mask)
+        res = cache.get(cls)
         if res is not None:
             return res
         r = mask.bit_count()
@@ -339,7 +346,7 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
                 raise MethodFailure("zero-denominator", "3x3 reciprocity system is singular")
             h = (2 * r * U - 2 * S - 2 * T) / den
             res = (h, (h + 2) * S / (2 * r), (h - 1) * T / r)
-        cache[mask] = res
+        cache[cls] = res
         return res
 
     try:
@@ -374,7 +381,8 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
     cache: dict[int, tuple[Fraction, Poly]] = {}
 
     def connected(mask: int) -> tuple[Fraction, Poly]:
-        res = cache.get(mask)
+        cls = lat.key(mask)
+        res = cache.get(cls)
         if res is not None:
             return res
         r = mask.bit_count()
@@ -402,7 +410,7 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                     "non-constant-h", "reciprocity h is a non-constant function of m"
                 )
             res = (h, Poly([h - 2, h]) * P / (2 * r))
-        cache[mask] = res
+        cache[cls] = res
         return res
 
     try:
@@ -440,7 +448,8 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
     sigma2_cache: dict[int, Fraction] = {}
 
     def m_connected(mask: int) -> Fraction:
-        res = mcache.get(mask)
+        cls = lat.key(mask)
+        res = mcache.get(cls)
         if res is not None:
             return res
         r = mask.bit_count()
@@ -458,14 +467,15 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
                     "zero-denominator", "full-support recursion denominator is 0"
                 )
             res = sigma1 * sigma2(mask) / den
-        mcache[mask] = res
+        mcache[cls] = res
         return res
 
     def sigma2(mask: int) -> Fraction:
-        total = sigma2_cache.get(mask)
+        cls = lat.key(mask)
+        total = sigma2_cache.get(cls)
         if total is None:
             r = mask.bit_count()
-            total = sigma2_cache[mask] = sum(
+            total = sigma2_cache[cls] = sum(
                 (m_connected(sub) for sub in lat.submasks(mask)
                  if 2 <= sub.bit_count() <= r - 1 and len(lat.components(sub)) == 1),
                 F(0),
@@ -577,11 +587,13 @@ def _method_json(res: MethodResult) -> dict:
     return out
 
 
-# The subset recursions walk up to 2^rank masks.  A rank limit does not
-# bound their work: the rank-12 star (one vertex joined to eleven) takes
-# 56 s (Python 3.11, shared 2-vCPU host), four fifths of it in _zeval
-# refining irrational roots, while A14 takes seconds.  So the budget
-# stays at 12 rather than growing with the speed of A_r.
+# The subset recursions walk up to 2^rank masks, once per isomorphism
+# class.  A rank limit does not bound their work: the rank-12 star (one
+# vertex joined to eleven; 2059 connected masks in 12 classes) takes
+# 24.5 s (Python 3.11, shared 2-vCPU host), 24.3 of its 25.2 profiled
+# seconds in _refine_root refining irrational roots, while the five
+# methods on A14 take 0.23 s.  So the budget stays at 12 rather than
+# growing with the speed of A_r.
 RANK_BUDGET = 12
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import ccx
 from ccx.cli import main
+from ccx.diagram import TypeInfo
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +44,47 @@ def test_complex_budget(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "complex", "--type", "A2", "-m", "1")
     assert code == 1
     assert json.loads(err)["error"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "argv,faces",
+    [
+        (["complex", "--type", "E8", "-m", "3"], 119326002),
+        (["complex", "--diagram", "n=9; 1-2:3 2-3:3 4-5:3 5-6:3 6-7:3 7-8:3 8-9:4", "-m", "4"],
+         None),
+        (["dissect", "--family", "A", "-n", "9", "-m", "3"], None),
+        (["dissect", "--family", "B", "-n", "9", "-m", "3"], 622361423),
+        (["dissect", "--family", "D", "-n", "9", "-m", "3"], None),
+        (["dissect", "--family", "B", "-n", "1000000", "-m", "1"], None),
+    ],
+)
+def test_face_budget_refuses_before_enumerating(capsys, argv, faces):
+    """The refusal gives the predicted count reached when the budget
+    was passed: a lower bound on the complex's face count."""
+    from ccx.gcc import FACE_BUDGET
+
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "budget"
+    predicted = int(data["message"].split()[2])
+    assert FACE_BUDGET < predicted <= (faces or predicted)
+
+
+def test_dissect_diagonal_budget_is_a_budget_error(capsys):
+    code, out, err = run_cli(capsys, "dissect", "--family", "A", "-n", "4", "-m", "4")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "budget", "message": "44 diagonals exceed budget 40"}
+
+
+@pytest.mark.parametrize("family,n,m", [("E8", 8, 2), ("B", 8, 2)])
+def test_face_budget_admits_the_largest_measured_complexes(family, n, m):
+    from ccx.gcc import FACE_BUDGET, check_face_budget
+    from ccx.formulas import f_k_closed
+
+    info = TypeInfo(family, n)
+    assert sum(f_k_closed(info, k)(m) for k in range(n + 1)) < FACE_BUDGET
+    check_face_budget([info], m)
 
 
 def test_complex_malformed_budget(capsys, monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccx.diagram import (
@@ -342,3 +342,92 @@ def test_tree_is_named_exactly_when_isomorphic_to_a_named_diagram(G):
     assert matches == ({cls.type_name} if cls.type_name else set())
     if not matches:
         assert cls.kind == "other-infinite"
+
+
+def _union(G: CoxeterDiagram, H: CoxeterDiagram) -> tuple[SubsetLattice, int, int]:
+    """The lattice of G beside a copy of H, and the masks of the two:
+    keys are numbered per lattice, so both must live in one."""
+    n = G.rank
+    labels = dict(G.labels)
+    labels.update({(i + n, j + n): lab for (i, j), lab in H.labels.items()})
+    lat = SubsetLattice(CoxeterDiagram(range(1, n + H.rank + 1), labels))
+    low = (1 << n) - 1
+    return lat, low, lat.full ^ low
+
+
+def _diagram(n: int, pairs, label: int = 3) -> CoxeterDiagram:
+    return CoxeterDiagram(range(1, n + 1), dict.fromkeys(pairs, label))
+
+
+K33 = _diagram(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
+PRISM = _diagram(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)])
+# 4-regular, but a vertex of the triangle's complement and one of the
+# square's lie in different orbits: colour refinement leaves one cell
+# that is not a twin class
+CO_C3_C4 = _diagram(7, [(i, j) for i, j in combinations(range(1, 8), 2)
+                     if {i, j} not in ({1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {6, 7}, {4, 7})])
+
+
+@st.composite
+def diagram_pairs(draw):
+    """G on 1-7 vertices with few distinct labels, so that colour
+    refinement often leaves cells to search; H is G renamed by a random
+    permutation, with one pair relabelled half the time."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = st.sampled_from(draw(st.sampled_from([(2, 3), (2, 2, 3), (2, 3, 4), (2, 3, 4, 5)])))
+    pairs = list(combinations(range(1, n + 1), 2))
+    G = CoxeterDiagram(range(1, n + 1), {p: draw(labels) for p in pairs})
+    H = _relabel(G, draw(st.permutations(G.vertices)), G.vertices)
+    if pairs and draw(st.booleans()):
+        changed = dict(H.labels)
+        changed[draw(st.sampled_from(pairs))] = draw(st.integers(min_value=2, max_value=5))
+        H = CoxeterDiagram(H.vertices, changed)
+    return G, H
+
+
+@example((K33, PRISM))
+@example((CO_C3_C4, _relabel(CO_C3_C4, [5, 6, 7, 1, 2, 3, 4], CO_C3_C4.vertices)))
+@example((_diagram(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), _diagram(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 4)))
+@given(diagram_pairs())
+@settings(max_examples=300, deadline=None)
+def test_lattice_keys_are_equal_exactly_for_isomorphic_subdiagrams(pair):
+    G, H = pair
+    lat, g, h = _union(G, H)
+    assert (lat.key(g) == lat.key(h)) == _isomorphic(G, H)
+
+
+def test_lattice_class_counts():
+    lat = SubsetLattice(parse_diagram("~A8"))
+    assert len({lat.key(m) for m in lat.connected_masks()}) == 9  # A1..A8 and the cycle
+    lat = SubsetLattice(parse_diagram("~E8"))
+    assert len({lat.key(m) for m in lat.connected_masks()}) == 17
+
+
+@pytest.mark.parametrize(
+    "G,leaves",
+    [
+        (_diagram(12, combinations(range(1, 13), 2)), 1),
+        (_diagram(12, [(i, j) for i in range(1, 7) for j in range(7, 13)]), 2),
+        (_diagram(12, [(1, j) for j in range(2, 13)]), 0),
+    ],
+)
+def test_key_search_takes_one_leaf_per_twin_free_branch(monkeypatch, G, leaves):
+    """K12, K6,6 and the rank-12 star: twins are exchanged without
+    search, so a complete mask takes one leaf, a complete bipartite one
+    at most two (one per side, when the sides are equal), and a star,
+    being a tree, none."""
+    from ccx import diagram
+
+    count = [0]
+    certificate = diagram._certificate
+
+    def counting(rows, order):
+        count[0] += 1
+        assert count[0] <= leaves, "twins were searched"
+        return certificate(rows, order)
+
+    monkeypatch.setattr(diagram, "_certificate", counting)
+    lat = SubsetLattice(G)
+    for mask in (*lat.connected_masks(), *range(lat.full + 1)):
+        count[0] = 0
+        lat.key(mask)

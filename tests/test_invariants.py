@@ -492,3 +492,25 @@ def test_reported_failure_is_the_least_of_the_lowest_failing_rank():
     with pytest.raises(MethodFailure) as info:
         _each_connected(lat, step)
     assert info.value is failing[0b0110]
+
+
+def test_submask_sums_run_once_per_class(monkeypatch):
+    """~A8 has 73 connected masks in 9 classes; reciprocity_general sums
+    over the submasks of one mask of each class of rank >= 3, and once
+    more over the whole diagram for its facet polynomial."""
+    from ccx.diagram import SubsetLattice
+
+    calls = []
+    submasks = SubsetLattice.submasks
+
+    def counting(self, mask):
+        calls.append(mask)
+        return submasks(self, mask)
+
+    monkeypatch.setattr(SubsetLattice, "submasks", counting)
+    G = parse_diagram("~A8")
+    assert reciprocity_general_method(G).status == "ok"
+    lat = subset_lattice(G)
+    classes = {lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3}
+    assert len(classes) == 7 and len(lat.connected_masks()) == 73
+    assert sorted(map(lat.key, calls)) == sorted([*classes, lat.key(lat.full)])

@@ -7,6 +7,12 @@ removed, since only the exact values are meant to be identical.
 
 The diagrams: the finite catalog of ranks 1-8, the fake catalog, the
 affine types, and a fixed random draw of rank 3-6 with labels 2-8.
+Then diagrams whose subdiagrams fall into few isomorphism classes, or
+into classes that are hard to tell apart (``class_cases``): the stars
+of rank 8 and 9, the complete diagrams K5-K7 with every label 3, K3,3
+and the triangular prism (which colour refinement alone does not
+separate), the square with labels 3-4-3-4, and a fixed random draw of
+connected rank-7 diagrams whose skeleton has a cycle.
 
 Then each type of the finite catalog gets a ``catalog`` line: the sha256
 of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
@@ -42,7 +48,7 @@ import json
 import random
 
 from ccx.cli import main as ccx_main
-from ccx.diagram import classify, parse_diagram
+from ccx.diagram import classify, connected_components, parse_diagram
 from ccx.formulas import (
     TypeInfo,
     f_k_closed,
@@ -55,6 +61,7 @@ from ccx.verify import FAKE_CATALOG
 
 RANDOM_SEED = 20050505
 RANDOM_PER_RANK = 8
+CYCLE_SEED = 20140301
 
 
 def finite_catalog() -> list[str]:
@@ -77,21 +84,43 @@ def affine_list() -> list[str]:
     )
 
 
-def random_draw() -> list[str]:
+def random_spec(rng: random.Random, rank: int) -> str:
     """A random spanning tree plus each further pair with probability
     0.3, every label drawn from 2-8 (label 2 drops the edge)."""
+    edges = {(rng.randint(1, v - 1), v): rng.randint(2, 8) for v in range(2, rank + 1)}
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            if (i, j) not in edges and rng.random() < 0.3:
+                edges[(i, j)] = rng.randint(2, 8)
+    return f"n={rank}; " + " ".join(f"{i}-{j}:{a}" for (i, j), a in sorted(edges.items()))
+
+
+def random_draw() -> list[str]:
     rng = random.Random(RANDOM_SEED)
-    out = []
-    for rank in range(3, 7):
-        for _ in range(RANDOM_PER_RANK):
-            edges = {(rng.randint(1, v - 1), v): rng.randint(2, 8) for v in range(2, rank + 1)}
-            for i in range(1, rank + 1):
-                for j in range(i + 1, rank + 1):
-                    if (i, j) not in edges and rng.random() < 0.3:
-                        edges[(i, j)] = rng.randint(2, 8)
-            out.append(f"n={rank}; " + " ".join(
-                f"{i}-{j}:{a}" for (i, j), a in sorted(edges.items())))
-    return out
+    return [random_spec(rng, rank) for rank in range(3, 7) for _ in range(RANDOM_PER_RANK)]
+
+
+def edge_spec(n: int, pairs) -> str:
+    return f"n={n}; " + " ".join(f"{i}-{j}:3" for i, j in pairs)
+
+
+def class_cases() -> list[str]:
+    """Diagrams whose many masks share few classes, or whose classes
+    need more than colour refinement to tell apart."""
+    stars = [edge_spec(k, [(1, j) for j in range(2, k + 1)]) for k in (8, 9)]
+    cliques = [edge_spec(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+               for k in (5, 6, 7)]
+    k33 = edge_spec(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
+    prism = edge_spec(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)])
+    square = "n=4; 1-2:3 2-3:4 3-4:3 1-4:4"
+    rng = random.Random(CYCLE_SEED)
+    cyclic: list[str] = []
+    while len(cyclic) < RANDOM_PER_RANK:
+        spec = random_spec(rng, 7)
+        G = parse_diagram(spec)
+        if len(connected_components(G)) == 1 and len(G.labels) >= G.rank:
+            cyclic.append(spec)
+    return stars + cliques + [k33, prism, square] + cyclic
 
 
 def complex_cases() -> list[tuple[str, int]]:
@@ -138,7 +167,8 @@ def catalog_text(spec: str) -> str:
 
 
 def main() -> None:
-    specs = finite_catalog() + [e["spec"] for e in FAKE_CATALOG] + affine_list() + random_draw()
+    specs = (finite_catalog() + [e["spec"] for e in FAKE_CATALOG] + affine_list()
+             + random_draw() + class_cases())
     for spec in specs:
         text = canonical(compute_all(parse_diagram(spec)).to_json())
         print(spec, hashlib.sha256(text.encode()).hexdigest())
