@@ -6,15 +6,16 @@ arithmetic runs on the integer lists of the root-finding section.
 Roots are found without factoring integers and without floating-point
 arithmetic: a square-free decomposition (Yun) of the primitive
 numerator, Sturm-sequence isolation of the real roots at dyadic points,
-and exact bisection.  Rational roots come out exactly; only the final
-approximations of irrational real roots are rounded to float.
+and exact bisection.  Rational roots come out exactly; an irrational
+real root is kept as its isolating interval and is rounded to the
+nearest double only when that value is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 class NonZeroRemainder(ValueError):
@@ -255,6 +256,35 @@ class RatFun:
         return f"RatFun({self.num!r}, {self.den!r})"
 
 
+class IrrationalRoot(tuple):
+    """(f, a, k, top_positive): an irrational real root x of the
+    square-free integer polynomial f (a tuple), the only root in
+    (a/2^k, (a+1)/2^k], k > 0, where f is positive at the right end
+    exactly when top_positive."""
+
+    __slots__ = ()
+
+    def rounded(self, c1: int, c0: int, d: int) -> float:
+        """(c1 x + c0) / d correctly rounded to a double (ints, c1 and d
+        nonzero).
+
+        The interval is bisected exactly until the images of both its
+        ends round to the same double; each image is an int/int true
+        division, which CPython rounds correctly.  The map is monotone,
+        increasing or decreasing, and so is rounding, so the image of x
+        rounds to that double too.  The image of an irrational x is
+        never halfway between two doubles, so the loop ends.
+        """
+        f, a, k, top = self
+        while True:
+            num, den = c1 * a + (c0 << k), d << k
+            x = num / den
+            if x == (num + c1) / den:
+                return x
+            mid = _zeval(f, 2 * a + 1, 1 << k + 1)
+            a, k = (2 * a if (mid > 0) == top else 2 * a + 1), k + 1
+
+
 @dataclass(frozen=True)
 class RootSet:
     """Exact rational roots plus a root-free residual factor.
@@ -262,20 +292,33 @@ class RootSet:
     rational: (root, multiplicity) pairs, roots ascending.
     residual: primitive integer-coefficient Poly without rational roots
         (None when the input splits over Q).
+    irrational: (root, multiplicity) pairs, one per real root of the
+        residual, each held exactly by its isolating interval.
     residual_approx: real roots of the residual with multiplicity,
-        ascending; each is isolated and bisected in exact integer
-        arithmetic to within 2^-52 relative, then rounded to float.
+        ascending, each correctly rounded to a double; computed on first
+        read.
     """
 
     rational: tuple[tuple[Fraction, int], ...]
     residual: Poly | None
-    residual_approx: tuple[float, ...]
+    irrational: tuple[tuple[IrrationalRoot, int], ...]
 
     def rational_multiset(self) -> list[Fraction]:
         out = []
         for r, mult in self.rational:
             out.extend([r] * mult)
         return out
+
+    def residual_images(self, c1: int, c0: int, d: int) -> tuple[float, ...]:
+        """The real roots x of the residual mapped to (c1 x + c0) / d,
+        each correctly rounded (IrrationalRoot.rounded), with
+        multiplicity, ascending."""
+        return tuple(sorted(x for r, mult in self.irrational
+                            for x in [r.rounded(c1, c0, d)] * mult))
+
+    @cached_property
+    def residual_approx(self) -> tuple[float, ...]:
+        return self.residual_images(1, 0, 1)
 
     def all_real_approx(self) -> list[float]:
         vals = [float(r) for r in self.rational_multiset()]
@@ -466,12 +509,14 @@ def _root_bound_exp(f: list[int]) -> int:
     return e + 1
 
 
-def _squarefree_real_roots(f: list[int]) -> list[Fraction | float]:
+def _squarefree_real_roots(f: list[int]) -> list[Fraction | IrrationalRoot]:
     """Real roots of a square-free integer polynomial, ascending.
 
-    Rational roots come back as exact Fractions, the others as floats
-    within 2^-52 relative.  Sturm counts over half-open dyadic intervals
-    (a/2^k, (a+1)/2^k] isolate the roots; _refine_root then bisects each.
+    Rational roots come back as exact Fractions, the others as their
+    isolating intervals (IrrationalRoot), which give the correctly
+    rounded double on demand.  Sturm counts over half-open dyadic
+    intervals (a/2^k, (a+1)/2^k] isolate the roots, left half first;
+    _decide_root then tells each rational or irrational.
     """
     seq = _sturm(f)
     e = _root_bound_exp(f)
@@ -480,56 +525,54 @@ def _squarefree_real_roots(f: list[int]) -> list[Fraction | float]:
         return _variations(seq, *_dyadic(a, k))
 
     v0 = var(0, 0)
-    todo = [(-1, -e, var(-1, -e), v0), (0, -e, v0, var(1, -e))]
-    roots: list[Fraction | float] = []
+    todo = [(0, -e, v0, var(1, -e)), (-1, -e, var(-1, -e), v0)]
+    roots: list[Fraction | IrrationalRoot] = []
     while todo:
         a, k, vlo, vhi = todo.pop()
         if vlo - vhi == 1:
-            roots.append(_refine_root(f, a, k))
+            roots.append(_decide_root(f, a, k))
         elif vlo - vhi > 1:
             vmid = var(2 * a + 1, k + 1)
-            todo += [(2 * a, k + 1, vlo, vmid), (2 * a + 1, k + 1, vmid, vhi)]
-    return sorted(roots)
+            todo += [(2 * a + 1, k + 1, vmid, vhi), (2 * a, k + 1, vlo, vmid)]
+    return roots
 
 
-def _refine_root(f: list[int], a: int, k: int) -> Fraction | float:
-    """The only root of square-free f in (a/2^k, (a+1)/2^k].
+def _decide_root(f: list[int], a: int, k: int) -> Fraction | IrrationalRoot:
+    """The only root of square-free f in (a/2^k, (a+1)/2^k], exactly if
+    it is rational.
 
     A rational root p/q of a primitive f has q | a_n, so it is j/|a_n|
     for an integer j; once the interval is narrower than 1/|a_n| it holds
     at most one such point, and testing that point exactly decides
-    whether the root is rational.  An irrational root is bisected on
-    until the interval's relative width is below 2^-52.
+    whether the root is rational.  An irrational root comes back as its
+    interval at that width.
     """
     lead = abs(f[-1])
     top = _zeval(f, *_dyadic(a + 1, k))
     if top == 0:
         return Fraction(*_dyadic(a + 1, k))
-    tested = False
-    while True:
-        if not tested and k > 0 and 1 << k > lead:
-            tested = True
-            j = (a * lead >> k) + 1
-            if j << k < (a + 1) * lead and _zeval(f, j, lead) == 0:
-                return Fraction(j, lead)
-        if tested and min(abs(a), abs(a + 1)) >> 52:
-            return float(Fraction(*_dyadic(2 * a + 1, k + 1)))
+    while k <= 0 or 1 << k <= lead:
         mid = _zeval(f, *_dyadic(2 * a + 1, k + 1))
         if mid == 0:
             return Fraction(*_dyadic(2 * a + 1, k + 1))
         a, k = (2 * a if (mid > 0) == (top > 0) else 2 * a + 1), k + 1
+    j = (a * lead >> k) + 1
+    if j << k < (a + 1) * lead and _zeval(f, j, lead) == 0:
+        return Fraction(j, lead)
+    return IrrationalRoot((tuple(f), a, k, top > 0))
 
 
 def rational_roots(p: Poly) -> RootSet:
     """Factor out every rational root of p, exactly.
 
     The primitive integer form is split into square-free factors (Yun),
-    and the real roots of each factor are isolated and refined exactly
-    (_squarefree_real_roots); a rational root found in a factor of
-    multiplicity i is deflated i times.  No integer is factored, so
-    large prime factors in the coefficients cost nothing extra.  The
-    returned factorization is re-multiplied and checked against the
-    input before returning.
+    and the real roots of each factor are isolated and decided rational
+    or irrational exactly (_squarefree_real_roots); a rational root found
+    in a factor of multiplicity i is deflated i times, and an irrational
+    root keeps its isolating interval, refined no further here.  No
+    integer is factored, so large prime factors in the coefficients cost
+    nothing extra.  The returned factorization is re-multiplied and
+    checked against the input before returning.
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -542,7 +585,7 @@ def rational_roots(p: Poly) -> RootSet:
     work = prim[k0:]
     found: list[tuple[Fraction, int]] = [(Fraction(0), k0)] if k0 else []
 
-    approx: list[float] = []
+    irrational: list[tuple[IrrationalRoot, int]] = []
     for factor, mult in _squarefree_factors(work):
         for r in _squarefree_real_roots(factor):
             if isinstance(r, Fraction):
@@ -550,7 +593,7 @@ def rational_roots(p: Poly) -> RootSet:
                 for _ in range(mult):
                     work = _zquo(work, [-r.numerator, r.denominator])
             else:
-                approx.extend([r] * mult)
+                irrational.append((r, mult))
 
     found.sort(key=lambda t: t[0])
 
@@ -562,10 +605,11 @@ def rational_roots(p: Poly) -> RootSet:
     assert rebuilt == prim, "root extraction lost a factor"
 
     residual = _of(work, 1) if len(work) > 1 else None
-    return RootSet(tuple(found), residual, tuple(sorted(approx)))
+    return RootSet(tuple(found), residual, tuple(irrational))
 
 
 def real_roots(p: Poly) -> tuple[float, ...]:
-    """Real roots of p with multiplicity, ascending, as floats within
-    2^-52 relative (rational roots are rounded from their exact value)."""
+    """Real roots of p with multiplicity, ascending, each correctly
+    rounded to a double: a rational root from its exact value, an
+    irrational one by exact bisection (IrrationalRoot.rounded)."""
     return tuple(rational_roots(p).all_real_approx())

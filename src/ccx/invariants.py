@@ -30,7 +30,6 @@ from .exactmath import (
     format_fraction,
     poly_divide_exact,
     rational_roots,
-    real_roots,
 )
 from .formulas import f_plus_poly, face_polys
 
@@ -54,11 +53,10 @@ class ExponentData:
 
     ``residual`` is a primitive integer polynomial in the exponent
     variable, free of rational roots; its real roots are the irrational
-    exponents, ascending in ``residual_approx``: isolated and bisected
-    exactly to within 2^-52 relative, then rounded
-    (``exactmath.real_roots``).  ``approx`` lists every real exponent
-    with multiplicity, ascending, the rationals rounded from their exact
-    value.
+    exponents, ascending in ``residual_approx``, each correctly rounded
+    to a double (``exactmath.IrrationalRoot.rounded``).  ``approx`` lists
+    every real exponent with multiplicity, ascending, the rationals
+    rounded from their exact value.
     """
 
     rational: tuple[Fraction, ...]
@@ -118,7 +116,10 @@ def exponents_from_facet_poly(npoly: Poly, h: Fraction) -> ExponentData:
 @lru_cache(maxsize=64)
 def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
     """Root extraction, once per distinct (N, h): the methods of one
-    report usually share their facet polynomial."""
+    report usually share their facet polynomial.  The roots are isolated
+    and decided rational or irrational once, in mu; each irrational root
+    is then refined in its mu-interval until the images of both ends
+    under e = -h mu - 1 round alike."""
     roots = rational_roots(npoly)
     rationals = sorted(-h * mu - 1 for mu in roots.rational_multiset())
     if roots.residual is None:
@@ -126,7 +127,9 @@ def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
     # map the residual to the exponent variable: mu = -(e+1)/h
     num = _zprimitive(list(roots.residual.compose(Poly([F(-1, h), F(-1, h)])).num))
     residual = Poly(num if num[-1] > 0 else [-c for c in num])
-    return ExponentData(tuple(rationals), residual, real_roots(residual))
+    # and each irrational root: with h = p/q, e = (-p mu - q) / q
+    p, q = h.numerator, h.denominator
+    return ExponentData(tuple(rationals), residual, roots.residual_images(-p, -q, q))
 
 
 def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
@@ -590,10 +593,10 @@ def _method_json(res: MethodResult) -> dict:
 # The subset recursions walk up to 2^rank masks, once per isomorphism
 # class.  A rank limit does not bound their work: the rank-12 star (one
 # vertex joined to eleven; 2059 connected masks in 12 classes) takes
-# 24.5 s (Python 3.11, shared 2-vCPU host), 24.3 of its 25.2 profiled
-# seconds in _refine_root refining irrational roots, while the five
-# methods on A14 take 0.23 s.  So the budget stays at 12 rather than
-# growing with the speed of A_r.
+# 3.5 s (Python 3.11, shared 2-vCPU host), 2.4 of its 4.2 profiled
+# seconds in _decide_root deciding which roots are rational, while the
+# five methods on A14 take 0.23 s.  So the budget stays at 12 rather
+# than growing with the speed of A_r.
 RANK_BUDGET = 12
 
 

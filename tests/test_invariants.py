@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ccx import invariants
+from ccx import exactmath, invariants
 from ccx.diagram import (
     classify,
     connected_components,
@@ -12,7 +12,7 @@ from ccx.diagram import (
     parse_diagram,
     subset_lattice,
 )
-from ccx.exactmath import Poly, rational_roots
+from ccx.exactmath import Poly, poly_divide_exact, poly_gcd, rational_roots, real_roots
 from ccx.invariants import (
     METHODS,
     YIELDING,
@@ -514,3 +514,119 @@ def test_submask_sums_run_once_per_class(monkeypatch):
     classes = {lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3}
     assert len(classes) == 7 and len(lat.connected_masks()) == 73
     assert sorted(map(lat.key, calls)) == sorted([*classes, lat.key(lat.full)])
+
+
+# -- correct rounding of irrational roots -----------------------------------
+
+STAR6 = "n=6; 1-2:3 1-3:3 1-4:3 1-5:3 1-6:3"
+
+
+def _squarefree_part(p: Poly) -> Poly:
+    deriv = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+    return poly_divide_exact(p, poly_gcd(p, deriv))
+
+
+def _bisected(f: Poly, x: float, bits: int = 200) -> float:
+    """float() of the midpoint of an exact bisection, down to 2^-bits
+    relative width, of the one root of the square-free f within 2^-30
+    relative of x; fails unless f changes sign across that window."""
+    lo, hi = F(x) * (1 - F(1, 2**30)), F(x) * (1 + F(1, 2**30))
+    lo, hi = min(lo, hi), max(lo, hi)
+    s = f(lo)
+    assert s * f(hi) < 0, f"no root of {f!r} next to {x!r}"
+    width = abs(F(x)) / 2**bits
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = f(mid)
+        if v == 0:
+            return float(mid)
+        lo, hi = (mid, hi) if (v > 0) == (s > 0) else (lo, mid)
+    return float((lo + hi) / 2)
+
+
+def _has_rational_root(cs: list[int]) -> bool:
+    """Rational root test by the divisors of the end coefficients."""
+    divs = lambda n: [d for d in range(1, abs(n) + 1) if n % d == 0]  # noqa: E731
+    return any(Poly(cs)(F(s * p, q)) == 0
+               for p in divs(cs[0]) for q in divs(cs[-1]) for s in (1, -1))
+
+
+@st.composite
+def irreducible_low_degree(draw):
+    """An integer quadratic or cubic without a rational root, so
+    irreducible over Q."""
+    deg = draw(st.sampled_from((2, 3)))
+    cs = draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=deg + 1,
+                       max_size=deg + 1))
+    assume(cs[0] and cs[-1] and not _has_rational_root(cs))
+    return cs
+
+
+small_roots = st.builds(F, st.integers(min_value=-60, max_value=60),
+                        st.integers(min_value=1, max_value=12))
+
+
+@given(
+    st.dictionaries(small_roots, st.integers(min_value=1, max_value=3), max_size=3),
+    irreducible_low_degree(),
+)
+@settings(max_examples=80, deadline=None)
+def test_irrational_roots_are_correctly_rounded(roots, irreducible):
+    q = Poly(irreducible)
+    p = q
+    for r, mult in roots.items():
+        for _ in range(mult):
+            p = p * Poly([-r.numerator, r.denominator])
+    rs = rational_roots(p)
+    for x in rs.residual_approx:
+        assert x == _bisected(q, x)
+    # the values of real_roots left once the rational roots are taken out
+    rest = list(real_roots(p))
+    for r in rs.rational_multiset():
+        rest.remove(float(r))
+    assert len(rest) == len(rs.residual_approx)
+    for x in rest:
+        assert x == _bisected(q, x)
+
+
+@pytest.mark.parametrize("spec", ["~D7", "~D8", "~E7", STAR6])
+def test_irrational_exponents_are_correctly_rounded(spec):
+    checked = 0
+    for res in compute_all(parse_diagram(spec)).methods.values():
+        ex = res.exponents
+        if ex is None or ex.residual is None:
+            continue
+        f = _squarefree_part(ex.residual)
+        for x in ex.residual_approx:
+            assert x == _bisected(f, x), (res, x)
+            checked += 1
+    assert checked >= 12
+
+
+def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
+    """One Sturm sequence per square-free factor of each facet polynomial
+    whose roots are extracted; none for the residual in the exponent
+    variable, whose roots are refined from their mu-intervals."""
+    polys, sturms = [], []
+    sturm = exactmath._sturm
+
+    def counting_roots(p):
+        polys.append(p)
+        return rational_roots(p)
+
+    def counting_sturm(f):
+        sturms.append(f)
+        return sturm(f)
+
+    monkeypatch.setattr(invariants, "rational_roots", counting_roots)
+    monkeypatch.setattr(exactmath, "_sturm", counting_sturm)
+    invariants._exponents.cache_clear()
+    rep = compute_all(parse_diagram(STAR6))
+    assert any(r.exponents.residual_approx for r in rep.methods.values() if r.exponents)
+    expected = []
+    for p in polys:
+        prim = exactmath._zprimitive(list(p.num))
+        while not prim[0]:
+            prim = prim[1:]
+        expected += [a for a, _ in exactmath._squarefree_factors(prim)]
+    assert sturms == expected

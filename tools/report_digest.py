@@ -9,10 +9,12 @@ The diagrams: the finite catalog of ranks 1-8, the fake catalog, the
 affine types, and a fixed random draw of rank 3-6 with labels 2-8.
 Then diagrams whose subdiagrams fall into few isomorphism classes, or
 into classes that are hard to tell apart (``class_cases``): the stars
-of rank 8 and 9, the complete diagrams K5-K7 with every label 3, K3,3
-and the triangular prism (which colour refinement alone does not
-separate), the square with labels 3-4-3-4, and a fixed random draw of
-connected rank-7 diagrams whose skeleton has a cycle.
+of rank 8, 9 and 10 (the rank-10 star's exponent residuals reach
+1398-bit coefficients, the largest of any diagram here), the
+complete diagrams K5-K7 with every label 3, K3,3 and the triangular
+prism (which colour refinement alone does not separate), the square
+with labels 3-4-3-4, and a fixed random draw of connected rank-7
+diagrams whose skeleton has a cycle.
 
 Then each type of the finite catalog gets a ``catalog`` line: the sha256
 of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
@@ -107,7 +109,7 @@ def edge_spec(n: int, pairs) -> str:
 def class_cases() -> list[str]:
     """Diagrams whose many masks share few classes, or whose classes
     need more than colour refinement to tell apart."""
-    stars = [edge_spec(k, [(1, j) for j in range(2, k + 1)]) for k in (8, 9)]
+    stars = [edge_spec(k, [(1, j) for j in range(2, k + 1)]) for k in (8, 9, 10)]
     cliques = [edge_spec(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
                for k in (5, 6, 7)]
     k33 = edge_spec(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
