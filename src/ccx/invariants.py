@@ -9,9 +9,14 @@ count of fully supported reflections.  Applied to diagrams of infinite
 type they produce "fake" invariants; failure is a first-class result,
 recorded per method, never an exception out of compute_all.
 
-The recursions run on the subset lattice of the diagram and memoize by
-the isomorphism class of each subdiagram (``SubsetLattice.key``), so
-each runs once per class, not once per vertex subset.
+All five run in one frame, ``_solve``: it checks the diagram, postulates
+ranks one and two, builds the face polynomials by the vertex-deletion
+recurrence (``formulas.face_polys``) with the method's h of each
+subdiagram, and reads off N, N+, the exponents and the status.  A method
+supplies only its h rule, plus at most a short step on its result.  The
+recursions run on the subset lattice of the diagram and memoize by the
+isomorphism class of each subdiagram (``SubsetLattice.key``), so each
+runs once per class, not once per vertex subset.
 """
 
 from __future__ import annotations
@@ -91,20 +96,6 @@ class MethodResult:
         return (self.h, self.exponents.key() if self.exponents else None)
 
 
-def _fail(exc: MethodFailure) -> MethodResult:
-    return MethodResult(status=exc.status, detail=exc.detail)
-
-
-_NOT_APPLICABLE = "invariants are defined for connected nonempty diagrams"
-
-
-def _connected_lattice(G: CoxeterDiagram) -> SubsetLattice:
-    lat = subset_lattice(G)
-    if len(lat.components(lat.full)) != 1:
-        raise MethodFailure("not-applicable", _NOT_APPLICABLE)
-    return lat
-
-
 def exponents_from_facet_poly(npoly: Poly, h: Fraction) -> ExponentData:
     """Exponents from the roots of the facet-count polynomial, via the
     correspondence root = -(e+1)/h."""
@@ -141,27 +132,12 @@ def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
     return "ok", tuple(flags)
 
 
-def _base_result(lat: SubsetLattice, mask: int) -> MethodResult:
-    """Postulated invariants of a connected mask of rank one or two."""
+def _postulates(lat: SubsetLattice, mask: int) -> tuple[Fraction, Poly, Poly, Fraction]:
+    """h, N, N+ and M of a connected mask of rank one or two, postulated."""
     if mask.bit_count() == 1:
-        return MethodResult(
-            status="ok",
-            h=F(2),
-            facet_poly=Poly([1, 1]),
-            positive_poly=Poly([0, 1]),
-            exponents=ExponentData((F(1),), None),
-            full_support_count=F(1),
-        )
+        return F(2), Poly([1, 1]), Poly([0, 1]), F(1)
     a = lat.label(mask)
-    f2 = Poly([2, a]) * Poly([1, 1]) / 2
-    return MethodResult(
-        status="ok",
-        h=F(a),
-        facet_poly=f2,
-        positive_poly=Poly([0, F(a - 2, 2), F(a, 2)]),
-        exponents=ExponentData((F(1), F(a - 1)), None),
-        full_support_count=F(a - 2),
-    )
+    return F(a), Poly([2, a]) * Poly([1, 1]) / 2, Poly([0, F(a - 2, 2), F(a, 2)]), F(a - 2)
 
 
 def _each_connected(lat: SubsetLattice, step) -> None:
@@ -186,26 +162,99 @@ def _each_connected(lat: SubsetLattice, step) -> None:
         raise min(failures, key=lambda exc: (exc.status, exc.detail))
 
 
-def _products(lat: SubsetLattice, connected, unit):
-    """The product of ``connected(component)`` over the components of a
-    mask, memoized per class (``lat.key``): a disconnected mask
-    multiplies its lowest component by the memoized rest.  ``unit`` is
-    the empty product."""
-    memo = {lat.key(0): unit}
+def _per_class(lat: SubsetLattice, fn):
+    """``fn`` of a mask, memoized by the class of the mask (``lat.key``):
+    it is asked about one mask of each class, and its answer serves them
+    all.  A failure is not memoized."""
+    memo: dict = {}
 
-    def product(mask: int):
+    def get(mask: int):
         cls = lat.key(mask)
         out = memo.get(cls)
         if out is None:
-            comps = lat.components(mask)
-            if len(comps) == 1:
-                out = connected(mask)
-            else:
-                out = product(comps[0]) * product(mask ^ comps[0])
-            memo[cls] = out
+            out = memo[cls] = fn(mask)
         return out
 
-    return product
+    return get
+
+
+def _products(lat: SubsetLattice, connected, unit):
+    """The product of ``connected(component)`` over the components of a
+    mask, memoized per class: a disconnected mask multiplies its lowest
+    component by the rest.  ``unit`` is the empty product."""
+
+    def product(mask: int):
+        comps = lat.components(mask)
+        if len(comps) == 1:
+            return connected(mask)
+        if not comps:
+            return unit
+        return memo(comps[0]) * memo(mask ^ comps[0])
+
+    memo = _per_class(lat, product)
+    return memo
+
+
+def _flag(res: MethodResult, flag: str) -> None:
+    res.flags = tuple(sorted({*res.flags, flag}))
+
+
+# The subset recursions walk up to 2^rank masks, once per isomorphism
+# class.  A rank limit does not bound their work: the rank-12 star (one
+# vertex joined to eleven; 2059 connected masks in 12 classes) takes
+# 3.5 s (Python 3.11, shared 2-vCPU host), 2.4 of its 4.2 profiled
+# seconds in _decide_root deciding which roots are rational, while the
+# five methods on A14 take 0.23 s.  So the budget stays at 12 rather
+# than growing with the speed of A_r.  ``_solve`` checks it for every
+# method, called directly or through ``compute_all``.
+RANK_BUDGET = 12
+
+_NOT_APPLICABLE = "invariants are defined for connected nonempty diagrams"
+
+
+def _solve(G: CoxeterDiagram, rule) -> MethodResult:
+    """The frame every method runs in: the method supplies its h rule.
+
+    The diagram must be connected, then within ``RANK_BUDGET``.
+    ``rule(lat)`` sets the method up on the subset lattice and returns
+    ``(h_of, finish)``.  ``h_of(mask, sums)`` is the h of one connected
+    mask of rank >= 3 of each class, given the sums of the face
+    polynomials one vertex down (``formulas.face_polys``); ranks one and
+    two are postulated.  A rule whose h does not read the sums runs its
+    own ``_each_connected`` pass inside ``rule(lat)``, so that a failure
+    stops it before any face polynomial is built.  The facet polynomial
+    N is the top face polynomial, N+ its reciprocal, and the exponents
+    are read off the roots of N.  ``finish(res)``, unless None, adjusts
+    a yielding result.  A ``MethodFailure`` becomes a result carrying
+    its status.
+    """
+    try:
+        lat = subset_lattice(G)
+        if len(lat.components(lat.full)) != 1:
+            raise MethodFailure("not-applicable", _NOT_APPLICABLE)
+        if lat.rank > RANK_BUDGET:
+            raise MethodFailure(
+                "budget-exceeded", f"rank {lat.rank} exceeds the recursion budget {RANK_BUDGET}"
+            )
+        rule_h, finish = rule(lat)
+        hs: dict[int, Fraction] = {}  # the h of each class, recorded once
+
+        def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+            h = hs[lat.key(mask)] = rule_h(mask, sums)
+            return h
+
+        fp = face_polys(lat, h_of)
+        _each_connected(lat, fp)
+        npoly = fp(lat.full)[-1]
+        h = hs[lat.key(lat.full)] if lat.rank > 2 else _postulates(lat, lat.full)[0]
+        exps = exponents_from_facet_poly(npoly, h)
+    except MethodFailure as exc:
+        return MethodResult(status=exc.status, detail=exc.detail)
+    status, flags = _status_for_h(h)
+    res = MethodResult(status, h, npoly, f_plus_poly(npoly, lat.rank), exps, flags=flags)
+    if finish is not None:
+        finish(res)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +269,6 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
     subdiagram face polynomials; a finite-type diagram makes the
     solution a constant.
     """
-    hs: dict[int, Fraction] = {}
 
     def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
         r = len(sums)
@@ -236,31 +284,13 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
         if A.is_zero():
             raise MethodFailure("zero-denominator", "h-coefficient vanishes identically")
         try:
-            h = hs[lat.key(mask)] = RatFun(-1 * B, A).constant_value()
+            return RatFun(-1 * B, A).constant_value()
         except NotConstant:
             raise MethodFailure(
                 "non-constant-h", "alternating-sum equation has no constant solution"
             )
-        return h
 
-    try:
-        lat = _connected_lattice(G)
-        fp = face_polys(lat, h_of)
-        _each_connected(lat, fp)
-        npoly = fp(lat.full)[-1]
-        h = hs[lat.key(lat.full)] if lat.rank > 2 else _base_result(lat, lat.full).h
-        exps = exponents_from_facet_poly(npoly, h)
-    except MethodFailure as exc:
-        return _fail(exc)
-    status, flags = _status_for_h(h)
-    return MethodResult(
-        status=status,
-        h=h,
-        facet_poly=npoly,
-        positive_poly=f_plus_poly(npoly, G.rank),
-        exponents=exps,
-        flags=flags,
-    )
+    return _solve(G, lambda lat: (h_of, None))
 
 
 # ---------------------------------------------------------------------------
@@ -270,57 +300,44 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
 def symmetry_method(G: CoxeterDiagram) -> MethodResult:
     """Use invariance of the facet-poly roots under reflection about
     their mean to pin h from two coefficients of Q = sum N(G') / (m+1)."""
-    hs: dict[int, Fraction] = {}
-    asymmetric: set[int] = set()
 
-    def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
-        r = len(sums)
-        try:
-            Q = poly_divide_exact(sums[r - 1], Poly([1, 1]))
-        except NonZeroRemainder:
-            raise MethodFailure(
-                "non-polynomial-Q", "subdiagram facet sum not divisible by m+1"
-            )
-        if Q.degree != r - 2:
-            raise MethodFailure(
-                "zero-denominator", f"Q has degree {Q.degree}, expected {r - 2}"
-            )
-        ratio = Q.coeff(r - 3) / Q.coeff(r - 2)
-        denom = 2 * ratio - (r - 2)
-        if denom == 0:
-            raise MethodFailure("zero-denominator", "mean-of-roots equation degenerates")
-        h = 2 * (r - 2) / denom
-        if h == 0:
-            raise MethodFailure("zero-denominator", "h = 0")
-        # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
-        c = (h + 2) / h
-        if Q.compose(Poly([-c, -1])) != Q * ((-1) ** Q.degree):
-            asymmetric.add(lat.key(mask))
-        hs[lat.key(mask)] = h
-        return h
+    def rule(lat: SubsetLattice):
+        asymmetric: set[int] = set()  # the masks whose Q fails the audit
 
-    try:
-        lat = _connected_lattice(G)
-        fp = face_polys(lat, h_of)
-        _each_connected(lat, fp)
-        npoly = fp(lat.full)[-1]
-        h = hs[lat.key(lat.full)] if lat.rank > 2 else _base_result(lat, lat.full).h
-        exps = exponents_from_facet_poly(npoly, h)
-    except MethodFailure as exc:
-        return _fail(exc)
-    status, flags = _status_for_h(h)
-    if lat.key(lat.full) in asymmetric:
-        status = "asymmetric-Q"
-    if asymmetric - {lat.key(lat.full)}:
-        flags = tuple(sorted(set(flags) | {"subgraph-asymmetric-Q"}))
-    return MethodResult(
-        status=status,
-        h=h,
-        facet_poly=npoly,
-        positive_poly=f_plus_poly(npoly, G.rank),
-        exponents=exps,
-        flags=flags,
-    )
+        def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+            r = len(sums)
+            try:
+                Q = poly_divide_exact(sums[r - 1], Poly([1, 1]))
+            except NonZeroRemainder:
+                raise MethodFailure(
+                    "non-polynomial-Q", "subdiagram facet sum not divisible by m+1"
+                )
+            if Q.degree != r - 2:
+                raise MethodFailure(
+                    "zero-denominator", f"Q has degree {Q.degree}, expected {r - 2}"
+                )
+            ratio = Q.coeff(r - 3) / Q.coeff(r - 2)
+            denom = 2 * ratio - (r - 2)
+            if denom == 0:
+                raise MethodFailure("zero-denominator", "mean-of-roots equation degenerates")
+            h = 2 * (r - 2) / denom
+            if h == 0:
+                raise MethodFailure("zero-denominator", "h = 0")
+            # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
+            c = (h + 2) / h
+            if Q.compose(Poly([-c, -1])) != Q * ((-1) ** Q.degree):
+                asymmetric.add(mask)
+            return h
+
+        def finish(res: MethodResult) -> None:
+            if lat.full in asymmetric:
+                res.status = "asymmetric-Q"
+            if asymmetric - {lat.full}:
+                _flag(res, "subgraph-asymmetric-Q")
+
+        return h_of, finish
+
+    return _solve(G, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +346,13 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
 
 def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
     """Three linear equations in h, N(G), N+(G) at m = 1."""
-    cache: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
 
-    def connected(mask: int) -> tuple[Fraction, Fraction, Fraction]:
-        cls = lat.key(mask)
-        res = cache.get(cls)
-        if res is not None:
-            return res
-        r = mask.bit_count()
-        if r <= 2:
-            base = _base_result(lat, mask)
-            res = (base.h, base.facet_poly(1), base.positive_poly(1))
-        else:
+    def rule(lat: SubsetLattice):
+        def solve(mask: int) -> tuple[Fraction, Fraction, Fraction]:
+            r = mask.bit_count()
+            if r <= 2:
+                h, npoly, ppoly, _ = _postulates(lat, mask)
+                return h, npoly(1), ppoly(1)
             S = sum((n_at_1(sub) for sub in lat.codim1(mask)), F(0))
             T = sum((nplus_at_1(sub) for sub in lat.codim1(mask)), F(0))
             U = sum((nplus_at_1(sub) for sub in lat.submasks(mask) if sub != mask), F(0))
@@ -348,51 +360,43 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
             if den == 0:
                 raise MethodFailure("zero-denominator", "3x3 reciprocity system is singular")
             h = (2 * r * U - 2 * S - 2 * T) / den
-            res = (h, (h + 2) * S / (2 * r), (h - 1) * T / r)
-        cache[cls] = res
-        return res
+            return h, (h + 2) * S / (2 * r), (h - 1) * T / r
 
-    try:
-        lat = _connected_lattice(G)
+        connected = _per_class(lat, solve)
         # N and N+ at m=1 of any mask, products over its components
         n_at_1 = _products(lat, lambda mask: connected(mask)[1], F(1))
         nplus_at_1 = _products(lat, lambda mask: connected(mask)[2], F(1))
         _each_connected(lat, connected)
-        h, n1, np1 = connected(lat.full)
-        npoly = face_polys(lat, lambda mask, sums: connected(mask)[0])(lat.full)[-1]
-        exps = exponents_from_facet_poly(npoly, h)
-    except MethodFailure as exc:
-        return _fail(exc)
-    status, flags = _status_for_h(h)
-    flagset = set(flags)
-    ppoly = f_plus_poly(npoly, G.rank)
-    if npoly(1) != n1 or ppoly(1) != np1:
-        flagset.add("poly-mismatch")
-    return MethodResult(
-        status=status,
-        h=h,
-        facet_poly=npoly,
-        positive_poly=ppoly,
-        exponents=exps,
-        flags=tuple(sorted(flagset)),
-    )
+        _, n1, np1 = connected(lat.full)
+
+        def finish(res: MethodResult) -> None:
+            if res.facet_poly(1) != n1 or res.positive_poly(1) != np1:
+                _flag(res, "poly-mismatch")
+
+        return (lambda mask, sums: connected(mask)[0]), finish
+
+    return _solve(G, rule)
 
 
 def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
     """Full polynomial reciprocity: h as a rational function of m that
-    must collapse to a constant."""
-    cache: dict[int, tuple[Fraction, Poly]] = {}
+    must collapse to a constant.
 
-    def connected(mask: int) -> tuple[Fraction, Poly]:
-        cls = lat.key(mask)
-        res = cache.get(cls)
-        if res is not None:
-            return res
-        r = mask.bit_count()
-        if r <= 2:
-            base = _base_result(lat, mask)
-            res = (base.h, base.positive_poly)
-        else:
+    Over the subsets H of a mask of rank r, with P the sum of N+ one
+    vertex down, W and X the sums of (r - |H|) N+(H) and |H| N+(H) over
+    |H| <= r - 2: h(mW - P) = 2((r - 2)P + X) holds identically exactly
+    when the face recurrence's N = (hm + 2)(W + P)/(2r) equals the sum
+    of N+(H) over every H, and N+ = (hm + h - 2)P/(2r) is the reciprocal
+    of N by induction.  So the frame's N and N+, built with this h, are
+    those of the recursion.
+    """
+
+    def rule(lat: SubsetLattice):
+        def solve(mask: int) -> tuple[Fraction, Poly]:
+            r = mask.bit_count()
+            if r <= 2:
+                h, _, ppoly, _ = _postulates(lat, mask)
+                return h, ppoly
             P = sum((nplus(sub) for sub in lat.codim1(mask)), Poly())
             # sum of N+(H) over the subsets H of each size up to r - 2
             by_size = [Poly()] * (r - 1)
@@ -412,28 +416,14 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                 raise MethodFailure(
                     "non-constant-h", "reciprocity h is a non-constant function of m"
                 )
-            res = (h, Poly([h - 2, h]) * P / (2 * r))
-        cache[cls] = res
-        return res
+            return h, Poly([h - 2, h]) * P / (2 * r)
 
-    try:
-        lat = _connected_lattice(G)
+        connected = _per_class(lat, solve)
         nplus = _products(lat, lambda mask: connected(mask)[1], ONE)
         _each_connected(lat, connected)
-        h, nplus_top = connected(lat.full)
-        npoly = sum((nplus(sub) for sub in lat.submasks(lat.full)), Poly())
-        exps = exponents_from_facet_poly(npoly, h)
-    except MethodFailure as exc:
-        return _fail(exc)
-    status, flags = _status_for_h(h)
-    return MethodResult(
-        status=status,
-        h=h,
-        facet_poly=npoly,
-        positive_poly=nplus_top,
-        exponents=exps,
-        flags=flags,
-    )
+        return (lambda mask, sums: connected(mask)[0]), None
+
+    return _solve(G, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +437,12 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
     subgraphs enter the sums; h then follows from the total reflection
     count identity and the face polynomials from the recurrence.
     """
-    mcache: dict[int, Fraction] = {}
-    sigma2_cache: dict[int, Fraction] = {}
 
-    def m_connected(mask: int) -> Fraction:
-        cls = lat.key(mask)
-        res = mcache.get(cls)
-        if res is not None:
-            return res
-        r = mask.bit_count()
-        if r <= 2:
-            res = _base_result(lat, mask).full_support_count
-        else:
+    def rule(lat: SubsetLattice):
+        def full_support(mask: int) -> Fraction:
+            r = mask.bit_count()
+            if r <= 2:
+                return _postulates(lat, mask)[3]
             sigma1 = sum(
                 (m_connected(sub) for sub in lat.codim1(mask)
                  if len(lat.components(sub)) == 1),
@@ -469,48 +453,30 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
                 raise MethodFailure(
                     "zero-denominator", "full-support recursion denominator is 0"
                 )
-            res = sigma1 * sigma2(mask) / den
-        mcache[cls] = res
-        return res
+            return sigma1 * sigma2(mask) / den
 
-    def sigma2(mask: int) -> Fraction:
-        cls = lat.key(mask)
-        total = sigma2_cache.get(cls)
-        if total is None:
+        def connected_sum(mask: int) -> Fraction:
             r = mask.bit_count()
-            total = sigma2_cache[cls] = sum(
+            return sum(
                 (m_connected(sub) for sub in lat.submasks(mask)
                  if 2 <= sub.bit_count() <= r - 1 and len(lat.components(sub)) == 1),
                 F(0),
             )
-        return total
 
-    def h_of(mask: int) -> Fraction:
-        r = mask.bit_count()
-        if r <= 2:
-            return _base_result(lat, mask).h
-        return 2 * (m_connected(mask) + sigma2(mask) + r) / r
-
-    try:
-        lat = _connected_lattice(G)
+        m_connected = _per_class(lat, full_support)
+        sigma2 = _per_class(lat, connected_sum)
         _each_connected(lat, m_connected)
-        mg = m_connected(lat.full)
-        h = h_of(lat.full)
-        npoly = face_polys(lat, lambda mask, sums: h_of(mask))(lat.full)[-1]
-        exps = exponents_from_facet_poly(npoly, h)
-    except MethodFailure as exc:
-        return _fail(exc)
-    status, flags = _status_for_h(h)
-    return MethodResult(
-        status=status,
-        h=h,
-        facet_poly=npoly,
-        positive_poly=f_plus_poly(npoly, G.rank),
-        exponents=exps,
-        full_support_count=mg,
-        flags=flags,
-    )
 
+        def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+            r = mask.bit_count()
+            return 2 * (m_connected(mask) + sigma2(mask) + r) / r
+
+        def finish(res: MethodResult) -> None:
+            res.full_support_count = m_connected(lat.full)
+
+        return h_of, finish
+
+    return _solve(G, rule)
 
 # ---------------------------------------------------------------------------
 # aggregation
@@ -590,43 +556,10 @@ def _method_json(res: MethodResult) -> dict:
     return out
 
 
-# The subset recursions walk up to 2^rank masks, once per isomorphism
-# class.  A rank limit does not bound their work: the rank-12 star (one
-# vertex joined to eleven; 2059 connected masks in 12 classes) takes
-# 3.5 s (Python 3.11, shared 2-vCPU host), 2.4 of its 4.2 profiled
-# seconds in _decide_root deciding which roots are rational, while the
-# five methods on A14 take 0.23 s.  So the budget stays at 12 rather
-# than growing with the speed of A_r.
-RANK_BUDGET = 12
-
-
 def compute_all(G: CoxeterDiagram, methods=None) -> InvariantReport:
     """Run the requested methods (default all) and compare answers."""
     report = InvariantReport(G)
-    names = list(METHODS) if methods is None else list(methods)
-    lat = subset_lattice(G)
-    if len(lat.components(lat.full)) != 1:
-        for name in names:
-            report.methods[name] = MethodResult(status="not-applicable", detail=_NOT_APPLICABLE)
-        report.consensus = "partial"
-        return report
-    if G.rank > RANK_BUDGET:
-        for name in names:
-            report.methods[name] = MethodResult(
-                status="budget-exceeded",
-                detail=f"rank {G.rank} exceeds the recursion budget {RANK_BUDGET}",
-            )
-        report.consensus = "partial"
-        return report
-    if G.rank <= 2:
-        for name in names:
-            res = _base_result(lat, lat.full)
-            if name != "mg":
-                res.full_support_count = None
-            report.methods[name] = res
-        report.consensus = "agree"
-        return report
-    for name in names:
+    for name in METHODS if methods is None else methods:
         report.methods[name] = METHODS[name](G)
 
     # The m=1 and m=0 methods are specializations of the general
@@ -638,7 +571,7 @@ def compute_all(G: CoxeterDiagram, methods=None) -> InvariantReport:
         for name in ("reciprocity_simple", "mg"):
             res = report.methods.get(name)
             if res is not None and res.yielded:
-                res.flags = tuple(sorted(set(res.flags) | {"specialization-suspect"}))
+                _flag(res, "specialization-suspect")
 
     keys = [
         r.agreement_key()

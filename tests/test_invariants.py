@@ -13,6 +13,7 @@ from ccx.diagram import (
     subset_lattice,
 )
 from ccx.exactmath import Poly, poly_divide_exact, poly_gcd, rational_roots, real_roots
+from ccx.formulas import f_plus_poly
 from ccx.invariants import (
     METHODS,
     YIELDING,
@@ -29,6 +30,7 @@ from ccx.invariants import (
     symmetry_method,
 )
 from ccx.rootsys import RootSystem
+from ccx.verify import FAKE_CATALOG
 
 
 def test_rank3_euler_h():
@@ -339,6 +341,23 @@ def test_rank_two_base_report():
             assert res.full_support_count is None
 
 
+@pytest.mark.parametrize(
+    "spec", ["A1", "A2", "B2", "G2", "I2(5)", "I2(12)", "n=3; 1-2:3", "n=0;", "A13"]
+)
+def test_direct_method_calls_match_the_report(spec):
+    """A method called on its own gives what compute_all reports for it,
+    also where the diagram is postulated, disconnected or over budget."""
+    G = parse_diagram(spec)
+    report = compute_all(G).to_json()["methods"]
+    for name, method in METHODS.items():
+        assert _method_json(method(G)) == report[name]
+
+
+def test_one_method_alone_is_partial_at_every_rank():
+    for spec in ("A1", "I2(5)", "A3"):
+        assert compute_all(parse_diagram(spec), ["euler"]).consensus == "partial"
+
+
 def test_report_json_shape():
     rep = compute_all(parse_diagram("~C3"))
     blob = rep.to_json()
@@ -496,8 +515,8 @@ def test_reported_failure_is_the_least_of_the_lowest_failing_rank():
 
 def test_submask_sums_run_once_per_class(monkeypatch):
     """~A8 has 73 connected masks in 9 classes; reciprocity_general sums
-    over the submasks of one mask of each class of rank >= 3, and once
-    more over the whole diagram for its facet polynomial."""
+    over the submasks of one mask of each class of rank >= 3 and nowhere
+    else: its facet polynomial comes from the face recurrence."""
     from ccx.diagram import SubsetLattice
 
     calls = []
@@ -513,7 +532,52 @@ def test_submask_sums_run_once_per_class(monkeypatch):
     lat = subset_lattice(G)
     classes = {lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3}
     assert len(classes) == 7 and len(lat.connected_masks()) == 73
-    assert sorted(map(lat.key, calls)) == sorted([*classes, lat.key(lat.full)])
+    assert sorted(map(lat.key, calls)) == sorted(classes)
+
+
+# Drawn once as a random spanning tree plus further edges, labels 3-6,
+# keeping draws on which reciprocity_general yields: four of rank 4 of
+# infinite type, and at ranks 5 and 6, where every yielding draw was of
+# finite or affine type (none of some 15 000 of other infinite type
+# yielded), D5 and D6 relabelled.
+RECIPROCITY_DRAWS = [
+    "n=4; 1-2:4 1-4:4 2-3:5",
+    "n=4; 1-2:6 1-3:3 2-4:6",
+    "n=4; 1-2:3 1-3:3 2-3:5 2-4:4",
+    "n=4; 1-2:3 2-3:4 3-4:4",
+    "n=5; 1-2:3 1-3:3 2-4:3 2-5:3",
+    "n=6; 1-2:3 1-4:3 2-3:3 2-6:3 4-5:3",
+]
+
+
+@pytest.mark.parametrize("spec", [e["spec"] for e in FAKE_CATALOG] + ["~D4"] + RECIPROCITY_DRAWS)
+def test_reciprocity_general_facet_poly_is_the_subset_sum(spec):
+    """N is the sum over every vertex subset H of the product of N+ over
+    the components of H, and N+ is the reciprocal of N.  The N+ of each
+    component comes from the method run on its induced subdiagram."""
+    G = parse_diagram(spec)
+    res = reciprocity_general_method(G)
+    assert res.yielded
+
+    nplus: dict[frozenset, Poly] = {}
+
+    def nplus_of(C) -> Poly:
+        verts = frozenset(C.vertices)
+        if verts not in nplus:
+            sub = reciprocity_general_method(C)
+            assert sub.yielded, C.to_spec()
+            nplus[verts] = sub.positive_poly
+        return nplus[verts]
+
+    total = Poly()
+    for bits in range(1 << G.rank):
+        H = induced_subdiagram(G, [v for i, v in enumerate(G.vertices) if bits >> i & 1])
+        term = Poly([1])
+        for C in connected_components(H):
+            term = term * nplus_of(C)
+        total = total + term
+    assert res.facet_poly == total
+    assert res.positive_poly == f_plus_poly(res.facet_poly, G.rank)
 
 
 # -- correct rounding of irrational roots -----------------------------------

@@ -34,7 +34,9 @@ Last, each diagram of the fake catalog and each affine type gets a
 ``stdout`` line: the sha256 of the full stdout of ``ccx invariants
 --diagram <spec>``, floats included, so these lines pin the last bit of
 the ``approx`` and ``exponents_approx`` values that the report lines
-leave out.
+leave out.  So do the cases of ``stdout_cases``: diagrams the methods
+postulate (A1, I2(5)) or refuse, as disconnected (``n=3; 1-2:3``) or
+over the rank budget (A13), and ~C3 with each ``--method`` alias alone.
 
 Usage, from the root of a checkout (standard library only)::
 
@@ -58,7 +60,7 @@ from ccx.formulas import (
     h_k_closed,
     positive_facet_count_poly,
 )
-from ccx.invariants import compute_all
+from ccx.invariants import METHOD_ALIASES, compute_all
 from ccx.verify import FAKE_CATALOG
 
 RANDOM_SEED = 20050505
@@ -140,6 +142,13 @@ def facet_cases() -> list[tuple[str, int]]:
     return [("H4", 1), ("B3", 2), ("F4", 1), ("G2", 2), ("I2(7)", 3)]
 
 
+def stdout_cases() -> list[list[str]]:
+    """Arguments of ``ccx invariants`` beyond the catalogs: every check
+    before the recursions, and each method run on its own."""
+    cases = [["--diagram", spec] for spec in ("A1", "I2(5)", "n=3; 1-2:3", "A13")]
+    return cases + [["--diagram", "~C3", "--method", alias] for alias in METHOD_ALIASES]
+
+
 def cli_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -185,6 +194,9 @@ def main() -> None:
     for spec in [e["spec"] for e in FAKE_CATALOG] + affine_list():
         text = cli_stdout(["invariants", "--diagram", spec])
         print(spec, "stdout", hashlib.sha256(text.encode()).hexdigest())
+    for args in stdout_cases():
+        text = cli_stdout(["invariants", *args])
+        print(*args[1:], "stdout", hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":
