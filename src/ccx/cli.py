@@ -131,59 +131,34 @@ def cmd_dissect(args) -> int:
     if args.family == "A":
         N = (n + 1) * m + 2
         diags, adj = noncrossing_graph(n, m)
-        counts = clique_counts(adj, n)
-        if args.emit == "svg":
-            facets = list(iter_cliques(adj, n))
-            if not 0 <= args.facet < len(facets):
-                raise DomainError(
-                    "bad-parameters", f"facet index {args.facet} out of range"
-                )
-            chords = [(diags[i], "plain") for i in facets[args.facet]]
-            print(render_svg(N, chords))
-            return 0
-        _emit(
-            {
-                "family": "A",
-                "n": n,
-                "m": m,
-                "polygon": N,
-                "allowable_diagonals": len(diags),
-                "noncrossing_subset_counts": counts,
-            },
-            args.emit,
-        )
-        return 0
-    model_cls = {"B": TypeBModel, "D": TypeDModel}[args.family]
-    try:
-        model = model_cls(n, m)
-    except InputError as e:
-        raise DomainError("bad-parameters", str(e))
+        styled = [[(d, "plain")] for d in diags]
+    else:
+        model_cls = {"B": TypeBModel, "D": TypeDModel}[args.family]
+        try:
+            model = model_cls(n, m)
+        except InputError as e:
+            raise DomainError("bad-parameters", str(e))
+        N, adj = model.N, model.adj
+        styled = [[(c, v.flavor or "plain") for c in v.chords] for v in model.vertices]
     if args.emit == "svg":
-        facets = model.faces(model.n)
-        idx = args.facet
-        if not 0 <= idx < len(facets):
-            raise DomainError("bad-parameters", f"facet index {idx} out of range")
-        chords = []
-        for i in facets[idx]:
-            v = model.vertices[i]
-            style = "plain" if v.kind == "pair" else getattr(v, "flavor", "plain")
-            for c in v.chords:
-                chords.append((c, style))
-        print(render_svg(model.N, chords))
+        facets = list(iter_cliques(adj, n))
+        if not 0 <= args.facet < len(facets):
+            raise DomainError("bad-parameters", f"facet index {args.facet} out of range")
+        print(render_svg(N, [chord for i in facets[args.facet] for chord in styled[i]]))
         return 0
-    fv = model.f_vector()
-    _emit(
-        {
-            "family": args.family,
-            "n": n,
-            "m": m,
-            "polygon": model.N,
+    if args.family == "A":
+        counts = {
+            "allowable_diagonals": len(diags),
+            "noncrossing_subset_counts": clique_counts(adj, n),
+        }
+    else:
+        fv = model.f_vector()
+        counts = {
             "model_vertices": len(model.vertices),
-            "facet_count": fv[model.n],
+            "facet_count": fv[n],
             "face_counts": fv,
-        },
-        args.emit,
-    )
+        }
+    _emit({"family": args.family, "n": n, "m": m, "polygon": N, **counts}, args.emit)
     return 0
 
 

@@ -3,8 +3,11 @@
 Type A lives in a convex ((n+1)m+2)-gon whose m-allowable diagonals cut
 off arcs with vertex counts divisible by m; the snake encodes negative
 simples and clockwise rotation realizes the colored rotation.  Types B
-and D reuse the type-A machinery in a centrally symmetric polygon, with
-symmetric diagonal pairs, diameters, and (for D) two diameter flavors.
+and D are one construction: the type-A model of a centrally symmetric
+polygon, folded by the half-turn into symmetric diagonal pairs and
+diameters.  Each family keeps only its diameters (plain for B, a gray and
+a dashed one at each position for D) and its rule sending a colored
+positive root to a model vertex.
 
 Polygon vertices are 0..N-1 internally; the 1-based labels of the text
 descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
@@ -12,6 +15,7 @@ descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .diagram import InputError, parse_diagram
@@ -133,22 +137,21 @@ class TypeAModel:
     def compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
         return not crossing(self.to_diagonal[u], self.to_diagonal[v])
 
+    def root_diagonal(self, lo: int, hi: int, k: int) -> Diagonal:
+        """Diagonal of the positive root supported on [lo..hi] (1-based),
+        with color k."""
+        rid = self.rs.root_id([int(lo <= t <= hi) for t in range(1, self.n + 1)])
+        return self.to_diagonal[ColoredRoot(0, rid, k)]
 
-class BVertex(NamedTuple):
-    """Type-B model vertex: a diameter or a centrally symmetric pair."""
 
-    kind: str  # "diam" | "pair"
-    chords: frozenset[Diagonal]
-
-
-class DVertex(NamedTuple):
-    """Type-D model vertex: a symmetric non-diameter pair, or a flavored
-    diameter at a 1-based position."""
+class Vertex(NamedTuple):
+    """A B or D model vertex: a centrally symmetric pair of chords, or a
+    diameter; a D diameter also has a 1-based position and a flavor."""
 
     kind: str  # "pair" | "diam"
     chords: frozenset[Diagonal]
-    position: int  # 0 for pairs
-    flavor: str  # "" for pairs, else "gray" | "dashed"
+    position: int = 0
+    flavor: str = ""  # "gray" | "dashed" on a D diameter
 
 
 def _half_turn(d: Diagonal, N: int) -> Diagonal:
@@ -156,8 +159,78 @@ def _half_turn(d: Diagonal, N: int) -> Diagonal:
 
 
 class _SymmetricModel:
-    """What the B and D models share once ``vertices``, ``to_vertex``
-    and ``adj`` (compatibility as bitmasks over ``vertices``) are set."""
+    """The type-A model of rank ``a_rank`` (odd) in its centrally symmetric
+    polygon, folded by the half-turn: a model vertex is a half-turn orbit
+    of allowable diagonals, a symmetric pair or one diameter.
+
+    The polygon is read turned clockwise by ``_turn()`` steps.  Negative
+    simple t (0-based) before the snake's central diameter goes to the
+    snake pair t, a_rank-1-t.  The family supplies its diameter vertices,
+    the images of the remaining negative simples (``_central_simples``) and
+    the rule for one colored positive root (``_category``).  Compatibility
+    is non-crossing of the chords, and rotation turns every chord.
+    """
+
+    family: str  # "B" | "D"
+
+    def __init__(self, n: int, m: int, a_rank: int):
+        self.n, self.m = n, m
+        self.amodel = TypeAModel(a_rank, m)
+        self.N = self.amodel.N
+        self.half = self.N // 2
+        self.turn = self._turn()
+        self.vertices: list[Vertex] = self._diameters()
+        seen: set[frozenset] = set()
+        for d0 in self.amodel.diagonals:
+            d = self._turned(d0)
+            if d[1] - d[0] == self.half:
+                continue
+            orbit = frozenset([d, _half_turn(d, self.N)])
+            if orbit not in seen:
+                seen.add(orbit)
+                self.vertices.append(Vertex("pair", orbit))
+
+        self.rs = RootSystem(parse_diagram(f"{self.family}{n}"))
+        snake = [self._turned(d) for d in self.amodel.snake]
+        simples = [
+            Vertex("pair", frozenset([snake[t], snake[a_rank - 1 - t]]))
+            for t in range(a_rank // 2)
+        ]
+        simples += self._central_simples(frozenset([snake[a_rank // 2]]))
+        self.to_vertex: dict[ColoredRoot, Vertex] = {
+            ColoredRoot(0, i, 1): v for i, v in enumerate(simples)
+        }
+        for rid in range(n, self.rs.size):
+            for k in range(1, m + 1):
+                self.to_vertex[ColoredRoot(0, rid, k)] = self._category(rid, k)
+        images = set(self.to_vertex.values())
+        if len(images) != len(self.to_vertex) or images != set(self.vertices):
+            raise AmbiguousOrbit(f"type {self.family} bijection is not onto the model")
+        self.adj = compatibility_masks(self.vertices, self.compatible)
+
+    def _turn(self) -> int:
+        return 0
+
+    def _turned(self, d: Diagonal) -> Diagonal:
+        return rotate_diag(d, self.N, self.turn)
+
+    def _chords(self, lo: int, hi: int, k: int) -> frozenset[Diagonal]:
+        """The turned diagonals of the colored A roots on [lo..hi] and on
+        its mirror interval [a_rank+1-hi..a_rank+1-lo]: one diameter when
+        the interval is its own mirror."""
+        a = self.amodel.n + 1
+        return frozenset(
+            self._turned(self.amodel.root_diagonal(x, y, k))
+            for x, y in ((lo, hi), (a - hi, a - lo))
+        )
+
+    def compatible(self, v1: Vertex, v2: Vertex) -> bool:
+        return not any(
+            crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords
+        )
+
+    def rotate_vertex(self, v: Vertex) -> Vertex:
+        return v._replace(chords=frozenset(rotate_diag(c, self.N) for c in v.chords))
 
     def ground_set(self) -> list[ColoredRoot]:
         return colored_ground_set([self.rs], self.m)
@@ -175,97 +248,42 @@ class _SymmetricModel:
 
 
 class TypeBModel(_SymmetricModel):
-    """Centrally symmetric model in the (2nm+2)-gon."""
+    """Centrally symmetric model in the (2nm+2)-gon: the A_{2n-1} model
+    with plain diameters."""
+
+    family = "B"
 
     def __init__(self, n: int, m: int):
         if n < 2:
             raise InputError("type B model needs n >= 2")
-        self.n, self.m = n, m
-        self.N = 2 * n * m + 2
-        self.half = self.N // 2
-        self.amodel = TypeAModel(2 * n - 1, m)
-        assert self.amodel.N == self.N
-        self.vertices: list[BVertex] = []
-        for u in range(self.half):
-            self.vertices.append(
-                BVertex("diam", frozenset([_diag(u, u + self.half, self.N)]))
-            )
-        seen: set[frozenset] = set()
-        for d in self.amodel.diagonals:
-            if d[1] - d[0] == self.half:
-                continue
-            orbit = frozenset([d, _half_turn(d, self.N)])
-            if orbit not in seen:
-                seen.add(orbit)
-                self.vertices.append(BVertex("pair", orbit))
-        self._build_bijection()
-        self.adj = compatibility_masks(self.vertices, self.compatible)
+        super().__init__(n, m, 2 * n - 1)
 
-    def compatible(self, v1: BVertex, v2: BVertex) -> bool:
-        return not any(
-            crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords
-        )
+    def _diameters(self) -> list[Vertex]:
+        return [
+            Vertex("diam", frozenset([_diag(u, u + self.half, self.N)]))
+            for u in range(self.half)
+        ]
 
-    def _amap(self, lo: int, hi: int, k: int) -> Diagonal:
-        """Diagonal of the colored A_{2n-1} root supported on [lo..hi]."""
-        coords = [0.0] * (2 * self.n - 1)
-        for t in range(lo - 1, hi):
-            coords[t] = 1.0
-        rid = self.amodel.rs.root_id(coords)
-        return self.amodel.to_diagonal[ColoredRoot(0, rid, k)]
+    def _central_simples(self, chords: frozenset[Diagonal]) -> list[Vertex]:
+        return [Vertex("diam", chords)]
 
-    def _build_bijection(self):
-        n, m = self.n, self.m
-        self.rs = RootSystem(parse_diagram(f"B{n}"))
+    def _category(self, rid: int, k: int) -> Vertex:
+        n, coords = self.n, self.rs.exact[rid]
         zero, one = self.rs.integer(0), self.rs.integer(1)
-        self.to_vertex: dict[ColoredRoot, BVertex] = {}
-        snake = self.amodel.snake
-        for i in range(1, n):
-            self.to_vertex[ColoredRoot(0, i - 1, 1)] = BVertex(
-                "pair", frozenset([snake[i - 1], snake[2 * n - i - 1]])
-            )
-        self.to_vertex[ColoredRoot(0, n - 1, 1)] = BVertex(
-            "diam", frozenset([snake[n - 1]])
-        )
-        for rid in range(n, self.rs.size):
-            coords = self.rs.exact[rid]
-            supp = sorted(self.rs.support[rid])
-            last = coords[n - 1]
-            for k in range(1, m + 1):
-                if last == zero:  # category I: no short-root content
-                    i, j = supp[0] + 1, supp[-1] + 1
-                    chords = frozenset(
-                        [self._amap(i, j, k), self._amap(2 * n - j, 2 * n - i, k)]
-                    )
-                    vx = BVertex("pair", chords)
-                elif last == one:  # category II: short root
-                    i = supp[0] + 1
-                    vx = BVertex(
-                        "diam", frozenset([self._amap(i, 2 * n - i, k)])
-                    )
-                else:  # category III: doubled tail
-                    i = supp[0] + 1
-                    j = next(
-                        t + 1 for t, c in enumerate(coords) if c not in (zero, one)
-                    )
-                    chords = frozenset(
-                        [self._amap(i, 2 * n - j, k), self._amap(j, 2 * n - i, k)]
-                    )
-                    vx = BVertex("pair", chords)
-                self.to_vertex[ColoredRoot(0, rid, k)] = vx
-        vset = set(self.vertices)
-        images = set(self.to_vertex.values())
-        if len(images) != len(self.to_vertex) or images != vset:
-            raise AmbiguousOrbit("type B bijection is not onto the model")
-
-    def rotate_vertex(self, v: BVertex) -> BVertex:
-        return BVertex(
-            v.kind, frozenset(rotate_diag(c, self.N) for c in v.chords)
-        )
+        supp = sorted(self.rs.support[rid])
+        i = supp[0] + 1
+        if coords[n - 1] == zero:  # category I: no short-root content
+            return Vertex("pair", self._chords(i, supp[-1] + 1, k))
+        if coords[n - 1] == one:  # category II: short root
+            return Vertex("diam", self._chords(i, 2 * n - i, k))
+        # category III: doubled tail
+        j = next(t + 1 for t, c in enumerate(coords) if c not in (zero, one))
+        return Vertex("pair", self._chords(i, 2 * n - j, k))
 
 
 class TypeDModel(_SymmetricModel):
-    """Flavored-diameter model in the (2(n-1)m+2)-gon.
+    """Flavored-diameter model in the (2(n-1)m+2)-gon: the A_{2n-3} model
+    with a gray and a dashed diameter at each position.
 
     Positions are 1-based; position 1 is the primary diameter, fixed by
     relabeling the polygon so the snake's central diagonal lands there.
@@ -273,41 +291,54 @@ class TypeDModel(_SymmetricModel):
     when leaving position 1 or a position congruent to 2 mod m.
     """
 
+    family = "D"
+
     def __init__(self, n: int, m: int):
         if n < 3:
             raise InputError("type D model needs n >= 3")
-        self.n, self.m = n, m
-        self.N = 2 * (n - 1) * m + 2
-        self.half = self.N // 2
-        self.amodel = TypeAModel(2 * n - 3, m)
-        assert self.amodel.N == self.N
-        # relabel so the snake diameter is the primary one
-        self.shift = self.amodel.snake[n - 2][0]
-        self.vertices: list[DVertex] = []
-        for pos in range(1, self.half + 1):
-            for flavor in ("gray", "dashed"):
-                self.vertices.append(
-                    DVertex(
-                        "diam",
-                        frozenset([_diag(pos - 1, pos - 1 + self.half, self.N)]),
-                        pos,
-                        flavor,
-                    )
-                )
-        seen: set[frozenset] = set()
-        for d0 in self.amodel.diagonals:
-            d = self._shifted(d0)
-            if d[1] - d[0] == self.half:
-                continue
-            orbit = frozenset([d, _half_turn(d, self.N)])
-            if orbit not in seen:
-                seen.add(orbit)
-                self.vertices.append(DVertex("pair", orbit, 0, ""))
-        self._build_bijection()
-        self.adj = compatibility_masks(self.vertices, self.compatible)
+        super().__init__(n, m, 2 * n - 3)
 
-    def _shifted(self, d: Diagonal) -> Diagonal:
-        return _diag(d[0] - self.shift, d[1] - self.shift, self.N)
+    def _turn(self) -> int:
+        return self.amodel.snake[self.n - 2][0]
+
+    def _diameter(self, position: int, flavor: str) -> Vertex:
+        chord = _diag(position - 1, position - 1 + self.half, self.N)
+        return Vertex("diam", frozenset([chord]), position, flavor)
+
+    def _flavored(self, chords: frozenset[Diagonal], flavor: str) -> Vertex:
+        """The diameter of a one-chord set, with this flavor."""
+        (chord,) = chords
+        return self._diameter(chord[0] % self.half + 1, flavor)
+
+    def _diameters(self) -> list[Vertex]:
+        return [
+            self._diameter(pos, flavor)
+            for pos in range(1, self.half + 1)
+            for flavor in ("gray", "dashed")
+        ]
+
+    def _central_simples(self, chords: frozenset[Diagonal]) -> list[Vertex]:
+        return [self._flavored(chords, "dashed"), self._flavored(chords, "gray")]
+
+    def _category(self, rid: int, k: int) -> Vertex:
+        n, coords = self.n, self.rs.exact[rid]
+        zero, one = self.rs.integer(0), self.rs.integer(1)
+        supp = sorted(self.rs.support[rid])
+        i = supp[0] + 1
+        if coords[n - 1] == zero:  # category I
+            j = supp[-1] + 1
+            if j <= n - 2:
+                return Vertex("pair", self._chords(i, j, k))
+            # chain ending at the gray fork vertex
+            return self._flavored(self._chords(i, 2 * n - i - 2, k), "gray")
+        if coords[n - 2] == zero:  # category II with j = n
+            i = min(i, n - 1)  # the last simple alone starts at n-1
+            return self._flavored(self._chords(i, 2 * n - i - 2, k), "dashed")
+        # category II with j < n
+        j = next(
+            (t + 1 for t, c in enumerate(coords) if c not in (zero, one)), n - 1
+        )
+        return Vertex("pair", self._chords(i, 2 * n - j - 2, k))
 
     def _switches(self, p: int, k: int) -> int:
         """Flavor switches over k clockwise steps starting at position p."""
@@ -319,7 +350,7 @@ class TypeDModel(_SymmetricModel):
             cur = cur - 1 if cur > 1 else self.half
         return count
 
-    def diameters_compatible(self, v1: DVertex, v2: DVertex) -> bool:
+    def diameters_compatible(self, v1: Vertex, v2: Vertex) -> bool:
         if v1.position == v2.position:
             return v1.flavor != v2.flavor
         k = (v1.position - v2.position) % self.half
@@ -330,124 +361,23 @@ class TypeDModel(_SymmetricModel):
         same = v2.flavor == rotated_flavor
         return same == (ceil_km % 2 == 0)
 
-    def compatible(self, v1: DVertex, v2: DVertex) -> bool:
+    def compatible(self, v1: Vertex, v2: Vertex) -> bool:
         if v1.kind == "diam" and v2.kind == "diam":
             return self.diameters_compatible(v1, v2)
-        return not any(
-            crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords
-        )
+        return super().compatible(v1, v2)
 
-    def rotate_vertex(self, v: DVertex) -> DVertex:
+    def rotate_vertex(self, v: Vertex) -> Vertex:
         if v.kind == "pair":
-            return DVertex(
-                "pair",
-                frozenset(rotate_diag(c, self.N) for c in v.chords),
-                0,
-                "",
-            )
-        newpos = v.position - 1 if v.position > 1 else self.half
+            return super().rotate_vertex(v)
         flavor = v.flavor
         if self._switches(v.position, 1):
             flavor = "dashed" if flavor == "gray" else "gray"
-        return DVertex(
-            "diam",
-            frozenset([_diag(newpos - 1, newpos - 1 + self.half, self.N)]),
-            newpos,
-            flavor,
-        )
-
-    def _amap(self, lo: int, hi: int, k: int) -> Diagonal:
-        coords = [0.0] * (2 * self.n - 3)
-        for t in range(lo - 1, hi):
-            coords[t] = 1.0
-        rid = self.amodel.rs.root_id(coords)
-        return self._shifted(self.amodel.to_diagonal[ColoredRoot(0, rid, k)])
-
-    def _diam_vertex(self, chord: Diagonal, flavor: str) -> DVertex:
-        pos = (chord[0] % self.half) + 1
-        return DVertex(
-            "diam",
-            frozenset([_diag(pos - 1, pos - 1 + self.half, self.N)]),
-            pos,
-            flavor,
-        )
-
-    def _build_bijection(self):
-        n, m = self.n, self.m
-        self.rs = RootSystem(parse_diagram(f"D{n}"))
-        zero, one = self.rs.integer(0), self.rs.integer(1)
-        self.to_vertex: dict[ColoredRoot, DVertex] = {}
-        snake = self.amodel.snake
-        for i in range(1, n - 1):
-            chords = frozenset(
-                [self._shifted(snake[i - 1]), self._shifted(snake[2 * n - i - 3])]
-            )
-            self.to_vertex[ColoredRoot(0, i - 1, 1)] = DVertex("pair", chords, 0, "")
-        primary = self._shifted(snake[n - 2])
-        self.to_vertex[ColoredRoot(0, n - 2, 1)] = self._diam_vertex(
-            primary, "dashed"
-        )
-        self.to_vertex[ColoredRoot(0, n - 1, 1)] = self._diam_vertex(
-            primary, "gray"
-        )
-        for rid in range(n, self.rs.size):
-            coords = self.rs.exact[rid]
-            supp = sorted(self.rs.support[rid])
-            c_last = coords[n - 1]
-            c_fork = coords[n - 2]
-            for k in range(1, m + 1):
-                if c_last == zero:  # category I
-                    i, j = supp[0] + 1, supp[-1] + 1
-                    if j <= n - 2:
-                        vx = DVertex(
-                            "pair",
-                            frozenset(
-                                [
-                                    self._amap(i, j, k),
-                                    self._amap(2 * n - j - 2, 2 * n - i - 2, k),
-                                ]
-                            ),
-                            0,
-                            "",
-                        )
-                    else:  # chain ending at the gray fork vertex
-                        vx = self._diam_vertex(
-                            self._amap(i, 2 * n - i - 2, k), "gray"
-                        )
-                elif c_fork == zero:  # category II with j = n
-                    rest = [s for s in supp if s != n - 1]
-                    i = rest[0] + 1 if rest else n - 1
-                    vx = self._diam_vertex(
-                        self._amap(i, 2 * n - i - 2, k), "dashed"
-                    )
-                else:  # category II with j < n
-                    i = supp[0] + 1
-                    j = next(
-                        (t + 1 for t, c in enumerate(coords) if c not in (zero, one)),
-                        n - 1,
-                    )
-                    vx = DVertex(
-                        "pair",
-                        frozenset(
-                            [
-                                self._amap(i, 2 * n - j - 2, k),
-                                self._amap(j, 2 * n - i - 2, k),
-                            ]
-                        ),
-                        0,
-                        "",
-                    )
-                self.to_vertex[ColoredRoot(0, rid, k)] = vx
-        images = set(self.to_vertex.values())
-        if len(images) != len(self.to_vertex) or images != set(self.vertices):
-            raise AmbiguousOrbit("type D bijection is not onto the model")
+        return self._diameter(v.position - 1 if v.position > 1 else self.half, flavor)
 
 
 def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
     """All ways to flavor diameters at the given positions so they are
     pairwise compatible: either none, or exactly two (global flips)."""
-    if n <= 2:
-        raise InputError("needs n > 2")
     model = TypeDModel(n, m)
     positions = list(positions)
     out = []
@@ -455,20 +385,8 @@ def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
         flavors = tuple(
             "gray" if bits >> t & 1 else "dashed" for t in range(len(positions))
         )
-        verts = [
-            DVertex(
-                "diam",
-                frozenset([_diag(p - 1, p - 1 + model.half, model.N)]),
-                p,
-                f,
-            )
-            for p, f in zip(positions, flavors)
-        ]
-        if all(
-            model.compatible(verts[i], verts[j])
-            for i in range(len(verts))
-            for j in range(i + 1, len(verts))
-        ):
+        verts = [model._diameter(p, f) for p, f in zip(positions, flavors)]
+        if all(model.compatible(u, v) for u, v in itertools.combinations(verts, 2)):
             out.append(flavors)
     return out
 

@@ -270,7 +270,15 @@ FAKE_CATALOG: list[dict] = [
 
 def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
     checks: list[Check] = []
-    agreement_pool: list[tuple[str, str, tuple]] = []
+    agreement: dict[str, set] = {}
+
+    def pool(spec: str, rep) -> None:
+        """Pool the agreement key of each method that yielded, unless its
+        specialization is suspect."""
+        keys = agreement.setdefault(spec, set())
+        for res in rep.methods.values():
+            if res.yielded and "specialization-suspect" not in res.flags:
+                keys.add(res.agreement_key())
 
     # finite catalog, every method
     names = (
@@ -286,15 +294,14 @@ def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
         cls = classify(G)
         rep = compute_all(G)
         ok = True
-        for mname, res in rep.methods.items():
+        for res in rep.methods.values():
             if res.status != "ok":
                 ok = False
             elif res.h != cls.coxeter_number or list(
                 res.exponents.rational
             ) != [F(e) for e in cls.exponents] or res.exponents.residual is not None:
                 ok = False
-            if res.yielded and "specialization-suspect" not in res.flags:
-                agreement_pool.append((name, mname, res.agreement_key()))
+        pool(name, rep)
         checks.append(_check(f"catalog {name}", ok, f"consensus={rep.consensus}"))
         info = TypeInfo.of(G)
         mg = rep.methods["mg"].full_support_count
@@ -310,7 +317,7 @@ def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
             continue
         rep = compute_all(G)
         ok = True
-        for mname, res in rep.methods.items():
+        for res in rep.methods.values():
             if not res.yielded:
                 ok = False
                 continue
@@ -329,8 +336,7 @@ def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
                     ok = False
             elif got_res != [F(c) for c in want_res]:
                 ok = False
-            if res.yielded and "specialization-suspect" not in res.flags:
-                agreement_pool.append((entry["spec"], mname, res.agreement_key()))
+        pool(entry["spec"], rep)
         checks.append(_check(f"fake {entry['spec']}", ok, f"consensus={rep.consensus}"))
 
     # rank-3 family: h = 2a/(12-a) for a in 8..11
@@ -341,9 +347,7 @@ def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
         rep = compute_all(G)
         want = F(2 * a, 12 - a)
         ok = all(res.yielded and res.h == want for res in rep.methods.values())
-        for mname, res in rep.methods.items():
-            if res.yielded and "specialization-suspect" not in res.flags:
-                agreement_pool.append((spec, mname, res.agreement_key()))
+        pool(spec, rep)
         checks.append(_check(f"rank3 a={a} {labels}", ok, f"h={want}"))
 
     # failing diagrams with their statuses
@@ -379,15 +383,10 @@ def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
         and not rep.methods["euler"].yielded
     )
     checks.append(_check("fake ~D4", ok))
-    for mname, res in rep.methods.items():
-        if res.yielded and "specialization-suspect" not in res.flags:
-            agreement_pool.append(("~D4", mname, res.agreement_key()))
+    pool("~D4", rep)
 
     # cross-method agreement (criterion 9)
-    by_diagram: dict[str, set] = {}
-    for spec, _, key in agreement_pool:
-        by_diagram.setdefault(spec, set()).add(key)
-    disagreements = {k: v for k, v in by_diagram.items() if len(v) > 1}
+    disagreements = {k: v for k, v in agreement.items() if len(v) > 1}
     checks.append(
         _check(
             "cross-method agreement",

@@ -165,6 +165,37 @@ def test_dissect_svg(capsys):
     assert out.startswith("<svg")
 
 
+def test_dissect_svg_draws_diameters_in_their_flavors(capsys):
+    """A D facet draws each gray chord gray and each dashed chord dashed;
+    B diameters, which have no flavor, draw plain."""
+    from ccx.polygon import TypeBModel, TypeDModel
+
+    model = TypeDModel(3, 2)
+    idx, facet = next(
+        (idx, f)
+        for idx, f in enumerate(model.faces(3))
+        if {model.vertices[i].flavor for i in f} >= {"gray", "dashed"}
+    )
+    flavors = [model.vertices[i].flavor for i in facet for _ in model.vertices[i].chords]
+    code, out, _ = run_cli(
+        capsys, "dissect", "--family", "D", "-n", "3", "-m", "2",
+        "--emit", "svg", "--facet", str(idx),
+    )
+    assert code == 0
+    assert out.count('stroke="#888888"') == flavors.count("gray") > 0
+    assert out.count("stroke-dasharray") == flavors.count("dashed") > 0
+
+    model = TypeBModel(3, 2)
+    for idx in (0, 5):
+        assert any(model.vertices[i].kind == "diam" for i in model.faces(3)[idx])
+        code, out, _ = run_cli(
+            capsys, "dissect", "--family", "B", "-n", "3", "-m", "2",
+            "--emit", "svg", "--facet", str(idx),
+        )
+        assert code == 0 and out.count("<line") == 2 * 3 - 1
+        assert "#888888" not in out and "stroke-dasharray" not in out
+
+
 def test_dissect_b_counts(capsys):
     code, out, _ = run_cli(capsys, "dissect", "--family", "B", "-n", "2", "-m", "2")
     data = json.loads(out)

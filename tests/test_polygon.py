@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ccx.diagram import InputError
 from ccx.formulas import TypeInfo, N_product, f_k_closed
 from ccx.gcc import m_compatible, rotate_colored
 from ccx.polygon import (
@@ -163,6 +164,11 @@ def test_all_diameter_flavoring_two_or_none():
         if flavorings:
             f1, f2 = flavorings
             assert all(a != b for a, b in zip(f1, f2))
+
+
+def test_all_diameter_flavoring_rejects_small_n_as_the_model_does():
+    with pytest.raises(InputError, match="type D model needs n >= 3"):
+        all_diameter_flavoring(2, 1, [1])
 
 
 def test_gap_condition_violated():

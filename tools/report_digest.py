@@ -38,6 +38,11 @@ leave out.  So do the cases of ``stdout_cases``: diagrams the methods
 postulate (A1, I2(5)) or refuse, as disconnected (``n=3; 1-2:3``) or
 over the rank budget (A13), and ~C3 with each ``--method`` alias alone.
 
+Then each command of ``dissect_cases`` gets a ``dissect`` line: the sha256
+of the exit code, stdout and stderr of ``ccx dissect``, so these lines pin
+the polygon models' face counts, their SVG facets (chord order and
+diameter styles) and the errors on bad parameters.
+
 Usage, from the root of a checkout (standard library only)::
 
     PYTHONPATH=src python3 tools/report_digest.py > digests.txt
@@ -149,11 +154,31 @@ def stdout_cases() -> list[list[str]]:
     return cases + [["--diagram", "~C3", "--method", alias] for alias in METHOD_ALIASES]
 
 
+def dissect_cases() -> list[list[str]]:
+    """Arguments of ``ccx dissect``: every family at m = 1..3 as JSON,
+    text and three SVG facets (an index past the last facet is an
+    error), then parameters each family refuses and one over the
+    diagonal limit."""
+    ranks = {"A": range(1, 5), "B": range(2, 6), "D": range(3, 7)}
+    cases = [["--family", family, "-n", str(n), "-m", str(m)]
+             for family in ranks for n in ranks[family] for m in range(1, 4)]
+    out = [case + ["--emit", emit] for case in cases for emit in ("json", "text")]
+    out += [case + ["--emit", "svg", "--facet", facet]
+            for case in cases for facet in ("0", "3", "7")]
+    bad = [("A", "0", "1"), ("B", "1", "1"), ("D", "2", "1"), ("A", "4", "4")]
+    return out + [["--family", family, "-n", n, "-m", m] for family, n, m in bad]
+
+
+def cli_run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``ccx`` on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ccx_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def cli_stdout(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        ccx_main(argv)
-    return out.getvalue()
+    return cli_run(argv)[1]
 
 
 def canonical(report: dict) -> str:
@@ -197,6 +222,9 @@ def main() -> None:
     for args in stdout_cases():
         text = cli_stdout(["invariants", *args])
         print(*args[1:], "stdout", hashlib.sha256(text.encode()).hexdigest())
+    for args in dissect_cases():
+        text = repr(cli_run(["dissect", *args]))
+        print(*args, "dissect", hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":
