@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, parse_diagram
@@ -141,10 +142,11 @@ def cmd_dissect(args) -> int:
         N, adj = model.N, model.adj
         styled = [[(c, v.flavor or "plain") for c in v.chords] for v in model.vertices]
     if args.emit == "svg":
-        facets = list(iter_cliques(adj, n))
-        if not 0 <= args.facet < len(facets):
+        facets = iter_cliques(adj, n)
+        facet = next(islice(facets, args.facet, None), None) if args.facet >= 0 else None
+        if facet is None:
             raise DomainError("bad-parameters", f"facet index {args.facet} out of range")
-        print(render_svg(N, [chord for i in facets[args.facet] for chord in styled[i]]))
+        print(render_svg(N, [chord for i in facet for chord in styled[i]]))
         return 0
     if args.family == "A":
         counts = {

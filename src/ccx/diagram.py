@@ -12,10 +12,11 @@ are isomorphic: the lattice keys each mask by its isomorphism class.
 
 The constructors ``_named`` and ``_named_affine`` are the one
 description of each finite and affine type.  Classification is
-membership in the catalog they draw: a tree-shaped diagram is named by
-looking up its exact canonical key (``_tree_key``, which the lattice
-keys share) among the keys of the named diagrams of its rank; the
-affine cycles ~A are the one shape checked directly.
+membership in the catalog they draw: one classifier reads the adjacency
+of a connected diagram, for ``classify`` and the lattice masks alike,
+and names a tree by its AHU name (``_tree_key``, an int from the one
+table the catalogs and the lattice keys share); the affine cycles ~A
+are the one shape checked directly.
 """
 
 from __future__ import annotations
@@ -306,73 +307,79 @@ def codim1_subdiagrams(G: CoxeterDiagram) -> list[tuple[int, CoxeterDiagram]]:
 
 
 def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
-    """Components of the label>=3 skeleton, each keeping parent ids."""
-    seen: set[int] = set()
-    comps = []
+    """Components of the label>=3 skeleton, each keeping parent ids and
+    the parent's order of vertices and labels, in the order of their
+    first vertices.  One breadth-first search numbers the components;
+    one pass over the vertices and one over the labels share them out."""
+    comp: dict[int, int] = {}
+    count = 0
     for v in G.vertices:
-        if v in seen:
+        if v in comp:
             continue
-        stack, comp = [v], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(w for w in G.neighbors(u) if w not in comp)
-        seen |= comp
-        comps.append(induced_subdiagram(G, comp))
-    return comps
+        comp[v] = count
+        queue = [v]
+        for u in queue:
+            for w in G.neighbors(u):
+                if w not in comp:
+                    comp[w] = count
+                    queue.append(w)
+        count += 1
+    verts: list[list[int]] = [[] for _ in range(count)]
+    for v in G.vertices:
+        verts[comp[v]].append(v)
+    labels: list[dict[tuple[int, int], int]] = [{} for _ in range(count)]
+    for (i, j), lab in G.labels.items():
+        labels[comp[i]][i, j] = lab
+    return [CoxeterDiagram(vs, labs) for vs, labs in zip(verts, labels)]
 
 
 # ---------------------------------------------------------------------------
 # canonical keys: equal exactly when the labelled diagrams are isomorphic
 
 
-_OPEN, _CLOSE = 0, 1  # run delimiters; every label token is >= 3
+# AHU names: the sorted (label, child name) pairs of the root of each rooted
+# tree met so far -> a small int; one table for the catalogs and every lattice.
+_NAMES: dict[tuple[tuple[int, int], ...], int] = {}
 
 
-def _tree_key(adj: dict[int, dict[int, int]]) -> tuple[int, ...]:
+def _name(pairs: list[tuple[int, int]]) -> int:
+    """The name of the rooted tree whose root has these (label, child name)
+    pairs: equal exactly for rooted trees isomorphic with their labels."""
+    key = tuple(sorted(pairs))
+    return _NAMES.setdefault(key, len(_NAMES))
+
+
+def _tree_key(adj: dict[int, dict[int, int]]) -> int:
     """Exact isomorphism-invariant key of a connected diagram whose
     skeleton is a tree, given as its adjacency: each vertex maps to its
-    neighbours and their labels.  The key is the AHU encoding rooted at
-    the centre.
+    neighbours and their labels.  The key is the AHU name (Aho, Hopcroft
+    & Ullman 1974) of the tree rooted at its centre.
 
-    Leaves are stripped layer by layer until one or two centres remain.
-    Each stripped vertex becomes a flat run of tokens: open, its sorted
-    (label, child run) pairs, close; the run is handed to the one
-    neighbour still in the tree.  The key is the least run over the
-    centres.  Two trees have equal keys exactly when they are isomorphic
-    with their labels; neither recursion nor nesting grows with rank.
+    Leaves are stripped layer by layer until one or two centres remain;
+    each stripped vertex is named from its (label, child name) pairs, at
+    a cost of O(children), and hands (label, name) to its one neighbour
+    left.  With two centres the key is the lesser name rooted at either.
+    Keys are equal exactly for trees isomorphic with their labels.
     """
     degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    below: dict[int, list] = {v: [] for v in adj}  # (label, run) pairs
-
-    def run(pairs) -> tuple[int, ...]:
-        # (label, run) pairs sort as their flat concatenations would
-        out = [_OPEN]
-        for lab, code in sorted(pairs):
-            out.append(lab)
-            out += code
-        out.append(_CLOSE)
-        return tuple(out)
-
+    below: dict[int, list[tuple[int, int]]] = {v: [] for v in adj}
     layer = [v for v, d in degree.items() if d == 1]
     while len(below) > 2:
         nxt = []
         for v in layer:
-            code = run(below.pop(v))
+            name = _name(below.pop(v))
             for w, lab in adj[v].items():
                 if w in below:
-                    below[w].append((lab, code))
+                    below[w].append((lab, name))
                     degree[w] -= 1
                     if degree[w] == 1:
                         nxt.append(w)
         layer = nxt
     if len(below) == 1:
-        return run(*below.values())
+        return _name(*below.values())
     (a, pa), (b, pb) = below.items()
     lab = adj[a][b]
-    return min(run(pa + [(lab, run(pb))]), run(pb + [(lab, run(pa))]))
+    return min(_name(pa + [(lab, _name(pb))]), _name(pb + [(lab, _name(pa))]))
 
 
 def _refine(nbrs: list[list[tuple[int, int]]], colour: list[int]) -> list[int]:
@@ -697,7 +704,7 @@ def _finite(family: str, n: int, a: int | None = None) -> Classification:
 
 
 @lru_cache(maxsize=None)
-def _catalog(n: int) -> dict[tuple[int, ...], Classification]:
+def _catalog(n: int) -> dict[int, Classification]:
     """The finite and affine types of rank n >= 3 whose diagram is a
     tree, keyed by ``_tree_key`` of the diagram their constructor draws.
 
@@ -706,7 +713,7 @@ def _catalog(n: int) -> dict[tuple[int, ...], Classification]:
     same tree, the first name in family order A C B D E F G H wins, so
     D3 reads as A3 and ~B2 as ~C2.  ~A is the cycle and has no key.
     """
-    table: dict[tuple[int, ...], Classification] = {}
+    table: dict[int, Classification] = {}
     for letter in "ACBDEFGH":
         for affine in (False, True):
             try:
@@ -723,30 +730,31 @@ def _catalog(n: int) -> dict[tuple[int, ...], Classification]:
     return table
 
 
-def _classify_connected(G: CoxeterDiagram) -> Classification:
-    n = G.rank
+def _classify_connected(adj: dict[int, dict[int, int]]) -> Classification:
+    """The class of a connected diagram given as its adjacency, as
+    ``CoxeterDiagram._adj`` and ``SubsetLattice._adjacency`` give it."""
+    n = len(adj)
     if n == 0:
         return Classification("finite", "empty", 0, (), Fraction(0), True)
     if n == 1:
         return _finite("A", 1)
     if n == 2:
-        return _finite("I2", 2, G.label(*G.vertices))
-    if len(G.labels) >= n:  # the skeleton has a cycle
-        plain_cycle = len(G.labels) == n and all(
-            len(G.neighbors(v)) == 2 for v in G.vertices
-        )
-        if plain_cycle and all(lab == 3 for lab in G.labels.values()):
+        (lab,) = next(iter(adj.values())).values()
+        return _finite("I2", 2, lab)
+    if sum(map(len, adj.values())) >= 2 * n:  # the skeleton has a cycle
+        plain_cycle = all(len(nbrs) == 2 for nbrs in adj.values())
+        if plain_cycle and all(lab == 3 for nbrs in adj.values() for lab in nbrs.values()):
             return Classification("affine", f"~A{n - 1}", n)
         return Classification("other-infinite", None, n)
-    named = _catalog(n).get(_tree_key(G._adj))
+    named = _catalog(n).get(_tree_key(adj))
     return named if named is not None else Classification("other-infinite", None, n)
 
 
 def classify(G: CoxeterDiagram) -> Classification:
     comps = connected_components(G)
     if len(comps) <= 1:
-        return _classify_connected(comps[0]) if comps else _classify_connected(G)
-    parts = tuple(_classify_connected(c) for c in comps)
+        return _classify_connected(G._adj)
+    parts = tuple(_classify_connected(c._adj) for c in comps)
     if all(p.kind == "finite" for p in parts):
         # larger rank first, then by name: the vertex order must not matter
         parts = tuple(sorted(parts, key=lambda p: (-p.rank, p.type_name or "?")))

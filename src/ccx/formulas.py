@@ -12,7 +12,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
-from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, classify, induced_subdiagram, subset_lattice
+from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
 from .exactmath import Poly, binomial_poly
 from .tables import face_correction, h_correction
 
@@ -23,25 +23,22 @@ F = Fraction
 # recurrence route
 
 
-def classified_h(G: CoxeterDiagram) -> Fraction:
-    cls = classify(G)
-    if cls.kind != "finite":
-        raise ValueError(f"{G.to_spec()} has no classified Coxeter number")
-    return cls.coxeter_number
-
-
-def f_polys_recursive(G: CoxeterDiagram, h_of=classified_h) -> list[Poly]:
+def f_polys_recursive(G: CoxeterDiagram) -> list[Poly]:
     """Face polynomials f_0..f_rank in m via the vertex-deletion
     recurrence, convolving over components when a deletion disconnects.
-
-    ``h_of`` supplies the Coxeter number of each connected induced
-    subdiagram; the default reads it off the classification.  It must
-    be an isomorphism invariant, since it is asked once per class of
-    isomorphic subdiagrams (see ``face_polys``).
-    """
+    The h of each connected subdiagram is read off its classification,
+    once per class (``face_polys``); one not of finite type raises
+    ``ValueError`` naming it."""
     lat = subset_lattice(G)
-    fp = face_polys(lat, lambda mask, sums: h_of(induced_subdiagram(G, lat.vertices(mask))))
-    return list(fp(lat.full))
+
+    def h_of(mask: int, sums) -> Fraction:
+        cls = _classify_connected(lat._adjacency(mask))
+        if cls.kind != "finite":
+            sub = induced_subdiagram(G, lat.vertices(mask))
+            raise ValueError(f"{sub.to_spec()} has no classified Coxeter number")
+        return cls.coxeter_number
+
+    return list(face_polys(lat, h_of)(lat.full))
 
 
 def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagram import CoxeterDiagram, SubsetLattice, classify, subset_lattice
+from .diagram import CoxeterDiagram, SubsetLattice, classify, connected_components, subset_lattice
 from .exactmath import (
     NonZeroRemainder,
     NotConstant,
@@ -229,13 +229,15 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
     its status.
     """
     try:
+        if G.rank > RANK_BUDGET:  # no lattice: its neighbour masks cost rank^2 bits
+            if len(connected_components(G)) != 1:
+                raise MethodFailure("not-applicable", _NOT_APPLICABLE)
+            raise MethodFailure(
+                "budget-exceeded", f"rank {G.rank} exceeds the recursion budget {RANK_BUDGET}"
+            )
         lat = subset_lattice(G)
         if len(lat.components(lat.full)) != 1:
             raise MethodFailure("not-applicable", _NOT_APPLICABLE)
-        if lat.rank > RANK_BUDGET:
-            raise MethodFailure(
-                "budget-exceeded", f"rank {lat.rank} exceeds the recursion budget {RANK_BUDGET}"
-            )
         rule_h, finish = rule(lat)
         hs: dict[int, Fraction] = {}  # the h of each class, recorded once
 

@@ -165,6 +165,25 @@ def test_dissect_svg(capsys):
     assert out.startswith("<svg")
 
 
+def test_dissect_svg_lists_facets_only_up_to_the_index(capsys, monkeypatch):
+    from ccx.gcc import iter_cliques
+
+    drawn = []
+
+    def counting(adj, k):
+        for facet in iter_cliques(adj, k):
+            drawn.append(facet)
+            yield facet
+
+    monkeypatch.setattr(ccx.cli, "iter_cliques", counting)
+    args = ("dissect", "--family", "D", "-n", "6", "-m", "3", "--emit", "svg", "--facet")
+    code, out, _ = run_cli(capsys, *args, "3")
+    assert code == 0 and out.startswith("<svg")
+    assert 0 < len(drawn) <= 4
+    code, _, err = run_cli(capsys, *args, "-1")
+    assert code == 1 and "out of range" in err
+
+
 def test_dissect_svg_draws_diameters_in_their_flavors(capsys):
     """A D facet draws each gray chord gray and each dashed chord dashed;
     B diameters, which have no flavor, draw plain."""

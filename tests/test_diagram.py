@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ccx import diagram
 from ccx.diagram import (
     CoxeterDiagram,
     DiagramError,
@@ -105,6 +106,31 @@ def test_connected_components():
     assert len(connected_components(parse_diagram("n=2;"))) == 2
     assert len(connected_components(parse_diagram("D4"))) == 1
     assert connected_components(parse_diagram("n=0;")) == []
+
+
+def test_connected_components_reads_the_parent_once():
+    """One search plus one pass over the vertices and one over the
+    labels, whatever the number of components: every vertex of the
+    parent is visited at most twice and every label once."""
+    n = 2000
+    G = parse_diagram(f"n={n}; " + " ".join(f"{i}-{i + 1}:{3 + i % 4}" for i in range(1, n, 2)))
+    visits = {"vertices": 0, "labels": 0}
+
+    class Vertices(tuple):
+        def __iter__(self):
+            visits["vertices"] += len(self)
+            return super().__iter__()
+
+    class Labels(dict):
+        def items(self):
+            visits["labels"] += len(self)
+            return super().items()
+
+    object.__setattr__(G, "vertices", Vertices(G.vertices))
+    object.__setattr__(G, "labels", Labels(G.labels))
+    comps = connected_components(G)
+    assert [c.edges() for c in comps] == [[(i, i + 1, 3 + i % 4)] for i in range(1, n, 2)]
+    assert visits["vertices"] <= 2 * n and visits["labels"] <= n // 2
 
 
 def test_bipartition_path():
@@ -272,6 +298,25 @@ def test_classify_tree_shapes(spec, name):
 @pytest.mark.parametrize("name", ["A1000", "B1000", "~D1000"])
 def test_classify_rank_1000(name):
     assert classify(parse_diagram(name)).type_name == name
+
+
+@pytest.mark.parametrize("name", ["A2000", "B2000", "~D2000"])
+def test_tree_names_cost_a_pair_per_edge(monkeypatch, name):
+    """Once the catalog of the rank is built, classifying a tree names
+    its vertices from at most 2n (label, child name) pairs in all: a
+    vertex costs its children, not its subtree."""
+    G = parse_diagram(name)
+    assert classify(G).type_name == name
+    named = []
+    real = diagram._name
+
+    def counting(pairs):
+        named.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(diagram, "_name", counting)
+    assert classify(G).type_name == name
+    assert 0 < sum(named) <= 2 * G.rank
 
 
 # every named constructor up to rank 12; D3 is drawn as A3 and ~B2 as ~C2

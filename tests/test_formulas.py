@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from ccx import tables
-from ccx.diagram import DiagramError, parse_diagram
+from ccx.diagram import CoxeterDiagram, DiagramError, parse_diagram
 from ccx.exactmath import Poly
 from ccx.formulas import (
     IdentityViolated,
@@ -164,6 +164,29 @@ def test_reciprocal_face_numbers():
     npoly = f_polys_recursive(G)[3]
     expect = Poly([0, 1]) * Poly([a - 6, a]) * Poly([2 * a - 12, a]) / (6 * (12 - a))
     assert f_plus_poly(npoly, 3) == expect
+
+
+def test_recurrence_builds_no_diagram_per_subdiagram(monkeypatch):
+    """The recurrence classifies each class of subdiagrams on the lattice
+    masks; once the catalogs are built, no diagram object is made."""
+    G = parse_diagram("E8")
+    expect = f_polys_recursive(G)
+    built = []
+    real = CoxeterDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoxeterDiagram, "__init__", counting)
+    assert f_polys_recursive(G) == expect
+    assert built == []
+
+
+def test_recurrence_names_the_subdiagram_not_of_finite_type():
+    G = parse_diagram("n=6; 1-2:3 2-3:3 4-5:3 5-6:3 6-4:3")
+    with pytest.raises(ValueError, match="^n=3; 1-2:3 1-3:3 2-3:3 has no classified"):
+        f_polys_recursive(G)
 
 
 def test_h_vectors():

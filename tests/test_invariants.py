@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ccx import exactmath, invariants
 from ccx.diagram import (
+    SubsetLattice,
     classify,
     connected_components,
     induced_subdiagram,
@@ -326,6 +327,27 @@ def test_rank_budget():
     rep = compute_all(parse_diagram("A13"))
     assert all(res.status == "budget-exceeded" for res in rep.methods.values())
     assert compute_all(parse_diagram("A12")).consensus == "agree"
+
+
+@pytest.mark.parametrize(
+    "spec, status",
+    [("A3000", "budget-exceeded"), ("n=13; 1-2:3", "not-applicable")],
+)
+def test_over_the_budget_no_lattice_is_built(monkeypatch, spec, status):
+    """Over the rank budget the methods tell a connected diagram from a
+    disconnected one without a subset lattice."""
+    built = []
+    real = SubsetLattice.__init__
+
+    def counting(self, G):
+        built.append(G)
+        real(self, G)
+
+    monkeypatch.setattr(SubsetLattice, "__init__", counting)
+    subset_lattice.cache_clear()
+    rep = compute_all(parse_diagram(spec))
+    assert {res.status for res in rep.methods.values()} == {status}
+    assert built == []
 
 
 def test_rank_two_base_report():

@@ -20,10 +20,22 @@ Then each type of the finite catalog gets a ``catalog`` line: the sha256
 of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
 ``facet_count_poly``, ``positive_facet_count_poly`` and the fields of
 ``classify``, among them ``minus_one_longest``, which no CLI output shows.
+Each diagram of ``classify_cases`` gets a ``classify`` line, the sha256 of
+the same ``classify`` fields: types of rank 1000-2000, the edgeless
+diagram, a reducible diagram whose components interleave their ids, the
+cycle ~A5 and a 5-cycle that one label 4 keeps from being ~A4, and a
+path of even rank with its label 4 at the low end, which the catalog
+draws at the high end (two centres, named from either side).
 
 Then each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
 sha256 of the JSON stdout of ``ccx complex --diagram <spec> -m <m>``,
 which carries the f-vector, the facet counts and both audits.
+
+Then each (diagram, m) of ``fvector_cases`` gets an ``fvector`` line: the
+sha256 of the stdout of ``ccx fvector --diagram <spec> -m <m>``, as JSON
+and as CSV.  The diagrams are reducible, so the face numbers come from
+the recurrence over subdiagrams (``f_polys_recursive``), not the closed
+forms.
 
 Then each (type, m) of ``facet_cases`` gets a ``facets`` line: the
 sha256 of ``ccx complex --type <type> -m <m> --facets``, whose vertex
@@ -35,8 +47,9 @@ Last, each diagram of the fake catalog and each affine type gets a
 --diagram <spec>``, floats included, so these lines pin the last bit of
 the ``approx`` and ``exponents_approx`` values that the report lines
 leave out.  So do the cases of ``stdout_cases``: diagrams the methods
-postulate (A1, I2(5)) or refuse, as disconnected (``n=3; 1-2:3``) or
-over the rank budget (A13), and ~C3 with each ``--method`` alias alone.
+postulate (A1, I2(5)) or refuse, as disconnected (``n=3; 1-2:3``), over
+the rank budget (A13) or both (``n=13; 1-2:3``), and ~C3 with each
+``--method`` alias alone.
 
 Then each command of ``dissect_cases`` gets a ``dissect`` line: the sha256
 of the exit code, stdout and stderr of ``ccx dissect``, so these lines pin
@@ -141,6 +154,23 @@ def complex_cases() -> list[tuple[str, int]]:
     return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)]
 
 
+INTERLEAVED = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
+
+
+def classify_cases() -> list[str]:
+    """Diagrams for ``classify`` alone, large ones among them."""
+    return ["A2000", "B2000", "D2000", "~B1000", "~C1000", "~D1000", "n=2000;",
+            INTERLEAVED, "~A5", "n=5; 1-2:3 2-3:3 3-4:3 4-5:3 1-5:4",
+            "n=6; 1-2:4 2-3:3 3-4:3 4-5:3 5-6:3"]
+
+
+def fvector_cases() -> list[tuple[str, int]]:
+    """Reducible diagrams of finite type, whose face numbers take the
+    recursive route."""
+    return [("n=4; 1-2:3 3-4:4", 2), (INTERLEAVED, 1), (INTERLEAVED, 3),
+            ("n=6; 1-2:5 3-4:6 5-6:3", 2), ("n=5; 2-4:3 4-5:5", 1)]
+
+
 def facet_cases() -> list[tuple[str, int]]:
     """Non-simply-laced types, whose root coordinates lie in Z[sqrt 2]
     (B3, F4), Z[golden ratio] (H4), Z[sqrt 3] (G2) and Z[2cos(pi/7)]."""
@@ -150,7 +180,8 @@ def facet_cases() -> list[tuple[str, int]]:
 def stdout_cases() -> list[list[str]]:
     """Arguments of ``ccx invariants`` beyond the catalogs: every check
     before the recursions, and each method run on its own."""
-    cases = [["--diagram", spec] for spec in ("A1", "I2(5)", "n=3; 1-2:3", "A13")]
+    cases = [["--diagram", spec]
+             for spec in ("A1", "I2(5)", "n=3; 1-2:3", "A13", "n=13; 1-2:3")]
     return cases + [["--diagram", "~C3", "--method", alias] for alias in METHOD_ALIASES]
 
 
@@ -190,16 +221,19 @@ def canonical(report: dict) -> str:
     return json.dumps(report, sort_keys=True)
 
 
+def class_fields(G) -> str:
+    cls = classify(G)
+    return repr((cls.kind, cls.type_name, cls.rank, cls.exponents, cls.coxeter_number,
+                 cls.minus_one_longest, cls.components))
+
+
 def catalog_text(spec: str) -> str:
     G = parse_diagram(spec)
-    cls = classify(G)
     info = TypeInfo.of(G)
     polys = [f_k_closed(info, k) for k in range(G.rank + 1)]
     polys += [h_k_closed(info, k) for k in range(G.rank + 1)]
     polys += [facet_count_poly(info), positive_facet_count_poly(info)]
-    fields = (cls.kind, cls.type_name, cls.rank, cls.exponents, cls.coxeter_number,
-              cls.minus_one_longest, cls.components)
-    return "\n".join([repr(fields)] + [" ".join(p.serialize()) for p in polys])
+    return "\n".join([class_fields(G)] + [" ".join(p.serialize()) for p in polys])
 
 
 def main() -> None:
@@ -210,9 +244,16 @@ def main() -> None:
         print(spec, hashlib.sha256(text.encode()).hexdigest())
     for spec in finite_catalog():
         print(spec, "catalog", hashlib.sha256(catalog_text(spec).encode()).hexdigest())
+    for spec in classify_cases():
+        text = class_fields(parse_diagram(spec))
+        print(spec, "classify", hashlib.sha256(text.encode()).hexdigest())
     for spec, m in complex_cases():
         text = cli_stdout(["complex", "--diagram", spec, "-m", str(m)])
         print(spec, f"m={m}", "complex", hashlib.sha256(text.encode()).hexdigest())
+    for spec, m in fvector_cases():
+        for emit in ("json", "csv"):
+            text = cli_stdout(["fvector", "--diagram", spec, "-m", str(m), "--emit", emit])
+            print(spec, f"m={m}", emit, "fvector", hashlib.sha256(text.encode()).hexdigest())
     for name, m in facet_cases():
         text = cli_stdout(["complex", "--type", name, "-m", str(m), "--facets"])
         print(name, f"m={m}", "facets", hashlib.sha256(text.encode()).hexdigest())
