@@ -306,11 +306,10 @@ def codim1_subdiagrams(G: CoxeterDiagram) -> list[tuple[int, CoxeterDiagram]]:
     return out
 
 
-def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
-    """Components of the label>=3 skeleton, each keeping parent ids and
-    the parent's order of vertices and labels, in the order of their
-    first vertices.  One breadth-first search numbers the components;
-    one pass over the vertices and one over the labels share them out."""
+def _component_numbers(G: CoxeterDiagram) -> tuple[dict[int, int], int]:
+    """One breadth-first search of the label>=3 skeleton: the number of
+    each vertex's component, counted in the order of first vertices, and
+    the number of components."""
     comp: dict[int, int] = {}
     count = 0
     for v in G.vertices:
@@ -324,6 +323,20 @@ def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
                     comp[w] = count
                     queue.append(w)
         count += 1
+    return comp, count
+
+
+def is_connected(G: CoxeterDiagram) -> bool:
+    """One component, without building it; the empty diagram has none."""
+    return _component_numbers(G)[1] == 1
+
+
+def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
+    """Components of the label>=3 skeleton, each keeping parent ids and
+    the parent's order of vertices and labels, in the order of their
+    first vertices.  One breadth-first search numbers the components;
+    one pass over the vertices and one over the labels share them out."""
+    comp, count = _component_numbers(G)
     verts: list[list[int]] = [[] for _ in range(count)]
     for v in G.vertices:
         verts[comp[v]].append(v)

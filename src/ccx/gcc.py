@@ -7,13 +7,20 @@ rotation depths; reducible diagrams are handled as joins with
 block-diagonal "always compatible" adjacency between components.
 
 The clique engine of the package is one counter, one survey and one
-lister.  ``clique_counts`` counts the faces of the polygon models and
-the dissections.  ``clique_survey`` gives the complex here its face
-numbers, positive facet count, ridge degrees and purity in a single
-ordered traversal.  ``iter_cliques`` lists facets for ``--facets`` and
-svg output.  ``check_face_budget`` refuses, before anything is built, a
-complex or model whose face count by the closed forms exceeds
-``FACE_BUDGET``.
+lister.  ``clique_counts`` counts the faces of the type-A dissections.
+``clique_survey`` gives a clique complex its face numbers, unmarked
+(positive) facet count, ridge degrees and purity in a single ordered
+traversal.  ``orbit_survey`` gives the same survey from vertex links
+alone: given an automorphism of the graph, it runs ``clique_survey`` on
+the link of one vertex per orbit and of each marked vertex, and weighs
+each link by its orbit.  The complex here passes the colored rotation
+R_m, every orbit of which meets a negative simple, and the B and D
+polygon models pass their rotation.  Every count is still an
+enumeration of the compatibility graph; neither the closed forms nor
+the face recurrence is read.  ``iter_cliques`` lists facets for
+``--facets`` and svg output.  ``check_face_budget`` refuses, before
+anything is built, a complex or model whose face count by the closed
+forms exceeds ``FACE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from .formulas import f_k_closed
 from .rootsys import NotFiniteType, RootSystem
 
 # faces, the empty one included, that one complex or polygon model may
-# enumerate: E8 at m = 2 has 1.3e7 and takes a few seconds
+# enumerate: E8 at m = 2 has 1.3e7, and ``ccx complex`` on it takes about
+# 1.2 s (Python 3.11, shared 2-vCPU host), most of it in the link surveys
 FACE_BUDGET = 20_000_000
 
 
@@ -128,7 +136,7 @@ def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
     not checked, so the graph without vertices counts as pure.  The
     top-cliques are counted from ``later`` at each (top-1)-clique
     without being visited, and one AND each confirms that none of them
-    has a common neighbor.
+    has a common neighbor.  ``orbit_survey`` runs it on vertex links.
     """
     V = len(adj)
     full = (1 << V) - 1
@@ -180,6 +188,94 @@ def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
 
     rec(full, full, True, 1)
     return CliqueSurvey(counts, unmarked, frozenset(ridges), pure)
+
+
+def _image(mask: int, to) -> int:
+    """The image of the vertex set ``mask`` under the vertex map ``to``, a
+    list or a dict over the vertices of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << to[low.bit_length() - 1]
+    return out
+
+
+def _link(adj: list[int], i: int, marked: int) -> tuple[list[int], int]:
+    """The adjacency induced on the neighbors of i, reindexed in increasing
+    order, and ``marked`` restricted to them and reindexed alike."""
+    nbrs = adj[i]
+    index: dict[int, int] = {}
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        index[low.bit_length() - 1] = len(index)
+    return [_image(adj[v] & nbrs, index) for v in index], _image(marked & nbrs, index)
+
+
+def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> CliqueSurvey:
+    """``clique_survey(adj, top, marked)``, taken from vertex links only.
+
+    ``turn`` must be an automorphism of the graph (checked exactly; a
+    ``ValueError`` otherwise), so the links along one of its orbits are
+    isomorphic.  Each orbit is represented by its first marked vertex,
+    or by its lowest vertex if it has none.  Each vertex that is marked
+    or a representative has its link surveyed by ``clique_survey`` with
+    facet size top-1, marking the marked vertices below it.  A k-face
+    lies in the links of its k vertices, so f_k is the sum over the
+    representatives of |orbit| * f_{k-1}(link) / k.  A facet with a
+    marked vertex is counted once, in the link of the lowest one, as a
+    link facet with no marked vertex.  Every ridge of ``adj`` lies in the
+    link of one of its vertices with the same common neighbors, and a
+    nonempty clique is maximal exactly when the rest of it is maximal in
+    the link of each of its vertices: the empty link too, which
+    ``clique_survey`` does not count as impure.  Below top 2 the links
+    say nothing, and ``clique_survey`` runs on ``adj`` itself.
+    """
+    V = len(adj)
+    if sorted(turn) != list(range(V)):
+        raise ValueError("the turn is not a permutation of the vertices")
+    for i, a in enumerate(adj):
+        if _image(a, turn) != adj[turn[i]]:
+            raise ValueError(f"the turn is not an automorphism: it breaks the edges at vertex {i}")
+    if top <= 1:
+        return clique_survey(adj, top, marked)
+    weight: dict[int, int] = {}  # representative -> orbit size
+    done = [False] * V
+    for start in range(V):
+        orbit = []
+        v = start
+        while not done[v]:
+            done[v] = True
+            orbit.append(v)
+            v = turn[v]
+        if orbit:  # start is its lowest vertex
+            weight[min((v for v in orbit if marked >> v & 1), default=start)] = len(orbit)
+    sums = [0] * (top + 1)
+    marked_facets = 0
+    ridges: set[int] = set()
+    pure = True
+    for i in range(V):
+        if not (marked >> i & 1 or i in weight):
+            continue
+        link, below = _link(adj, i, marked & ((1 << i) - 1))
+        part = clique_survey(link, top - 1, below)
+        if marked >> i & 1:
+            marked_facets += part.unmarked_top
+        w = weight.get(i)
+        if w:
+            for k in range(top):
+                sums[k + 1] += w * part.counts[k]
+            ridges |= part.ridge_degrees
+            pure = pure and part.pure and bool(link)
+    counts = [1]
+    for k in range(1, top + 1):
+        q, r = divmod(sums[k], k)
+        if r:
+            raise RuntimeError(f"the links count {sums[k]} vertices of {k}-faces, not a multiple of {k}")
+        counts.append(q)
+    return CliqueSurvey(counts, counts[top] - marked_facets, frozenset(ridges), pure)
 
 
 def iter_cliques(adj: list[int], k: int):
@@ -284,18 +380,26 @@ class CliqueComplex:
         return self.adj[i].bit_count()
 
     def rotate_vertex(self, i: int) -> int:
+        """The position of the colored rotation's image of vertex i; R_m
+        is defined for m >= 1 only."""
+        if self.m == 0:
+            raise InputError("the colored rotation R_m is defined for m >= 1, not m = 0")
         v = self.vertices[i]
         return self.pos[rotate_colored(self.systems[v.comp], v, self.m)]
 
     @cached_property
     def survey(self) -> CliqueSurvey:
-        """The one clique traversal every count and audit reads; the
-        marked vertices are the negative simples."""
+        """The one survey every count and audit reads, taken by
+        ``orbit_survey`` from the links of one vertex per orbit of the
+        colored rotation (the identity at m = 0) and of each negative
+        simple, the marked vertices."""
         negative = 0
         for i, v in enumerate(self.vertices):
             if self.systems[v.comp].is_negative(v.root):
                 negative |= 1 << i
-        return clique_survey(self.adj, self.n, negative)
+        V = len(self.vertices)
+        turn = [self.rotate_vertex(i) for i in range(V)] if self.m else list(range(V))
+        return orbit_survey(self.adj, self.n, negative, turn)
 
     def f_vector(self) -> list[int]:
         """Exact clique counts f_0..f_n."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagram import CoxeterDiagram, SubsetLattice, classify, connected_components, subset_lattice
+from .diagram import CoxeterDiagram, SubsetLattice, classify, is_connected, subset_lattice
 from .exactmath import (
     NonZeroRemainder,
     NotConstant,
@@ -230,7 +230,7 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
     """
     try:
         if G.rank > RANK_BUDGET:  # no lattice: its neighbour masks cost rank^2 bits
-            if len(connected_components(G)) != 1:
+            if not is_connected(G):
                 raise MethodFailure("not-applicable", _NOT_APPLICABLE)
             raise MethodFailure(
                 "budget-exceeded", f"rank {G.rank} exceeds the recursion budget {RANK_BUDGET}"

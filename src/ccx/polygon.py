@@ -26,6 +26,7 @@ from .gcc import (
     colored_ground_set,
     compatibility_masks,
     iter_cliques,
+    orbit_survey,
 )
 from .rootsys import RootSystem
 
@@ -243,8 +244,11 @@ class _SymmetricModel:
         return list(iter_cliques(self.adj, k))
 
     def f_vector(self) -> list[int]:
-        """Face counts f_0..f_n of the model."""
-        return clique_counts(self.adj, self.n)
+        """Face counts f_0..f_n of the model, from the links of one model
+        vertex per rotation orbit (``orbit_survey``)."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        turn = [index[self.rotate_vertex(v)] for v in self.vertices]
+        return orbit_survey(self.adj, self.n, 0, turn).counts
 
 
 class TypeBModel(_SymmetricModel):

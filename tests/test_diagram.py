@@ -16,9 +16,12 @@ from ccx.diagram import (
     codim1_subdiagrams,
     connected_components,
     induced_subdiagram,
+    is_connected,
     parse_diagram,
 )
 from ccx.formulas import TypeInfo
+
+INTERLEAVED_SPEC = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
 
 
 def test_parse_dihedral():
@@ -106,6 +109,14 @@ def test_connected_components():
     assert len(connected_components(parse_diagram("n=2;"))) == 2
     assert len(connected_components(parse_diagram("D4"))) == 1
     assert connected_components(parse_diagram("n=0;")) == []
+
+
+@pytest.mark.parametrize(
+    "spec", ["n=0;", "A1", "n=2;", "D4", "n=3; 1-2:3", "n=5; 1-2:3 4-5:4 2-4:2", "~A5", INTERLEAVED_SPEC]
+)
+def test_is_connected_counts_the_components(spec):
+    G = parse_diagram(spec)
+    assert is_connected(G) == (len(connected_components(G)) == 1)
 
 
 def test_connected_components_reads_the_parent_once():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccx.diagram import parse_diagram, classify
+from ccx import gcc
+from ccx.diagram import InputError, parse_diagram, classify
 from ccx.formulas import positive_facet_count_poly
 from ccx.gcc import (
     BudgetExceeded,
@@ -20,8 +21,10 @@ from ccx.gcc import (
     iter_cliques,
     link_decomposition_check,
     m_compatible,
+    orbit_survey,
     rotate_colored,
 )
+from ccx.polygon import TypeDModel
 from ccx.rootsys import RootSystem
 
 
@@ -328,6 +331,133 @@ def test_clique_survey_matches_brute_force(graph):
 def test_clique_survey_edge_cases(adj, top, marked, expected):
     assert clique_survey(adj, top, marked) == CliqueSurvey(*expected)
     assert brute_survey(adj, top, marked) == CliqueSurvey(*expected)
+    assert orbit_survey(adj, top, marked, list(range(len(adj)))) == CliqueSurvey(*expected)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A graph on at most 10 vertices that a random permutation ``turn``
+    preserves: a union of edge orbits of ``turn``.  Up to two further
+    vertices, which ``turn`` permutes among themselves, get no edge, so
+    their links are empty.  Also a facet size 0..5 and a marked set."""
+    V = draw(st.integers(0, 8))
+    extra = draw(st.integers(0, 2))
+    turn = draw(st.permutations(range(V))) + [V + t for t in draw(st.permutations(range(extra)))]
+    adj = [0] * (V + extra)
+    pairs = [(i, j) for i in range(V) for j in range(V) if i != j]
+    for edge in draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []:
+        i, j = edge
+        while True:  # the edge orbit
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            i, j = turn[i], turn[j]
+            if (i, j) == edge:
+                break
+    marked = draw(st.integers(0, (1 << (V + extra)) - 1))
+    return adj, turn, draw(st.integers(0, 5)), marked
+
+
+@settings(max_examples=200, deadline=4000)
+@given(symmetric_graphs(), st.data())
+def test_orbit_survey_matches_brute_force(graph, data):
+    adj, turn, top, marked = graph
+    expected = brute_survey(adj, top, marked)
+    assert orbit_survey(adj, top, marked, turn) == expected
+    assert clique_survey(adj, top, marked) == expected
+    # the same graph with one edge flipped that the turn moves elsewhere
+    moved = [(i, j) for i in range(len(adj)) for j in range(i)
+             if {turn[i], turn[j]} != {i, j}]
+    if moved:
+        i, j = data.draw(st.sampled_from(moved))
+        broken = list(adj)
+        broken[i] ^= 1 << j
+        broken[j] ^= 1 << i
+        with pytest.raises(ValueError, match="automorphism"):
+            orbit_survey(broken, top, marked, turn)
+    if len(adj) >= 2:
+        with pytest.raises(ValueError, match="permutation"):
+            orbit_survey(adj, top, marked, [turn[0]] + turn[:-1])
+
+
+@pytest.mark.parametrize(
+    "adj,turn",
+    [
+        ([0b10, 0b01], [0]),  # too short
+        ([0b10, 0b01], [0, 1, 2]),  # too long
+        ([0b10, 0b01], [1, 1]),  # not one-to-one
+        ([0b010, 0b001, 0], [0, 2, 1]),  # moves the edge 0-1 onto a non-edge
+    ],
+)
+def test_orbit_survey_refuses_a_map_that_is_not_an_automorphism(adj, turn):
+    for top in range(4):
+        with pytest.raises(ValueError):
+            orbit_survey(adj, top, 0, turn)
+
+
+def _orbits(turn: list[int]) -> list[list[int]]:
+    seen: set[int] = set()
+    out = []
+    for start in range(len(turn)):
+        orbit = []
+        while start not in seen:
+            seen.add(start)
+            orbit.append(start)
+            start = turn[start]
+        if orbit:
+            out.append(orbit)
+    return out
+
+
+def _counting_kernel(monkeypatch) -> list[list[int]]:
+    """Record the adjacency of each ``clique_survey`` call."""
+    calls: list[list[int]] = []
+    real = gcc.clique_survey
+
+    def counting(adj, top, marked=0):
+        calls.append(adj)
+        return real(adj, top, marked)
+
+    monkeypatch.setattr(gcc, "clique_survey", counting)
+    return calls
+
+
+def test_complex_survey_runs_one_link_per_marked_vertex_or_orbit(monkeypatch):
+    cx = build_complex(parse_diagram("E6"), 2)
+    V = cx.num_vertices()
+    negative = [i for i, v in enumerate(cx.vertices) if cx.systems[v.comp].is_negative(v.root)]
+    orbits = _orbits([cx.rotate_vertex(i) for i in range(V)])
+    unmarked = [o for o in orbits if not set(o) & set(negative)]
+    # the colored rotation meets a negative simple in every orbit, and
+    # -w0 acts on E6, so some orbits meet two
+    assert unmarked == [] and len(orbits) < len(negative)
+    calls = _counting_kernel(monkeypatch)
+    survey = cx.survey
+    assert len(calls) == len(negative) + len(unmarked) == 6
+    assert all(len(adj) < V for adj in calls)
+    assert survey == clique_survey(cx.adj, cx.n, sum(1 << i for i in negative))
+
+
+def test_model_face_count_runs_one_link_per_orbit(monkeypatch):
+    model = TypeDModel(5, 3)
+    index = {v: i for i, v in enumerate(model.vertices)}
+    orbits = _orbits([index[model.rotate_vertex(v)] for v in model.vertices])
+    calls = _counting_kernel(monkeypatch)
+    fv = model.f_vector()
+    assert len(calls) == len(orbits) < len(model.vertices)
+    assert all(len(adj) < len(model.vertices) for adj in calls)
+    assert fv == clique_counts(model.adj, model.n)
+
+
+def test_rotate_vertex_refuses_m_zero(monkeypatch):
+    cx = build_complex(parse_diagram("B3"), 0)
+    with pytest.raises(InputError, match="m >= 1"):
+        cx.rotate_vertex(0)
+
+    def refuse(self, i):
+        raise AssertionError("the survey rotated a vertex at m = 0")
+
+    monkeypatch.setattr(CliqueComplex, "rotate_vertex", refuse)
+    assert cx.survey == CliqueSurvey([1, 3, 3, 1], 0, frozenset({1}), True)
 
 
 def test_reducible_complex_audits():

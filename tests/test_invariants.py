@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ccx import exactmath, invariants
 from ccx.diagram import (
+    CoxeterDiagram,
     SubsetLattice,
     classify,
     connected_components,
@@ -347,6 +348,29 @@ def test_over_the_budget_no_lattice_is_built(monkeypatch, spec, status):
     subset_lattice.cache_clear()
     rep = compute_all(parse_diagram(spec))
     assert {res.status for res in rep.methods.values()} == {status}
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "spec, status, detail",
+    [
+        ("A3000", "budget-exceeded", "rank 3000 exceeds the recursion budget 12"),
+        ("n=13; 1-2:3", "not-applicable", "invariants are defined for connected nonempty diagrams"),
+    ],
+)
+def test_over_the_budget_no_diagram_is_built(monkeypatch, spec, status, detail):
+    """Over the rank budget the connectivity test copies no component."""
+    G = parse_diagram(spec)
+    built = []
+    real = CoxeterDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoxeterDiagram, "__init__", counting)
+    rep = compute_all(G)
+    assert {(res.status, res.detail) for res in rep.methods.values()} == {(status, detail)}
     assert built == []
 
 

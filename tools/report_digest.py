@@ -29,7 +29,12 @@ draws at the high end (two centres, named from either side).
 
 Then each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
 sha256 of the JSON stdout of ``ccx complex --diagram <spec> -m <m>``,
-which carries the f-vector, the facet counts and both audits.
+which carries the f-vector, the facet counts and both audits.  Among
+them are the edge cases of the survey that reads the links of one
+vertex per rotation orbit (``gcc.orbit_survey``): m = 0, a rank-1
+component and orbits holding two negative simples.  These lines are the
+same whether the complex is surveyed whole (``gcc.clique_survey``) or
+by orbits.
 
 Then each (diagram, m) of ``fvector_cases`` gets an ``fvector`` line: the
 sha256 of the stdout of ``ccx fvector --diagram <spec> -m <m>``, as JSON
@@ -147,11 +152,18 @@ def class_cases() -> list[str]:
 
 def complex_cases() -> list[tuple[str, int]]:
     """The benchmark's complex pairs, small types at m = 0..3, a
-    reducible diagram and the empty one."""
+    reducible diagram and the empty one.  Then the edge cases of the
+    survey by rotation orbits: the reducible diagram at m = 0 (where the
+    identity stands in for the rotation), 1 and 3, a diagram with an
+    isolated vertex (a rank-1 component) at m = 0..2, and E6 at m = 1,
+    whose rotation orbits each hold two negative simples or one fixed by
+    -w0."""
     bench = [("E8", 1), ("E7", 2), ("E6", 2), ("D6", 2), ("F4", 3),
              ("H4", 2), ("B5", 2), ("A6", 2), ("A5", 3), ("I2(7)", 3)]
     small = [(name, m) for name in ("A1", "A2", "A3", "B2", "G2", "H3") for m in range(4)]
-    return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)]
+    orbit = ([("n=4; 1-2:3 3-4:4", m) for m in (0, 1, 3)]
+             + [("n=3; 2-3:5", m) for m in range(3)] + [("E6", 1)])
+    return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)] + orbit
 
 
 INTERLEAVED = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
