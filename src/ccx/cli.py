@@ -25,12 +25,19 @@ from .gcc import (
     build_complex,
     check_color_count,
     check_face_budget,
-    clique_counts,
     enumeration_budget,
     iter_cliques,
+    orbit_survey,
 )
 from .invariants import METHOD_ALIASES, compute_all
-from .polygon import AmbiguousOrbit, TypeBModel, TypeDModel, noncrossing_graph, render_svg
+from .polygon import (
+    AmbiguousOrbit,
+    TypeBModel,
+    TypeDModel,
+    noncrossing_graph,
+    noncrossing_turn,
+    render_svg,
+)
 from .rootsys import LookupMiss, NotFiniteType
 from .verify import SUITES, run_suites
 
@@ -151,7 +158,7 @@ def cmd_dissect(args) -> int:
     if args.family == "A":
         counts = {
             "allowable_diagonals": len(diags),
-            "noncrossing_subset_counts": clique_counts(adj, n),
+            "noncrossing_subset_counts": orbit_survey(adj, n, 0, noncrossing_turn(diags, N)).counts,
         }
     else:
         fv = model.f_vector()

@@ -6,18 +6,22 @@ roots follows the five-case rule over the color comparison and the
 rotation depths; reducible diagrams are handled as joins with
 block-diagonal "always compatible" adjacency between components.
 
-The clique engine of the package is one counter, one survey and one
-lister.  ``clique_counts`` counts the faces of the type-A dissections.
-``clique_survey`` gives a clique complex its face numbers, unmarked
-(positive) facet count, ridge degrees and purity in a single ordered
-traversal.  ``orbit_survey`` gives the same survey from vertex links
-alone: given an automorphism of the graph, it runs ``clique_survey`` on
-the link of one vertex per orbit and of each marked vertex, and weighs
-each link by its orbit.  The complex here passes the colored rotation
-R_m, every orbit of which meets a negative simple, and the B and D
-polygon models pass their rotation.  Every count is still an
-enumeration of the compatibility graph; neither the closed forms nor
-the face recurrence is read.  ``iter_cliques`` lists facets for
+The clique engine of the package is one survey, one orbit frame and
+one lister.  ``clique_survey`` gives a clique complex its face numbers,
+unmarked (positive) facet count, ridge degrees and purity in a single
+ordered traversal.  ``orbit_frame`` gives the same survey from vertex
+links alone: given an automorphism of the graph, it surveys the link of
+one vertex per orbit and of each marked vertex, and weighs each link by
+its orbit.  ``orbit_survey`` checks the automorphism and runs the frame
+with ``clique_survey`` on each link; the type-A dissections and the B
+and D polygon models pass their polygon rotation.  ``parabolic_survey``
+surveys the colored complex for m >= 1: under the colored rotation of
+each parabolic subsystem, every orbit of which meets a negative simple,
+the link of a negative simple is a join of parabolic complexes, each
+surveyed by the same recursion and combined by ``join_survey``.  Every
+count is still an enumeration of the compatibility graph, with each
+rotation and each join checked exactly on it; neither the closed forms
+nor the face recurrence is read.  ``iter_cliques`` lists facets for
 ``--facets`` and svg output.  ``check_face_budget`` refuses, before
 anything is built, a complex or model whose face count by the closed
 forms exceeds ``FACE_BUDGET``.
@@ -36,7 +40,8 @@ from .rootsys import NotFiniteType, RootSystem
 
 # faces, the empty one included, that one complex or polygon model may
 # enumerate: E8 at m = 2 has 1.3e7, and ``ccx complex`` on it takes about
-# 1.2 s (Python 3.11, shared 2-vCPU host), most of it in the link surveys
+# 0.3 s (Python 3.11, shared 2-vCPU Xeon host, a fresh process), most of
+# it building the compatibility graph; its survey takes about 0.02 s
 FACE_BUDGET = 20_000_000
 
 
@@ -92,31 +97,6 @@ def compatibility_masks(items, compatible) -> list[int]:
     return adj
 
 
-def clique_counts(adj: list[int], top: int) -> list[int]:
-    """Numbers of cliques of sizes 0..top, by ordered recursive enumeration.
-
-    Each clique is visited once, in increasing vertex order: candidates
-    are taken lowest first, so the ones left all lie above the vertex
-    just taken and ``cand & adj[i]`` keeps only later common neighbors.
-    """
-    counts = [0] * (top + 1)
-    counts[0] = 1
-
-    def rec(cand: int, size: int):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            counts[size] += 1
-            if size < top:
-                nxt = cand & adj[low.bit_length() - 1]
-                if nxt:
-                    rec(nxt, size + 1)
-
-    if top:
-        rec((1 << len(adj)) - 1, 1)
-    return counts
-
-
 class CliqueSurvey(NamedTuple):
     counts: list[int]         # cliques of sizes 0..top
     unmarked_top: int         # top-cliques with no vertex in ``marked``
@@ -130,13 +110,15 @@ def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
     traversal.
 
     A node is a clique with ``later``, its common neighbors above its
-    last vertex (as in ``clique_counts``), and ``common``, all its
-    common neighbors.  A nonempty clique below ``top`` with no common
-    neighbor is maximal, so the complex is impure; the empty clique is
-    not checked, so the graph without vertices counts as pure.  The
-    top-cliques are counted from ``later`` at each (top-1)-clique
+    last vertex, and ``common``, all its common neighbors.  Candidates
+    are taken lowest first, so each clique is visited once, in
+    increasing vertex order.  A nonempty clique below ``top`` with no
+    common neighbor is maximal, so the complex is impure; the empty
+    clique is not checked, so the graph without vertices counts as pure.
+    The top-cliques are counted from ``later`` at each (top-1)-clique
     without being visited, and one AND each confirms that none of them
-    has a common neighbor.  ``orbit_survey`` runs it on vertex links.
+    has a common neighbor.  ``orbit_frame`` runs it on vertex links, and
+    ``parabolic_survey`` on its rank-1 leaves.
     """
     V = len(adj)
     full = (1 << V) - 1
@@ -191,76 +173,113 @@ def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
 
 
 def _image(mask: int, to) -> int:
-    """The image of the vertex set ``mask`` under the vertex map ``to``, a
-    list or a dict over the vertices of ``mask``."""
+    """The image of the vertex set ``mask`` under a vertex map given as
+    ``to``, a list or a dict from each vertex of ``mask`` to the mask of
+    its image."""
     out = 0
     while mask:
         low = mask & -mask
         mask ^= low
-        out |= 1 << to[low.bit_length() - 1]
+        out |= to[low.bit_length() - 1]
     return out
 
 
-def _link(adj: list[int], i: int, marked: int) -> tuple[list[int], int]:
-    """The adjacency induced on the neighbors of i, reindexed in increasing
-    order, and ``marked`` restricted to them and reindexed alike."""
-    nbrs = adj[i]
-    index: dict[int, int] = {}
-    rest = nbrs
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        index[low.bit_length() - 1] = len(index)
-    return [_image(adj[v] & nbrs, index) for v in index], _image(marked & nbrs, index)
+def _bits(mask: int) -> list[int]:
+    """The vertices of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def _induced(adj: list[int], within: int, marked: int) -> tuple[list[int], int]:
+    """The adjacency induced on the vertex mask ``within``, reindexed in
+    increasing order, and ``marked`` restricted to it and reindexed alike."""
+    index = {v: 1 << i for i, v in enumerate(_bits(within))}
+    return [_image(adj[v] & within, index) for v in index], _image(marked & within, index)
+
+
+def check_automorphism(adj: list[int], turn, within: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``turn`` permutes the vertex mask
+    ``within`` (every vertex of ``adj`` by default; then ``turn`` is a
+    list, else a list or a dict over ``within``) and maps each edge among
+    them to an edge.  A permutation maps the edges one-to-one, so onto
+    themselves, so it maps non-edges to non-edges as well."""
+    if within is None:
+        if len(turn) != len(adj):
+            raise ValueError("the turn is not a permutation of the vertices")
+        within = (1 << len(adj)) - 1
+    verts = _bits(within)
+    if sorted(turn[v] for v in verts) != verts:
+        raise ValueError("the turn is not a permutation of the vertices")
+    to = {v: 1 << turn[v] for v in verts}
+    for v in verts:
+        if _image(adj[v] & within & -(2 << v), to) & ~adj[turn[v]]:
+            raise ValueError(f"the turn is not an automorphism: it breaks the edges at vertex {v}")
 
 
 def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> CliqueSurvey:
-    """``clique_survey(adj, top, marked)``, taken from vertex links only.
+    """``clique_survey(adj, top, marked)``, taken from vertex links only:
+    ``check_automorphism``, then ``orbit_frame`` on every vertex."""
+    check_automorphism(adj, turn)
+    return orbit_frame(adj, (1 << len(adj)) - 1, top, marked, turn)
 
-    ``turn`` must be an automorphism of the graph (checked exactly; a
-    ``ValueError`` otherwise), so the links along one of its orbits are
+
+def orbit_frame(adj: list[int], within: int, top: int, marked: int, turn,
+                link_survey=None) -> CliqueSurvey:
+    """``clique_survey`` of the graph that ``adj`` induces on the vertex
+    mask ``within``, with facet size ``top`` and the vertices of
+    ``marked`` marked, from vertex links only.
+
+    ``turn`` is an automorphism of that graph, already checked
+    (``check_automorphism``), so the links along one of its orbits are
     isomorphic.  Each orbit is represented by its first marked vertex,
-    or by its lowest vertex if it has none.  Each vertex that is marked
-    or a representative has its link surveyed by ``clique_survey`` with
-    facet size top-1, marking the marked vertices below it.  A k-face
-    lies in the links of its k vertices, so f_k is the sum over the
-    representatives of |orbit| * f_{k-1}(link) / k.  A facet with a
-    marked vertex is counted once, in the link of the lowest one, as a
-    link facet with no marked vertex.  Every ridge of ``adj`` lies in the
-    link of one of its vertices with the same common neighbors, and a
-    nonempty clique is maximal exactly when the rest of it is maximal in
-    the link of each of its vertices: the empty link too, which
-    ``clique_survey`` does not count as impure.  Below top 2 the links
-    say nothing, and ``clique_survey`` runs on ``adj`` itself.
+    or by its lowest vertex if it has none.  Each vertex i that is marked
+    or a representative has its link surveyed with facet size top-1,
+    marking the marked vertices below it: ``link_survey(i, below)``, by
+    default ``clique_survey`` on the link.  A k-face lies in the links of
+    its k vertices, so f_k is the sum over the representatives of
+    |orbit| * f_{k-1}(link) / k.  A facet with a marked vertex is counted
+    once, in the link of the lowest one, as a link facet with no marked
+    vertex.  Every ridge lies in the link of one of its vertices with the
+    same common neighbors, and a nonempty clique is maximal exactly when
+    the rest of it is maximal in the link of each of its vertices: the
+    empty link too, which ``clique_survey`` does not count as impure.
+    Below top 2 the links say nothing, and ``clique_survey`` runs on the
+    graph itself.
     """
-    V = len(adj)
-    if sorted(turn) != list(range(V)):
-        raise ValueError("the turn is not a permutation of the vertices")
-    for i, a in enumerate(adj):
-        if _image(a, turn) != adj[turn[i]]:
-            raise ValueError(f"the turn is not an automorphism: it breaks the edges at vertex {i}")
     if top <= 1:
+        if within != (1 << len(adj)) - 1:
+            adj, marked = _induced(adj, within, marked)
         return clique_survey(adj, top, marked)
+    if link_survey is None:
+        def link_survey(i: int, below: int) -> CliqueSurvey:
+            link, marks = _induced(adj, adj[i] & within, below)
+            return clique_survey(link, top - 1, marks)
+    verts = _bits(within)
     weight: dict[int, int] = {}  # representative -> orbit size
-    done = [False] * V
-    for start in range(V):
+    done = 0
+    for start in verts:
+        if done >> start & 1:
+            continue
         orbit = []
         v = start
-        while not done[v]:
-            done[v] = True
+        while not done >> v & 1:
+            done |= 1 << v
             orbit.append(v)
             v = turn[v]
-        if orbit:  # start is its lowest vertex
-            weight[min((v for v in orbit if marked >> v & 1), default=start)] = len(orbit)
+        # start is the lowest vertex of its orbit
+        weight[min((v for v in orbit if marked >> v & 1), default=start)] = len(orbit)
     sums = [0] * (top + 1)
     marked_facets = 0
     ridges: set[int] = set()
     pure = True
-    for i in range(V):
+    for i in verts:
         if not (marked >> i & 1 or i in weight):
             continue
-        link, below = _link(adj, i, marked & ((1 << i) - 1))
-        part = clique_survey(link, top - 1, below)
+        part = link_survey(i, marked & ((1 << i) - 1))
         if marked >> i & 1:
             marked_facets += part.unmarked_top
         w = weight.get(i)
@@ -268,7 +287,7 @@ def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> Cliq
             for k in range(top):
                 sums[k + 1] += w * part.counts[k]
             ridges |= part.ridge_degrees
-            pure = pure and part.pure and bool(link)
+            pure = pure and part.pure and bool(adj[i] & within)
     counts = [1]
     for k in range(1, top + 1):
         q, r = divmod(sums[k], k)
@@ -276,6 +295,44 @@ def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> Cliq
             raise RuntimeError(f"the links count {sums[k]} vertices of {k}-faces, not a multiple of {k}")
         counts.append(q)
     return CliqueSurvey(counts, counts[top] - marked_facets, frozenset(ridges), pure)
+
+
+def join_survey(parts: list[CliqueSurvey]) -> CliqueSurvey:
+    """The survey of the join of pure clique complexes from theirs: the
+    face numbers convolve, a facet is unmarked when each of its parts is,
+    a ridge is a ridge of one part joined to facets of the others, and
+    the join is pure.  The join of no complex is the empty clique."""
+    counts = [1]
+    unmarked = 1
+    ridges: set[int] = set()
+    for part in parts:
+        if not part.pure:
+            raise ValueError("the join of an impure complex is not read from its parts")
+        joined = [0] * (len(counts) + len(part.counts) - 1)
+        for a, x in enumerate(counts):
+            for b, y in enumerate(part.counts):
+                joined[a + b] += x * y
+        counts = joined
+        unmarked *= part.unmarked_top
+        ridges |= part.ridge_degrees
+    return CliqueSurvey(counts, unmarked, frozenset(ridges), True)
+
+
+def is_join(adj: list[int], parts: list[int]) -> bool:
+    """Whether every vertex of each vertex mask in ``parts`` is adjacent
+    to every vertex of the other masks, so that the graph they induce
+    together is the join of the graphs each induces."""
+    whole = 0
+    for p in parts:
+        whole |= p
+    for p in parts:
+        rest = whole & ~p
+        while p:
+            low = p & -p
+            p ^= low
+            if adj[low.bit_length() - 1] & rest != rest:
+                return False
+    return True
 
 
 def iter_cliques(adj: list[int], k: int):
@@ -387,19 +444,24 @@ class CliqueComplex:
         v = self.vertices[i]
         return self.pos[rotate_colored(self.systems[v.comp], v, self.m)]
 
-    @cached_property
-    def survey(self) -> CliqueSurvey:
-        """The one survey every count and audit reads, taken by
-        ``orbit_survey`` from the links of one vertex per orbit of the
-        colored rotation (the identity at m = 0) and of each negative
-        simple, the marked vertices."""
+    def negative_mask(self) -> int:
+        """The positions of the negative simples, as a vertex mask."""
         negative = 0
         for i, v in enumerate(self.vertices):
             if self.systems[v.comp].is_negative(v.root):
                 negative |= 1 << i
-        V = len(self.vertices)
-        turn = [self.rotate_vertex(i) for i in range(V)] if self.m else list(range(V))
-        return orbit_survey(self.adj, self.n, negative, turn)
+        return negative
+
+    @cached_property
+    def survey(self) -> CliqueSurvey:
+        """The one survey every count and audit reads, with the negative
+        simples marked.  For m >= 1 it is ``parabolic_survey``: the join
+        of the components' complexes, each surveyed through the links of
+        its negative simples, recursively.  At m = 0 (a simplex) it is
+        ``orbit_survey`` under the identity."""
+        if self.m and self.systems:
+            return parabolic_survey(self)
+        return orbit_survey(self.adj, self.n, self.negative_mask(), list(range(len(self.adj))))
 
     def f_vector(self) -> list[int]:
         """Exact clique counts f_0..f_n."""
@@ -431,13 +493,7 @@ class CliqueComplex:
         return self.survey.ridge_degrees <= {self.m + 1}
 
     def link_vertices(self, i: int) -> list[int]:
-        mask = self.adj[i]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return _bits(self.adj[i])
 
     # -- export ---------------------------------------------------------
 
@@ -475,6 +531,129 @@ def build_complex(G: CoxeterDiagram, m: int, budget: int | None = None) -> Cliqu
     check_face_budget([p.info for p in cls.components or (cls,) if p.info is not None], m)
     systems = [RootSystem(c) for c in connected_components(G)]
     return CliqueComplex(systems, m, budget=budget)
+
+
+def _components(mask: int, nbrs: list[int]) -> list[int]:
+    """The connected components of the vertex mask ``mask`` in the graph
+    with neighbor masks ``nbrs``, as masks, by lowest vertex."""
+    out = []
+    while mask:
+        comp = front = mask & -mask
+        while front:
+            grow = 0
+            while front:
+                low = front & -front
+                front ^= low
+                grow |= nbrs[low.bit_length() - 1]
+            front = grow & mask & ~comp
+            comp |= front
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
+def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
+    """``clique_survey(cx.adj, cx.n, negative simples)`` for m >= 1, by
+    parabolic recursion.
+
+    For a connected set K of simple indices of one component, the
+    vertices of K are the colored roots whose support lies in K, taken
+    from the roots grouped by support.  They induce the complex of the
+    parabolic subsystem on K, whose colored rotation under the inherited
+    bipartition (``RootSystem.rotate`` within K) is checked exactly as an
+    automorphism of the graph they induce, once per K.  A state is K with
+    some of its negative simples marked; it is surveyed by
+    ``orbit_frame`` under K's rotation, every orbit of which holds a
+    negative simple.  The link of -alpha_j in K holds the vertices of the
+    components of K minus j, and is the join of the complexes they
+    induce: each part is surveyed as the state with the marks below j,
+    and ``join_survey`` combines them.  A link that is not exactly that
+    join (``is_join``) or has an impure part, and the link of a vertex
+    that is not a negative simple, is surveyed whole by
+    ``clique_survey``; so is a link in a K of rank 2, an A1 at facet
+    size 1.  A singleton K, a part of a join, is an A1 too, and
+    ``orbit_frame`` surveys it by ``clique_survey``.  The whole complex
+    is the join of its components, each the state of all its indices,
+    all marked, or else is surveyed by ``orbit_survey``.  K and the
+    states are memoized within the call only; every count is still read
+    from ``cx.adj``.
+    """
+    adj = cx.adj
+    # per component: each root's positions, by color as the ground set
+    # lists them, and the vertex mask and roots of each support
+    places: list[dict[int, list[int]]] = [{} for _ in cx.systems]
+    groups: list[dict[int, list]] = [{} for _ in cx.systems]
+    for g, v in enumerate(cx.vertices):
+        places[v.comp].setdefault(v.root, []).append(g)
+        group = groups[v.comp].setdefault(cx.systems[v.comp].support_masks[v.root], [0, set()])
+        group[0] |= 1 << g
+        group[1].add(v.root)
+    negatives = [[1 << at[j][0] for j in range(rs.n)] for rs, at in zip(cx.systems, places)]
+    shapes: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+    memo: dict[tuple[int, int, int], CliqueSurvey] = {}
+
+    def shape(c: int, K: int) -> tuple[int, dict[int, int]]:
+        """The vertex mask of K and K's colored rotation on it, checked:
+        a root's colors step up to the last, which goes to color 1 of
+        the rotated root."""
+        got = shapes.get((c, K))
+        if got is None:
+            rs, at = cx.systems[c], places[c]
+            vmask = 0
+            turn: dict[int, int] = {}
+            for supp, (vm, rids) in groups[c].items():
+                if supp & ~K:
+                    continue
+                vmask |= vm
+                for rid in rids:
+                    colors = at[rid]
+                    for a, b in zip(colors, colors[1:]):
+                        turn[a] = b
+                    turn[colors[-1]] = at[rs.rotate(rid, K)][0]
+            check_automorphism(adj, turn, vmask)
+            got = shapes[c, K] = (vmask, turn)
+        return got
+
+    def join(whole: int, states: list[tuple[int, int, int]]) -> CliqueSurvey | None:
+        """The survey of the graph on the vertex mask ``whole`` as the
+        join of the states' vertex sets, or None where it is not exactly
+        that join or a part is impure."""
+        masks = [shape(c, K)[0] for c, K, _ in states]
+        if sum(masks) != whole or not is_join(adj, masks):
+            return None
+        parts = [survey(*state) for state in states]
+        return join_survey(parts) if all(part.pure for part in parts) else None
+
+    def survey(c: int, K: int, marks: int) -> CliqueSurvey:
+        got = memo.get((c, K, marks))
+        if got is not None:
+            return got
+        rs = cx.systems[c]
+        vmask, turn = shape(c, K)
+        top = K.bit_count()
+
+        def link_survey(i: int, below: int) -> CliqueSurvey:
+            j = cx.vertices[i].root
+            link = adj[i] & vmask
+            if j < rs.n and top > 2:
+                under = marks & ((1 << j) - 1)
+                parts = _components(K & ~(1 << j), rs.neighbor_masks)
+                got = join(link, [(c, P, under & P) for P in parts])
+                if got is not None:
+                    return got
+            local, below = _induced(adj, link, below)
+            return clique_survey(local, top - 1, below)
+
+        marked = _image(marks, negatives[c])
+        got = memo[c, K, marks] = orbit_frame(adj, vmask, top, marked, turn, link_survey)
+        return got
+
+    whole = join((1 << len(adj)) - 1, [(c, (1 << rs.n) - 1, (1 << rs.n) - 1)
+                                       for c, rs in enumerate(cx.systems)])
+    if whole is not None:
+        return whole
+    turn = [cx.rotate_vertex(i) for i in range(len(adj))]
+    return orbit_survey(adj, cx.n, cx.negative_mask(), turn)
 
 
 def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:

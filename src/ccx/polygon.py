@@ -22,7 +22,6 @@ from .diagram import InputError, parse_diagram
 from .gcc import (
     BudgetExceeded,
     ColoredRoot,
-    clique_counts,
     colored_ground_set,
     compatibility_masks,
     iter_cliques,
@@ -410,9 +409,25 @@ def noncrossing_graph(n: int, m: int, budget: int = 40) -> tuple[list[Diagonal],
     return diags, compatibility_masks(diags, lambda a, b: not crossing(a, b))
 
 
+def noncrossing_turn(diags: list[Diagonal], N: int) -> list[int]:
+    """The clockwise rotation of the N-gon as a map on the indices of
+    ``diags``, which it must permute."""
+    index = {d: i for i, d in enumerate(diags)}
+    return [index[rotate_diag(d, N)] for d in diags]
+
+
+def dissection_face_counts(n: int, m: int, budget: int = 40) -> list[int]:
+    """Numbers of non-crossing k-subsets of allowable diagonals, k = 0..n,
+    from the links of one diagonal per rotation orbit (``orbit_survey``)."""
+    diags, adj = noncrossing_graph(n, m, budget)
+    return orbit_survey(adj, n, 0, noncrossing_turn(diags, (n + 1) * m + 2)).counts
+
+
 def count_dissection_faces(n: int, m: int, k: int, budget: int = 40) -> int:
-    """Count of non-crossing k-subsets of allowable diagonals."""
-    return clique_counts(noncrossing_graph(n, m, budget)[1], k)[k]
+    """Count of non-crossing k-subsets of allowable diagonals; there are
+    none above k = n."""
+    counts = dissection_face_counts(n, m, budget)
+    return counts[k] if k < len(counts) else 0
 
 
 def dissection_facets(n: int, m: int, budget: int = 40) -> list[tuple[Diagonal, ...]]:

@@ -6,8 +6,11 @@ zeta = 1 when it is simply laced).  A coordinate is the int tuple of its
 coefficients over 1, zeta, ..., reduced modulo the minimal polynomial of
 zeta, so equal roots are equal tuples.  A simple reflection s_i permutes
 the positive roots other than alpha_i, so their closure needs no sign
-test.  The float ``roots`` for output follow the same closure with the
-float reflection, so their error grows with the closure depth only.
+test.  The closure keeps each s_i it computes as a table on root ids, so
+the twists, the rotation and the rotation of any parabolic subsystem are
+table lookups.  The float ``roots`` for output follow the same closure
+with the float reflection, so their error grows with the closure depth
+only.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ class RootSystem:
     Root ids: 0..n-1 are the negative simple roots (in vertex order),
     then the positive roots in breadth-first discovery order starting
     from the simple roots.  ``exact`` holds each root's Z[zeta]
-    coordinates, ``roots`` their float values.  ``rotate`` is the
+    coordinates, ``roots`` their float values.  ``reflection[i][rid]``
+    is the id of s_i applied to root ``rid``, None where that is a
+    negative root other than a negative simple.  ``rotate`` is the
     deformed Coxeter element (the minus-twist after the plus-twist)
-    acting on almost-positive roots; ``depth`` counts rotations needed
-    to reach a negative root.
+    acting on almost-positive roots, or that of the parabolic subsystem
+    on a set of simple indices; ``depth`` counts rotations needed to
+    reach a negative root.
     """
 
     def __init__(self, G: CoxeterDiagram, plus_class=None):
@@ -66,6 +72,9 @@ class RootSystem:
         self._zeta = 2 * math.cos(math.pi / self.L)
         self._nbrs = [[(self.vertex_index[w], lab) for w, lab in G.neighbors(v).items()]
                       for v in G.vertices]
+        self.neighbor_masks = [sum(1 << j for j, _ in nb) for nb in self._nbrs]
+        self._own = {sign: sum(1 << self.vertex_index[v] for v in part)
+                     for sign, part in (("+", self.I_plus), ("-", self.I_minus))}
         self._build_roots()
         self._build_rotation()
         self._build_depths()
@@ -102,20 +111,28 @@ class RootSystem:
         simple = [tuple(self.integer(int(j == i)) for j in range(n)) for i in range(n)]
         pos, flt = list(simple), [tuple(float(j == i) for j in range(n)) for i in range(n)]
         index = {root: k for k, root in enumerate(pos)}
+        # s_i on the negative simples: -alpha_i to alpha_i, and -alpha_j
+        # to itself, or out of the ids where j is a neighbour of i
+        table = [[n + j if j == i else None if self.neighbor_masks[i] >> j & 1 else j
+                  for j in range(n)] for i in range(n)]
         # the list grows while it is walked: a breadth-first closure;
         # s_i maps every positive root but alpha_i to a positive root
         for k, root in enumerate(pos):
             if len(pos) > expected:
                 break
             for i in range(n):
-                if i != k:
-                    img = self._reflect(i, root)
-                    if img not in index:
-                        index[img] = len(pos)
-                        pos.append(img)
-                        flt.append(self._reflect_float(i, flt[k]))
+                if i == k:
+                    table[i].append(i)  # s_i(alpha_i) = -alpha_i
+                    continue
+                img = self._reflect(i, root)
+                if img not in index:
+                    index[img] = len(pos)
+                    pos.append(img)
+                    flt.append(self._reflect_float(i, flt[k]))
+                table[i].append(n + index[img])
         if len(pos) != expected:
             raise LookupMiss(f"found {len(pos)} positive roots, expected {expected}")
+        self.reflection = table
         self.exact = [tuple(tuple(-c for c in x) for x in r) for r in simple] + pos
         self.size = len(self.exact)
         self._index = {root: rid for rid, root in enumerate(self.exact)}
@@ -123,6 +140,7 @@ class RootSystem:
         self.roots = [tuple(float(-(j == i)) for j in range(n)) for i in range(n)] + flt
         self.num_positive = len(pos)
         self.support = [frozenset(j for j, c in enumerate(r) if any(c)) for r in self.exact]
+        self.support_masks = [sum(1 << j for j in supp) for supp in self.support]
 
     def root_id(self, coords) -> int:
         """Id of the root with these integer (or integral float)
@@ -136,23 +154,24 @@ class RootSystem:
     def is_negative(self, rid: int) -> bool:
         return rid < self.n
 
-    def _twist(self, sign: str, rid: int) -> int:
-        """One of the two involutions whose product is the rotation.
+    def _twist(self, sign: str, rid: int, within: int = -1) -> int:
+        """One of the two involutions whose product is the rotation, or
+        that of the parabolic subsystem on the simple indices of the
+        mask ``within``, acting on a root supported there.
 
         Fixes the negative simples of the opposite class; elsewhere
         applies the (commuting) product of the simple reflections of
-        its own class.
+        its own class.  Between two of them the root is positive or
+        -alpha_i for an i of the class, which the others fix.
         """
-        own = self.I_plus if sign == "+" else self.I_minus
-        other = self.I_minus if sign == "+" else self.I_plus
-        if self.is_negative(rid):
-            vertex = self.diagram.vertices[rid]
-            if vertex in other:
-                return rid
-        root = self.exact[rid]
-        for v in own:
-            root = self._reflect(self.vertex_index[v], root)
-        return self._index[root]
+        own = self._own[sign] & within
+        if rid < self.n and not own >> rid & 1:
+            return rid
+        while own:
+            low = own & -own
+            own ^= low
+            rid = self.reflection[low.bit_length() - 1][rid]
+        return rid
 
     def _build_rotation(self):
         perm = []
@@ -179,8 +198,13 @@ class RootSystem:
             raise LookupMiss(f"rotation order {order} not in {sorted(allowed)}")
         self.minus_one_longest = 2 * order == self.h + 2
 
-    def rotate(self, rid: int) -> int:
-        return self.rotation[rid]
+    def rotate(self, rid: int, within: int | None = None) -> int:
+        """The rotation of root ``rid``; with ``within``, a mask of simple
+        indices holding its support, the rotation of that parabolic
+        subsystem under the inherited bipartition."""
+        if within is None or within == (1 << self.n) - 1:
+            return self.rotation[rid]
+        return self._twist("-", self._twist("+", rid, within), within)
 
     def _build_depths(self):
         depths = [None] * self.size

@@ -21,12 +21,13 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import CliqueComplex, build_complex, clique_counts, link_decomposition_check
+from .gcc import CliqueComplex, build_complex, link_decomposition_check
 from .invariants import compute_all
 from .polygon import (
     TypeAModel,
     TypeBModel,
     TypeDModel,
+    dissection_face_counts,
     noncrossing_graph,
     rotate_diag,
 )
@@ -201,7 +202,7 @@ def suite_models(max_rank: int = 4, max_m: int = 3) -> list[Check]:
     for n in range(1, min(4, max_rank) + 1):
         for m in range(1, min(3, max_m) + 1):
             want = [f_k_closed(TypeInfo("A", n), k)(m) for k in range(n + 1)]
-            got = clique_counts(noncrossing_graph(n, m)[1], n)
+            got = dissection_face_counts(n, m)
             checks.append(
                 _check(f"dissection-counts A{n} m={m}", got == want, f"{got} vs {want}")
             )

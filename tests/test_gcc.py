@@ -14,7 +14,6 @@ from ccx.gcc import (
     CliqueSurvey,
     ColoredRoot,
     build_complex,
-    clique_counts,
     clique_survey,
     colored_ground_set,
     export_complex_json,
@@ -278,6 +277,32 @@ def test_clique_engine_matches_brute_force(graph):
         assert list(iter_cliques(adj, k)) == sorted(brute(k, range(V)))
 
 
+def clique_counts(adj: list[int], top: int) -> list[int]:
+    """Numbers of cliques of sizes 0..top, by ordered recursive
+    enumeration: a test oracle for the face counts.
+
+    Each clique is visited once, in increasing vertex order: candidates
+    are taken lowest first, so the ones left all lie above the vertex
+    just taken and ``cand & adj[i]`` keeps only later common neighbors.
+    """
+    counts = [0] * (top + 1)
+    counts[0] = 1
+
+    def rec(cand: int, size: int):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            counts[size] += 1
+            if size < top:
+                nxt = cand & adj[low.bit_length() - 1]
+                if nxt:
+                    rec(nxt, size + 1)
+
+    if top:
+        rec((1 << len(adj)) - 1, 1)
+    return counts
+
+
 def brute_survey(adj: list[int], top: int, marked: int) -> CliqueSurvey:
     """``clique_survey`` from every vertex subset, by itertools."""
     V = len(adj)
@@ -432,9 +457,123 @@ def test_complex_survey_runs_one_link_per_marked_vertex_or_orbit(monkeypatch):
     assert unmarked == [] and len(orbits) < len(negative)
     calls = _counting_kernel(monkeypatch)
     survey = cx.survey
-    assert len(calls) == len(negative) + len(unmarked) == 6
+    # the parabolic recursion runs the kernel on A1s only: the rank-1
+    # states it reaches and the links in its rank-2 parabolics
+    assert len(calls) == 14
     assert all(len(adj) < V for adj in calls)
     assert survey == clique_survey(cx.adj, cx.n, sum(1 << i for i in negative))
+
+
+SURVEY_DIAGRAMS = (
+    ["n=0;", "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
+     "D4", "D5", "D6", "E6", "F4", "G2", "H3"]
+    + ["n=4; 1-2:3 3-4:4", "n=3; 2-3:5", "n=5; 1-2:3 4-5:5"]  # reducible
+)
+SURVEY_CASES = ([(d, m) for d in SURVEY_DIAGRAMS for m in range(4)]
+                + [("E7", 1), ("E7", 2), ("E8", 1)])
+
+
+@pytest.mark.parametrize("spec,m", SURVEY_CASES)
+def test_complex_survey_equals_the_survey_of_the_whole_graph(spec, m):
+    cx = build_complex(parse_diagram(spec), m)
+    assert cx.survey == clique_survey(cx.adj, cx.n, cx.negative_mask())
+
+
+@pytest.mark.parametrize("spec,m", [("E8", 1), ("E7", 2)])
+def test_complex_survey_enumerates_cliques_on_rank_one_leaves_only(monkeypatch, spec, m):
+    cx = build_complex(parse_diagram(spec), m)
+    tops: list[int] = []
+    real = gcc.clique_survey
+
+    def counting(adj, top, marked=0):
+        tops.append(top)
+        assert len(adj) == m + 1  # an A1: its negative simple and m colors of its root
+        return real(adj, top, marked)
+
+    monkeypatch.setattr(gcc, "clique_survey", counting)
+    cx.survey
+    assert tops and set(tops) == {1}
+
+
+def _without_edge_orbit(cx: CliqueComplex, i: int, j: int) -> list[int]:
+    """``cx.adj`` less the orbit of the edge i-j under the colored
+    rotation, which stays an automorphism."""
+    adj = list(cx.adj)
+    a, b = i, j
+    while True:
+        adj[a] &= ~(1 << b)
+        adj[b] &= ~(1 << a)
+        a, b = cx.rotate_vertex(a), cx.rotate_vertex(b)
+        if {a, b} == {i, j}:
+            return adj
+
+
+@pytest.mark.parametrize("spec,m", [("n=4; 1-2:3 3-4:4", 1), ("n=3; 2-3:5", 2)])
+def test_complex_survey_reads_a_join_only_where_the_graph_is_one(spec, m):
+    cx = build_complex(parse_diagram(spec), m)
+    last = cx.num_vertices() - 1
+    assert cx.vertices[0].comp != cx.vertices[last].comp and cx.adj[0] >> last & 1
+    cx.adj = _without_edge_orbit(cx, 0, last)  # no longer the join of its components
+    assert cx.survey == clique_survey(cx.adj, cx.n, cx.negative_mask())
+    assert cx.survey.counts[2] < build_complex(parse_diagram(spec), m).f_vector()[2]
+
+
+def test_complex_survey_checks_each_parabolic_rotation(monkeypatch):
+    cx = build_complex(parse_diagram("A3"), 2)
+    rs = cx.systems[0]
+    real = RootSystem.rotate
+    a, b = rs.n, rs.n + 1  # alpha_1 and alpha_2, the roots of the parabolic A2 on {1, 2}
+
+    def broken(self, rid, within=None):
+        if within == 0b011 and rid in (a, b):
+            rid = b if rid == a else a
+        return real(self, rid, within)
+
+    monkeypatch.setattr(RootSystem, "rotate", broken)
+    with pytest.raises(ValueError, match="automorphism"):
+        cx.survey
+
+
+@st.composite
+def join_parts(draw):
+    """Two or three graphs of at most 4 vertices, each pure: a complete
+    multipartite graph, with a facet size and marks."""
+    parts = []
+    for _ in range(draw(st.integers(2, 3))):
+        sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        blocks = [b for b, size in enumerate(sizes) for _ in range(size)]
+        adj = [sum(1 << w for w, c in enumerate(blocks) if c != b) for b in blocks]
+        parts.append((adj, len(sizes), draw(st.integers(0, (1 << len(blocks)) - 1))))
+    return parts
+
+
+@settings(max_examples=100, deadline=4000)
+@given(join_parts())
+def test_join_survey_matches_the_survey_of_the_join(parts):
+    V = sum(len(local) for local, _, _ in parts)
+    adj: list[int] = []
+    masks, marked = [], 0
+    for local, _, marks in parts:
+        start = len(adj)
+        mask = ((1 << len(local)) - 1) << start
+        masks.append(mask)
+        marked |= marks << start
+        adj += [a << start | ((1 << V) - 1) & ~mask for a in local]
+    top = sum(t for _, t, _ in parts)
+    surveys = [clique_survey(local, t, marks) for local, t, marks in parts]
+    assert all(s.pure for s in surveys)
+    assert gcc.is_join(adj, masks)
+    assert gcc.join_survey(surveys) == clique_survey(adj, top, marked) == brute_survey(adj, top, marked)
+    # one cross edge dropped: not a join any more
+    i, j = masks[0].bit_length() - 1, masks[1].bit_length() - 1
+    adj[i] &= ~(1 << j)
+    adj[j] &= ~(1 << i)
+    assert not gcc.is_join(adj, masks)
+
+
+def test_join_survey_refuses_an_impure_part():
+    with pytest.raises(ValueError, match="impure"):
+        gcc.join_survey([clique_survey([0b10, 0b01, 0], 2)])
 
 
 def test_model_face_count_runs_one_link_per_orbit(monkeypatch):

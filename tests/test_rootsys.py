@@ -207,3 +207,64 @@ def test_restriction_of_compatibility_all_parabolics(name):
                             assert crs.compatible(a, b) == rs.compatible(
                                 emb[a], emb[b]
                             ), (name, J, a, b)
+
+
+@pytest.mark.parametrize("name", CATALOG)  # every type up to rank 8, H3, H4, I2(5), I2(7)
+def test_reflection_table_matches_the_coordinates(name):
+    # s_i on every root id, against the Z[zeta] reflection; a root that
+    # leaves the almost-positive ids (s_i of -alpha_j, j a neighbour of i)
+    # has no entry
+    rs = RootSystem(parse_diagram(name))
+    for i in range(rs.n):
+        assert len(rs.reflection[i]) == rs.size
+        for rid in range(rs.size):
+            assert rs.reflection[i][rid] == rs._index.get(rs._reflect(i, rs.exact[rid]))
+            if not rs.is_negative(rid):
+                assert rs.reflection[i][rid] is not None
+
+
+def coordinate_rotation(rs: RootSystem) -> list[int]:
+    """The rotation from the two twists, each reflecting Z[zeta]
+    coordinates class by class."""
+
+    def twist(own, other, rid):
+        if rs.is_negative(rid) and rs.diagram.vertices[rid] in other:
+            return rid
+        root = rs.exact[rid]
+        for v in own:
+            root = rs._reflect(rs.vertex_index[v], root)
+        return rs._index[root]
+
+    return [twist(rs.I_minus, rs.I_plus, twist(rs.I_plus, rs.I_minus, rid))
+            for rid in range(rs.size)]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_rotation_from_the_table_matches_the_coordinates(name):
+    rs = RootSystem(parse_diagram(name))
+    assert rs.rotation == coordinate_rotation(rs)
+    full = (1 << rs.n) - 1
+    assert [rs.rotate(rid, full) for rid in range(rs.size)] == rs.rotation
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D5", "E6", "F4", "G2", "H3", "H4", "I2(5)", "I2(7)"])
+def test_parabolic_rotation_matches_the_parabolic_root_system(name):
+    # the rotation within a set J of simple indices, against the rotation
+    # of each component's own root system (inherited bipartition), taken
+    # from its coordinates and carried through its embedding; within J or
+    # within the component alone
+    import itertools
+
+    rs = RootSystem(parse_diagram(name))
+    verts = list(rs.diagram.vertices)
+    for size in range(1, rs.n + 1):
+        for J in itertools.combinations(verts, size):
+            within = sum(1 << rs.vertex_index[v] for v in J)
+            for crs, emb in rs.parabolic_embeddings(J):
+                comp = sum(1 << rs.vertex_index[v] for v in crs.diagram.vertices)
+                rotation = coordinate_rotation(crs)
+                for rid in range(crs.size):
+                    image = emb[rotation[rid]]
+                    assert rs.rotate(emb[rid], within) == image, (name, J, rid)
+                    assert rs.rotate(emb[rid], comp) == image, (name, J, rid)
+                    assert rs.support_masks[emb[rid]] & ~comp == 0

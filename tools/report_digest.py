@@ -30,11 +30,12 @@ draws at the high end (two centres, named from either side).
 Then each (diagram, m) of ``complex_cases`` gets a ``complex`` line: the
 sha256 of the JSON stdout of ``ccx complex --diagram <spec> -m <m>``,
 which carries the f-vector, the facet counts and both audits.  Among
-them are the edge cases of the survey that reads the links of one
-vertex per rotation orbit (``gcc.orbit_survey``): m = 0, a rank-1
-component and orbits holding two negative simples.  These lines are the
-same whether the complex is surveyed whole (``gcc.clique_survey``) or
-by orbits.
+them are the edge cases of the survey by rotation orbits and parabolic
+links (``gcc.parabolic_survey``): m = 0, a rank-1 component, orbits
+holding two negative simples, and the deepest recursions, E8 at m = 2,
+E7 at m = 3, D8 at m = 2 and the reducible E6 + A2 at m = 2.  These
+lines are the same whether the complex is surveyed whole
+(``gcc.clique_survey``), by orbits or by parabolic links.
 
 Then each (diagram, m) of ``fvector_cases`` gets an ``fvector`` line: the
 sha256 of the stdout of ``ccx fvector --diagram <spec> -m <m>``, as JSON
@@ -157,13 +158,16 @@ def complex_cases() -> list[tuple[str, int]]:
     identity stands in for the rotation), 1 and 3, a diagram with an
     isolated vertex (a rank-1 component) at m = 0..2, and E6 at m = 1,
     whose rotation orbits each hold two negative simples or one fixed by
-    -w0."""
+    -w0.  Last, the deepest parabolic recursions under ``FACE_BUDGET``:
+    E8 at m = 2, E7 at m = 3, D8 at m = 2, and E6 + A2 at m = 2, a join
+    of two components that each recurse."""
     bench = [("E8", 1), ("E7", 2), ("E6", 2), ("D6", 2), ("F4", 3),
              ("H4", 2), ("B5", 2), ("A6", 2), ("A5", 3), ("I2(7)", 3)]
     small = [(name, m) for name in ("A1", "A2", "A3", "B2", "G2", "H3") for m in range(4)]
     orbit = ([("n=4; 1-2:3 3-4:4", m) for m in (0, 1, 3)]
              + [("n=3; 2-3:5", m) for m in range(3)] + [("E6", 1)])
-    return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)] + orbit
+    deep = [("E8", 2), ("E7", 3), ("D8", 2), ("n=8; 1-2:3 2-3:3 3-4:3 4-5:3 3-6:3 7-8:3", 2)]
+    return bench + small + [("n=4; 1-2:3 3-4:4", 2), ("n=0;", 1)] + orbit + deep
 
 
 INTERLEAVED = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
