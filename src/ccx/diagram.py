@@ -499,6 +499,24 @@ def _graph_key(adj: dict[int, dict[int, int]]) -> tuple[int, ...]:
 # the subset lattice and bipartition
 
 
+def mask_components(mask: int, nbr: list[int]) -> tuple[int, ...]:
+    """The connected components of the vertex mask ``mask`` in the graph
+    with neighbour masks ``nbr``, as masks, in the order of their lowest
+    vertex."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier |= new
+        out.append(comp)
+        mask &= ~comp
+    return tuple(out)
+
+
 class SubsetLattice:
     """The induced subdiagrams of one diagram as int masks.
 
@@ -546,21 +564,8 @@ class SubsetLattice:
     def components(self, mask: int) -> tuple[int, ...]:
         """Component masks of the label>=3 skeleton, lowest bit first."""
         comps = self._components.get(mask)
-        if comps is not None:
-            return comps
-        out = []
-        rest = mask
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = self.nbr[low.bit_length() - 1] & mask & ~comp
-                comp |= new
-                frontier |= new
-            out.append(comp)
-            rest &= ~comp
-        comps = self._components[mask] = tuple(out)
+        if comps is None:
+            comps = self._components[mask] = mask_components(mask, self.nbr)
         return comps
 
     def connected_masks(self) -> tuple[int, ...]:

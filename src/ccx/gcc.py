@@ -1,10 +1,15 @@
 """Colored almost-positive roots and the clique complex they span.
 
 The ground set holds m copies of each positive root (colors 1..m) plus
-the negative simples with color 1.  Compatibility between two colored
-roots follows the five-case rule over the color comparison and the
-rotation depths; reducible diagrams are handled as joins with
-block-diagonal "always compatible" adjacency between components.
+the negative simples with color 1.  Colored compatibility is built
+from its defining property (Fomin and Reading; at m = 1 it is Fomin and
+Zelevinsky's compatibility): it is the symmetric relation, invariant
+under the colored rotation R_m, that holds at each negative simple
+-alpha_i exactly for the colored roots whose support avoids i.  So the
+row of each negative simple is read from the supports and carried along
+its R_m orbit; ``CliqueComplex`` checks that the rows close up and are
+symmetric.  Reducible diagrams are handled as joins: vertices of
+different components are always compatible.
 
 The clique engine of the package is one survey, one orbit frame and
 one lister.  ``clique_survey`` gives a clique complex its face numbers,
@@ -35,13 +40,15 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, connected_components
+from .diagram import mask_components
 from .formulas import f_k_closed
-from .rootsys import NotFiniteType, RootSystem
+from .rootsys import LookupMiss, NotFiniteType, RootSystem
 
 # faces, the empty one included, that one complex or polygon model may
 # enumerate: E8 at m = 2 has 1.3e7, and ``ccx complex`` on it takes about
-# 0.3 s (Python 3.11, shared 2-vCPU Xeon host, a fresh process), most of
-# it building the compatibility graph; its survey takes about 0.02 s
+# 0.15-0.2 s (Python 3.11, shared 2-vCPU Xeon host, a fresh process), most
+# of it starting Python and importing; building the root system and the
+# compatibility graph takes about 0.01 s, and so does the survey
 FACE_BUDGET = 20_000_000
 
 
@@ -384,33 +391,12 @@ def rotate_colored(rs: RootSystem, v: ColoredRoot, m: int) -> ColoredRoot:
     return ColoredRoot(v.comp, rs.rotate(v.root), 1)
 
 
-def m_compatible(rs: RootSystem, u: ColoredRoot, v: ColoredRoot) -> bool:
-    """Five-case colored compatibility within one irreducible component.
-
-    The color comparison decides whether one of the two roots gets
-    rotated before the plain compatibility test; ties on both color
-    and depth rotate the higher-colored root.
-    """
-    if u.comp != v.comp:
-        return True
-    k, l = u.color, v.color
-    da, db = rs.depth(u.root), rs.depth(v.root)
-    if k > l:
-        if da <= db:
-            return rs.compatible(rs.rotate(u.root), v.root)
-        return rs.compatible(u.root, v.root)
-    if k < l:
-        if da >= db:
-            return rs.compatible(u.root, rs.rotate(v.root))
-        return rs.compatible(u.root, v.root)
-    return rs.compatible(u.root, v.root)
-
-
 class CliqueComplex:
     """The clique complex of colored compatibility.
 
     vertices are ColoredRoot triples in deterministic order; adjacency
-    is a list of bitmasks over vertex positions.
+    is a list of bitmasks over vertex positions.  ``turn`` is R_m as a
+    table on positions, None at m = 0, where R_m is not defined.
     """
 
     def __init__(self, systems: list[RootSystem], m: int, budget: int | None = None):
@@ -424,9 +410,54 @@ class CliqueComplex:
                 f"{len(self.vertices)} vertices exceed budget {cap}"
             )
         self.pos = {v: i for i, v in enumerate(self.vertices)}
-        self.adj = compatibility_masks(
-            self.vertices, lambda u, v: m_compatible(systems[u.comp], u, v)
-        )
+        self.turn = [self.pos[rotate_colored(systems[v.comp], v, m)]
+                     for v in self.vertices] if m else None
+        self.adj = self._rows()
+
+    def _rows(self) -> list[int]:
+        """The rows of colored compatibility, from its defining property.
+
+        The row of a negative simple -alpha_i is every vertex of the other
+        components and every vertex of its own whose root's support
+        avoids i.  Since u ~ v exactly when R_m u ~ R_m v, the row of
+        R_m^-1 x is the image of the row of x under R_m^-1.  So each row
+        is carried backwards along its R_m orbit to every vertex before
+        the previous negative simple, where it must arrive as that
+        vertex's own row; the rows are then invariant under R_m.  R_m is
+        a permutation, so the walks cover disjoint arcs of the orbits;
+        every vertex must get a row, so every orbit must meet a negative
+        simple.  R_m moves any pair to one that holds a negative simple,
+        so the rows are symmetric once the column of each negative
+        simple equals its row.  A failed check raises ``LookupMiss``.
+        At m = 0 every vertex is a negative simple, and the rows are the
+        whole graph.
+        """
+        V = len(self.vertices)
+        negative = self.negative_mask()
+        rows: list = [None] * V
+        for s in _bits(negative):
+            v = self.vertices[s]
+            supp = self.systems[v.comp].support_masks
+            rows[s] = sum(1 << g for g, w in enumerate(self.vertices)
+                          if w.comp != v.comp or not supp[w.root] >> v.root & 1)
+        if self.turn is not None:
+            back = [0] * V
+            for g, t in enumerate(self.turn):
+                back[t] = g
+            to = [1 << g for g in back]
+            for s in _bits(negative):
+                row, g = _image(rows[s], to), back[s]
+                while not negative >> g & 1:
+                    rows[g] = row
+                    row, g = _image(row, to), back[g]
+                if row != rows[g]:
+                    raise LookupMiss(f"the row of negative simple {s} arrives at {g} as another row")
+        if None in rows:
+            raise LookupMiss(f"the R_m orbit of vertex {rows.index(None)} meets no negative simple")
+        for t in _bits(negative):
+            if sum(1 << g for g in range(V) if rows[g] >> t & 1) != rows[t]:
+                raise LookupMiss(f"the rows are not symmetric at negative simple {t}")
+        return rows
 
     # -- structural queries ------------------------------------------------
 
@@ -437,12 +468,11 @@ class CliqueComplex:
         return self.adj[i].bit_count()
 
     def rotate_vertex(self, i: int) -> int:
-        """The position of the colored rotation's image of vertex i; R_m
-        is defined for m >= 1 only."""
-        if self.m == 0:
+        """The position of the colored rotation's image of vertex i, from
+        ``turn``; R_m is defined for m >= 1 only."""
+        if self.turn is None:
             raise InputError("the colored rotation R_m is defined for m >= 1, not m = 0")
-        v = self.vertices[i]
-        return self.pos[rotate_colored(self.systems[v.comp], v, self.m)]
+        return self.turn[i]
 
     def negative_mask(self) -> int:
         """The positions of the negative simples, as a vertex mask."""
@@ -458,10 +488,10 @@ class CliqueComplex:
         simples marked.  For m >= 1 it is ``parabolic_survey``: the join
         of the components' complexes, each surveyed through the links of
         its negative simples, recursively.  At m = 0 (a simplex) it is
-        ``orbit_survey`` under the identity."""
+        ``clique_survey`` on the graph."""
         if self.m and self.systems:
             return parabolic_survey(self)
-        return orbit_survey(self.adj, self.n, self.negative_mask(), list(range(len(self.adj))))
+        return clique_survey(self.adj, self.n, self.negative_mask())
 
     def f_vector(self) -> list[int]:
         """Exact clique counts f_0..f_n."""
@@ -531,25 +561,6 @@ def build_complex(G: CoxeterDiagram, m: int, budget: int | None = None) -> Cliqu
     check_face_budget([p.info for p in cls.components or (cls,) if p.info is not None], m)
     systems = [RootSystem(c) for c in connected_components(G)]
     return CliqueComplex(systems, m, budget=budget)
-
-
-def _components(mask: int, nbrs: list[int]) -> list[int]:
-    """The connected components of the vertex mask ``mask`` in the graph
-    with neighbor masks ``nbrs``, as masks, by lowest vertex."""
-    out = []
-    while mask:
-        comp = front = mask & -mask
-        while front:
-            grow = 0
-            while front:
-                low = front & -front
-                front ^= low
-                grow |= nbrs[low.bit_length() - 1]
-            front = grow & mask & ~comp
-            comp |= front
-        out.append(comp)
-        mask &= ~comp
-    return out
 
 
 def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
@@ -637,7 +648,7 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
             link = adj[i] & vmask
             if j < rs.n and top > 2:
                 under = marks & ((1 << j) - 1)
-                parts = _components(K & ~(1 << j), rs.neighbor_masks)
+                parts = mask_components(K & ~(1 << j), rs.neighbor_masks)
                 got = join(link, [(c, P, under & P) for P in parts])
                 if got is not None:
                     return got
@@ -652,8 +663,7 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
                                        for c, rs in enumerate(cx.systems)])
     if whole is not None:
         return whole
-    turn = [cx.rotate_vertex(i) for i in range(len(adj))]
-    return orbit_survey(adj, cx.n, cx.negative_mask(), turn)
+    return orbit_survey(adj, cx.n, cx.negative_mask(), cx.turn)
 
 
 def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:

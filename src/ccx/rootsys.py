@@ -26,8 +26,9 @@ class NotFiniteType(InputError):
 
 
 class LookupMiss(RuntimeError):
-    """A root-system invariant failed (root count nh/2, rotation order,
-    depth, compatibility period), or no root has the given coordinates."""
+    """A root-system invariant failed (root count nh/2, rotation order),
+    colored compatibility failed a check of its defining property (see
+    ``gcc.CliqueComplex``), or no root has the given coordinates."""
 
 
 class RootSystem:
@@ -41,8 +42,9 @@ class RootSystem:
     negative root other than a negative simple.  ``rotate`` is the
     deformed Coxeter element (the minus-twist after the plus-twist)
     acting on almost-positive roots, or that of the parabolic subsystem
-    on a set of simple indices; ``depth`` counts rotations needed to
-    reach a negative root.
+    on a set of simple indices.  ``support_masks`` holds each root's
+    support as a mask of simple indices, which colored compatibility
+    reads at the negative simples.
     """
 
     def __init__(self, G: CoxeterDiagram, plus_class=None):
@@ -77,8 +79,6 @@ class RootSystem:
                      for sign, part in (("+", self.I_plus), ("-", self.I_minus))}
         self._build_roots()
         self._build_rotation()
-        self._build_depths()
-        self._compat: dict[tuple[int, int], bool] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -206,45 +206,16 @@ class RootSystem:
             return self.rotation[rid]
         return self._twist("-", self._twist("+", rid, within), within)
 
-    def _build_depths(self):
-        depths = [None] * self.size
-        for rid in range(self.size):
-            cur, d = rid, 0
-            while not self.is_negative(cur):
-                cur = self.rotation[cur]
-                d += 1
-                if d > self.rotation_order:
-                    raise LookupMiss("depth iteration failed to terminate")
-            depths[rid] = d
-        self.depths = depths
-
-    def depth(self, rid: int) -> int:
-        return self.depths[rid]
-
-    # -- compatibility ----------------------------------------------------
-
     def compatible(self, a: int, b: int) -> bool:
-        """Non-colored compatibility: rotate the pair until one root is a
-        negative simple, then test whether the other avoids that vertex."""
-        if a == b:
-            return False
-        key = (a, b) if a < b else (b, a)
-        cached = self._compat.get(key)
-        if cached is not None:
-            return cached
-        x, y = a, b
-        for _ in range(self.rotation_order + 1):
-            if self.is_negative(x):
-                result = x not in self.support[y]
-                break
-            if self.is_negative(y):
-                result = y not in self.support[x]
-                break
-            x, y = self.rotation[x], self.rotation[y]
-        else:
-            raise LookupMiss("no negative simple reached within one period")
-        self._compat[key] = result
-        return result
+        """Uncolored compatibility of two root ids, the relation that
+        ``gcc.CliqueComplex`` builds at m = 1: rotate both until ``a`` is
+        a negative simple -alpha_i, where it holds exactly when the
+        support of ``b`` avoids i."""
+        for _ in range(self.rotation_order):
+            if a < self.n:
+                return not self.support_masks[b] >> a & 1
+            a, b = self.rotation[a], self.rotation[b]
+        raise LookupMiss(f"the rotation orbit of root {a} meets no negative simple")
 
     # -- parabolic subsystems ----------------------------------------------
 

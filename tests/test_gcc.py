@@ -16,15 +16,15 @@ from ccx.gcc import (
     build_complex,
     clique_survey,
     colored_ground_set,
+    compatibility_masks,
     export_complex_json,
     iter_cliques,
     link_decomposition_check,
-    m_compatible,
     orbit_survey,
     rotate_colored,
 )
 from ccx.polygon import TypeDModel
-from ccx.rootsys import RootSystem
+from ccx.rootsys import LookupMiss, RootSystem
 
 
 def test_ground_set_sizes():
@@ -80,33 +80,38 @@ def test_colored_rotation_order(name, m):
     assert order == expected
 
 
+def edge(cx: CliqueComplex, u: ColoredRoot, v: ColoredRoot) -> bool:
+    """Whether the colored roots u and v are compatible in ``cx``."""
+    return bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1)
+
+
 def test_support_rule_for_negative_simples():
     rs = RootSystem(parse_diagram("B2"))
     m = 3
+    cx = CliqueComplex([rs], m)
     for i in range(rs.n):
         neg = ColoredRoot(0, i, 1)
         for rid in range(rs.n, rs.size):
             for k in range(1, m + 1):
                 expected = i not in rs.support[rid]
-                assert m_compatible(rs, neg, ColoredRoot(0, rid, k)) == expected
+                assert edge(cx, neg, ColoredRoot(0, rid, k)) == expected
         # its own positive copy is incompatible in every color
         pos_same = rs.root_id([1.0 if t == i else 0.0 for t in range(rs.n)])
         for k in range(1, m + 1):
-            assert not m_compatible(rs, neg, ColoredRoot(0, pos_same, k))
+            assert not edge(cx, neg, ColoredRoot(0, pos_same, k))
 
 
 @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 3), ("B3", 2), ("I2(5)", 3)])
 def test_m_compatibility_is_symmetric_and_rotation_invariant(name, m):
     rs = RootSystem(parse_diagram(name))
-    verts = colored_ground_set([rs], m)
+    cx = CliqueComplex([rs], m)
+    verts = cx.vertices
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
             u, v = verts[a], verts[b]
-            c = m_compatible(rs, u, v)
-            assert c == m_compatible(rs, v, u)
-            assert c == m_compatible(
-                rs, rotate_colored(rs, u, m), rotate_colored(rs, v, m)
-            )
+            c = edge(cx, u, v)
+            assert c == edge(cx, v, u)
+            assert c == edge(cx, rotate_colored(rs, u, m), rotate_colored(rs, v, m))
 
 
 def test_lower_color_complex_is_induced_subcomplex():
@@ -193,32 +198,18 @@ def test_link_of_negative_simple_in_a2():
 @pytest.mark.parametrize("name,m", [("B3", 2), ("A4", 2), ("D4", 1)])
 def test_colored_restriction_all_parabolics(name, m):
     # colored compatibility agrees with each parabolic subsystem's own,
-    # for arbitrary vertex subsets, not just vertex deletions
-    import itertools
-
+    # for arbitrary vertex subsets, not just vertex deletions; the
+    # components of J are the components of the parabolic complex
     rs = RootSystem(parse_diagram(name))
+    cx = CliqueComplex([rs], m)
     verts = list(rs.diagram.vertices)
     for size in range(1, rs.n):
         for J in itertools.combinations(verts, size):
             embs = rs.parabolic_embeddings(J)
-            colored = []  # (component, sub colored root, parent colored root)
-            for ci, (crs, emb) in enumerate(embs):
-                for sub_rid, parent_rid in emb.items():
-                    top = 1 if crs.is_negative(sub_rid) else m
-                    for k in range(1, top + 1):
-                        colored.append(
-                            (ci, crs, ColoredRoot(0, sub_rid, k),
-                             ColoredRoot(0, parent_rid, k))
-                        )
-            for (ci, crs, su, pu), (cj, crs2, sv, pv) in itertools.combinations(
-                colored, 2
-            ):
-                parent_side = m_compatible(rs, pu, pv)
-                if ci != cj:
-                    sub_side = True  # different components of the join
-                else:
-                    sub_side = m_compatible(crs, su, sv)
-                assert sub_side == parent_side, (name, J, su, sv)
+            sub = CliqueComplex([crs for crs, _ in embs], m)
+            parent = {v: ColoredRoot(0, embs[v.comp][1][v.root], v.color) for v in sub.vertices}
+            for su, sv in itertools.combinations(sub.vertices, 2):
+                assert edge(sub, su, sv) == edge(cx, parent[su], parent[sv]), (name, J, su, sv)
 
 
 def test_budget():
@@ -301,6 +292,56 @@ def clique_counts(adj: list[int], top: int) -> list[int]:
     if top:
         rec((1 << len(adj)) - 1, 1)
     return counts
+
+
+def depths(rs: RootSystem) -> list[int]:
+    """The rotations each root id needs to reach a negative root."""
+    out = []
+    for rid in range(rs.size):
+        d = 0
+        while not rs.is_negative(rid):
+            rid, d = rs.rotate(rid), d + 1
+        out.append(d)
+    return out
+
+
+def pair_compatible(rs: RootSystem, a: int, b: int) -> bool:
+    """Uncolored compatibility of two root ids: rotate the pair until one
+    root is a negative simple, then test whether the other avoids it."""
+    if a == b:
+        return False
+    for _ in range(rs.rotation_order + 1):
+        if rs.is_negative(a):
+            return a not in rs.support[b]
+        if rs.is_negative(b):
+            return b not in rs.support[a]
+        a, b = rs.rotate(a), rs.rotate(b)
+    raise AssertionError("no negative simple reached within one period")
+
+
+def five_case_adjacency(cx: CliqueComplex) -> list[int]:
+    """Colored compatibility on the vertices of ``cx`` by the five-case
+    rule over the color comparison and the rotation depths: a test
+    oracle for ``cx.adj``.  Vertices of different components are always
+    compatible.  Of two colored roots of one component, the one of the
+    higher color is rotated first when its depth is at most the other's
+    (so a tie on both rotates the higher-colored root)."""
+    tables = [[[pair_compatible(rs, a, b) for b in range(rs.size)] for a in range(rs.size)]
+              for rs in cx.systems]
+    depth = [depths(rs) for rs in cx.systems]
+
+    def compatible(u: ColoredRoot, v: ColoredRoot) -> bool:
+        if u.comp != v.comp:
+            return True
+        rs, d = cx.systems[u.comp], depth[u.comp]
+        a, b = u.root, v.root
+        if u.color > v.color and d[a] <= d[b]:
+            a = rs.rotate(a)
+        elif u.color < v.color and d[a] >= d[b]:
+            b = rs.rotate(b)
+        return tables[u.comp][a][b]
+
+    return compatibility_masks(cx.vertices, compatible)
 
 
 def brute_survey(adj: list[int], top: int, marked: int) -> CliqueSurvey:
@@ -477,6 +518,50 @@ SURVEY_CASES = ([(d, m) for d in SURVEY_DIAGRAMS for m in range(4)]
 def test_complex_survey_equals_the_survey_of_the_whole_graph(spec, m):
     cx = build_complex(parse_diagram(spec), m)
     assert cx.survey == clique_survey(cx.adj, cx.n, cx.negative_mask())
+
+
+E6_A2 = "n=8; 1-2:3 2-3:3 3-4:3 4-5:3 3-6:3 7-8:3"
+
+
+@pytest.mark.parametrize("spec,m", SURVEY_CASES + [("E8", 2), ("E7", 3), ("D8", 2), (E6_A2, 2)])
+def test_adjacency_equals_the_five_case_rule(spec, m):
+    cx = build_complex(parse_diagram(spec), m)
+    assert cx.adj == five_case_adjacency(cx)
+
+
+@pytest.mark.parametrize("spec,a,b,check", [
+    ("A2", 0, 1, "arrives"),  # -alpha_1 and -alpha_2
+    ("A3", 0, 2, "not symmetric"),  # -alpha_1 and -alpha_3
+])
+def test_colored_rows_refuse_a_rotation_with_two_images_swapped(monkeypatch, spec, a, b, check):
+    rs = RootSystem(parse_diagram(spec))
+    u, v = ColoredRoot(0, a, 1), ColoredRoot(0, b, 1)
+    real = gcc.rotate_colored
+
+    def swapped(rs, w, m):
+        return real(rs, v if w == u else u if w == v else w, m)
+
+    monkeypatch.setattr(gcc, "rotate_colored", swapped)
+    with pytest.raises(LookupMiss, match=check):
+        CliqueComplex([rs], 1)
+
+
+@pytest.mark.parametrize("spec,m,check", [("A2", 1, "arrives"), ("B2", 2, "not symmetric")])
+def test_colored_rows_refuse_a_tampered_negative_simple_row(spec, m, check):
+    rs = RootSystem(parse_diagram(spec))
+    rs.support_masks[rs.n] ^= 1  # alpha_1 avoids 1: the row of -alpha_1 gains it
+    with pytest.raises(LookupMiss, match=check):
+        CliqueComplex([rs], m)
+
+
+def test_colored_rows_refuse_an_orbit_without_a_negative_simple(monkeypatch):
+    rs = RootSystem(parse_diagram("A3"))
+    assert [1, 4, 8] == [1, rs.rotate(1), rs.rotate(rs.rotate(1))] and rs.rotate(8) == 1
+    real = CliqueComplex.negative_mask
+    # -alpha_2 is the one negative simple of its R_1 orbit; left out, the orbit meets none
+    monkeypatch.setattr(CliqueComplex, "negative_mask", lambda self: real(self) & ~0b10)
+    with pytest.raises(LookupMiss, match="meets no negative simple"):
+        CliqueComplex([rs], 1)
 
 
 @pytest.mark.parametrize("spec,m", [("E8", 1), ("E7", 2)])

@@ -5,7 +5,7 @@ import pytest
 
 from ccx.diagram import InputError
 from ccx.formulas import TypeInfo, N_product, f_k_closed
-from ccx.gcc import m_compatible, rotate_colored
+from ccx.gcc import CliqueComplex, rotate_colored
 from ccx.polygon import (
     BudgetExceeded,
     TypeAModel,
@@ -67,8 +67,9 @@ def test_type_a_bijection_is_isomorphism(n, m):
     model = TypeAModel(n, m)
     gs = model.ground_set()
     assert len(gs) == len(model.diagonals)
+    cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert m_compatible(model.rs, u, v) == model.compatible(u, v)
+        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model.compatible(u, v)
     for v in gs:
         assert model.to_diagonal[rotate_colored(model.rs, v, m)] == rotate_diag(
             model.to_diagonal[v], model.N
@@ -89,8 +90,9 @@ def test_type_b_bijection_is_isomorphism(n, m):
     model = TypeBModel(n, m)
     gs = model.ground_set()
     assert len(gs) == len(model.vertices)
+    cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert m_compatible(model.rs, u, v) == model.model_compatible(u, v)
+        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model.model_compatible(u, v)
     for v in gs:
         assert model.to_vertex[rotate_colored(model.rs, v, m)] == model.rotate_vertex(
             model.to_vertex[v]
@@ -122,8 +124,9 @@ def test_type_d_bijection_is_isomorphism(n, m):
     model = TypeDModel(n, m)
     gs = model.ground_set()
     assert len(gs) == len(model.vertices)
+    cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert m_compatible(model.rs, u, v) == model.model_compatible(u, v)
+        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model.model_compatible(u, v)
     for v in gs:
         assert model.to_vertex[rotate_colored(model.rs, v, m)] == model.rotate_vertex(
             model.to_vertex[v]

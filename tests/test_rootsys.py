@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ccx.diagram import parse_diagram, classify
+from ccx.gcc import CliqueComplex
 from ccx.rootsys import NotFiniteType, RootSystem
 
 CATALOG = [
@@ -61,48 +62,43 @@ def test_orbit_size_small_rank():
     assert len(orbit) == 5  # h + 2 with h = 3
 
 
-def test_depths():
-    rs = RootSystem(parse_diagram("A2"))
-    for i in range(rs.n):
-        assert rs.depth(i) == 0
-    for rid in range(rs.n, rs.size):
-        assert 1 <= rs.depth(rid) <= rs.rotation_order - 1
-    rs1 = RootSystem(parse_diagram("A1"))
-    assert rs1.depth(1) == 1
+def compatibility(rs: RootSystem) -> list[int]:
+    """Uncolored compatibility as bit masks on root ids: the colored
+    complex at m = 1, whose vertex positions are the root ids."""
+    cx = CliqueComplex([rs], 1)
+    assert [v.root for v in cx.vertices] == list(range(rs.size))
+    return cx.adj
 
 
 def test_negative_simple_compatibility_rules():
     rs = RootSystem(parse_diagram("B3"))
+    adj = compatibility(rs)
     for i in range(rs.n):
         for j in range(rs.n):
             if i != j:
-                assert rs.compatible(i, j)
+                assert adj[i] >> j & 1
         # the positive copy of the same simple root is never compatible
         pos_same = rs.root_id([1.0 if t == i else 0.0 for t in range(rs.n)])
-        assert not rs.compatible(i, pos_same)
+        assert not adj[i] >> pos_same & 1
 
 
 def test_simple_roots_incompatible_when_adjacent():
     rs = RootSystem(parse_diagram("A2"))
+    adj = compatibility(rs)
     a1 = rs.root_id([1.0, 0.0])
     a2 = rs.root_id([0.0, 1.0])
-    assert not rs.compatible(a1, a2)
-    pairs = sum(
-        1
-        for a in range(rs.size)
-        for b in range(a + 1, rs.size)
-        if rs.compatible(a, b)
-    )
-    assert pairs == 5  # pentagon
+    assert not adj[a1] >> a2 & 1
+    assert sum(a.bit_count() for a in adj) == 2 * 5  # pentagon
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4", "D4", "F4", "H3", "I2(6)"])
 def test_compatibility_rotation_invariant_and_symmetric(name):
     rs = RootSystem(parse_diagram(name))
+    adj = compatibility(rs)
     for a in range(rs.size):
         for b in range(a + 1, rs.size):
             c = rs.compatible(a, b)
-            assert c == rs.compatible(b, a)
+            assert c == rs.compatible(b, a) == bool(adj[a] >> b & 1)
             assert c == rs.compatible(rs.rotate(a), rs.rotate(b))
 
 
@@ -196,17 +192,17 @@ def test_restriction_of_compatibility_all_parabolics(name):
     import itertools
 
     rs = RootSystem(parse_diagram(name))
+    adj = compatibility(rs)
     verts = list(rs.diagram.vertices)
     for size in range(1, rs.n):
         for J in itertools.combinations(verts, size):
             for crs, emb in rs.parabolic_embeddings(J):
+                sub = compatibility(crs)
                 ids = sorted(emb)
                 for a in ids:
                     for b in ids:
                         if a < b:
-                            assert crs.compatible(a, b) == rs.compatible(
-                                emb[a], emb[b]
-                            ), (name, J, a, b)
+                            assert sub[a] >> b & 1 == adj[emb[a]] >> emb[b] & 1, (name, J, a, b)
 
 
 @pytest.mark.parametrize("name", CATALOG)  # every type up to rank 8, H3, H4, I2(5), I2(7)
