@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import islice
 
 from . import __version__
@@ -197,7 +198,9 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ccx`` parser, built once per process and reused by ``main``."""
     p = argparse.ArgumentParser(
         prog="ccx",
         description="generalized cluster complexes and Coxeter diagram invariants",

@@ -3,6 +3,10 @@
 A polynomial in the formal variable ``m`` is integer numerators over
 one positive denominator (FLINT's ``fmpq_poly`` layout), and all its
 arithmetic runs on the integer lists of the root-finding section.
+Sums of many terms, polynomial (``poly_sum``) or rational
+(``frac_sum``), put every term over the lcm of the denominators, add
+the integer numerators and reduce once, instead of reducing after each
+pairwise addition.
 Roots are found without factoring integers and without floating-point
 arithmetic: a square-free decomposition (Yun) of the primitive
 numerator, Sturm-sequence isolation of the real roots at dyadic points,
@@ -183,13 +187,29 @@ ZERO = Poly()
 ONE = Poly.const(1)
 
 
+def poly_sum(terms) -> Poly:
+    """The sum of an iterable of Polys: each numerator scaled to the lcm
+    of the denominators, the integers added, one reduction (``_set``)."""
+    terms = list(terms)
+    den = lcm(*[p.den for p in terms])
+    acc = [0] * max([len(p.num) for p in terms], default=0)
+    for p in terms:
+        s = den // p.den
+        for i, c in enumerate(p.num):
+            acc[i] += c * s
+    return _of(acc, den)
+
+
+def frac_sum(terms) -> Fraction:
+    """The sum of an iterable of ints and Fractions over the lcm of their
+    denominators, reduced once."""
+    terms = list(terms)
+    den = lcm(*[q.denominator for q in terms])
+    return Fraction(sum(q.numerator * (den // q.denominator) for q in terms), den)
+
+
 def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def poly_shift(p: Poly) -> Poly:
-    """p(x - 1), the substitution behind the h-polynomial."""
-    return p.shifted_arg(-1)
 
 
 def poly_divide_exact(p: Poly, q: Poly) -> Poly:

@@ -13,10 +13,11 @@ from fractions import Fraction
 from math import comb
 
 from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
-from .exactmath import Poly, binomial_poly
+from .exactmath import ONE, Poly, _of, binomial_poly, poly_sum
 from .tables import face_correction, h_correction
 
 F = Fraction
+_M_PLUS_1 = Poly([1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,9 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
     must be an isomorphism invariant: it is asked about one mask of each
     class and its answer serves them all.  Ranks one and two are
     postulated; a disconnected mask convolves the component of least
-    key with the rest.
+    key with the rest.  Each sum, of the codimension-one f_j or of the
+    products of one convolution coefficient, is one n-ary ``poly_sum``,
+    reduced once.
 
     Results live in ``lat.fpolys`` for the life of the lattice, keyed
     by class, h and the ids of the stored sub-results they were built
@@ -74,18 +77,18 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
             key = (cls, id(low), id(rest))
             out = store.get(key)
             if out is None:
-                acc = [Poly()] * (len(low) + len(rest) - 1)
+                terms: list[list[Poly]] = [[] for _ in range(len(low) + len(rest) - 1)]
                 for i, p in enumerate(low):
                     for j, q in enumerate(rest):
-                        acc[i + j] = acc[i + j] + p * q
-                out = store[key] = tuple(acc)
+                        terms[i + j].append(p * q)
+                out = store[key] = tuple(map(poly_sum, terms))
         elif r <= 2:
             out = store.get((cls,))
             if out is None:
-                base = [Poly([1]), Poly([1, 1])]
+                base = [ONE, _M_PLUS_1]
                 if r == 2:
-                    f1 = Poly([2, lat.label(mask)])
-                    base = [Poly([1]), f1, f1 * Poly([1, 1]) / 2]
+                    f1 = _of([2, lat.label(mask)], 1)
+                    base = [ONE, f1, f1 * _M_PLUS_1 / 2]
                 out = store[(cls,)] = tuple(base[: r + 1])
         else:
             subs = [walk(sub) for sub in lat.codim1(mask)]
@@ -93,14 +96,14 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
             sums = store.get((cls, ids))
             if sums is None:
                 sums = store[(cls, ids)] = tuple(
-                    sum((fs[j] for fs in subs), Poly()) for j in range(r)
+                    poly_sum(fs[j] for fs in subs) for j in range(r)
                 )
             h = Fraction(h_of(mask, sums))
             out = store.get((cls, h, ids))
             if out is None:
-                prefactor = Poly([2, h])  # mh + 2
-                out = store[(cls, h, ids)] = (Poly([1]),) + tuple(
-                    prefactor * sums[k - 1] / (2 * k) for k in range(1, r + 1)
+                hn, hd = h.numerator, h.denominator  # f_k = (hm + 2)/(2k) * sums[k-1]
+                out = store[(cls, h, ids)] = (ONE,) + tuple(
+                    _of([2 * hd, hn], 2 * k * hd) * sums[k - 1] for k in range(1, r + 1)
                 )
         seen[cls] = out
         return out
@@ -203,10 +206,6 @@ def f_plus_poly(f_k: Poly, k: int) -> Poly:
     return f_k.compose(Poly([-1, -1])) * ((-1) ** k)
 
 
-def f_plus(info, k: int, m) -> Fraction:
-    return f_plus_poly(f_k_closed(info, k), k)(m)
-
-
 # ---------------------------------------------------------------------------
 # h-vectors and Euler characteristic
 
@@ -234,40 +233,7 @@ def h_vector(info, m: int) -> list[Fraction]:
     return h_vector_from_f(fvec)
 
 
-class IdentityViolated(AssertionError):
-    pass
-
-
 def reduced_euler(fvec) -> int:
     """Alternating sum over nonempty faces; f_0 counts the empty face."""
     return sum((1 if (k - 1) % 2 == 0 else -1) * fvec[k] for k in range(len(fvec)))
 
-
-def reduced_euler_checked(info, fvec) -> int:
-    """Reduced Euler characteristic with the facet-count identity
-    asserted: it must equal +-N(type, m-1) with sign (-1)^(n-1)."""
-    info = TypeInfo.of(info)
-    n = len(fvec) - 1
-    chi = reduced_euler(fvec)
-    m = None
-    # recover m from f_1 = m*|positives| + n
-    num_pos = info.n * info.h // 2
-    if n >= 1:
-        m = Fraction(fvec[1] - info.n, num_pos)
-    expected = (-1) ** (n - 1) * N_product(info, m - 1)
-    if chi != expected:
-        raise IdentityViolated(f"chi={chi} but (-1)^(n-1) N(m-1)={expected}")
-    return chi
-
-
-def diameter_face_count(n: int, k: int, m: int) -> int:
-    """k-element faces of the type-B model containing a diameter."""
-    return comb(n - 1, k - 1) * comb(n * m + k, k)
-
-
-def kirkman_cayley(n: int, k: int) -> Fraction:
-    return Fraction(comb(n, k) * comb(n + k + 2, k), k + 1)
-
-
-def fuss_number(n: int, m: int) -> Fraction:
-    return Fraction(comb((n + 1) * (m + 1), n), n + 1)

@@ -23,23 +23,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .diagram import CoxeterDiagram, SubsetLattice, classify, is_connected, subset_lattice
 from .exactmath import (
+    ONE,
     NonZeroRemainder,
     NotConstant,
     Poly,
     RatFun,
+    _of,
     _zprimitive,
     format_fraction,
+    frac_sum,
     poly_divide_exact,
+    poly_sum,
     rational_roots,
 )
 from .formulas import f_plus_poly, face_polys
 
 F = Fraction
-ONE = Poly([1])
+_M = Poly([0, 1])
+_M_PLUS_1 = Poly([1, 1])
+_M_MINUS_1 = Poly([-1, 1])
 
 # statuses that still produced a full numeric answer
 YIELDING = ("ok", "negative-h", "asymmetric-Q")
@@ -134,10 +140,15 @@ def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
 
 def _postulates(lat: SubsetLattice, mask: int) -> tuple[Fraction, Poly, Poly, Fraction]:
     """h, N, N+ and M of a connected mask of rank one or two, postulated."""
-    if mask.bit_count() == 1:
-        return F(2), Poly([1, 1]), Poly([0, 1]), F(1)
-    a = lat.label(mask)
-    return F(a), Poly([2, a]) * Poly([1, 1]) / 2, Poly([0, F(a - 2, 2), F(a, 2)]), F(a - 2)
+    return _postulated(lat.label(mask) if mask.bit_count() == 2 else None)
+
+
+@cache
+def _postulated(a: int | None) -> tuple[Fraction, Poly, Poly, Fraction]:
+    """The postulates of rank one (a None) or of rank two with label a."""
+    if a is None:
+        return F(2), _M_PLUS_1, _M, F(1)
+    return F(a), _of([2, a], 2) * _M_PLUS_1, _of([0, a - 2, a], 2), F(a - 2)
 
 
 def _each_connected(lat: SubsetLattice, step) -> None:
@@ -273,16 +284,13 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
     """
 
     def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+        # with C = sum_k (-1)^(r-k) S_k / k and T = -S_r(m - 1) / r:
+        # A = (mC + (m - 1)T) / 2 and B = (-1)^r + C + T
         r = len(sums)
-        top_prev = sums[r - 1].shifted_arg(-1)  # S_r evaluated at m-1
-        A = Poly()
-        B = Poly.const((-1) ** r)
-        for k in range(1, r + 1):
-            sign = (-1) ** (r - k)
-            A = A + Poly([0, sign]) * sums[k - 1] / (2 * k)
-            B = B + sums[k - 1] * F(sign, k)
-        A = A - Poly([-1, 1]) * top_prev / (2 * r)
-        B = B - top_prev / r
+        T = sums[r - 1].compose(_M_MINUS_1) / -r
+        C = poly_sum(sums[k - 1] * F((-1) ** (r - k), k) for k in range(1, r + 1))
+        A = poly_sum([_M * C, _M_MINUS_1 * T]) / 2
+        B = poly_sum([C, T, ONE if r % 2 == 0 else -ONE])
         if A.is_zero():
             raise MethodFailure("zero-denominator", "h-coefficient vanishes identically")
         try:
@@ -309,7 +317,7 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
         def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
             r = len(sums)
             try:
-                Q = poly_divide_exact(sums[r - 1], Poly([1, 1]))
+                Q = poly_divide_exact(sums[r - 1], _M_PLUS_1)
             except NonZeroRemainder:
                 raise MethodFailure(
                     "non-polynomial-Q", "subdiagram facet sum not divisible by m+1"
@@ -355,9 +363,9 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
             if r <= 2:
                 h, npoly, ppoly, _ = _postulates(lat, mask)
                 return h, npoly(1), ppoly(1)
-            S = sum((n_at_1(sub) for sub in lat.codim1(mask)), F(0))
-            T = sum((nplus_at_1(sub) for sub in lat.codim1(mask)), F(0))
-            U = sum((nplus_at_1(sub) for sub in lat.submasks(mask) if sub != mask), F(0))
+            S = frac_sum(n_at_1(sub) for sub in lat.codim1(mask))
+            T = frac_sum(nplus_at_1(sub) for sub in lat.codim1(mask))
+            U = frac_sum(nplus_at_1(sub) for sub in lat.submasks(mask) if sub != mask)
             den = S - 2 * T
             if den == 0:
                 raise MethodFailure("zero-denominator", "3x3 reciprocity system is singular")
@@ -399,17 +407,18 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
             if r <= 2:
                 h, _, ppoly, _ = _postulates(lat, mask)
                 return h, ppoly
-            P = sum((nplus(sub) for sub in lat.codim1(mask)), Poly())
+            P = poly_sum(nplus(sub) for sub in lat.codim1(mask))
             # sum of N+(H) over the subsets H of each size up to r - 2
-            by_size = [Poly()] * (r - 1)
+            terms: list[list[Poly]] = [[] for _ in range(r - 1)]
             for sub in lat.submasks(mask):
                 size = sub.bit_count()
                 if size <= r - 2:
-                    by_size[size] = by_size[size] + nplus(sub)
-            W = sum((g * (r - s) for s, g in enumerate(by_size)), Poly())
-            Xs = sum((g * s for s, g in enumerate(by_size)), Poly())
-            num = ((r - 2) * P + Xs) * 2
-            den = Poly([0, 1]) * W - P
+                    terms[size].append(nplus(sub))
+            by_size = list(map(poly_sum, terms))
+            W = poly_sum(g * (r - s) for s, g in enumerate(by_size))
+            Xs = poly_sum(g * s for s, g in enumerate(by_size))
+            num = poly_sum([P * (2 * (r - 2)), Xs * 2])
+            den = poly_sum([_M * W, -P])
             if den.is_zero():
                 raise MethodFailure("zero-denominator", "reciprocity denominator is 0")
             try:
@@ -418,7 +427,9 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                 raise MethodFailure(
                     "non-constant-h", "reciprocity h is a non-constant function of m"
                 )
-            return h, Poly([h - 2, h]) * P / (2 * r)
+            # N+ = (hm + h - 2) P / (2r)
+            hn, hd = h.numerator, h.denominator
+            return h, _of([hn - 2 * hd, hn], 2 * r * hd) * P
 
         connected = _per_class(lat, solve)
         nplus = _products(lat, lambda mask: connected(mask)[1], ONE)
@@ -445,10 +456,8 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
             r = mask.bit_count()
             if r <= 2:
                 return _postulates(lat, mask)[3]
-            sigma1 = sum(
-                (m_connected(sub) for sub in lat.codim1(mask)
-                 if len(lat.components(sub)) == 1),
-                F(0),
+            sigma1 = frac_sum(
+                m_connected(sub) for sub in lat.codim1(mask) if len(lat.components(sub)) == 1
             )
             den = r * (r - 1) - sigma1
             if den == 0:
@@ -459,10 +468,9 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
 
         def connected_sum(mask: int) -> Fraction:
             r = mask.bit_count()
-            return sum(
-                (m_connected(sub) for sub in lat.submasks(mask)
-                 if 2 <= sub.bit_count() <= r - 1 and len(lat.components(sub)) == 1),
-                F(0),
+            return frac_sum(
+                m_connected(sub) for sub in lat.submasks(mask)
+                if 2 <= sub.bit_count() <= r - 1 and len(lat.components(sub)) == 1
             )
 
         m_connected = _per_class(lat, full_support)

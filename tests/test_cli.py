@@ -260,6 +260,35 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import argparse
+
+    import ccx.cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    ccx.cli.build_parser.cache_clear()
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["complex"])  # missing -m
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+        assert run_cli(capsys, "fvector", "--type", "A2", "-m", "1")[0] == 0
+    assert built.count("ccx") == 1
+    # a parser built afresh reports the same usage error
+    with pytest.raises(SystemExit) as exc:
+        ccx.cli.build_parser.__wrapped__().parse_args(["complex"])
+    assert exc.value.code == 2
+    assert errs == [capsys.readouterr().err] * 2 and "-m" in errs[0]
+
+
 def test_missing_diagram_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "complex", "-m", "1")
     assert code == 1

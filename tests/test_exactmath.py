@@ -11,13 +11,19 @@ from ccx.exactmath import (
     Poly,
     RatFun,
     binomial_poly,
+    frac_sum,
     minpoly_2cos,
     poly_divide_exact,
     poly_gcd,
-    poly_shift,
+    poly_sum,
     rational_roots,
     real_roots,
 )
+
+
+def poly_shift(p: Poly) -> Poly:
+    """p(x - 1), the substitution behind the h-polynomial."""
+    return p.shifted_arg(-1)
 
 
 def test_eval_product():
@@ -192,6 +198,45 @@ def test_root_extraction_reassembles(p):
 @settings(max_examples=40, deadline=None)
 def test_shift_agrees_pointwise(p, x):
     assert poly_shift(p)(x) == p(x - 1)
+
+
+def _canonical(p: Poly) -> bool:
+    return p.den > 0 and gcd(p.den, *p.num) == 1 and (not p.num or p.num[-1] != 0)
+
+
+def test_sums_of_nothing_and_of_zeros():
+    assert poly_sum([]) == Poly() and _canonical(poly_sum([]))
+    assert poly_sum(iter([Poly(), Poly(), Poly()])) == Poly()
+    assert frac_sum([]) == 0 and isinstance(frac_sum([]), F)
+    assert frac_sum(iter([0, F(0), 0])) == 0
+
+
+def test_sums_that_cancel():
+    p = Poly([F(1, 3), 2, F(-5, 7)])
+    total = poly_sum([p, -p, p * 2, p * -2])
+    assert total == Poly() and (total.num, total.den) == ((), 1)
+    assert poly_sum([Poly([1, F(1, 2)]), Poly([0, F(-1, 2)])]) == Poly([1])
+    assert frac_sum([F(1, 6), F(-1, 3), F(1, 6)]) == 0
+    assert frac_sum([F(1, 6), F(1, 3), 2]) == F(5, 2)
+
+
+@given(st.lists(polys, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_poly_sum_is_the_pairwise_sum(terms):
+    total = poly_sum(terms)
+    assert total == sum(terms, Poly())
+    assert _canonical(total)
+    # a list of terms that cancel exactly sums to zero
+    assert poly_sum(terms + [-t for t in terms]) == Poly()
+
+
+@given(st.lists(st.one_of(st.integers(min_value=-50, max_value=50), small_fracs), max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_frac_sum_is_the_pairwise_sum(terms):
+    total = frac_sum(iter(terms))
+    assert isinstance(total, F) and total == sum(terms, F(0))
+    assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
+    assert frac_sum(terms + [-t for t in terms]) == 0
 
 
 def _ref_add(a, b):

@@ -7,27 +7,64 @@ from ccx import tables
 from ccx.diagram import CoxeterDiagram, DiagramError, parse_diagram
 from ccx.exactmath import Poly
 from ccx.formulas import (
-    IdentityViolated,
     TypeInfo,
     N_plus_product,
     N_product,
-    diameter_face_count,
     f_k_closed,
-    f_plus,
     f_plus_poly,
     f_polys_recursive,
     facet_count_poly,
-    fuss_number,
     h_k_closed,
     h_vector,
     h_vector_from_f,
-    kirkman_cayley,
     level_product_f,
     level_product_h,
     positive_facet_count_poly,
     reduced_euler,
-    reduced_euler_checked,
 )
+
+
+# The paper's closed forms for type A and the type-B model, kept here as
+# oracles independent of the formulas under test.
+
+
+def f_plus(info, k: int, m) -> F:
+    """The reciprocal face number f+_k(m) from the closed form."""
+    return f_plus_poly(f_k_closed(info, k), k)(m)
+
+
+def kirkman_cayley(n: int, k: int) -> F:
+    return F(comb(n, k) * comb(n + k + 2, k), k + 1)
+
+
+def fuss_number(n: int, m: int) -> F:
+    return F(comb((n + 1) * (m + 1), n), n + 1)
+
+
+def diameter_face_count(n: int, k: int, m: int) -> int:
+    """k-element faces of the type-B model containing a diameter."""
+    return comb(n - 1, k - 1) * comb(n * m + k, k)
+
+
+class IdentityViolated(AssertionError):
+    pass
+
+
+def reduced_euler_checked(info, fvec) -> int:
+    """Reduced Euler characteristic with the facet-count identity
+    asserted: it must equal +-N(type, m-1) with sign (-1)^(n-1)."""
+    info = TypeInfo.of(info)
+    n = len(fvec) - 1
+    chi = reduced_euler(fvec)
+    m = None
+    # recover m from f_1 = m*|positives| + n
+    num_pos = info.n * info.h // 2
+    if n >= 1:
+        m = F(fvec[1] - info.n, num_pos)
+    expected = (-1) ** (n - 1) * N_product(info, m - 1)
+    if chi != expected:
+        raise IdentityViolated(f"chi={chi} but (-1)^(n-1) N(m-1)={expected}")
+    return chi
 
 ALL_TYPES = [
     ("A1", TypeInfo("A", 1)),
