@@ -297,15 +297,6 @@ def induced_subdiagram(G: CoxeterDiagram, S) -> CoxeterDiagram:
     return CoxeterDiagram(verts, labels)
 
 
-def codim1_subdiagrams(G: CoxeterDiagram) -> list[tuple[int, CoxeterDiagram]]:
-    """One entry per vertex: (removed vertex, remaining diagram)."""
-    out = []
-    vs = set(G.vertices)
-    for v in G.vertices:
-        out.append((v, induced_subdiagram(G, vs - {v})))
-    return out
-
-
 def _component_numbers(G: CoxeterDiagram) -> tuple[dict[int, int], int]:
     """One breadth-first search of the label>=3 skeleton: the number of
     each vertex's component, counted in the order of first vertices, and

@@ -8,11 +8,14 @@ Sums of many terms, polynomial (``poly_sum``) or rational
 the integer numerators and reduce once, instead of reducing after each
 pairwise addition.
 Roots are found without factoring integers and without floating-point
-arithmetic: a square-free decomposition (Yun) of the primitive
-numerator, Sturm-sequence isolation of the real roots at dyadic points,
-and exact bisection.  Rational roots come out exactly; an irrational
-real root is kept as its isolating interval and is rounded to the
-nearest double only when that value is read.
+arithmetic.  A small prime p certifies the primitive numerator
+square-free mod p (Yun's decomposition runs only when no such prime is
+found), its roots mod p are lifted p-adically, and each lift is
+reconstructed as a fraction and tested exactly.  The cofactor left
+without rational roots is the only polynomial whose real roots are
+isolated, by Sturm sequences at dyadic points.  Rational roots come out
+exactly; an irrational real root is kept as its isolating interval and
+is rounded to the nearest double only when that value is read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, log2
 
 class NonZeroRemainder(ValueError):
     """Exact polynomial division left a remainder."""
@@ -277,10 +280,12 @@ class RatFun:
 
 
 class IrrationalRoot(tuple):
-    """(f, a, k, top_positive): an irrational real root x of the
-    square-free integer polynomial f (a tuple), the only root in
-    (a/2^k, (a+1)/2^k], k > 0, where f is positive at the right end
-    exactly when top_positive."""
+    """(f, a, k, top_positive): a real root x of the square-free integer
+    polynomial f (a tuple) without rational roots, so x is irrational;
+    x is the only root of f in (a/2^k, (a+1)/2^k], k > 0, where f is
+    positive at the right end exactly when top_positive.  f is the
+    cofactor that rational_roots isolates: a square-free factor of the
+    input with its rational roots divided out."""
 
     __slots__ = ()
 
@@ -312,8 +317,9 @@ class RootSet:
     rational: (root, multiplicity) pairs, roots ascending.
     residual: primitive integer-coefficient Poly without rational roots
         (None when the input splits over Q).
-    irrational: (root, multiplicity) pairs, one per real root of the
-        residual, each held exactly by its isolating interval.
+    irrational: (root, multiplicity) pairs, one per distinct real root
+        of the residual, each held exactly by its isolating interval on
+        the rational-root-free cofactor of its square-free factor.
     residual_approx: real roots of the residual with multiplicity,
         ascending, each correctly rounded to a double; computed on first
         read.
@@ -529,14 +535,14 @@ def _root_bound_exp(f: list[int]) -> int:
     return e + 1
 
 
-def _squarefree_real_roots(f: list[int]) -> list[Fraction | IrrationalRoot]:
-    """Real roots of a square-free integer polynomial, ascending.
+def _isolate(f: list[int]) -> list[IrrationalRoot]:
+    """Real roots of a square-free integer polynomial without rational
+    roots, ascending, each held by its isolating interval.
 
-    Rational roots come back as exact Fractions, the others as their
-    isolating intervals (IrrationalRoot), which give the correctly
-    rounded double on demand.  Sturm counts over half-open dyadic
-    intervals (a/2^k, (a+1)/2^k] isolate the roots, left half first;
-    _decide_root then tells each rational or irrational.
+    Sturm counts over half-open dyadic intervals (a/2^k, (a+1)/2^k]
+    isolate the roots, left half first, and bisect further until k >= 1,
+    as IrrationalRoot asks.  No dyadic point is a root, so the sign of f
+    at each right end is nonzero.
     """
     seq = _sturm(f)
     e = _root_bound_exp(f)
@@ -546,53 +552,163 @@ def _squarefree_real_roots(f: list[int]) -> list[Fraction | IrrationalRoot]:
 
     v0 = var(0, 0)
     todo = [(0, -e, v0, var(1, -e)), (-1, -e, var(-1, -e), v0)]
-    roots: list[Fraction | IrrationalRoot] = []
+    roots: list[IrrationalRoot] = []
     while todo:
         a, k, vlo, vhi = todo.pop()
-        if vlo - vhi == 1:
-            roots.append(_decide_root(f, a, k))
-        elif vlo - vhi > 1:
+        if vlo - vhi == 1 and k > 0:
+            roots.append(IrrationalRoot((tuple(f), a, k, _zeval(f, a + 1, 1 << k) > 0)))
+        elif vlo > vhi:
             vmid = var(2 * a + 1, k + 1)
             todo += [(2 * a + 1, k + 1, vmid, vhi), (2 * a, k + 1, vlo, vmid)]
     return roots
 
 
-def _decide_root(f: list[int], a: int, k: int) -> Fraction | IrrationalRoot:
-    """The only root of square-free f in (a/2^k, (a+1)/2^k], exactly if
-    it is rational.
+# ---------------------------------------------------------------------------
+# rational roots by p-adic lifting (Loos, "Computing rational zeros of
+# integral polynomials by p-adic expansion", SIAM J. Comput. 1983; von zur
+# Gathen & Gerhard, Modern Computer Algebra, ch. 5 and 15)
+#
+# A rational root u/v (lowest terms) of an integer polynomial f has u | a_0
+# and v | a_n.  For a prime p that does not divide a_n, v is a unit mod p,
+# so u/v reduces to a root of f mod p.
 
-    A rational root p/q of a primitive f has q | a_n, so it is j/|a_n|
-    for an integer j; once the interval is narrower than 1/|a_n| it holds
-    at most one such point, and testing that point exactly decides
-    whether the root is rational.  An irrational root comes back as its
-    interval at that width.
+# The primes tried first as certificates that f is square-free; the one
+# that certifies f is the modulus of its lift.
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _primes():
+    """Every odd prime, ascending."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _modeval(f, x: int, m: int) -> int:
+    """f(x) mod m."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """A gcd in F_p[x] of f and g, both reduced mod p without trailing
+    zeros."""
+    while g:
+        inv = pow(g[-1], -1, p)
+        f = list(f)
+        while len(f) >= len(g):
+            c, s = f[-1] * inv % p, len(f) - len(g)
+            for j, b in enumerate(g):
+                f[s + j] = (f[s + j] - c * b) % p
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return f
+
+
+def _certifies_squarefree(f: list[int], p: int) -> bool:
+    """p does not divide a_n and f mod p is square-free.  Every root of
+    f mod p is then simple, and f is square-free over Q: a square factor
+    of f keeps its degree mod p and stays a square factor there."""
+    if not f[-1] % p:
+        return False
+    fp = [c % p for c in f]
+    df = [c % p for c in _zderiv(fp)]
+    while df and not df[-1]:
+        df.pop()
+    return len(_pgcd(fp, df, p)) == 1
+
+
+def _reconstruct(x: int, m: int, cut: int) -> Fraction:
+    """The fraction r/t = x mod m at the first remainder r <= cut of the
+    extended Euclidean algorithm on (m, x).  Every u/v = x mod m with
+    |u| <= cut and 0 < v <= m / (cut + 1) equals it (von zur Gathen &
+    Gerhard, section 5.10)."""
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > cut:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
+
+
+def _padic_roots(f: list[int], p: int) -> tuple[list[Fraction], list[int]]:
+    """The rational roots of f, and f divided by them.
+
+    f is square-free with f(0) != 0, and p certifies it
+    (_certifies_squarefree).  With no root mod p, f has no rational
+    root.  Each root of f mod p is simple, so Newton's method lifts it to
+    p^j for j = 1, 2, 4, ..., with the inverse of f' at the root lifted
+    alongside.  At each precision each lift is reconstructed as a
+    fraction, balanced while p^j is below 2 |a_0 a_n|, and kept only if
+    f vanishes there exactly; so a root costs its own height.  Once
+    p^j > 2 |a_0 a_n|, the reconstruction with |u| <= |a_0| finds every
+    rational root that is left, so the lifts still undecided are not
+    rational.  The lifting stops earlier once every lift has given its
+    root.
     """
-    lead = abs(f[-1])
-    top = _zeval(f, *_dyadic(a + 1, k))
-    if top == 0:
-        return Fraction(*_dyadic(a + 1, k))
-    while k <= 0 or 1 << k <= lead:
-        mid = _zeval(f, *_dyadic(2 * a + 1, k + 1))
-        if mid == 0:
-            return Fraction(*_dyadic(2 * a + 1, k + 1))
-        a, k = (2 * a if (mid > 0) == (top > 0) else 2 * a + 1), k + 1
-    j = (a * lead >> k) + 1
-    if j << k < (a + 1) * lead and _zeval(f, j, lead) == 0:
-        return Fraction(j, lead)
-    return IrrationalRoot((tuple(f), a, k, top > 0))
+    df = _zderiv(f)
+    fp = [c % p for c in f]
+    lifts = [(x, pow(_modeval(df, x, p), -1, p)) for x in range(p) if not _modeval(fp, x, p)]
+    a0 = abs(f[0])
+    bound = 2 * a0 * abs(f[-1])
+    top = max(1, int(bound.bit_length() / log2(p)))
+    while p**top <= bound:
+        top += 1
+    found: list[Fraction] = []
+    g = f
+    j, m = 1, p
+    while lifts:
+        cut = a0 if j == top else min(a0, isqrt(m >> 1))
+        live = []
+        for x, s in lifts:
+            r = _reconstruct(x, m, cut)
+            u, v = r.numerator, r.denominator
+            if not f[-1] % v and _zeval(f, u, v) == 0:
+                found.append(r)
+                g = _zquo(g, [-u, v])
+            else:
+                live.append((x, s))
+        if not live or j == top:
+            break
+        j = min(2 * j, top)
+        m = p**j
+        lifts = []
+        for x, s in live:
+            x = (x - _modeval(f, x, m) * s) % m
+            lifts.append((x, s * (2 - _modeval(df, x, m) * s) % m))
+    return found, g
+
+
+def _squarefree_with_primes(f: list[int]) -> list[tuple[list[int], int, int]]:
+    """(a, i, p) for f = c * prod a^i, the a square-free and pairwise
+    coprime, each with a prime p that certifies it.  Yun
+    (_squarefree_factors) runs only when no prime of _SMALL_PRIMES
+    certifies f itself; a square-free a has a certifying prime, since
+    only the primes dividing a_n or the discriminant fail."""
+    for p in _SMALL_PRIMES:
+        if _certifies_squarefree(f, p):
+            return [(f, 1, p)]
+    return [(a, i, next(p for p in _primes() if _certifies_squarefree(a, p)))
+            for a, i in _squarefree_factors(f)]
 
 
 def rational_roots(p: Poly) -> RootSet:
     """Factor out every rational root of p, exactly.
 
-    The primitive integer form is split into square-free factors (Yun),
-    and the real roots of each factor are isolated and decided rational
-    or irrational exactly (_squarefree_real_roots); a rational root found
-    in a factor of multiplicity i is deflated i times, and an irrational
-    root keeps its isolating interval, refined no further here.  No
-    integer is factored, so large prime factors in the coefficients cost
-    nothing extra.  The returned factorization is re-multiplied and
-    checked against the input before returning.
+    The primitive integer form, x^k taken out, is split into square-free
+    factors, each with a prime p that certifies it square-free mod p
+    (_squarefree_with_primes).  The rational roots of each factor come
+    from its roots mod p, lifted p-adically and reconstructed
+    (_padic_roots); a root of a factor of multiplicity i is deflated i
+    times.  Only the cofactor left without rational roots is isolated
+    (_isolate), and each of its real roots keeps its interval, refined
+    no further here.  No integer is factored, so large prime factors in
+    the coefficients cost nothing extra.  The returned factorization is
+    re-multiplied and checked against the input before returning.
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -606,14 +722,14 @@ def rational_roots(p: Poly) -> RootSet:
     found: list[tuple[Fraction, int]] = [(Fraction(0), k0)] if k0 else []
 
     irrational: list[tuple[IrrationalRoot, int]] = []
-    for factor, mult in _squarefree_factors(work):
-        for r in _squarefree_real_roots(factor):
-            if isinstance(r, Fraction):
-                found.append((r, mult))
-                for _ in range(mult):
-                    work = _zquo(work, [-r.numerator, r.denominator])
-            else:
-                irrational.append((r, mult))
+    for factor, mult, q in _squarefree_with_primes(work):
+        roots, cofactor = _padic_roots(factor, q)
+        for r in roots:
+            found.append((r, mult))
+            for _ in range(mult):
+                work = _zquo(work, [-r.numerator, r.denominator])
+        if len(cofactor) > 1:
+            irrational += [(x, mult) for x in _isolate(cofactor)]
 
     found.sort(key=lambda t: t[0])
 

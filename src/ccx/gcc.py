@@ -34,7 +34,6 @@ forms exceeds ``FACE_BUDGET``.
 
 from __future__ import annotations
 
-import json
 import os
 from functools import cached_property
 from typing import NamedTuple
@@ -725,7 +724,3 @@ def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:
             if sub_edge != par_edge:
                 return False
     return True
-
-
-def export_complex_json(cx: CliqueComplex, include_facets: bool = False) -> str:
-    return json.dumps(cx.export_json(include_facets), sort_keys=True)

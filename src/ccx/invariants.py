@@ -213,10 +213,12 @@ def _flag(res: MethodResult, flag: str) -> None:
 # The subset recursions walk up to 2^rank masks, once per isomorphism
 # class.  A rank limit does not bound their work: the rank-12 star (one
 # vertex joined to eleven; 2059 connected masks in 12 classes) takes
-# 3.5 s (Python 3.11, shared 2-vCPU host), 2.4 of its 4.2 profiled
-# seconds in _decide_root deciding which roots are rational, while the
-# five methods on A14 take 0.23 s.  So the budget stays at 12 rather
-# than growing with the speed of A_r.  ``_solve`` checks it for every
+# 0.26-0.43 s (Python 3.11, shared 2-vCPU host), 0.06 of its 1.0
+# profiled seconds in root extraction and most of the rest in the
+# subset sums, while the five methods on A14 take 0.12 s.  On infinite
+# diagrams the coefficients grow too, by about 5x in bits per rank, and
+# nothing bounds them yet.  So the budget stays at 12 rather than
+# growing with the speed of A_r.  ``_solve`` checks it for every
 # method, called directly or through ``compute_all``.
 RANK_BUDGET = 12
 

@@ -15,14 +15,12 @@ descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .diagram import InputError, parse_diagram
 from .gcc import (
     BudgetExceeded,
     ColoredRoot,
-    colored_ground_set,
     compatibility_masks,
     iter_cliques,
     orbit_survey,
@@ -131,9 +129,6 @@ class TypeAModel:
             raise AmbiguousOrbit("colored-root map is not injective")
         self.from_diagonal = {d: v for v, d in self.to_diagonal.items()}
 
-    def ground_set(self) -> list[ColoredRoot]:
-        return colored_ground_set([self.rs], self.m)
-
     def compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
         return not crossing(self.to_diagonal[u], self.to_diagonal[v])
 
@@ -231,12 +226,6 @@ class _SymmetricModel:
 
     def rotate_vertex(self, v: Vertex) -> Vertex:
         return v._replace(chords=frozenset(rotate_diag(c, self.N) for c in v.chords))
-
-    def ground_set(self) -> list[ColoredRoot]:
-        return colored_ground_set([self.rs], self.m)
-
-    def model_compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
-        return self.compatible(self.to_vertex[u], self.to_vertex[v])
 
     def faces(self, k: int) -> list[tuple[int, ...]]:
         """k-subsets of pairwise compatible model vertices."""
@@ -378,29 +367,6 @@ class TypeDModel(_SymmetricModel):
         return self._diameter(v.position - 1 if v.position > 1 else self.half, flavor)
 
 
-def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
-    """All ways to flavor diameters at the given positions so they are
-    pairwise compatible: either none, or exactly two (global flips)."""
-    model = TypeDModel(n, m)
-    positions = list(positions)
-    out = []
-    for bits in range(1 << len(positions)):
-        flavors = tuple(
-            "gray" if bits >> t & 1 else "dashed" for t in range(len(positions))
-        )
-        verts = [model._diameter(p, f) for p, f in zip(positions, flavors)]
-        if all(model.compatible(u, v) for u, v in itertools.combinations(verts, 2)):
-            out.append(flavors)
-    return out
-
-
-def diameter_gap_condition(n: int, m: int, positions) -> bool:
-    """Sorted starting indices must have consecutive gaps <= m, cyclically."""
-    a = sorted(positions)
-    a.append(a[0] + (n - 1) * m + 1)
-    return all(a[t + 1] - a[t] <= m for t in range(len(a) - 1))
-
-
 def noncrossing_graph(n: int, m: int, budget: int = 40) -> tuple[list[Diagonal], list[int]]:
     """Allowable diagonals and their non-crossing adjacency masks."""
     diags = allowable_diagonals(n, m)
@@ -421,20 +387,6 @@ def dissection_face_counts(n: int, m: int, budget: int = 40) -> list[int]:
     from the links of one diagonal per rotation orbit (``orbit_survey``)."""
     diags, adj = noncrossing_graph(n, m, budget)
     return orbit_survey(adj, n, 0, noncrossing_turn(diags, (n + 1) * m + 2)).counts
-
-
-def count_dissection_faces(n: int, m: int, k: int, budget: int = 40) -> int:
-    """Count of non-crossing k-subsets of allowable diagonals; there are
-    none above k = n."""
-    counts = dissection_face_counts(n, m, budget)
-    return counts[k] if k < len(counts) else 0
-
-
-def dissection_facets(n: int, m: int, budget: int = 40) -> list[tuple[Diagonal, ...]]:
-    """The maximal dissections: non-crossing n-subsets of allowable
-    diagonals, in lexicographic diagonal order."""
-    diags, adj = noncrossing_graph(n, m, budget)
-    return [tuple(diags[i] for i in c) for c in iter_cliques(adj, n)]
 
 
 def render_svg(N: int, chords, size: int = 400) -> str:

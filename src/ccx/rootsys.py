@@ -241,11 +241,3 @@ class RootSystem:
                 emb[rid] = self._index[tuple(coords)]
             out.append((crs, emb))
         return out
-
-    def dump_roots(self) -> str:
-        """One root per line, coordinates to 6 decimals (debug only)."""
-        lines = []
-        for rid, coords in enumerate(self.roots):
-            vals = " ".join(f"{c:.6f}" for c in coords)
-            lines.append(f"{rid}\t{vals}")
-        return "\n".join(lines)

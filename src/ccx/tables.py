@@ -1,14 +1,14 @@
 """Reviewed numeric tables: exponent levels, the correction factors for
 face and h-number product formulas, and reference invariant values.
 
-Everything here was transcribed once and is guarded by a digest so a
-stray edit cannot silently change a constant.  The D8 columns exist
-only so tests can cross-check the closed-form D-family factors.
+Everything here was transcribed once; a digest in the test suite
+(``tests/test_formulas.py``) guards it, so a stray edit cannot silently
+change a constant.  The D8 columns exist only so tests can cross-check
+the closed-form D-family factors.
 """
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
 from .exactmath import Poly
@@ -135,40 +135,3 @@ M_VALUES = {
     "H4": 42,
     "I2": lambda a: a - 2,
 }
-
-
-def _canonical_dump() -> str:
-    lines = []
-    for fam in ("A", "B", "D", "I2"):
-        lines.append(f"levels {fam} {exponent_levels(fam, 8, 9)}")
-    for fam in ("E6", "E7", "E8", "F4", "G2", "H3", "H4"):
-        lines.append(f"levels {fam} {exponent_levels(fam, 0)}")
-    for table, tag in ((FACE_CORRECTIONS, "cf"), (H_CORRECTIONS, "ch")):
-        for key in sorted(table):
-            lines.append(f"{tag} {key} {table[key].serialize()}")
-    for table, tag in ((FACE_CORRECTIONS_D8, "cfD8"), (H_CORRECTIONS_D8, "chD8")):
-        for key in sorted(table):
-            lines.append(f"{tag} {key} {table[key].serialize()}")
-    return "\n".join(lines)
-
-
-_DIGEST = "80f1f04e06fb47241e9971a10ca99859303e192b37a22da3b5a4540ceb804213"
-
-
-def self_check() -> None:
-    """Digest audit plus the two structural laws the factors satisfy:
-    constant terms of the face factors are 1 and their degree is k
-    minus the number of exponents at level <= k."""
-    got = hashlib.sha256(_canonical_dump().encode()).hexdigest()
-    if got != _DIGEST:
-        raise AssertionError(f"table digest mismatch: {got}")
-    for (fam, k), poly in FACE_CORRECTIONS.items():
-        assert poly.coeff(0) == 1
-        levels = exponent_levels(fam, 0)
-        low = sum(1 for _, lv in levels if lv <= k)
-        assert poly.degree == k - low, (fam, k)
-    for k, poly in FACE_CORRECTIONS_D8.items():
-        assert poly.coeff(0) == 1
-        assert poly == face_correction("D", 8, k), ("D8", k)
-    for k, poly in H_CORRECTIONS_D8.items():
-        assert poly == h_correction("D", 8, k), ("D8h", k)

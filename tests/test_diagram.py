@@ -13,7 +13,6 @@ from ccx.diagram import (
     SubsetLattice,
     bipartition,
     classify,
-    codim1_subdiagrams,
     connected_components,
     induced_subdiagram,
     is_connected,
@@ -22,6 +21,12 @@ from ccx.diagram import (
 from ccx.formulas import TypeInfo
 
 INTERLEAVED_SPEC = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
+
+
+def codim1_subdiagrams(G: CoxeterDiagram) -> list[tuple[int, CoxeterDiagram]]:
+    """One entry per vertex: (removed vertex, remaining diagram)."""
+    vs = set(G.vertices)
+    return [(v, induced_subdiagram(G, vs - {v})) for v in G.vertices]
 
 
 def test_parse_dihedral():

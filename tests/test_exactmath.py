@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ccx import exactmath
 from ccx.exactmath import (
     NonZeroRemainder,
     NotConstant,
@@ -354,3 +355,69 @@ def test_minpoly_2cos_degree_and_root():
         z = 2 * cos(pi / L)
         terms = [c * z**k for k, c in enumerate(p)]
         assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms)), L
+
+
+# -- rational roots by p-adic lifting -----------------------------------------
+
+# Cofactors without a rational root.  x^4 + 1 factors mod every prime,
+# and (x^2-2)(x^2-3)(x^2-6) has a root mod every prime.
+ROOT_FREE = ([-2, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [5, -3, 7], [1, 0, 0, 0, 1],
+             [-36, 0, 36, 0, -11, 0, 1])
+
+
+def _times(p: Poly, r: F, mult: int = 1) -> Poly:
+    """p (v m - u)^mult for r = u/v."""
+    for _ in range(mult):
+        p = p * Poly([-r.numerator, r.denominator])
+    return p
+
+
+@st.composite
+def tall_roots(draw):
+    """u/v with coprime 100-300-bit u and v, of either sign: v is the
+    first integer from its draw up that is coprime to u."""
+    u = draw(st.integers(min_value=2**100, max_value=2**299))
+    v = draw(st.integers(min_value=2**100, max_value=2**299))
+    while gcd(u, v) != 1:
+        v += 1
+    return F(draw(st.sampled_from((1, -1))) * u, v)
+
+
+@given(
+    st.dictionaries(tall_roots(), st.integers(min_value=1, max_value=3), min_size=1,
+                    max_size=3),
+    st.sampled_from(ROOT_FREE),
+)
+@settings(max_examples=40, deadline=None)
+def test_rational_roots_of_tall_roots(roots, cofactor):
+    p = Poly(cofactor)
+    for r, mult in roots.items():
+        p = _times(p, r, mult)
+    rs = rational_roots(p)
+    assert rs.rational == tuple(sorted(roots.items()))
+    assert rs.residual == Poly(cofactor)
+
+
+@pytest.mark.parametrize("root", [
+    F(3**150 + 2), F(-(3**150) - 2), F(-(5**90) - 3), F(1, 3**150 + 2), F(-1, 2 * 3**150 + 1),
+    F(2**200 + 1, 3), F(-7, 2**150 + 3),
+])
+@pytest.mark.parametrize("cofactor", [ROOT_FREE[0], ROOT_FREE[-1]])
+def test_unbalanced_root_needs_the_full_bound(root, cofactor):
+    """A root u/v with |u| and v far apart is reconstructed only once
+    p^K > 2 |a_0 a_n|, with the numerator bound |a_0|: the balanced
+    reconstruction of the lower precisions cannot reach it."""
+    rs = rational_roots(_times(Poly(cofactor), root))
+    assert rs.rational == ((root, 1),)
+    assert rs.residual == Poly(cofactor)
+
+
+def test_yun_runs_only_without_a_certifying_prime(monkeypatch):
+    calls = []
+    yun = exactmath._squarefree_factors
+    monkeypatch.setattr(exactmath, "_squarefree_factors", lambda f: calls.append(f) or yun(f))
+    p = _times(Poly([-2, 0, 1]), F(-2, 3))
+    assert rational_roots(p).rational == ((F(-2, 3), 1),)
+    assert calls == []
+    assert rational_roots(_times(p, F(-2, 3))).rational == ((F(-2, 3), 2),)
+    assert len(calls) == 1

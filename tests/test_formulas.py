@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from math import comb
 
@@ -99,8 +100,38 @@ def test_type_names_resolve_through_the_diagram_parser():
     assert key(TypeInfo.of("I2(6)")) == g2 == key(TypeInfo.of(parse_diagram("G2")))
 
 
+def _tables_dump() -> str:
+    lines = []
+    for fam in ("A", "B", "D", "I2"):
+        lines.append(f"levels {fam} {tables.exponent_levels(fam, 8, 9)}")
+    for fam in ("E6", "E7", "E8", "F4", "G2", "H3", "H4"):
+        lines.append(f"levels {fam} {tables.exponent_levels(fam, 0)}")
+    for table, tag in ((tables.FACE_CORRECTIONS, "cf"), (tables.H_CORRECTIONS, "ch")):
+        for key in sorted(table):
+            lines.append(f"{tag} {key} {table[key].serialize()}")
+    for table, tag in ((tables.FACE_CORRECTIONS_D8, "cfD8"), (tables.H_CORRECTIONS_D8, "chD8")):
+        for key in sorted(table):
+            lines.append(f"{tag} {key} {table[key].serialize()}")
+    return "\n".join(lines)
+
+
+TABLES_DIGEST = "80f1f04e06fb47241e9971a10ca99859303e192b37a22da3b5a4540ceb804213"
+
+
 def test_tables_self_check():
-    tables.self_check()
+    """Digest audit of ``ccx.tables`` plus the two structural laws the
+    factors satisfy: constant terms of the face factors are 1 and their
+    degree is k minus the number of exponents at level <= k."""
+    assert hashlib.sha256(_tables_dump().encode()).hexdigest() == TABLES_DIGEST
+    for (fam, k), poly in tables.FACE_CORRECTIONS.items():
+        assert poly.coeff(0) == 1
+        low = sum(1 for _, lv in tables.exponent_levels(fam, 0) if lv <= k)
+        assert poly.degree == k - low, (fam, k)
+    for k, poly in tables.FACE_CORRECTIONS_D8.items():
+        assert poly.coeff(0) == 1
+        assert poly == tables.face_correction("D", 8, k), ("D8", k)
+    for k, poly in tables.H_CORRECTIONS_D8.items():
+        assert poly == tables.h_correction("D", 8, k), ("D8h", k)
 
 
 @pytest.mark.parametrize("name,info", ALL_TYPES)

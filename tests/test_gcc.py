@@ -17,7 +17,6 @@ from ccx.gcc import (
     clique_survey,
     colored_ground_set,
     compatibility_masks,
-    export_complex_json,
     iter_cliques,
     link_decomposition_check,
     orbit_survey,
@@ -690,6 +689,10 @@ def test_reducible_complex_audits():
     assert cx.audit_pure() and cx.audit_ridge_degree()
     nplus = positive_facet_count_poly("A2")(2) * positive_facet_count_poly("B2")(2)
     assert cx.positive_facet_count() == nplus == 70
+
+
+def export_complex_json(cx: CliqueComplex, include_facets: bool = False) -> str:
+    return json.dumps(cx.export_json(include_facets), sort_keys=True)
 
 
 def test_export_json_deterministic():

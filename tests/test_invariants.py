@@ -741,15 +741,20 @@ def test_irrational_exponents_are_correctly_rounded(spec):
 
 
 def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
-    """One Sturm sequence per square-free factor of each facet polynomial
-    whose roots are extracted; none for the residual in the exponent
-    variable, whose roots are refined from their mu-intervals."""
-    polys, sturms = [], []
+    """Sturm sequences are built only for the cofactors left without
+    rational roots, once each facet polynomial's rational roots are
+    divided out: per extraction, their product is the square-free part
+    of the residual.  None is built outside root extraction in mu, so
+    none for the residual in the exponent variable, whose roots are
+    refined from their mu-intervals."""
+    calls, sturms = [], []
     sturm = exactmath._sturm
 
     def counting_roots(p):
-        polys.append(p)
-        return rational_roots(p)
+        before = len(sturms)
+        rs = rational_roots(p)
+        calls.append((rs, sturms[before:]))
+        return rs
 
     def counting_sturm(f):
         sturms.append(f)
@@ -760,10 +765,47 @@ def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
     invariants._exponents.cache_clear()
     rep = compute_all(parse_diagram(STAR6))
     assert any(r.exponents.residual_approx for r in rep.methods.values() if r.exponents)
-    expected = []
-    for p in polys:
-        prim = exactmath._zprimitive(list(p.num))
-        while not prim[0]:
-            prim = prim[1:]
-        expected += [a for a, _ in exactmath._squarefree_factors(prim)]
-    assert sturms == expected
+    assert sturms and sum(len(fs) for _, fs in calls) == len(sturms)
+    for rs, fs in calls:
+        cofactors = [Poly(f) for f in fs]
+        for f in cofactors:
+            assert all(f(r) != 0 for r, _ in rs.rational)
+        if rs.residual is None:
+            assert cofactors == []
+            continue
+        product = Poly([1])
+        for f in cofactors:
+            product = product * f
+        part = _squarefree_part(rs.residual)
+        assert product / product.leading() == part / part.leading()
+
+
+RANK8 = "n=8; 1-2:3 1-3:4 1-6:5 1-8:3 2-7:5 3-4:3 3-5:3"
+
+
+@pytest.mark.parametrize("spec", [RANK8, "~D8"])
+def test_root_extraction_work_is_bounded(spec, monkeypatch):
+    """Work counts, no clock.  On the rank-8 diagram, whose facet
+    polynomials carry coefficients of up to 2160 bits, compute_all
+    evaluates a polynomial exactly at most 3000 times; bisecting every
+    root down to 1/|a_n| took 28 148.  Yun's decomposition runs only on
+    a polynomial that no small prime certifies square-free: never on the
+    rank-8 diagram, and on ~D8, whose facet polynomials have the square
+    factor (2 mu + 1)^2."""
+    zevals, yun = [], []
+    zeval, squarefree = exactmath._zeval, exactmath._squarefree_factors
+
+    def counting_zeval(f, num, den):
+        zevals.append(1)
+        return zeval(f, num, den)
+
+    monkeypatch.setattr(exactmath, "_zeval", counting_zeval)
+    monkeypatch.setattr(exactmath, "_squarefree_factors", lambda f: yun.append(f) or squarefree(f))
+    invariants._exponents.cache_clear()
+    compute_all(parse_diagram(spec))
+    for f in yun:
+        assert not any(exactmath._certifies_squarefree(f, p) for p in exactmath._SMALL_PRIMES)
+    if spec == RANK8:
+        assert len(zevals) <= 3000 and yun == []
+    else:
+        assert yun

@@ -5,22 +5,71 @@ import pytest
 
 from ccx.diagram import InputError
 from ccx.formulas import TypeInfo, N_product, f_k_closed
-from ccx.gcc import CliqueComplex, rotate_colored
+from ccx.gcc import CliqueComplex, colored_ground_set, iter_cliques, rotate_colored
 from ccx.polygon import (
     BudgetExceeded,
     TypeAModel,
     TypeBModel,
     TypeDModel,
-    all_diameter_flavoring,
     allowable_diagonals,
-    count_dissection_faces,
     crossing,
-    diameter_gap_condition,
+    dissection_face_counts,
     is_allowable,
     m_snake,
+    noncrossing_graph,
     render_svg,
     rotate_diag,
 )
+
+
+# Oracles for the tests below, built on the models and the non-crossing
+# graph they check.
+
+
+def ground_set(model):
+    return colored_ground_set([model.rs], model.m)
+
+
+def model_compatible(model, u, v) -> bool:
+    """Compatibility of two colored roots read through a B/D model."""
+    return model.compatible(model.to_vertex[u], model.to_vertex[v])
+
+
+def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
+    """All ways to flavor diameters at the given positions so they are
+    pairwise compatible: either none, or exactly two (global flips)."""
+    model = TypeDModel(n, m)
+    positions = list(positions)
+    out = []
+    for bits in range(1 << len(positions)):
+        flavors = tuple(
+            "gray" if bits >> t & 1 else "dashed" for t in range(len(positions))
+        )
+        verts = [model._diameter(p, f) for p, f in zip(positions, flavors)]
+        if all(model.compatible(u, v) for u, v in itertools.combinations(verts, 2)):
+            out.append(flavors)
+    return out
+
+
+def diameter_gap_condition(n: int, m: int, positions) -> bool:
+    """Sorted starting indices must have consecutive gaps <= m, cyclically."""
+    a = sorted(positions)
+    a.append(a[0] + (n - 1) * m + 1)
+    return all(a[t + 1] - a[t] <= m for t in range(len(a) - 1))
+
+
+def count_dissection_faces(n: int, m: int, k: int, budget: int = 40) -> int:
+    """Count of non-crossing k-subsets of allowable diagonals; there are
+    none above k = n."""
+    counts = dissection_face_counts(n, m, budget)
+    return counts[k] if k < len(counts) else 0
+
+
+def dissection_facets(n: int, m: int, budget: int = 40):
+    """The maximal dissections: non-crossing n-subsets of allowable
+    diagonals, in lexicographic diagonal order."""
+    diags, adj = noncrossing_graph(n, m, budget)
+    return [tuple(diags[i] for i in c) for c in iter_cliques(adj, n)]
 
 
 def test_crossing_predicate():
@@ -65,7 +114,7 @@ def test_snake_is_allowable_noncrossing_facet():
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (1, 3)])
 def test_type_a_bijection_is_isomorphism(n, m):
     model = TypeAModel(n, m)
-    gs = model.ground_set()
+    gs = ground_set(model)
     assert len(gs) == len(model.diagonals)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
@@ -88,11 +137,11 @@ def test_type_a_negative_simples_map_to_snake():
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_type_b_bijection_is_isomorphism(n, m):
     model = TypeBModel(n, m)
-    gs = model.ground_set()
+    gs = ground_set(model)
     assert len(gs) == len(model.vertices)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model.model_compatible(u, v)
+        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model_compatible(model, u, v)
     for v in gs:
         assert model.to_vertex[rotate_colored(model.rs, v, m)] == model.rotate_vertex(
             model.to_vertex[v]
@@ -122,11 +171,11 @@ def test_type_b_diameter_fraction():
 @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 1), (4, 2)])
 def test_type_d_bijection_is_isomorphism(n, m):
     model = TypeDModel(n, m)
-    gs = model.ground_set()
+    gs = ground_set(model)
     assert len(gs) == len(model.vertices)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model.model_compatible(u, v)
+        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model_compatible(model, u, v)
     for v in gs:
         assert model.to_vertex[rotate_colored(model.rs, v, m)] == model.rotate_vertex(
             model.to_vertex[v]
@@ -214,8 +263,6 @@ def test_dissection_budget():
 
 
 def test_dissection_facets_contain_snake():
-    from ccx.polygon import dissection_facets
-
     for n, m in [(2, 1), (2, 2), (3, 2)]:
         facets = dissection_facets(n, m)
         assert len(facets) == N_product(TypeInfo("A", n), m)

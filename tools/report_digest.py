@@ -10,7 +10,7 @@ affine types, and a fixed random draw of rank 3-6 with labels 2-8.
 Then diagrams whose subdiagrams fall into few isomorphism classes, or
 into classes that are hard to tell apart (``class_cases``): the stars
 of rank 8, 9 and 10 (the rank-10 star's exponent residuals reach
-1398-bit coefficients, the largest of any diagram here), the
+1398-bit coefficients, the largest of any report line), the
 complete diagrams K5-K7 with every label 3, K3,3 and the triangular
 prism (which colour refinement alone does not separate), the square
 with labels 3-4-3-4, and a fixed random draw of connected rank-7
@@ -54,8 +54,11 @@ Last, each diagram of the fake catalog and each affine type gets a
 the ``approx`` and ``exponents_approx`` values that the report lines
 leave out.  So do the cases of ``stdout_cases``: diagrams the methods
 postulate (A1, I2(5)) or refuse, as disconnected (``n=3; 1-2:3``), over
-the rank budget (A13) or both (``n=13; 1-2:3``), and ~C3 with each
-``--method`` alias alone.
+the rank budget (A13) or both (``n=13; 1-2:3``), ~C3 with each
+``--method`` alias alone, and two diagrams whose facet polynomials have
+huge coefficients: the rank-8 diagram ``RANK8``, whose report holds
+7564-bit integers, and the rank-12 star, at the rank budget, with
+6782-bit integers.
 
 Then each command of ``dissect_cases`` gets a ``dissect`` line: the sha256
 of the exit code, stdout and stderr of ``ccx dissect``, so these lines pin
@@ -171,6 +174,7 @@ def complex_cases() -> list[tuple[str, int]]:
 
 
 INTERLEAVED = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
+RANK8 = "n=8; 1-2:3 1-3:4 1-6:5 1-8:3 2-7:5 3-4:3 3-5:3"
 
 
 def classify_cases() -> list[str]:
@@ -198,7 +202,9 @@ def stdout_cases() -> list[list[str]]:
     before the recursions, and each method run on its own."""
     cases = [["--diagram", spec]
              for spec in ("A1", "I2(5)", "n=3; 1-2:3", "A13", "n=13; 1-2:3")]
-    return cases + [["--diagram", "~C3", "--method", alias] for alias in METHOD_ALIASES]
+    cases += [["--diagram", "~C3", "--method", alias] for alias in METHOD_ALIASES]
+    star12 = edge_spec(12, [(1, j) for j in range(2, 13)])
+    return cases + [["--diagram", RANK8], ["--diagram", star12]]
 
 
 def dissect_cases() -> list[list[str]]:
