@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
-from .exactmath import ONE, Poly, _of, binomial_poly, poly_sum
+from .exactmath import ONE, Poly, _of, binomial_poly, poly_dot, poly_sum
 from .tables import face_correction, h_correction
 
 F = Fraction
@@ -53,9 +53,10 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
     must be an isomorphism invariant: it is asked about one mask of each
     class and its answer serves them all.  Ranks one and two are
     postulated; a disconnected mask convolves the component of least
-    key with the rest.  Each sum, of the codimension-one f_j or of the
-    products of one convolution coefficient, is one n-ary ``poly_sum``,
-    reduced once.
+    key with the rest.  Each sum is reduced once: the sum of the
+    codimension-one f_j is one n-ary ``poly_sum``, and each convolution
+    coefficient, a sum of products, is one ``poly_dot``, whose products
+    are never reduced on their own.
 
     Results live in ``lat.fpolys`` for the life of the lattice, keyed
     by class, h and the ids of the stored sub-results they were built
@@ -77,11 +78,11 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
             key = (cls, id(low), id(rest))
             out = store.get(key)
             if out is None:
-                terms: list[list[Poly]] = [[] for _ in range(len(low) + len(rest) - 1)]
+                terms: list[list[tuple[Poly, Poly]]] = [[] for _ in range(len(low) + len(rest) - 1)]
                 for i, p in enumerate(low):
                     for j, q in enumerate(rest):
-                        terms[i + j].append(p * q)
-                out = store[key] = tuple(map(poly_sum, terms))
+                        terms[i + j].append((p, q))
+                out = store[key] = tuple(map(poly_dot, terms))
         elif r <= 2:
             out = store.get((cls,))
             if out is None:

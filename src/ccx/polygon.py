@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from .diagram import InputError, parse_diagram
 from .gcc import (
-    BudgetExceeded,
     ColoredRoot,
     compatibility_masks,
     iter_cliques,
@@ -367,11 +366,11 @@ class TypeDModel(_SymmetricModel):
         return self._diameter(v.position - 1 if v.position > 1 else self.half, flavor)
 
 
-def noncrossing_graph(n: int, m: int, budget: int = 40) -> tuple[list[Diagonal], list[int]]:
-    """Allowable diagonals and their non-crossing adjacency masks."""
+def noncrossing_graph(n: int, m: int) -> tuple[list[Diagonal], list[int]]:
+    """Allowable diagonals and their non-crossing adjacency masks.  No
+    budget here: ``ccx dissect`` first bounds the faces by the closed
+    forms (``gcc.check_face_budget``)."""
     diags = allowable_diagonals(n, m)
-    if len(diags) > budget:
-        raise BudgetExceeded(f"{len(diags)} diagonals exceed budget {budget}")
     return diags, compatibility_masks(diags, lambda a, b: not crossing(a, b))
 
 
@@ -382,10 +381,10 @@ def noncrossing_turn(diags: list[Diagonal], N: int) -> list[int]:
     return [index[rotate_diag(d, N)] for d in diags]
 
 
-def dissection_face_counts(n: int, m: int, budget: int = 40) -> list[int]:
+def dissection_face_counts(n: int, m: int) -> list[int]:
     """Numbers of non-crossing k-subsets of allowable diagonals, k = 0..n,
     from the links of one diagonal per rotation orbit (``orbit_survey``)."""
-    diags, adj = noncrossing_graph(n, m, budget)
+    diags, adj = noncrossing_graph(n, m)
     return orbit_survey(adj, n, 0, noncrossing_turn(diags, (n + 1) * m + 2)).counts
 
 

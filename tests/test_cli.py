@@ -71,10 +71,22 @@ def test_face_budget_refuses_before_enumerating(capsys, argv, faces):
     assert FACE_BUDGET < predicted <= (faces or predicted)
 
 
-def test_dissect_diagonal_budget_is_a_budget_error(capsys):
+def test_dissect_face_budget_is_the_one_budget(capsys):
+    """Type-A dissections have no cap on their diagonals: A4 m=4, with
+    44, counts its faces as the closed forms do, and an input is refused
+    only over the face budget."""
+    from ccx.formulas import f_k_closed
+
     code, out, err = run_cli(capsys, "dissect", "--family", "A", "-n", "4", "-m", "4")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["allowable_diagonals"] == 44
+    assert data["noncrossing_subset_counts"] == [
+        f_k_closed(TypeInfo("A", 4), k)(4) for k in range(5)
+    ]
+    code, out, err = run_cli(capsys, "dissect", "--family", "A", "-n", "12", "-m", "1")
     assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "budget", "message": "44 diagonals exceed budget 40"}
+    assert json.loads(err)["error"] == "budget"
 
 
 @pytest.mark.parametrize("family,n,m", [("E8", 8, 2), ("B", 8, 2)])

@@ -15,6 +15,7 @@ from ccx.exactmath import (
     frac_sum,
     minpoly_2cos,
     poly_divide_exact,
+    poly_dot,
     poly_gcd,
     poly_sum,
     rational_roots,
@@ -238,6 +239,95 @@ def test_frac_sum_is_the_pairwise_sum(terms):
     assert isinstance(total, F) and total == sum(terms, F(0))
     assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
     assert frac_sum(terms + [-t for t in terms]) == 0
+
+
+def _reduced_constant(num: Poly, den: Poly) -> F:
+    """The constant num/den by reducing first: both divided by their gcd,
+    den made monic, and a constant read off when both are of degree 0;
+    else NotConstant."""
+    g = poly_gcd(num, den)
+    if g.degree >= 1:
+        num, den = poly_divide_exact(num, g), poly_divide_exact(den, g)
+    lead = den.leading()
+    num, den = num / lead, den / lead
+    if num.is_zero():
+        return F(0)
+    if num.degree == 0 and den.degree == 0:
+        return num.coeff(0) / den.coeff(0)
+    raise NotConstant
+
+
+def _constant_or_not(num: Poly, den: Poly, decide) -> F | None:
+    try:
+        return decide(num, den)
+    except NotConstant:
+        return None
+
+
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def quotients(draw):
+    """num/den, times a common factor or not: num a multiple c * den
+    (c = 0 among them), such a multiple with one coefficient moved, or
+    drawn freely; den may be constant."""
+    den = draw(nonzero_polys)
+    kind = draw(st.sampled_from(["multiple", "moved", "free"]))
+    if kind == "free":
+        num = draw(polys)
+    else:
+        num = den * draw(small_fracs)
+        if kind == "moved":
+            i = draw(st.integers(min_value=0, max_value=den.degree))
+            num = num + Poly([0] * i + [draw(small_fracs.filter(bool))])
+    common = draw(st.one_of(st.just(Poly([1])), nonzero_polys))
+    return num * common, den * common
+
+
+@given(quotients())
+@settings(max_examples=150, deadline=None)
+def test_constant_test_agrees_with_reducing_first(pair):
+    num, den = pair
+    want = _constant_or_not(num, den, _reduced_constant)
+    got = _constant_or_not(num, den, lambda a, b: RatFun(a, b).constant_value())
+    assert got == want and (got is None or isinstance(got, F))
+
+
+@pytest.mark.parametrize("num,den,value", [
+    (Poly(), Poly([0, 0, 3]), F(0)),
+    (Poly([F(3, 4)]), Poly([F(-5, 2)]), F(-3, 10)),
+    (Poly([2, 4, 6]), Poly([F(1, 3), F(2, 3), 1]), F(6)),
+    (Poly([1, 1]), Poly([1]), None),
+    (Poly([1]), Poly([1, 1]), None),
+    (Poly([2, 4, 7]), Poly([1, 2, 3]), None),
+    # 2 * (1 + 2m + 3m^2 + 4m^3) with one coefficient moved
+    (Poly([3, 4, 6, 8]), Poly([1, 2, 3, 4]), None),
+    (Poly([2, 5, 6, 8]), Poly([1, 2, 3, 4]), None),
+    (Poly([2, 4, 7, 8]), Poly([1, 2, 3, 4]), None),
+    (Poly([2, 4, 6, 9]), Poly([1, 2, 3, 4]), None),
+])
+def test_constant_test_cases(num, den, value):
+    got = _constant_or_not(num, den, lambda a, b: RatFun(a, b).constant_value())
+    assert got == value == _constant_or_not(num, den, _reduced_constant)
+
+
+def test_ratfun_repr_is_reduced():
+    r = RatFun(Poly([2, 2]) * Poly([1, 2]), Poly([3, 3]) * Poly([0, 4]))
+    assert repr(r) == "RatFun(Poly(1/6 + 1/3*m), Poly(1*m))"
+
+
+def test_poly_dot_of_nothing_is_zero():
+    assert poly_dot([]) == Poly() and _canonical(poly_dot([]))
+    assert poly_dot(iter([(Poly(), Poly([1, 2]))])) == Poly()
+
+
+@given(st.lists(st.tuples(polys, polys), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_poly_dot_is_the_sum_of_products(pairs):
+    total = poly_dot(iter(pairs))
+    assert total == sum((p * q for p, q in pairs), Poly())
+    assert _canonical(total)
 
 
 def _ref_add(a, b):

@@ -538,6 +538,25 @@ def test_recursions_sum_exact_terms_once(monkeypatch):
     assert counts["set"] <= 2500
 
 
+def test_recursions_decide_h_without_gcds(monkeypatch):
+    """Work counts, no clock.  On ~E8 the h rules decide that a rational
+    function of m is constant by cross-multiplying, so no polynomial gcd
+    runs (reducing each quotient took 30), and each convolution
+    coefficient is one sum of unreduced products: 1911 reductions (_set)
+    with each product reduced on its own, at most 1500 without."""
+    gcds, sets = [], []
+    gcd, reduce_ = exactmath.poly_gcd, exactmath._set
+    monkeypatch.setattr(exactmath, "poly_gcd", lambda *a: gcds.append(1) or gcd(*a))
+    monkeypatch.setattr(exactmath, "_set", lambda *a: sets.append(1) or reduce_(*a))
+    subset_lattice.cache_clear()
+    invariants._exponents.cache_clear()
+    rep = compute_all(parse_diagram("~E8"))
+    subset_lattice.cache_clear()
+    assert rep.methods["mg"].h == 98
+    assert rep.methods["euler"].status == rep.methods["reciprocity_general"].status == "non-constant-h"
+    assert gcds == [] and len(sets) <= 1500
+
+
 def _relabelled(G, perm) -> str:
     """Explicit spec of G with vertex i renamed perm[i - 1]."""
     edges = " ".join(f"{perm[i - 1]}-{perm[j - 1]}:{a}" for i, j, a in G.edges())
@@ -656,6 +675,7 @@ def test_reciprocity_general_facet_poly_is_the_subset_sum(spec):
 # -- correct rounding of irrational roots -----------------------------------
 
 STAR6 = "n=6; 1-2:3 1-3:3 1-4:3 1-5:3 1-6:3"
+RANK8 = "n=8; 1-2:3 1-3:4 1-6:5 1-8:3 2-7:5 3-4:3 3-5:3"
 
 
 def _squarefree_part(p: Poly) -> Poly:
@@ -740,6 +760,62 @@ def test_irrational_exponents_are_correctly_rounded(spec):
     assert checked >= 12
 
 
+@st.composite
+def clustered_polys(draw):
+    """An integer polynomial of degree 4-8 near prod (x - r_i), roots
+    r_i = u/v + j_i/2^16 with distinct |j_i| <= 2^8 and |u/v| <= 16,
+    v odd and 40-80 bits: the product's integer numerator plus a small
+    integer.  Its roots are irrational but for rare draws, at most 2^-12
+    apart and carried by coefficients of hundreds of bits, so the Newton
+    proposals of IrrationalRoot.rounded miss and it bisects."""
+    deg = draw(st.integers(min_value=4, max_value=8))
+    v = 2 * draw(st.integers(min_value=2**39, max_value=2**79)) + 1
+    u = draw(st.integers(min_value=-16 * v, max_value=16 * v))
+    js = draw(st.lists(st.integers(min_value=-(2**8), max_value=2**8), min_size=deg,
+                       max_size=deg, unique=True))
+    p = Poly([1])
+    for j in js:
+        r = F(u, v) + F(j, 2**16)
+        p = p * Poly([-r.numerator, r.denominator])
+    nudge = draw(st.integers(min_value=1, max_value=5)) * draw(st.sampled_from((1, -1)))
+    return Poly(p.num) + nudge
+
+
+@given(clustered_polys())
+@settings(max_examples=40, deadline=None)
+def test_clustered_roots_are_correctly_rounded(p):
+    rs = rational_roots(p)
+    assert len(rs.residual_approx) >= 2
+    f = _squarefree_part(rs.residual)
+    for x in rs.residual_approx:
+        assert x == _bisected(f, x)
+
+
+@pytest.mark.parametrize("spec", ["~D7", "~D8", "~E7", STAR6, RANK8])
+def test_rounding_work_is_bounded(spec, monkeypatch):
+    """Work counts, no clock: correct rounding of each irrational
+    exponent evaluates a polynomial exactly at most 40 times (20-27
+    here).  Bisection alone, one evaluation a bit, took 51-59."""
+    zevals, per_root = [], []
+    zeval, rounded = exactmath._zeval, exactmath.IrrationalRoot.rounded
+
+    def counting_zeval(f, num, den):
+        zevals.append(1)
+        return zeval(f, num, den)
+
+    def counting_rounded(self, *args):
+        before = len(zevals)
+        x = rounded(self, *args)
+        per_root.append(len(zevals) - before)
+        return x
+
+    monkeypatch.setattr(exactmath, "_zeval", counting_zeval)
+    monkeypatch.setattr(exactmath.IrrationalRoot, "rounded", counting_rounded)
+    invariants._exponents.cache_clear()
+    compute_all(parse_diagram(spec))
+    assert per_root and max(per_root) <= 40, per_root
+
+
 def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
     """Sturm sequences are built only for the cofactors left without
     rational roots, once each facet polynomial's rational roots are
@@ -779,8 +855,6 @@ def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
         part = _squarefree_part(rs.residual)
         assert product / product.leading() == part / part.leading()
 
-
-RANK8 = "n=8; 1-2:3 1-3:4 1-6:5 1-8:3 2-7:5 3-4:3 3-5:3"
 
 
 @pytest.mark.parametrize("spec", [RANK8, "~D8"])

@@ -5,9 +5,15 @@ import pytest
 
 from ccx.diagram import InputError
 from ccx.formulas import TypeInfo, N_product, f_k_closed
-from ccx.gcc import CliqueComplex, colored_ground_set, iter_cliques, rotate_colored
-from ccx.polygon import (
+from ccx.gcc import (
     BudgetExceeded,
+    CliqueComplex,
+    check_face_budget,
+    colored_ground_set,
+    iter_cliques,
+    rotate_colored,
+)
+from ccx.polygon import (
     TypeAModel,
     TypeBModel,
     TypeDModel,
@@ -58,17 +64,17 @@ def diameter_gap_condition(n: int, m: int, positions) -> bool:
     return all(a[t + 1] - a[t] <= m for t in range(len(a) - 1))
 
 
-def count_dissection_faces(n: int, m: int, k: int, budget: int = 40) -> int:
+def count_dissection_faces(n: int, m: int, k: int) -> int:
     """Count of non-crossing k-subsets of allowable diagonals; there are
     none above k = n."""
-    counts = dissection_face_counts(n, m, budget)
+    counts = dissection_face_counts(n, m)
     return counts[k] if k < len(counts) else 0
 
 
-def dissection_facets(n: int, m: int, budget: int = 40):
+def dissection_facets(n: int, m: int):
     """The maximal dissections: non-crossing n-subsets of allowable
     diagonals, in lexicographic diagonal order."""
-    diags, adj = noncrossing_graph(n, m, budget)
+    diags, adj = noncrossing_graph(n, m)
     return [tuple(diags[i] for i in c) for c in iter_cliques(adj, n)]
 
 
@@ -258,8 +264,13 @@ def test_dissection_counts():
 
 
 def test_dissection_budget():
+    """The face budget of the closed forms is the one budget on type-A
+    dissections: A6 m=4, with 90 allowable diagonals, is counted, and
+    A12 m=1, with 7.1e7 faces, is refused."""
+    assert count_dissection_faces(6, 4, 2) == f_k_closed(TypeInfo("A", 6), 2)(4)
+    check_face_budget([TypeInfo("A", 6)], 4)
     with pytest.raises(BudgetExceeded):
-        count_dissection_faces(6, 4, 2, budget=10)
+        check_face_budget([TypeInfo("A", 12)], 1)
 
 
 def test_dissection_facets_contain_snake():

@@ -68,6 +68,9 @@ diameter styles) and the errors on bad parameters.
 Usage, from the root of a checkout (standard library only)::
 
     PYTHONPATH=src python3 tools/report_digest.py > digests.txt
+
+``tools/report_digest.txt`` holds the expected lines, and
+``tests/test_digest.py`` compares a fresh run with it.
 """
 
 from __future__ import annotations
@@ -210,16 +213,16 @@ def stdout_cases() -> list[list[str]]:
 def dissect_cases() -> list[list[str]]:
     """Arguments of ``ccx dissect``: every family at m = 1..3 as JSON,
     text and three SVG facets (an index past the last facet is an
-    error), then parameters each family refuses and one over the
-    diagonal limit."""
+    error), then parameters each family refuses, and A4 at m = 4, with
+    44 allowable diagonals."""
     ranks = {"A": range(1, 5), "B": range(2, 6), "D": range(3, 7)}
     cases = [["--family", family, "-n", str(n), "-m", str(m)]
              for family in ranks for n in ranks[family] for m in range(1, 4)]
     out = [case + ["--emit", emit] for case in cases for emit in ("json", "text")]
     out += [case + ["--emit", "svg", "--facet", facet]
             for case in cases for facet in ("0", "3", "7")]
-    bad = [("A", "0", "1"), ("B", "1", "1"), ("D", "2", "1"), ("A", "4", "4")]
-    return out + [["--family", family, "-n", n, "-m", m] for family, n, m in bad]
+    bad = [("A", "0", "1"), ("B", "1", "1"), ("D", "2", "1")]
+    return out + [["--family", family, "-n", n, "-m", m] for family, n, m in bad + [("A", "4", "4")]]
 
 
 def cli_run(argv: list[str]) -> tuple[int, str, str]:
