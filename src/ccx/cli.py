@@ -21,6 +21,7 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
+from .exactmath import format_fraction
 from .gcc import (
     BudgetExceeded,
     build_complex,
@@ -28,15 +29,14 @@ from .gcc import (
     check_face_budget,
     enumeration_budget,
     iter_cliques,
-    orbit_survey,
 )
 from .invariants import METHOD_ALIASES, compute_all
 from .polygon import (
     AmbiguousOrbit,
+    TypeAModel,
     TypeBModel,
     TypeDModel,
-    noncrossing_graph,
-    noncrossing_turn,
+    checked_complex,
     render_svg,
 )
 from .rootsys import LookupMiss, NotFiniteType
@@ -112,7 +112,7 @@ def _emit_face_csv(G: CoxeterDiagram, m: int, fv, hv):
     name = cls.type_name or G.to_spec()
     print("type,n,m,k,f_k,h_k")
     for k in range(G.rank + 1):
-        print(f"{name},{G.rank},{m},{k},{fv[k]},{hv[k]}")
+        print(f"{name},{G.rank},{m},{k},{format_fraction(fv[k])},{format_fraction(hv[k])}")
 
 
 def cmd_fvector(args) -> int:
@@ -125,8 +125,8 @@ def cmd_fvector(args) -> int:
         {
             "diagram": G.to_spec(),
             "m": args.m,
-            "f_vector": [str(x) for x in fv],
-            "h_vector": [str(x) for x in hv],
+            "f_vector": [format_fraction(x) for x in fv],
+            "h_vector": [format_fraction(x) for x in hv],
         },
         args.emit,
     )
@@ -138,37 +138,28 @@ def cmd_dissect(args) -> int:
     if n >= 1 and m >= 1:  # otherwise the model rejects the parameters
         check_face_budget([TypeInfo(args.family, n)], m)
     if args.family == "A":
-        N = (n + 1) * m + 2
-        diags, adj = noncrossing_graph(n, m)
-        styled = [[(d, "plain")] for d in diags]
+        model = TypeAModel(n, m)
+        styled = [[(d, "plain")] for d in model.diagonals]
     else:
         model_cls = {"B": TypeBModel, "D": TypeDModel}[args.family]
         try:
             model = model_cls(n, m)
         except InputError as e:
             raise DomainError("bad-parameters", str(e))
-        N, adj = model.N, model.adj
         styled = [[(c, v.flavor or "plain") for c in v.chords] for v in model.vertices]
     if args.emit == "svg":
-        facets = iter_cliques(adj, n)
+        facets = iter_cliques(model.adj, n)
         facet = next(islice(facets, args.facet, None), None) if args.facet >= 0 else None
         if facet is None:
             raise DomainError("bad-parameters", f"facet index {args.facet} out of range")
-        print(render_svg(N, [chord for i in facet for chord in styled[i]]))
+        print(render_svg(model.N, [chord for i in facet for chord in styled[i]]))
         return 0
+    fv = checked_complex(model)[0].survey.counts
     if args.family == "A":
-        counts = {
-            "allowable_diagonals": len(diags),
-            "noncrossing_subset_counts": orbit_survey(adj, n, 0, noncrossing_turn(diags, N)).counts,
-        }
+        counts = {"allowable_diagonals": len(styled), "noncrossing_subset_counts": fv}
     else:
-        fv = model.f_vector()
-        counts = {
-            "model_vertices": len(model.vertices),
-            "facet_count": fv[n],
-            "face_counts": fv,
-        }
-    _emit({"family": args.family, "n": n, "m": m, "polygon": N, **counts}, args.emit)
+        counts = {"model_vertices": len(styled), "facet_count": fv[n], "face_counts": fv}
+    _emit({"family": args.family, "n": n, "m": m, "polygon": model.N, **counts}, args.emit)
     return 0
 
 

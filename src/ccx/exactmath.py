@@ -228,8 +228,20 @@ def frac_sum(terms) -> Fraction:
     return Fraction(sum(q.numerator * (den // q.denominator) for q in terms), den)
 
 
+def format_integer(n: int) -> str:
+    """n in decimal at any size: ``str`` refuses over 4300 digits (a
+    process-wide limit), so those are printed through ``decimal``."""
+    if n.bit_length() < 14_000:  # under 4215 digits
+        return str(n)
+    import decimal
+
+    return format(decimal.Context(prec=decimal.MAX_PREC).create_decimal(n), "f")
+
+
 def format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """q as "p" or "p/q" in decimal, at any size (``format_integer``)."""
+    num = format_integer(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{format_integer(q.denominator)}"
 
 
 def poly_divide_exact(p: Poly, q: Poly) -> Poly:

@@ -15,19 +15,17 @@ The clique engine of the package is one survey, one orbit frame and
 one lister.  ``clique_survey`` gives a clique complex its face numbers,
 unmarked (positive) facet count, ridge degrees and purity in a single
 ordered traversal.  ``orbit_frame`` gives the same survey from vertex
-links alone: given an automorphism of the graph, it surveys the link of
-one vertex per orbit and of each marked vertex, and weighs each link by
-its orbit.  ``orbit_survey`` checks the automorphism and runs the frame
-with ``clique_survey`` on each link; the type-A dissections and the B
-and D polygon models pass their polygon rotation.  ``parabolic_survey``
-surveys the colored complex for m >= 1: under the colored rotation of
-each parabolic subsystem, every orbit of which meets a negative simple,
-the link of a negative simple is a join of parabolic complexes, each
-surveyed by the same recursion and combined by ``join_survey``.  Every
-count is still an enumeration of the compatibility graph, with each
-rotation and each join checked exactly on it; neither the closed forms
-nor the face recurrence is read.  ``iter_cliques`` lists facets for
-``--facets`` and svg output.  ``check_face_budget`` refuses, before
+links alone: given a checked automorphism of the graph, it surveys the
+link of one vertex per orbit and of each marked vertex, and weighs each
+link by its orbit.  ``parabolic_survey`` surveys the colored complex for
+m >= 1, and through it every polygon model: under the colored rotation
+of each parabolic subsystem, every orbit of which meets a negative
+simple, the link of a negative simple is a join of parabolic complexes,
+each surveyed by the same recursion and combined by ``join_survey``.
+Every count is still an enumeration of the compatibility graph, with
+each rotation and each join checked exactly on it; neither the closed
+forms nor the face recurrence is read.  ``iter_cliques`` lists facets
+for ``--facets`` and svg output.  ``check_face_budget`` refuses, before
 anything is built, a complex or model whose face count by the closed
 forms exceeds ``FACE_BUDGET``.
 """
@@ -41,7 +39,7 @@ from typing import NamedTuple
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, connected_components
 from .diagram import mask_components
 from .formulas import f_k_closed
-from .rootsys import LookupMiss, NotFiniteType, RootSystem
+from .rootsys import LookupMiss, NotFiniteType, RootSystem, check_rotation_order
 
 # faces, the empty one included, that one complex or polygon model may
 # enumerate: E8 at m = 2 has 1.3e7, and ``ccx complex`` on it takes about
@@ -88,19 +86,6 @@ def check_face_budget(infos: list[TypeInfo], m: int) -> None:
                     f"at least {faces * total} faces predicted, over the budget of {FACE_BUDGET}"
                 )
         faces *= total
-
-
-def compatibility_masks(items, compatible) -> list[int]:
-    """Bitmask adjacency of a symmetric relation: bit j of entry i is
-    set when ``compatible(items[i], items[j])`` holds."""
-    V = len(items)
-    adj = [0] * V
-    for i in range(V):
-        for j in range(i + 1, V):
-            if compatible(items[i], items[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
 
 
 class CliqueSurvey(NamedTuple):
@@ -226,15 +211,8 @@ def check_automorphism(adj: list[int], turn, within: int | None = None) -> None:
             raise ValueError(f"the turn is not an automorphism: it breaks the edges at vertex {v}")
 
 
-def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> CliqueSurvey:
-    """``clique_survey(adj, top, marked)``, taken from vertex links only:
-    ``check_automorphism``, then ``orbit_frame`` on every vertex."""
-    check_automorphism(adj, turn)
-    return orbit_frame(adj, (1 << len(adj)) - 1, top, marked, turn)
-
-
 def orbit_frame(adj: list[int], within: int, top: int, marked: int, turn,
-                link_survey=None) -> CliqueSurvey:
+                link_survey) -> CliqueSurvey:
     """``clique_survey`` of the graph that ``adj`` induces on the vertex
     mask ``within``, with facet size ``top`` and the vertices of
     ``marked`` marked, from vertex links only.
@@ -244,8 +222,8 @@ def orbit_frame(adj: list[int], within: int, top: int, marked: int, turn,
     isomorphic.  Each orbit is represented by its first marked vertex,
     or by its lowest vertex if it has none.  Each vertex i that is marked
     or a representative has its link surveyed with facet size top-1,
-    marking the marked vertices below it: ``link_survey(i, below)``, by
-    default ``clique_survey`` on the link.  A k-face lies in the links of
+    marking the marked vertices below it: ``link_survey(i, below)``.  A
+    k-face lies in the links of
     its k vertices, so f_k is the sum over the representatives of
     |orbit| * f_{k-1}(link) / k.  A facet with a marked vertex is counted
     once, in the link of the lowest one, as a link facet with no marked
@@ -260,10 +238,6 @@ def orbit_frame(adj: list[int], within: int, top: int, marked: int, turn,
         if within != (1 << len(adj)) - 1:
             adj, marked = _induced(adj, within, marked)
         return clique_survey(adj, top, marked)
-    if link_survey is None:
-        def link_survey(i: int, below: int) -> CliqueSurvey:
-            link, marks = _induced(adj, adj[i] & within, below)
-            return clique_survey(link, top - 1, marks)
     verts = _bits(within)
     weight: dict[int, int] = {}  # representative -> orbit size
     done = 0
@@ -412,6 +386,13 @@ class CliqueComplex:
         self.turn = [self.pos[rotate_colored(systems[v.comp], v, m)]
                      for v in self.vertices] if m else None
         self.adj = self._rows()
+        # R_m has its order on each component: this refuses some wrong
+        # tables that pass the row checks
+        lo = 0
+        for rs in systems if m else ():
+            hi = lo + rs.n + m * rs.num_positive
+            check_rotation_order([t - lo for t in self.turn[lo:hi]], rs, m)
+            lo = hi
 
     def _rows(self) -> list[int]:
         """The rows of colored compatibility, from its defining property.
@@ -584,9 +565,9 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
     size 1.  A singleton K, a part of a join, is an A1 too, and
     ``orbit_frame`` surveys it by ``clique_survey``.  The whole complex
     is the join of its components, each the state of all its indices,
-    all marked, or else is surveyed by ``orbit_survey``.  K and the
-    states are memoized within the call only; every count is still read
-    from ``cx.adj``.
+    all marked, or else, where ``cx.adj`` is not that join, is surveyed
+    whole by ``clique_survey``.  K and the states are memoized within the
+    call only; every count is still read from ``cx.adj``.
     """
     adj = cx.adj
     # per component: each root's positions, by color as the ground set
@@ -662,7 +643,7 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
                                        for c, rs in enumerate(cx.systems)])
     if whole is not None:
         return whole
-    return orbit_survey(adj, cx.n, cx.negative_mask(), cx.turn)
+    return clique_survey(adj, cx.n, cx.negative_mask())
 
 
 def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:

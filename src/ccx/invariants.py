@@ -536,7 +536,7 @@ def _classification_json(G: CoxeterDiagram) -> dict:
         out["type"] = cls.type_name
     if cls.coxeter_number is not None and cls.kind == "finite":
         out["h"] = format_fraction(cls.coxeter_number)
-        out["exponents"] = [str(e) for e in cls.exponents]
+        out["exponents"] = [format_fraction(e) for e in cls.exponents]
     return out
 
 

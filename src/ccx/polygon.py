@@ -9,27 +9,28 @@ diameters.  Each family keeps only its diameters (plain for B, a gray and
 a dashed one at each position for D) and its rule sending a colored
 positive root to a model vertex.
 
+A model's adjacency, which the svg output lists facets from, comes from
+crossing masks.  ``checked_complex`` checks a model's bijection to the
+colored complex edge for edge, so ``ccx dissect`` counts faces there.
+
 Polygon vertices are 0..N-1 internally; the 1-based labels of the text
 descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import NamedTuple
 
 from .diagram import InputError, parse_diagram
-from .gcc import (
-    ColoredRoot,
-    compatibility_masks,
-    iter_cliques,
-    orbit_survey,
-)
+from .gcc import CliqueComplex, ColoredRoot, _image, iter_cliques
 from .rootsys import RootSystem
 
 
 class AmbiguousOrbit(RuntimeError):
-    """The candidate diagonals of a positive root do not form one
-    contiguous rotation orbit; indicates a model bug."""
+    """A polygon model's bijection to colored roots failed a check; it
+    indicates a model bug."""
 
 
 Diagonal = tuple[int, int]  # sorted pair of polygon vertices
@@ -39,15 +40,6 @@ def _diag(u: int, v: int, N: int) -> Diagonal:
     u %= N
     v %= N
     return (u, v) if u < v else (v, u)
-
-
-def crossing(d1: Diagonal, d2: Diagonal) -> bool:
-    """True when the chords meet in the interior (shared endpoints don't)."""
-    a, b = d1
-    c, d = d2
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b) != (a < d < b)
 
 
 def is_allowable(d: Diagonal, N: int, m: int) -> bool:
@@ -85,57 +77,81 @@ def rotate_diag(d: Diagonal, N: int, steps: int = 1) -> Diagonal:
     return _diag(d[0] - steps, d[1] - steps, N)
 
 
+def _crossing_masks(chords: list[Diagonal], N: int, others=None) -> list[int]:
+    """Bit j of entry i is set when chord i crosses chord j of ``others``
+    (default ``chords``): j has one end strictly between the ends a < b
+    of i, found by a prefix XOR of ends around the polygon, and the
+    other end is neither a nor b."""
+    ends = [0] * N
+    for i, (a, b) in enumerate(chords if others is None else others):
+        ends[a] |= 1 << i
+        ends[b] |= 1 << i
+    prefix = [0]
+    for e in ends:
+        prefix.append(prefix[-1] ^ e)
+    return [(prefix[b] ^ prefix[a + 1]) & ~(ends[a] | ends[b]) for a, b in chords]
+
+
 class TypeAModel:
     """Bijection between colored roots of A_n and m-allowable diagonals.
 
     Negative simples go to the snake.  A positive root supported on the
     interval [i..j] has exactly m allowable diagonals crossing precisely
     the snake diagonals i..j; they form one clockwise-rotation orbit arc
-    whose t-th element carries color t+1.
+    whose t-th element carries color t+1; ``arcs`` holds it by support
+    mask.  The root system, ``to_diagonal`` and ``adj`` are built when
+    first read, so the model inside a B or D model builds none of them.
     """
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         self.N = (n + 1) * m + 2
-        self.rs = RootSystem(parse_diagram(f"A{n}"))
-        self.snake = m_snake(n, m)
         self.diagonals = allowable_diagonals(n, m)
-        self.to_diagonal: dict[ColoredRoot, Diagonal] = {}
-        for i in range(n):
-            self.to_diagonal[ColoredRoot(0, i, 1)] = self.snake[i]
+        self.snake = m_snake(n, m)
+        groups: dict[int, set[Diagonal]] = {}
+        for d, crossed in zip(self.diagonals, _crossing_masks(self.diagonals, self.N, self.snake)):
+            groups.setdefault(crossed, set()).add(d)
+        if groups.pop(0, set()) != set(self.snake):
+            raise AmbiguousOrbit("the diagonals crossing no snake diagonal are not the snake")
+        self.arcs: dict[int, list[Diagonal]] = {}
+        for lo in range(n):
+            for hi in range(lo, n):
+                supp = (2 << hi) - (1 << lo)
+                cands = groups.pop(supp, set())
+                if len(cands) != m:
+                    raise AmbiguousOrbit(f"{len(cands)} candidates for support [{lo}..{hi}]")
+                first = [d for d in cands if rotate_diag(d, self.N, -1) not in cands]
+                if len(first) != 1:
+                    raise AmbiguousOrbit(f"orbit arc not contiguous for support [{lo}..{hi}]")
+                arc = self.arcs[supp] = [first[0]]
+                while len(arc) < m:
+                    arc.append(rotate_diag(arc[-1], self.N))
+        if groups:
+            raise AmbiguousOrbit("colored-root map is not onto the allowable diagonals")
 
-        cross_sets = {
-            d: frozenset(i for i, s in enumerate(self.snake) if crossing(d, s))
-            for d in self.diagonals
-        }
-        for rid in range(self.rs.n, self.rs.size):
-            supp = frozenset(self.rs.support[rid])
-            cands = {d for d, cs in cross_sets.items() if cs == supp}
-            if len(cands) != m:
-                raise AmbiguousOrbit(
-                    f"{len(cands)} candidates for support {sorted(supp)}"
-                )
-            first = [
-                d for d in cands if rotate_diag(d, self.N, -1) not in cands
-            ]
-            if len(first) != 1:
-                raise AmbiguousOrbit(f"orbit arc not contiguous for {sorted(supp)}")
-            d = first[0]
-            for k in range(1, m + 1):
-                self.to_diagonal[ColoredRoot(0, rid, k)] = d
-                d = rotate_diag(d, self.N)
-        if len(set(self.to_diagonal.values())) != len(self.to_diagonal):
-            raise AmbiguousOrbit("colored-root map is not injective")
-        self.from_diagonal = {d: v for v, d in self.to_diagonal.items()}
+    @cached_property
+    def rs(self) -> RootSystem:
+        return RootSystem(parse_diagram(f"A{self.n}"))
 
-    def compatible(self, u: ColoredRoot, v: ColoredRoot) -> bool:
-        return not crossing(self.to_diagonal[u], self.to_diagonal[v])
+    @cached_property
+    def to_diagonal(self) -> dict[ColoredRoot, Diagonal]:
+        out = {ColoredRoot(0, i, 1): d for i, d in enumerate(self.snake)}
+        for rid in range(self.n, self.rs.size):
+            for k, d in enumerate(self.arcs.get(self.rs.support_masks[rid], ()), 1):
+                out[ColoredRoot(0, rid, k)] = d
+        return out
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """Non-crossing adjacency of ``diagonals``, as bit masks."""
+        full = (1 << len(self.diagonals)) - 1
+        return [full & ~x & ~(1 << i)
+                for i, x in enumerate(_crossing_masks(self.diagonals, self.N))]
 
     def root_diagonal(self, lo: int, hi: int, k: int) -> Diagonal:
         """Diagonal of the positive root supported on [lo..hi] (1-based),
         with color k."""
-        rid = self.rs.root_id([int(lo <= t <= hi) for t in range(1, self.n + 1)])
-        return self.to_diagonal[ColoredRoot(0, rid, k)]
+        return self.arcs[(1 << hi) - (1 << (lo - 1))][k - 1]
 
 
 class Vertex(NamedTuple):
@@ -174,33 +190,33 @@ class _SymmetricModel:
         self.half = self.N // 2
         self.turn = self._turn()
         self.vertices: list[Vertex] = self._diameters()
-        seen: set[frozenset] = set()
-        for d0 in self.amodel.diagonals:
-            d = self._turned(d0)
-            if d[1] - d[0] == self.half:
-                continue
-            orbit = frozenset([d, _half_turn(d, self.N)])
-            if orbit not in seen:
-                seen.add(orbit)
-                self.vertices.append(Vertex("pair", orbit))
+        turned = [self._turned(d) for d in self.amodel.diagonals]
+        pairs = dict.fromkeys(frozenset([d, _half_turn(d, self.N)])
+                              for d in turned if d[1] - d[0] != self.half)
+        self.vertices += [Vertex("pair", orbit) for orbit in pairs]
 
         self.rs = RootSystem(parse_diagram(f"{self.family}{n}"))
         snake = [self._turned(d) for d in self.amodel.snake]
-        simples = [
-            Vertex("pair", frozenset([snake[t], snake[a_rank - 1 - t]]))
-            for t in range(a_rank // 2)
-        ]
+        simples = [Vertex("pair", frozenset([snake[t], snake[a_rank - 1 - t]]))
+                   for t in range(a_rank // 2)]
         simples += self._central_simples(frozenset([snake[a_rank // 2]]))
-        self.to_vertex: dict[ColoredRoot, Vertex] = {
-            ColoredRoot(0, i, 1): v for i, v in enumerate(simples)
-        }
+        self.to_vertex = {ColoredRoot(0, i, 1): v for i, v in enumerate(simples)}
         for rid in range(n, self.rs.size):
             for k in range(1, m + 1):
                 self.to_vertex[ColoredRoot(0, rid, k)] = self._category(rid, k)
         images = set(self.to_vertex.values())
         if len(images) != len(self.to_vertex) or images != set(self.vertices):
             raise AmbiguousOrbit(f"type {self.family} bijection is not onto the model")
-        self.adj = compatibility_masks(self.vertices, self.compatible)
+        self.adj = self._adjacency()
+
+    def _adjacency(self) -> list[int]:
+        """Non-crossing adjacency: by the central symmetry H, vertices u
+        and v cross exactly when a chord c_u of u crosses c_v or H(c_v)."""
+        V = len(self.vertices)
+        reps = [min(v.chords) for v in self.vertices]
+        cross = _crossing_masks(reps + [_half_turn(c, self.N) for c in reps], self.N)
+        full = (1 << V) - 1
+        return [full & ~(x | x >> V) & ~(1 << i) for i, x in enumerate(cross[:V])]
 
     def _turn(self) -> int:
         return 0
@@ -218,24 +234,12 @@ class _SymmetricModel:
             for x, y in ((lo, hi), (a - hi, a - lo))
         )
 
-    def compatible(self, v1: Vertex, v2: Vertex) -> bool:
-        return not any(
-            crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords
-        )
-
     def rotate_vertex(self, v: Vertex) -> Vertex:
         return v._replace(chords=frozenset(rotate_diag(c, self.N) for c in v.chords))
 
     def faces(self, k: int) -> list[tuple[int, ...]]:
         """k-subsets of pairwise compatible model vertices."""
         return list(iter_cliques(self.adj, k))
-
-    def f_vector(self) -> list[int]:
-        """Face counts f_0..f_n of the model, from the links of one model
-        vertex per rotation orbit (``orbit_survey``)."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        turn = [index[self.rotate_vertex(v)] for v in self.vertices]
-        return orbit_survey(self.adj, self.n, 0, turn).counts
 
 
 class TypeBModel(_SymmetricModel):
@@ -352,10 +356,15 @@ class TypeDModel(_SymmetricModel):
         same = v2.flavor == rotated_flavor
         return same == (ceil_km % 2 == 0)
 
-    def compatible(self, v1: Vertex, v2: Vertex) -> bool:
-        if v1.kind == "diam" and v2.kind == "diam":
-            return self.diameters_compatible(v1, v2)
-        return super().compatible(v1, v2)
+    def _adjacency(self) -> list[int]:
+        """The non-crossing adjacency, with the diameters (the first 2 * half
+        vertices) among themselves by the flavor rule."""
+        adj = super()._adjacency()
+        D = 2 * self.half
+        for i, u in enumerate(self.vertices[:D]):
+            adj[i] = adj[i] >> D << D | sum(1 << j for j, v in enumerate(self.vertices[:D])
+                                            if j != i and self.diameters_compatible(u, v))
+        return adj
 
     def rotate_vertex(self, v: Vertex) -> Vertex:
         if v.kind == "pair":
@@ -366,26 +375,28 @@ class TypeDModel(_SymmetricModel):
         return self._diameter(v.position - 1 if v.position > 1 else self.half, flavor)
 
 
-def noncrossing_graph(n: int, m: int) -> tuple[list[Diagonal], list[int]]:
-    """Allowable diagonals and their non-crossing adjacency masks.  No
-    budget here: ``ccx dissect`` first bounds the faces by the closed
-    forms (``gcc.check_face_budget``)."""
-    diags = allowable_diagonals(n, m)
-    return diags, compatibility_masks(diags, lambda a, b: not crossing(a, b))
-
-
-def noncrossing_turn(diags: list[Diagonal], N: int) -> list[int]:
-    """The clockwise rotation of the N-gon as a map on the indices of
-    ``diags``, which it must permute."""
-    index = {d: i for i, d in enumerate(diags)}
-    return [index[rotate_diag(d, N)] for d in diags]
-
-
-def dissection_face_counts(n: int, m: int) -> list[int]:
-    """Numbers of non-crossing k-subsets of allowable diagonals, k = 0..n,
-    from the links of one diagonal per rotation orbit (``orbit_survey``)."""
-    diags, adj = noncrossing_graph(n, m)
-    return orbit_survey(adj, n, 0, noncrossing_turn(diags, (n + 1) * m + 2)).counts
+def checked_complex(model) -> tuple[CliqueComplex, list[int]]:
+    """The colored complex of ``model.rs`` and the model index of each of
+    its vertices, checked: the model's map (``to_diagonal`` for type A,
+    ``to_vertex`` for B and D) must be one-to-one onto the model and pull
+    the model's adjacency back to ``cx.adj`` edge for edge, else
+    ``AmbiguousOrbit``.  The face budget, checked before the model is
+    built, is its one budget."""
+    if isinstance(model, TypeAModel):
+        items, to_model = model.diagonals, model.to_diagonal
+    else:
+        items, to_model = model.vertices, model.to_vertex
+    cx = CliqueComplex([model.rs], model.m, budget=math.inf)
+    index = {x: i for i, x in enumerate(items)}
+    image = [index.get(to_model.get(v), -1) for v in cx.vertices]
+    if sorted(image) != list(range(len(items))):
+        raise AmbiguousOrbit("the colored roots do not map one-to-one onto the model")
+    to = {i: 1 << a for a, i in enumerate(image)}
+    mismatches = sum((_image(model.adj[i], to) ^ row).bit_count()
+                     for i, row in zip(image, cx.adj)) // 2
+    if mismatches:
+        raise AmbiguousOrbit(f"{mismatches} pair mismatches between the model and the complex")
+    return cx, image
 
 
 def render_svg(N: int, chords, size: int = 400) -> str:

@@ -31,6 +31,25 @@ class LookupMiss(RuntimeError):
     ``gcc.CliqueComplex``), or no root has the given coordinates."""
 
 
+def check_rotation_order(perm: list[int], rs: "RootSystem", m: int) -> int:
+    """The order of the permutation ``perm`` of range(len(perm)), which
+    must be that of R_m on ``rs`` in the source paper, else ``LookupMiss``:
+    (mh+2)/2 when w0 = -1, and mh+2 otherwise."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length, cur = 0, start
+        while not seen[cur]:
+            seen[cur] = True
+            cur = perm[cur]
+            length += 1
+        order = math.lcm(order, length or 1)
+    want = (m * rs.h + 2) // (2 if rs.minus_one_longest else 1)
+    if order != want:
+        raise LookupMiss(f"R_{m} has order {order} on {rs.classification.type_name}, not {want}")
+    return order
+
+
 class RootSystem:
     """All almost-positive roots of a connected finite-type diagram.
 
@@ -174,29 +193,9 @@ class RootSystem:
         return rid
 
     def _build_rotation(self):
-        perm = []
-        for rid in range(self.size):
-            perm.append(self._twist("-", self._twist("+", rid)))
-        self.rotation = perm
-        # order of the permutation = lcm of cycle lengths
-        seen = [False] * self.size
-        order = 1
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            length, cur = 0, start
-            while not seen[cur]:
-                seen[cur] = True
-                cur = perm[cur]
-                length += 1
-            order = order * length // math.gcd(order, length)
-        self.rotation_order = order
-        allowed = {self.h + 2}
-        if (self.h + 2) % 2 == 0:
-            allowed.add((self.h + 2) // 2)
-        if order not in allowed:
-            raise LookupMiss(f"rotation order {order} not in {sorted(allowed)}")
-        self.minus_one_longest = 2 * order == self.h + 2
+        self.rotation = [self._twist("-", self._twist("+", rid)) for rid in range(self.size)]
+        self.minus_one_longest = self.classification.minus_one_longest
+        self.rotation_order = check_rotation_order(self.rotation, self, 1)
 
     def rotate(self, rid: int, within: int | None = None) -> int:
         """The rotation of root ``rid``; with ``within``, a mask of simple

@@ -21,14 +21,14 @@ from .formulas import (
     h_vector_from_f,
     reduced_euler,
 )
-from .gcc import CliqueComplex, build_complex, link_decomposition_check
+from .gcc import build_complex, link_decomposition_check
 from .invariants import compute_all
 from .polygon import (
+    AmbiguousOrbit,
     TypeAModel,
     TypeBModel,
     TypeDModel,
-    dissection_face_counts,
-    noncrossing_graph,
+    checked_complex,
     rotate_diag,
 )
 from .tables import M_VALUES
@@ -160,23 +160,19 @@ def suite_oracle(max_rank: int = 5, max_m: int = 3) -> list[Check]:
 
 def _model_audit(model, label: str, checks: list[Check]):
     """The colored complex of ``model.rs`` against the polygon model under
-    its bijection (``to_diagonal`` for type A, ``to_vertex`` for B and D):
-    the same adjacency, and the colored rotation as the model's."""
+    its bijection (``polygon.checked_complex``): the same adjacency, and
+    the colored rotation as the model's."""
     if isinstance(model, TypeAModel):
-        items, adj = noncrossing_graph(model.n, model.m)
-        to_model = model.to_diagonal
-        rotate = partial(rotate_diag, N=model.N)
+        items, rotate = model.diagonals, partial(rotate_diag, N=model.N)
     else:
-        items, adj, to_model = model.vertices, model.adj, model.to_vertex
-        rotate = model.rotate_vertex
-    cx = CliqueComplex([model.rs], model.m)
+        items, rotate = model.vertices, model.rotate_vertex
+    try:
+        cx, image = checked_complex(model)
+    except AmbiguousOrbit as e:
+        checks += [_check(f"model-iso {label}", False, str(e)), _check(f"model-rotation {label}", False)]
+        return
+    checks.append(_check(f"model-iso {label}", True))
     index = {x: i for i, x in enumerate(items)}
-    image = [index[to_model[v]] for v in cx.vertices]
-    pulled = [sum(1 << b for b, j in enumerate(image) if adj[i] >> j & 1) for i in image]
-    mismatches = sum((x ^ y).bit_count() for x, y in zip(cx.adj, pulled)) // 2
-    checks.append(
-        _check(f"model-iso {label}", mismatches == 0, f"{mismatches} pair mismatches")
-    )
     rot_ok = all(
         image[cx.rotate_vertex(a)] == index[rotate(items[i])]
         for a, i in enumerate(image)
@@ -202,7 +198,7 @@ def suite_models(max_rank: int = 4, max_m: int = 3) -> list[Check]:
     for n in range(1, min(4, max_rank) + 1):
         for m in range(1, min(3, max_m) + 1):
             want = [f_k_closed(TypeInfo("A", n), k)(m) for k in range(n + 1)]
-            got = dissection_face_counts(n, m)
+            got = checked_complex(TypeAModel(n, m))[0].survey.counts
             checks.append(
                 _check(f"dissection-counts A{n} m={m}", got == want, f"{got} vs {want}")
             )

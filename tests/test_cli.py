@@ -169,6 +169,67 @@ def test_dissect_a(capsys):
     assert data["noncrossing_subset_counts"] == [1, 8, 12]
 
 
+def test_dissect_a11_counts_equal_the_closed_form(capsys):
+    from ccx.formulas import f_k_closed
+
+    code, out, _ = run_cli(capsys, "dissect", "--family", "A", "-n", "11", "-m", "1")
+    data = json.loads(out)
+    assert code == 0 and data["allowable_diagonals"] == 77 and data["polygon"] == 14
+    want = [f_k_closed(TypeInfo("A", 11), k)(1) for k in range(12)]
+    assert data["noncrossing_subset_counts"] == want
+
+
+@pytest.mark.parametrize("family,n,m", [("A", 3, 2), ("B", 3, 2), ("D", 4, 2)])
+def test_dissect_refuses_a_tampered_bijection(capsys, monkeypatch, family, n, m):
+    """Swapping the images of -alpha_1 and alpha_1 (color 1) keeps the map
+    one-to-one, but the model's adjacency no longer pulls back to the
+    complex's, so the counts are not read: exit 1, internal-error."""
+    from ccx.gcc import ColoredRoot
+    from ccx.polygon import TypeAModel, TypeBModel, TypeDModel
+
+    cls = {"A": TypeAModel, "B": TypeBModel, "D": TypeDModel}[family]
+    attr = "to_diagonal" if family == "A" else "to_vertex"
+    real = cls.__init__
+
+    def tampered(self, *args):
+        real(self, *args)
+        images = dict(getattr(self, attr))
+        u, v = ColoredRoot(0, 0, 1), ColoredRoot(0, n, 1)
+        images[u], images[v] = images[v], images[u]
+        setattr(self, attr, images)
+
+    argv = ("dissect", "--family", family, "-n", str(n), "-m", str(m))
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cls, "__init__", tampered)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "internal-error" and "pair mismatches" in error["message"]
+    for emit in ("json", "text"):
+        assert run_cli(capsys, *argv, "--emit", emit)[0] == 1
+
+
+@pytest.mark.parametrize("family,n,m", [("A", 6, 2), ("B", 4, 2), ("D", 5, 2)])
+def test_dissect_surveys_no_graph_as_large_as_the_model(capsys, monkeypatch, family, n, m):
+    """The counts come from the parabolic survey of the complex, which
+    enumerates cliques on its rank-1 leaves only, each an A1 of m + 1
+    vertices; the model graph itself is never surveyed."""
+    from ccx import gcc
+
+    sizes: list[int] = []
+    real = gcc.clique_survey
+
+    def counting(adj, top, marked=0):
+        sizes.append(len(adj))
+        return real(adj, top, marked)
+
+    monkeypatch.setattr(gcc, "clique_survey", counting)
+    code, out, _ = run_cli(capsys, "dissect", "--family", family, "-n", str(n), "-m", str(m))
+    data = json.loads(out)
+    V = data["allowable_diagonals" if family == "A" else "model_vertices"]
+    assert code == 0 and set(sizes) == {m + 1} and m + 1 < V
+
+
 def test_dissect_svg(capsys):
     code, out, _ = run_cli(
         capsys, "dissect", "--family", "D", "-n", "3", "-m", "2", "--emit", "svg"

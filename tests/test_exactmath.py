@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from decimal import Decimal
 from math import cos, gcd, isqrt, pi, prod
 
 import pytest
@@ -12,6 +13,8 @@ from ccx.exactmath import (
     Poly,
     RatFun,
     binomial_poly,
+    format_fraction,
+    format_integer,
     frac_sum,
     minpoly_2cos,
     poly_divide_exact,
@@ -511,3 +514,33 @@ def test_yun_runs_only_without_a_certifying_prime(monkeypatch):
     assert calls == []
     assert rational_roots(_times(p, F(-2, 3))).rational == ((F(-2, 3), 2),)
     assert len(calls) == 1
+
+
+# 10^5000 + 3 over 10^4999 + 1, in lowest terms (10^4999 + 1 is 4 mod 7):
+# each side has about 5000 digits, over the 4300 that ``str`` prints
+BIG_NUM, BIG_DEN = 10**5000 + 3, 10**4999 + 1
+BIG_NUM_TEXT, BIG_DEN_TEXT = "1" + "0" * 4999 + "3", "1" + "0" * 4998 + "1"
+
+
+def test_format_integer_prints_any_size():
+    import sys
+
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        with pytest.raises(ValueError):
+            str(BIG_NUM)
+    assert format_integer(BIG_NUM) == BIG_NUM_TEXT
+    assert format_integer(-BIG_DEN) == "-" + BIG_DEN_TEXT
+    for n in (0, 7, -12, 2**13_999, -(2**14_000), 10**4300):
+        text = format_integer(n)
+        assert text.lstrip("-").isdigit() and text.count("-") == (n < 0)
+        assert Decimal(text) == n
+    assert format_integer(2**13_999) == str(2**13_999)  # the fast path
+
+
+def test_format_fraction_prints_any_size():
+    q = F(BIG_NUM, BIG_DEN)
+    assert (q.numerator, q.denominator) == (BIG_NUM, BIG_DEN)
+    assert format_fraction(q) == f"{BIG_NUM_TEXT}/{BIG_DEN_TEXT}"
+    assert format_fraction(-q) == f"-{BIG_NUM_TEXT}/{BIG_DEN_TEXT}"
+    assert format_fraction(F(BIG_NUM)) == BIG_NUM_TEXT
+    assert [format_fraction(x) for x in (F(-3, 4), F(5), 7)] == ["-3/4", "5", "7"]

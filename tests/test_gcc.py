@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,10 @@ from ccx.gcc import (
     build_complex,
     clique_survey,
     colored_ground_set,
-    compatibility_masks,
     iter_cliques,
     link_decomposition_check,
-    orbit_survey,
     rotate_colored,
 )
-from ccx.polygon import TypeDModel
 from ccx.rootsys import LookupMiss, RootSystem
 
 
@@ -318,6 +316,17 @@ def pair_compatible(rs: RootSystem, a: int, b: int) -> bool:
     raise AssertionError("no negative simple reached within one period")
 
 
+def compatibility_masks(items, compatible) -> list[int]:
+    """Bitmask adjacency of a symmetric relation: bit j of entry i is
+    set when ``compatible(items[i], items[j])`` holds."""
+    adj = [0] * len(items)
+    for i, j in itertools.combinations(range(len(items)), 2):
+        if compatible(items[i], items[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
 def five_case_adjacency(cx: CliqueComplex) -> list[int]:
     """Colored compatibility on the vertices of ``cx`` by the five-case
     rule over the color comparison and the rotation depths: a test
@@ -373,6 +382,18 @@ def test_clique_survey_matches_brute_force(graph):
     adj, marked = graph
     for top in range(len(adj) + 2):
         assert clique_survey(adj, top, marked) == brute_survey(adj, top, marked)
+
+
+def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> CliqueSurvey:
+    """``clique_survey(adj, top, marked)`` from vertex links only:
+    ``check_automorphism``, then ``orbit_frame`` on every vertex."""
+    gcc.check_automorphism(adj, turn)
+
+    def link_survey(i: int, below: int) -> CliqueSurvey:
+        link, marks = gcc._induced(adj, adj[i], below)
+        return clique_survey(link, top - 1, marks)
+
+    return gcc.orbit_frame(adj, (1 << len(adj)) - 1, top, marked, turn, link_survey)
 
 
 @pytest.mark.parametrize(
@@ -545,6 +566,51 @@ def test_colored_rows_refuse_a_rotation_with_two_images_swapped(monkeypatch, spe
         CliqueComplex([rs], 1)
 
 
+@pytest.mark.parametrize("spec,m", [("A2", 2), ("A3", 1), ("B2", 2), ("A3", 2), ("B3", 1),
+                                    ("G2", 2), ("A4", 1), ("D4", 1)])
+def test_colored_rotation_with_any_two_images_swapped_builds_no_wrong_graph(monkeypatch, spec, m):
+    """Each swap of two images of R_m either raises or, where the swap
+    leaves the rows unchanged, builds the right graph.  The row checks
+    alone pass nine wrong tables here; the order check refuses them."""
+    rs = RootSystem(parse_diagram(spec))
+    right = CliqueComplex([rs], m).adj
+    real = gcc.rotate_colored
+    refused = 0
+    for u, v in itertools.combinations(colored_ground_set([rs], m), 2):
+        def swapped(rs, w, m, u=u, v=v):
+            return real(rs, v if w == u else u if w == v else w, m)
+
+        monkeypatch.setattr(gcc, "rotate_colored", swapped)
+        try:
+            cx = CliqueComplex([rs], m)
+        except LookupMiss:
+            refused += 1
+            continue
+        assert cx.adj == right, f"the swap of the images of {u} and {v} built a wrong graph"
+    assert refused
+
+
+@pytest.mark.parametrize("spec,ms", [(s, (1, 2, 3)) for s in (
+    "A1", "A2", "A3", "A4", "B2", "B3", "G2", "D4", "D5", "E6", "E7", "F4", "H3", "H4", "I2(5)")]
+    + [("E8", (1, 2)), ("n=5; 1-2:3 4-5:5", (1, 2))])
+def test_colored_rotation_has_the_order_the_paper_gives(spec, ms):
+    """(mh+2)/2 when w0 = -1, mh+2 otherwise: ``CliqueComplex`` checks it
+    on each component, so a build that does not raise has these orders."""
+    for m in ms:
+        cx = build_complex(parse_diagram(spec), m)
+        for c, rs in enumerate(cx.systems):
+            want = (m * rs.h + 2) // (2 if rs.classification.minus_one_longest else 1)
+            orbits = [o for o in _orbits(cx.turn) if cx.vertices[o[0]].comp == c]
+            assert math.lcm(*map(len, orbits)) == want
+
+
+def test_colored_rows_refuse_a_rotation_of_the_wrong_order(monkeypatch):
+    rs = RootSystem(parse_diagram("A2"))
+    monkeypatch.setattr(rs, "h", 4)
+    with pytest.raises(LookupMiss, match="R_1 has order 5 on A2, not 6"):
+        CliqueComplex([rs], 1)
+
+
 @pytest.mark.parametrize("spec,m,check", [("A2", 1, "arrives"), ("B2", 2, "not symmetric")])
 def test_colored_rows_refuse_a_tampered_negative_simple_row(spec, m, check):
     rs = RootSystem(parse_diagram(spec))
@@ -658,17 +724,6 @@ def test_join_survey_matches_the_survey_of_the_join(parts):
 def test_join_survey_refuses_an_impure_part():
     with pytest.raises(ValueError, match="impure"):
         gcc.join_survey([clique_survey([0b10, 0b01, 0], 2)])
-
-
-def test_model_face_count_runs_one_link_per_orbit(monkeypatch):
-    model = TypeDModel(5, 3)
-    index = {v: i for i, v in enumerate(model.vertices)}
-    orbits = _orbits([index[model.rotate_vertex(v)] for v in model.vertices])
-    calls = _counting_kernel(monkeypatch)
-    fv = model.f_vector()
-    assert len(calls) == len(orbits) < len(model.vertices)
-    assert all(len(adj) < len(model.vertices) for adj in calls)
-    assert fv == clique_counts(model.adj, model.n)
 
 
 def test_rotate_vertex_refuses_m_zero(monkeypatch):

@@ -165,6 +165,19 @@ def test_irrational_exponents_next_to_a_rational_one_are_reported():
     assert ex.approx == (ex.residual_approx[0], 1.0, ex.residual_approx[1])
 
 
+def test_method_json_prints_an_h_over_the_str_limit():
+    """An h whose numerator and denominator each have about 5000 digits
+    goes through JSON and back exactly."""
+    import json
+    from decimal import Decimal
+
+    h = F(10**5000 + 3, 10**4999 + 1)
+    text = json.loads(json.dumps(_method_json(MethodResult(status="ok", h=h))))["h"]
+    assert text == "1" + "0" * 4999 + "3/1" + "0" * 4998 + "1"
+    num, den = text.split("/")
+    assert F(int(Decimal(num)), int(Decimal(den))) == h
+
+
 def test_fake_b3_fractional():
     rep = compute_all(parse_diagram("~B3"))
     for res in rep.methods.values():

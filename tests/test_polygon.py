@@ -10,7 +10,6 @@ from ccx.gcc import (
     CliqueComplex,
     check_face_budget,
     colored_ground_set,
-    iter_cliques,
     rotate_colored,
 )
 from ccx.polygon import (
@@ -18,11 +17,8 @@ from ccx.polygon import (
     TypeBModel,
     TypeDModel,
     allowable_diagonals,
-    crossing,
-    dissection_face_counts,
     is_allowable,
     m_snake,
-    noncrossing_graph,
     render_svg,
     rotate_diag,
 )
@@ -32,13 +28,31 @@ from ccx.polygon import (
 # graph they check.
 
 
+def crossing(d1, d2) -> bool:
+    """True when the chords meet in the interior (shared endpoints don't)."""
+    a, b = d1
+    c, d = d2
+    if len({a, b, c, d}) < 4:
+        return False
+    return (a < c < b) != (a < d < b)
+
+
 def ground_set(model):
     return colored_ground_set([model.rs], model.m)
 
 
+def vertex_compatible(model, v1, v2) -> bool:
+    """Compatibility of two B/D model vertices, chord by chord: no chord
+    of one crosses a chord of the other, except that two D diameters
+    follow the flavor rule."""
+    if isinstance(model, TypeDModel) and v1.kind == v2.kind == "diam":
+        return model.diameters_compatible(v1, v2)
+    return not any(crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords)
+
+
 def model_compatible(model, u, v) -> bool:
     """Compatibility of two colored roots read through a B/D model."""
-    return model.compatible(model.to_vertex[u], model.to_vertex[v])
+    return vertex_compatible(model, model.to_vertex[u], model.to_vertex[v])
 
 
 def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
@@ -52,7 +66,7 @@ def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
             "gray" if bits >> t & 1 else "dashed" for t in range(len(positions))
         )
         verts = [model._diameter(p, f) for p, f in zip(positions, flavors)]
-        if all(model.compatible(u, v) for u, v in itertools.combinations(verts, 2)):
+        if all(vertex_compatible(model, u, v) for u, v in itertools.combinations(verts, 2)):
             out.append(flavors)
     return out
 
@@ -64,18 +78,28 @@ def diameter_gap_condition(n: int, m: int, positions) -> bool:
     return all(a[t + 1] - a[t] <= m for t in range(len(a) - 1))
 
 
+def cliques_by_brute_force(adj: list[int], k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of vertices that ``adj`` makes pairwise adjacent,
+    from every k-subset in lexicographic order."""
+    return [
+        c
+        for c in itertools.combinations(range(len(adj)), k)
+        if all(adj[a] >> b & 1 for a, b in itertools.combinations(c, 2))
+    ]
+
+
 def count_dissection_faces(n: int, m: int, k: int) -> int:
-    """Count of non-crossing k-subsets of allowable diagonals; there are
-    none above k = n."""
-    counts = dissection_face_counts(n, m)
-    return counts[k] if k < len(counts) else 0
+    """Count of non-crossing k-subsets of allowable diagonals, by brute
+    force on the type-A model's adjacency; there are none above k = n."""
+    return len(cliques_by_brute_force(TypeAModel(n, m).adj, k))
 
 
 def dissection_facets(n: int, m: int):
     """The maximal dissections: non-crossing n-subsets of allowable
-    diagonals, in lexicographic diagonal order."""
-    diags, adj = noncrossing_graph(n, m)
-    return [tuple(diags[i] for i in c) for c in iter_cliques(adj, n)]
+    diagonals, in lexicographic diagonal order, by brute force on the
+    type-A model's adjacency."""
+    model = TypeAModel(n, m)
+    return [tuple(model.diagonals[i] for i in c) for c in cliques_by_brute_force(model.adj, n)]
 
 
 def test_crossing_predicate():
@@ -124,11 +148,48 @@ def test_type_a_bijection_is_isomorphism(n, m):
     assert len(gs) == len(model.diagonals)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model.compatible(u, v)
+        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == (
+            not crossing(model.to_diagonal[u], model.to_diagonal[v])
+        )
     for v in gs:
         assert model.to_diagonal[rotate_colored(model.rs, v, m)] == rotate_diag(
             model.to_diagonal[v], model.N
         )
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (3, 1), (3, 2), (4, 3), (6, 2)])
+def test_type_a_adjacency_is_non_crossing(n, m):
+    model = TypeAModel(n, m)
+    diags = model.diagonals
+    assert len(model.adj) == len(diags)
+    for i, j in itertools.product(range(len(diags)), repeat=2):
+        assert bool(model.adj[i] >> j & 1) == (i != j and not crossing(diags[i], diags[j]))
+
+
+@pytest.mark.parametrize("cls,n,m", [(TypeBModel, 2, 3), (TypeBModel, 4, 2), (TypeDModel, 3, 2),
+                                     (TypeDModel, 5, 3), (TypeDModel, 6, 1)])
+def test_symmetric_model_adjacency_is_its_compatibility(cls, n, m):
+    """The crossing masks and the diameter flavor rule give the relation
+    stated chord by chord."""
+    model = cls(n, m)
+    verts = model.vertices
+    for i, j in itertools.product(range(len(verts)), repeat=2):
+        want = i != j and vertex_compatible(model, verts[i], verts[j])
+        assert bool(model.adj[i] >> j & 1) == want
+
+
+def test_type_a_root_diagonal_agrees_with_the_bijection():
+    model = TypeAModel(4, 3)
+    for v, d in model.to_diagonal.items():
+        if v.root >= model.n:
+            supp = model.rs.support_masks[v.root]
+            lo, hi = (supp & -supp).bit_length(), supp.bit_length()
+            assert model.root_diagonal(lo, hi, v.color) == d
+
+
+def test_type_a_model_inside_b_and_d_builds_no_root_system_or_adjacency():
+    for model in (TypeBModel(3, 2), TypeDModel(4, 2)):
+        assert {"rs", "to_diagonal", "adj"}.isdisjoint(vars(model.amodel))
 
 
 def test_type_a_negative_simples_map_to_snake():
@@ -193,7 +254,7 @@ def test_type_d_same_position_opposite_flavors_compatible():
     diams = [v for v in model.vertices if v.kind == "diam"]
     for v1, v2 in itertools.combinations(diams, 2):
         if v1.position == v2.position:
-            assert model.compatible(v1, v2) == (v1.flavor != v2.flavor)
+            assert vertex_compatible(model, v1, v2) == (v1.flavor != v2.flavor)
 
 
 def test_type_d_gray_primary_facet_count():
