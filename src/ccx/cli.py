@@ -24,10 +24,10 @@ from .formulas import (
 from .exactmath import format_fraction
 from .gcc import (
     BudgetExceeded,
+    MalformedBudget,
     build_complex,
+    check_budget,
     check_color_count,
-    check_face_budget,
-    enumeration_budget,
     iter_cliques,
 )
 from .invariants import METHOD_ALIASES, compute_all
@@ -70,11 +70,7 @@ def _load_diagram(args) -> CoxeterDiagram:
 
 def cmd_complex(args) -> int:
     G = _load_diagram(args)
-    try:
-        budget = enumeration_budget()
-    except InputError as e:
-        raise DomainError("usage", str(e))
-    cx = build_complex(G, args.m, budget)
+    cx = build_complex(G, args.m)
     fv = cx.f_vector()
     payload = {
         "diagram": G.to_spec(),
@@ -135,13 +131,13 @@ def cmd_fvector(args) -> int:
 
 def cmd_dissect(args) -> int:
     n, m = args.n, args.m
-    if n >= 1 and m >= 1:  # otherwise the model rejects the parameters
-        check_face_budget([TypeInfo(args.family, n)], m)
+    model_cls = {"A": TypeAModel, "B": TypeBModel, "D": TypeDModel}[args.family]
+    if n >= model_cls.min_rank and m >= 1:  # otherwise the model refuses the parameters
+        check_budget([TypeInfo(args.family, n)], m)
     if args.family == "A":
         model = TypeAModel(n, m)
         styled = [[(d, "plain")] for d in model.diagonals]
     else:
-        model_cls = {"B": TypeBModel, "D": TypeDModel}[args.family]
         try:
             model = model_cls(n, m)
         except InputError as e:
@@ -254,11 +250,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as e:
         kind, message = e.kind, str(e)
-    except BudgetExceeded as e:
-        kind, message = "budget", str(e)
     except InputError as e:
-        kind = "not-finite-type" if isinstance(e, NotFiniteType) else "domain-error"
-        message = str(e)
+        kinds = {BudgetExceeded: "budget", MalformedBudget: "usage", NotFiniteType: "not-finite-type"}
+        kind, message = kinds.get(type(e), "domain-error"), str(e)
     except (LookupMiss, AmbiguousOrbit, AssertionError, ValueError) as e:
         # a failed internal check (a root-system invariant, a polygon
         # bijection, root reassembly) or any other ValueError: a bug

@@ -25,9 +25,10 @@ each surveyed by the same recursion and combined by ``join_survey``.
 Every count is still an enumeration of the compatibility graph, with
 each rotation and each join checked exactly on it; neither the closed
 forms nor the face recurrence is read.  ``iter_cliques`` lists facets
-for ``--facets`` and svg output.  ``check_face_budget`` refuses, before
-anything is built, a complex or model whose face count by the closed
-forms exceeds ``FACE_BUDGET``.
+for ``--facets`` and svg output.  ``check_budget`` refuses, from the
+classification alone and before anything is built, a complex or polygon
+model over ``FACE_BUDGET`` faces or over ``CCX_BUDGET`` colored
+almost-positive roots.
 """
 
 from __future__ import annotations
@@ -53,29 +54,31 @@ class BudgetExceeded(InputError):
     pass
 
 
+class MalformedBudget(InputError):
+    """``CCX_BUDGET`` is set to something other than an integer."""
+
+
 class ColoredRoot(NamedTuple):
     comp: int   # irreducible component index
     root: int   # root id within that component's RootSystem
     color: int  # 1..m (always 1 for negative simples)
 
 
-def enumeration_budget(default: int = 2000) -> int:
+def check_budget(infos: list[TypeInfo], m: int) -> None:
+    """Refuse a complex over budget from its irreducible components
+    ``infos`` alone, before any root system or model is built.
+
+    First the faces: the product over the components of the sum of their
+    closed-form f_k(m), summed by increasing k and stopped once the
+    product passes ``FACE_BUDGET``, so the refusal gives the count reached
+    by then.  Then the colored almost-positive roots, n + max(m, 1) * nh/2
+    per component, against ``CCX_BUDGET`` (2000 when unset): the vertices
+    for m >= 1, and at m = 0 the roots of the systems still built."""
     raw = os.environ.get("CCX_BUDGET")
-    if not raw:
-        return default
     try:
-        return int(raw)
+        cap = int(raw) if raw else 2000
     except ValueError:
-        raise InputError(f"CCX_BUDGET must be an integer, got {raw!r}") from None
-
-
-def check_face_budget(infos: list[TypeInfo], m: int) -> None:
-    """Refuse a complex whose face count exceeds FACE_BUDGET before any
-    face is enumerated.  The count comes from the closed forms: the
-    product over the irreducible components (``infos``) of the sum of
-    their f_k(m), m >= 0.  The sums run by increasing k and stop once
-    the product passes the budget, so a large rank costs a few terms,
-    and the refusal gives the count reached by then."""
+        raise MalformedBudget(f"CCX_BUDGET must be an integer, got {raw!r}") from None
     faces = 1
     for info in infos:
         total = 0
@@ -86,6 +89,10 @@ def check_face_budget(infos: list[TypeInfo], m: int) -> None:
                     f"at least {faces * total} faces predicted, over the budget of {FACE_BUDGET}"
                 )
         faces *= total
+    roots = sum(info.n + max(m, 1) * info.n * info.h // 2 for info in infos)
+    if roots > cap:
+        counted = "vertices" if m else "almost-positive roots"
+        raise BudgetExceeded(f"{roots} {counted} exceed budget {cap}")
 
 
 class CliqueSurvey(NamedTuple):
@@ -192,16 +199,11 @@ def _induced(adj: list[int], within: int, marked: int) -> tuple[list[int], int]:
     return [_image(adj[v] & within, index) for v in index], _image(marked & within, index)
 
 
-def check_automorphism(adj: list[int], turn, within: int | None = None) -> None:
-    """Raise ``ValueError`` unless ``turn`` permutes the vertex mask
-    ``within`` (every vertex of ``adj`` by default; then ``turn`` is a
-    list, else a list or a dict over ``within``) and maps each edge among
-    them to an edge.  A permutation maps the edges one-to-one, so onto
+def check_automorphism(adj: list[int], turn, within: int) -> None:
+    """Raise ``ValueError`` unless ``turn``, a list or a dict over the
+    vertex mask ``within``, permutes it and maps each edge among them to
+    an edge.  A permutation maps the edges one-to-one, so onto
     themselves, so it maps non-edges to non-edges as well."""
-    if within is None:
-        if len(turn) != len(adj):
-            raise ValueError("the turn is not a permutation of the vertices")
-        within = (1 << len(adj)) - 1
     verts = _bits(within)
     if sorted(turn[v] for v in verts) != verts:
         raise ValueError("the turn is not a permutation of the vertices")
@@ -372,16 +374,11 @@ class CliqueComplex:
     table on positions, None at m = 0, where R_m is not defined.
     """
 
-    def __init__(self, systems: list[RootSystem], m: int, budget: int | None = None):
+    def __init__(self, systems: list[RootSystem], m: int):
         self.systems = systems
         self.m = m
         self.n = sum(rs.n for rs in systems)
         self.vertices = colored_ground_set(systems, m)
-        cap = budget if budget is not None else enumeration_budget()
-        if len(self.vertices) > cap:
-            raise BudgetExceeded(
-                f"{len(self.vertices)} vertices exceed budget {cap}"
-            )
         self.pos = {v: i for i, v in enumerate(self.vertices)}
         self.turn = [self.pos[rotate_colored(systems[v.comp], v, m)]
                      for v in self.vertices] if m else None
@@ -532,15 +529,16 @@ class CliqueComplex:
         return out
 
 
-def build_complex(G: CoxeterDiagram, m: int, budget: int | None = None) -> CliqueComplex:
-    """Complex of the (possibly reducible) finite-type diagram G."""
+def build_complex(G: CoxeterDiagram, m: int) -> CliqueComplex:
+    """Complex of the (possibly reducible) finite-type diagram G, within
+    the budget."""
     cls = classify(G)
     if not cls.is_finite:
         raise NotFiniteType(f"{G.to_spec()} is not of finite type")
     check_color_count(m)
-    check_face_budget([p.info for p in cls.components or (cls,) if p.info is not None], m)
+    check_budget([p.info for p in cls.components or (cls,) if p.info is not None], m)
     systems = [RootSystem(c) for c in connected_components(G)]
-    return CliqueComplex(systems, m, budget=budget)
+    return CliqueComplex(systems, m)
 
 
 def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:

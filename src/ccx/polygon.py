@@ -19,7 +19,6 @@ descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -103,6 +102,8 @@ class TypeAModel:
     first read, so the model inside a B or D model builds none of them.
     """
 
+    min_rank = 1
+
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         self.N = (n + 1) * m + 2
@@ -182,8 +183,11 @@ class _SymmetricModel:
     """
 
     family: str  # "B" | "D"
+    min_rank: int
 
     def __init__(self, n: int, m: int, a_rank: int):
+        if n < self.min_rank:
+            raise InputError(f"type {self.family} model needs n >= {self.min_rank}")
         self.n, self.m = n, m
         self.amodel = TypeAModel(a_rank, m)
         self.N = self.amodel.N
@@ -247,10 +251,9 @@ class TypeBModel(_SymmetricModel):
     with plain diameters."""
 
     family = "B"
+    min_rank = 2
 
     def __init__(self, n: int, m: int):
-        if n < 2:
-            raise InputError("type B model needs n >= 2")
         super().__init__(n, m, 2 * n - 1)
 
     def _diameters(self) -> list[Vertex]:
@@ -287,10 +290,9 @@ class TypeDModel(_SymmetricModel):
     """
 
     family = "D"
+    min_rank = 3
 
     def __init__(self, n: int, m: int):
-        if n < 3:
-            raise InputError("type D model needs n >= 3")
         super().__init__(n, m, 2 * n - 3)
 
     def _turn(self) -> int:
@@ -380,13 +382,13 @@ def checked_complex(model) -> tuple[CliqueComplex, list[int]]:
     its vertices, checked: the model's map (``to_diagonal`` for type A,
     ``to_vertex`` for B and D) must be one-to-one onto the model and pull
     the model's adjacency back to ``cx.adj`` edge for edge, else
-    ``AmbiguousOrbit``.  The face budget, checked before the model is
-    built, is its one budget."""
+    ``AmbiguousOrbit``.  ``ccx dissect`` checks the budget of ``ccx
+    complex`` before it builds the model."""
     if isinstance(model, TypeAModel):
         items, to_model = model.diagonals, model.to_diagonal
     else:
         items, to_model = model.vertices, model.to_vertex
-    cx = CliqueComplex([model.rs], model.m, budget=math.inf)
+    cx = CliqueComplex([model.rs], model.m)
     index = {x: i for i, x in enumerate(items)}
     image = [index.get(to_model.get(v), -1) for v in cx.vertices]
     if sorted(image) != list(range(len(items))):

@@ -124,9 +124,7 @@ class RootSystem:
     def _build_roots(self):
         n = self.n
         self.h = int(self.classification.coxeter_number)
-        expected, budget = n * self.h // 2, max(60 * n, 40)
-        if expected > budget:
-            raise NotFiniteType(f"root closure exceeded {budget} roots")
+        expected = n * self.h // 2
         simple = [tuple(self.integer(int(j == i)) for j in range(n)) for i in range(n)]
         pos, flt = list(simple), [tuple(float(j == i) for j in range(n)) for i in range(n)]
         index = {root: k for k, root in enumerate(pos)}

@@ -71,10 +71,10 @@ def test_face_budget_refuses_before_enumerating(capsys, argv, faces):
     assert FACE_BUDGET < predicted <= (faces or predicted)
 
 
-def test_dissect_face_budget_is_the_one_budget(capsys):
-    """Type-A dissections have no cap on their diagonals: A4 m=4, with
-    44, counts its faces as the closed forms do, and an input is refused
-    only over the face budget."""
+def test_dissect_counts_a4_m4_and_refuses_a12_m1(capsys):
+    """A4 m=4, with 44 allowable diagonals, counts its faces as the
+    closed forms do, and A12 m=1, with 7.1e7 faces, is refused by the
+    face budget."""
     from ccx.formulas import f_k_closed
 
     code, out, err = run_cli(capsys, "dissect", "--family", "A", "-n", "4", "-m", "4")
@@ -91,12 +91,101 @@ def test_dissect_face_budget_is_the_one_budget(capsys):
 
 @pytest.mark.parametrize("family,n,m", [("E8", 8, 2), ("B", 8, 2)])
 def test_face_budget_admits_the_largest_measured_complexes(family, n, m):
-    from ccx.gcc import FACE_BUDGET, check_face_budget
+    from ccx.gcc import FACE_BUDGET, check_budget
     from ccx.formulas import f_k_closed
 
     info = TypeInfo(family, n)
     assert sum(f_k_closed(info, k)(m) for k in range(n + 1)) < FACE_BUDGET
-    check_face_budget([info], m)
+    check_budget([info], m)
+
+
+def test_complex_i2_200_has_no_root_cap(capsys):
+    code, out, err = run_cli(capsys, "complex", "--type", "I2(200)", "-m", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["f_vector"] == [1, 202, 202]
+
+
+class Built(Exception):
+    """Raised by a stubbed constructor: the command went past its budget."""
+
+
+def refuse_to_build(monkeypatch, *classes):
+    """Make each class's constructor raise ``Built``."""
+
+    def stub(self, *args, **kwargs):
+        raise Built(type(self).__name__)
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", stub)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_complex_refuses_i2_20000_before_any_root_system(capsys, monkeypatch, m):
+    """I2(20000) has 20 002 almost-positive roots, over ``CCX_BUDGET``
+    at m = 0 too, and its root system is never built."""
+    from ccx.rootsys import RootSystem
+
+    refuse_to_build(monkeypatch, RootSystem)
+    code, out, err = run_cli(capsys, "complex", "--type", "I2(20000)", "-m", str(m))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "budget"
+
+
+@pytest.mark.parametrize("family,n", [("A", 1), ("B", 2)])
+def test_dissect_refuses_over_the_vertex_budget_before_any_diagonal(capsys, monkeypatch,
+                                                                     family, n):
+    from ccx import polygon
+
+    def allowable_diagonals(n, m):
+        raise Built("allowable_diagonals")
+
+    monkeypatch.setattr(polygon, "allowable_diagonals", allowable_diagonals)
+    code, out, err = run_cli(capsys, "dissect", "--family", family, "-n", str(n), "-m", "2000")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "budget"
+
+
+def test_dissect_and_complex_refuse_the_same_inputs(capsys, monkeypatch):
+    """``ccx dissect --family F -n n -m m`` is refused for its budget
+    exactly when ``ccx complex --type Fn -m m`` is; with every model and
+    root system constructor stubbed, neither command builds anything.
+    An input either refuses for another reason (B1, D1, D2) is refused
+    by neither for its budget."""
+    from ccx.polygon import TypeAModel, TypeBModel, TypeDModel
+    from ccx.rootsys import RootSystem
+
+    refuse_to_build(monkeypatch, TypeAModel, TypeBModel, TypeDModel, RootSystem)
+
+    def over_budget(*argv) -> bool:
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except Built:
+            return False
+        assert code == 1 and out == ""
+        return json.loads(err)["error"] == "budget"
+
+    refused = set()
+    for family in "ABD":
+        for n in range(1, 9):
+            for m in (1, 3, 250, 700, 2000):
+                dissect = over_budget("dissect", "--family", family, "-n", str(n), "-m", str(m))
+                complex_ = over_budget("complex", "--type", f"{family}{n}", "-m", str(m))
+                assert dissect == complex_, (family, n, m)
+                if dissect:
+                    refused.add((family, n, m))
+    # over the vertex budget, over the face budget, and within both
+    assert {("A", 1, 2000), ("A", 2, 700), ("B", 2, 700), ("A", 3, 250), ("D", 8, 3)} <= refused
+    assert not {("A", 1, 700), ("B", 2, 250), ("A", 8, 3), ("D", 8, 1), ("B", 1, 2000)} & refused
+
+
+def test_dissect_malformed_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CCX_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "dissect", "--family", "B", "-n", "2", "-m", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "usage",
+        "message": "CCX_BUDGET must be an integer, got 'abc'",
+    }
 
 
 def test_complex_malformed_budget(capsys, monkeypatch):

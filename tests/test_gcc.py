@@ -209,9 +209,19 @@ def test_colored_restriction_all_parabolics(name, m):
                 assert edge(sub, su, sv) == edge(cx, parent[su], parent[sv]), (name, J, su, sv)
 
 
-def test_budget():
-    with pytest.raises(BudgetExceeded):
-        build_complex(parse_diagram("A2"), 2, budget=5)
+def test_budget(monkeypatch):
+    """``CCX_BUDGET`` bounds the vertices for m >= 1, and the
+    almost-positive roots at m = 0: A2 has 2 + 2 * 3 vertices at m = 2,
+    and 2 + 3 roots."""
+    monkeypatch.setenv("CCX_BUDGET", "8")
+    assert build_complex(parse_diagram("A2"), 2).num_vertices() == 8
+    monkeypatch.setenv("CCX_BUDGET", "5")
+    with pytest.raises(BudgetExceeded, match="^8 vertices exceed budget 5$"):
+        build_complex(parse_diagram("A2"), 2)
+    assert build_complex(parse_diagram("A2"), 0).num_vertices() == 2
+    monkeypatch.setenv("CCX_BUDGET", "4")
+    with pytest.raises(BudgetExceeded, match="^5 almost-positive roots exceed budget 4$"):
+        build_complex(parse_diagram("A2"), 0)
 
 
 def test_budget_env_override(monkeypatch):
@@ -386,8 +396,10 @@ def test_clique_survey_matches_brute_force(graph):
 
 def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> CliqueSurvey:
     """``clique_survey(adj, top, marked)`` from vertex links only:
-    ``check_automorphism``, then ``orbit_frame`` on every vertex."""
-    gcc.check_automorphism(adj, turn)
+    ``check_automorphism`` on every vertex, then ``orbit_frame``."""
+    if len(turn) != len(adj):
+        raise ValueError("the turn is not a permutation of the vertices")
+    gcc.check_automorphism(adj, turn, (1 << len(adj)) - 1)
 
     def link_survey(i: int, below: int) -> CliqueSurvey:
         link, marks = gcc._induced(adj, adj[i], below)

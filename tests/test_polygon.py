@@ -8,7 +8,7 @@ from ccx.formulas import TypeInfo, N_product, f_k_closed
 from ccx.gcc import (
     BudgetExceeded,
     CliqueComplex,
-    check_face_budget,
+    check_budget,
     colored_ground_set,
     rotate_colored,
 )
@@ -325,13 +325,13 @@ def test_dissection_counts():
 
 
 def test_dissection_budget():
-    """The face budget of the closed forms is the one budget on type-A
-    dissections: A6 m=4, with 90 allowable diagonals, is counted, and
-    A12 m=1, with 7.1e7 faces, is refused."""
+    """Type-A dissections read the budget of ``ccx complex``: A6 m=4,
+    with 90 allowable diagonals, is counted, and A12 m=1, with 7.1e7
+    faces, is refused by the face budget."""
     assert count_dissection_faces(6, 4, 2) == f_k_closed(TypeInfo("A", 6), 2)(4)
-    check_face_budget([TypeInfo("A", 6)], 4)
-    with pytest.raises(BudgetExceeded):
-        check_face_budget([TypeInfo("A", 12)], 1)
+    check_budget([TypeInfo("A", 6)], 4)
+    with pytest.raises(BudgetExceeded, match="faces predicted"):
+        check_budget([TypeInfo("A", 12)], 1)
 
 
 def test_dissection_facets_contain_snake():

@@ -137,7 +137,7 @@ def test_dihedral_float_roots_match_closed_form():
     # the positive roots of I2(a) are (s_(k+1), s_k), k = 0..a-1, with
     # s_k = sin(k pi/a)/sin(pi/a); their exact coefficients grow like
     # (1 + sqrt2)^k, so the floats must not be summed from them
-    for a in range(3, 121):
+    for a in [*range(3, 122), 500]:
         rs = RootSystem(parse_diagram(f"I2({a})"))
         s = [math.sin(k * math.pi / a) / math.sin(math.pi / a) for k in range(a + 1)]
         expected = [(s[k + 1], s[k]) for k in range(a)]
@@ -145,11 +145,6 @@ def test_dihedral_float_roots_match_closed_form():
         for r in rs.positive_roots:
             gap = min(max(abs(r[0] - x), abs(r[1] - y)) for x, y in expected)
             assert gap <= 1e-9, (a, r)
-
-
-def test_dihedral_beyond_closure_budget_rejected():
-    with pytest.raises(NotFiniteType, match="exceeded 120 roots"):
-        RootSystem(parse_diagram("I2(121)"))
 
 
 def test_parabolic_identity_and_empty():
