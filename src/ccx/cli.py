@@ -15,12 +15,7 @@ from itertools import islice
 
 from . import __version__
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, parse_diagram
-from .formulas import (
-    f_k_closed,
-    f_polys_recursive,
-    h_vector_from_f,
-    reduced_euler,
-)
+from .formulas import f_vector, h_vector_from_f, reduced_euler
 from .exactmath import format_fraction
 from .gcc import (
     BudgetExceeded,
@@ -96,10 +91,7 @@ def _face_table(G: CoxeterDiagram, m: int) -> tuple[list, list]:
     if not cls.is_finite:
         raise DomainError("not-finite-type", f"{G.to_spec()} is not of finite type")
     check_color_count(m)
-    if cls.info is not None:
-        fv = [f_k_closed(cls.info, k)(m) for k in range(G.rank + 1)]
-    else:
-        fv = [p(m) for p in f_polys_recursive(G)]
+    fv = f_vector(cls.infos, m)
     return fv, h_vector_from_f(fv)
 
 

@@ -698,6 +698,12 @@ class Classification:
     def is_finite(self) -> bool:
         return self.kind in ("finite", "finite-reducible")
 
+    @property
+    def infos(self) -> list[TypeInfo]:
+        """The types of the finite irreducible components; none for the
+        empty diagram."""
+        return [p.info for p in self.components or (self,) if p.info is not None]
+
 
 def _finite(family: str, n: int, a: int | None = None) -> Classification:
     """A finite irreducible type; -1 lies in W iff every exponent is odd."""

@@ -265,18 +265,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return _of(g, g[-1])
 
 
-def binomial_poly(p: Poly, k: int) -> Poly:
-    """binom(p, k) expanded as the falling factorial p(p-1)...(p-k+1)/k!."""
-    if k < 0:
-        return ZERO
-    out = ONE
-    fact = 1
-    for t in range(k):
-        out = out * (p - t)
-        fact *= t + 1
-    return out / fact
-
-
 class RatFun:
     """The quotient num/den of two Polys, den nonzero, kept as given.
 

@@ -1,9 +1,14 @@
 """Closed-form and recursive face enumeration for the colored complexes.
 
 Two independent routes exist for every irreducible type: the recurrence
-over vertex-deleted subdiagrams, and product formulas over exponent
-levels (binomial forms for the classical families).  Tests cross-assert
-them; downstream code may use either.
+over vertex-deleted subdiagrams, and one closed form, the product over
+exponent levels with the correction factors of ``ccx.tables``
+(Fomin-Reading for the face numbers, Athanasiadis for the h-numbers).
+The closed form is generic in m: at the formal variable ``M`` it gives
+the polynomial, at an int the value, without building a polynomial.
+The command line reads the values; ``verify`` and the tests cross-assert
+the routes, and the tests check the closed form against the binomial
+forms of the classical families.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from fractions import Fraction
 from math import comb
 
 from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
-from .exactmath import ONE, Poly, _of, binomial_poly, poly_dot, poly_sum
+from .exactmath import ONE, Poly, _of, poly_dot, poly_sum
 from .tables import face_correction, h_correction
 
-F = Fraction
 _M_PLUS_1 = Poly([1, 1])
 
 
@@ -115,91 +119,70 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
 # ---------------------------------------------------------------------------
 # product / closed-form route
 
+M = Poly([0, 1])  # the formal variable m
 
-def level_product_f(info: TypeInfo, k: int) -> Poly:
-    """Face polynomial from the exponent-level product with its
-    correction factor."""
+
+def _level_product(info: TypeInfo, k: int, m, correction, sign: int):
+    """c(m) * C(n, k) * prod (hm + 1 + sign*e) / (e + 1) over the
+    exponents e of level <= k, where ``correction`` gives c.
+
+    Generic in m: the formal variable ``M`` gives a Poly, an int or a
+    Fraction the exact value, and then no polynomial is built.  The
+    numerator is multiplied out first and divided once, at the end."""
     if not 0 <= k <= info.n:
         raise ValueError(f"k={k} out of range for rank {info.n}")
-    out = face_correction(info.family, info.n, k) * comb(info.n, k)
+    coeffs, den = correction(info.family, info.n, k)
+    out = 0
+    for c in reversed(coeffs):
+        out = out * m + c
+    out *= comb(info.n, k)
     for e, level in info.levels:
         if level <= k:
-            out = out * Poly([e + 1, info.h]) / (e + 1)
-    return out
+            out *= info.h * m + 1 + sign * e
+            den *= e + 1
+    return out * Fraction(1, den)
 
 
-def level_product_h(info: TypeInfo, k: int) -> Poly:
-    if not 0 <= k <= info.n:
-        raise ValueError(f"k={k} out of range for rank {info.n}")
-    out = h_correction(info.family, info.n, k) * comb(info.n, k)
-    for e, level in info.levels:
-        if level <= k:
-            out = out * Poly([1 - e, info.h]) / (e + 1)
-    return out
-
-
-def f_k_closed(info, k: int) -> Poly:
-    """Primary face-number formula: binomial forms for A/B/D, the level
-    product elsewhere."""
-    info = TypeInfo.of(info)
-    n = info.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range for rank {n}")
-    if info.family == "A":
-        p = Poly([k + 1, n + 1])  # (n+1)m + k + 1
-        return binomial_poly(p, k) * comb(n, k) / (k + 1)
-    if info.family == "B":
-        return binomial_poly(Poly([k, n]), k) * comb(n, k)
-    if info.family == "D":
-        first = binomial_poly(Poly([k, n - 1]), k) * comb(n, k)
-        second = binomial_poly(Poly([k - 1, n - 1]), k) * (
-            comb(n - 2, k - 2) if k >= 2 else 0
-        )
-        return first + second
-    return level_product_f(info, k)
+def f_k_closed(info, k: int, m=M):
+    """The face number f_k as a polynomial in m, or its value at an int
+    or Fraction m: the exponent-level product with the face correction
+    factor of ``ccx.tables``."""
+    return _level_product(TypeInfo.of(info), k, m, face_correction, 1)
 
 
 def h_k_closed(info, k: int) -> Poly:
-    info = TypeInfo.of(info)
-    n = info.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range for rank {n}")
-    if info.family == "A":
-        return binomial_poly(Poly([0, n + 1]), k) * comb(n, k) / (k + 1)
-    if info.family == "B":
-        return binomial_poly(Poly([0, n]), k) * comb(n, k)
-    if info.family == "D":
-        first = binomial_poly(Poly([0, n - 1]), k) * comb(n, k)
-        second = binomial_poly(Poly([1, n - 1]), k) * (
-            comb(n - 2, k - 2) if k >= 2 else 0
-        )
-        return first + second
-    return level_product_h(info, k)
-
-
-def facet_count_poly(info) -> Poly:
-    """Number of maximal faces as a polynomial in m (Fuss-Catalan product)."""
-    info = TypeInfo.of(info)
-    out = Poly([1])
-    for e in info.exponents:
-        out = out * Poly([e + 1, info.h]) / (e + 1)
-    return out
-
-
-def positive_facet_count_poly(info) -> Poly:
-    info = TypeInfo.of(info)
-    out = Poly([1])
-    for e in info.exponents:
-        out = out * Poly([e - 1, info.h]) / (e + 1)
-    return out
+    """The h-number h_k as a polynomial in m: the product of
+    ``f_k_closed`` with hm + 1 - e for hm + 1 + e and the h correction
+    factor."""
+    return _level_product(TypeInfo.of(info), k, M, h_correction, -1)
 
 
 def N_product(info, m) -> Fraction:
-    return facet_count_poly(info)(m)
+    """The facet count f_n at m."""
+    info = TypeInfo.of(info)
+    return f_k_closed(info, info.n, m)
 
 
 def N_plus_product(info, m) -> Fraction:
-    return positive_facet_count_poly(info)(m)
+    """The positive facet count (-1)^n f_n(-m-1), ``f_plus_poly`` of f_n
+    at m."""
+    info = TypeInfo.of(info)
+    return (-1) ** info.n * f_k_closed(info, info.n, -1 - m)
+
+
+def f_vector(infos: list[TypeInfo], m: int) -> list:
+    """f_0..f_r at m of the join of the complexes of the irreducible
+    components ``infos``: the convolution of their closed-form values,
+    [1] when there is none."""
+    fv = [1]
+    for info in infos:
+        out = [0] * (len(fv) + info.n)
+        for j in range(info.n + 1):
+            fj = f_k_closed(info, j, m)
+            for i, fi in enumerate(fv):
+                out[i + j] += fi * fj
+        fv = out
+    return fv
 
 
 def f_plus_poly(f_k: Poly, k: int) -> Poly:
@@ -225,13 +208,6 @@ def h_vector_from_f(fvec) -> list:
             acc = term if acc is None else acc + term
         out.append(acc)
     return out
-
-
-def h_vector(info, m: int) -> list[Fraction]:
-    """h-vector of the m-colored complex from the closed-form f-vector."""
-    info = TypeInfo.of(info)
-    fvec = [f_k_closed(info, k)(m) for k in range(info.n + 1)]
-    return h_vector_from_f(fvec)
 
 
 def reduced_euler(fvec) -> int:

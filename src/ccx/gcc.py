@@ -83,7 +83,7 @@ def check_budget(infos: list[TypeInfo], m: int) -> None:
     for info in infos:
         total = 0
         for k in range(info.n + 1):
-            total += f_k_closed(info, k)(m)
+            total += f_k_closed(info, k, m)
             if faces * total > FACE_BUDGET:
                 raise BudgetExceeded(
                     f"at least {faces * total} faces predicted, over the budget of {FACE_BUDGET}"
@@ -536,7 +536,7 @@ def build_complex(G: CoxeterDiagram, m: int) -> CliqueComplex:
     if not cls.is_finite:
         raise NotFiniteType(f"{G.to_spec()} is not of finite type")
     check_color_count(m)
-    check_budget([p.info for p in cls.components or (cls,) if p.info is not None], m)
+    check_budget(cls.infos, m)
     systems = [RootSystem(c) for c in connected_components(G)]
     return CliqueComplex(systems, m)
 

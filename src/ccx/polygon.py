@@ -41,24 +41,14 @@ def _diag(u: int, v: int, N: int) -> Diagonal:
     return (u, v) if u < v else (v, u)
 
 
-def is_allowable(d: Diagonal, N: int, m: int) -> bool:
-    a, b = d
-    arc1 = b - a - 1
-    arc2 = N - (b - a) - 1
-    return arc1 > 0 and arc2 > 0 and arc1 % m == 0 and arc2 % m == 0
-
-
 def allowable_diagonals(n: int, m: int) -> list[Diagonal]:
-    """All m-allowable diagonals of the ((n+1)m+2)-gon."""
+    """All m-allowable diagonals of the ((n+1)m+2)-gon, by a then b: the
+    diagonals (a, a + 1 + tm), 1 <= t <= n, which cut off tm and
+    (n + 1 - t)m vertices."""
     if n < 1 or m < 1:
         raise InputError("need n >= 1 and m >= 1")
     N = (n + 1) * m + 2
-    return [
-        (a, b)
-        for a in range(N)
-        for b in range(a + 1, N)
-        if is_allowable((a, b), N, m)
-    ]
+    return [(a, a + 1 + t * m) for a in range(N) for t in range(1, n + 1) if a + 1 + t * m < N]
 
 
 def m_snake(n: int, m: int) -> list[Diagonal]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import Poly
+from .exactmath import ONE, Poly
 
 F = Fraction
 
@@ -102,24 +102,26 @@ H_CORRECTIONS_D8: dict[int, Poly] = {
 }
 
 
-def face_correction(family: str, n: int, k: int) -> Poly:
-    """c_f factor for an irreducible type at face size k."""
+def face_correction(family: str, n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """c_f factor for an irreducible type at face size k, as the integer
+    coefficients of its numerator in m and its denominator."""
     if family == "D":
         if k in (0, 1, n - 1, n):
-            return Poly([1])
-        num = Poly([F(k * n), F(n * (n - 1) + k * (k - 1))])
-        return num / F(k * n)
-    return FACE_CORRECTIONS.get((family, k), Poly([1]))
+            return (1,), 1
+        return (k * n, n * (n - 1) + k * (k - 1)), k * n
+    p = FACE_CORRECTIONS.get((family, k), ONE)
+    return p.num, p.den
 
 
-def h_correction(family: str, n: int, k: int) -> Poly:
-    """c_h factor for an irreducible type at index k."""
+def h_correction(family: str, n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """c_h factor for an irreducible type at index k, as ``face_correction``."""
     if family == "D":
         if k in (0, 1, n - 1, n):
-            return Poly([1])
-        s = F(n * n - n + k * k - k, k * n * (n - 1))
-        return Poly([s, s * (n - 1)]) - 1  # s*(m(n-1) + 1) - 1
-    return H_CORRECTIONS.get((family, k), Poly([1]))
+            return (1,), 1
+        s, d = n * n - n + k * k - k, k * n * (n - 1)  # s/d * (m(n-1) + 1) - 1
+        return (s - d, s * (n - 1)), d
+    p = H_CORRECTIONS.get((family, k), ONE)
+    return p.num, p.den
 
 
 # fully-supported reflection counts per irreducible type, for tests

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccx
 from ccx.cli import main
-from ccx.diagram import TypeInfo
+from ccx.diagram import TypeInfo, classify, parse_diagram
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +215,76 @@ def test_hvector_json(capsys):
     code, out, _ = run_cli(capsys, "hvector", "--type", "A2", "-m", "1")
     data = json.loads(out)
     assert data["h_vector"] == ["1", "3", "1"]
+
+
+COMPONENTS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "D5", "E6", "F4", "G2", "H3",
+              "H4", "I2(5)", "I2(8)"]
+
+
+def disjoint_union(names: list[str]) -> str:
+    """The spec of the diagram whose components are the named types."""
+    edges, offset = [], 0
+    for name in names:
+        G = parse_diagram(name)
+        index = {v: offset + k + 1 for k, v in enumerate(sorted(G.vertices))}
+        edges += [f"{index[i]}-{index[j]}:{lab}" for i, j, lab in G.edges()]
+        offset += G.rank
+    return " ".join([f"n={offset};", *edges])
+
+
+def cli_stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@given(st.lists(st.sampled_from(COMPONENTS), min_size=2, max_size=3), st.integers(0, 4))
+@settings(max_examples=50, deadline=None)
+def test_face_numbers_of_reducible_diagrams_are_the_recurrence_values(names, m):
+    """On a reducible diagram, ``ccx fvector`` and ``ccx hvector`` convolve
+    the closed-form values of the components; the recurrence over
+    subdiagrams, evaluated at m, is the oracle."""
+    from ccx.exactmath import format_fraction
+    from ccx.formulas import f_polys_recursive, h_vector_from_f
+
+    spec = disjoint_union(names)
+    G = parse_diagram(spec)
+    fv = [p(m) for p in f_polys_recursive(G)]
+    hv = h_vector_from_f(fv)
+    fs, hs = [format_fraction(x) for x in fv], [format_fraction(x) for x in hv]
+    name = classify(G).type_name
+    rows = ["type,n,m,k,f_k,h_k"]
+    rows += [f"{name},{G.rank},{m},{k},{fs[k]},{hs[k]}" for k in range(G.rank + 1)]
+    for command in ("fvector", "hvector"):
+        data = json.loads(cli_stdout(command, "--diagram", spec, "-m", str(m)))
+        assert (data["f_vector"], data["h_vector"]) == (fs, hs)
+        csv = cli_stdout(command, "--diagram", spec, "-m", str(m), "--emit", "csv")
+        assert csv.splitlines() == rows
+
+
+def test_face_numbers_and_the_budget_build_no_polynomial(capsys, monkeypatch):
+    """``ccx fvector`` and ``check_budget`` read the closed forms as values
+    at m: every Poly is made through ``exactmath._set``, and none is."""
+    from ccx import exactmath
+    from ccx.gcc import BudgetExceeded, check_budget
+
+    built = []
+    real = exactmath._set
+
+    def counting(*args):
+        built.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(exactmath, "_set", counting)
+    code, out, _ = run_cli(capsys, "fvector", "--type", "A300", "-m", "1")
+    assert code == 0 and len(json.loads(out)["f_vector"]) == 301
+    check_budget([TypeInfo("D", 6)], 1)
+    check_budget([TypeInfo("E8", 8)], 1)
+    check_budget([TypeInfo("B", 3), TypeInfo("I2", 2, 7), TypeInfo("F4", 4)], 2)
+    with pytest.raises(BudgetExceeded):
+        check_budget([TypeInfo("A", 300)], 1)
+    assert built == []
 
 
 def test_invariants_h4(capsys):

@@ -12,7 +12,6 @@ from ccx.exactmath import (
     NotConstant,
     Poly,
     RatFun,
-    binomial_poly,
     format_fraction,
     format_integer,
     frac_sum,
@@ -144,15 +143,6 @@ def test_real_roots_across_a_sturm_degree_gap():
     for x in roots:
         assert p(F(x) - eps) * p(F(x) + eps) < 0
     assert real_roots(Poly([1, 1, 0, 0, 1])) == ()
-
-
-def test_binomial_poly_matches_binomials():
-    from math import comb
-
-    p = Poly([0, 3])  # 3m
-    q = binomial_poly(p, 3)
-    for m in range(1, 6):
-        assert q(m) == comb(3 * m, 3)
 
 
 small_fracs = st.fractions(

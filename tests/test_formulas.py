@@ -14,13 +14,8 @@ from ccx.formulas import (
     f_k_closed,
     f_plus_poly,
     f_polys_recursive,
-    facet_count_poly,
     h_k_closed,
-    h_vector,
     h_vector_from_f,
-    level_product_f,
-    level_product_h,
-    positive_facet_count_poly,
     reduced_euler,
 )
 
@@ -40,6 +35,48 @@ def kirkman_cayley(n: int, k: int) -> F:
 
 def fuss_number(n: int, m: int) -> F:
     return F(comb((n + 1) * (m + 1), n), n + 1)
+
+
+def binomial_poly(p: Poly, k: int) -> Poly:
+    """binom(p, k) expanded as the falling factorial p(p-1)...(p-k+1)/k!."""
+    if k < 0:
+        return Poly()
+    out = Poly([1])
+    fact = 1
+    for t in range(k):
+        out = out * (p - t)
+        fact *= t + 1
+    return out / fact
+
+
+def binomial_forms(info, k: int) -> tuple[Poly, Poly]:
+    """f_k and h_k of a classical type (A, B or D) by the binomial forms
+    of Fomin-Reading and Athanasiadis."""
+    n = info.n
+    if info.family == "A":
+        f = binomial_poly(Poly([k + 1, n + 1]), k) * comb(n, k) / (k + 1)
+        return f, binomial_poly(Poly([0, n + 1]), k) * comb(n, k) / (k + 1)
+    if info.family == "B":
+        return binomial_poly(Poly([k, n]), k) * comb(n, k), binomial_poly(Poly([0, n]), k) * comb(n, k)
+    low = comb(n - 2, k - 2) if k >= 2 else 0
+    f = binomial_poly(Poly([k, n - 1]), k) * comb(n, k)
+    h = binomial_poly(Poly([0, n - 1]), k) * comb(n, k)
+    return f + binomial_poly(Poly([k - 1, n - 1]), k) * low, h + binomial_poly(Poly([1, n - 1]), k) * low
+
+
+def exponent_products(info) -> tuple[Poly, Poly]:
+    """The facet count prod (hm + e + 1)/(e + 1) and the positive facet
+    count prod (hm + e - 1)/(e + 1), over the exponents e."""
+    facets, positive = Poly([1]), Poly([1])
+    for e in info.exponents:
+        facets = facets * Poly([e + 1, info.h]) / (e + 1)
+        positive = positive * Poly([e - 1, info.h]) / (e + 1)
+    return facets, positive
+
+
+def h_vector(info, m: int) -> list[F]:
+    """h-vector of the m-colored complex from the closed-form f-vector."""
+    return h_vector_from_f([f_k_closed(info, k, m) for k in range(info.n + 1)])
 
 
 def diameter_face_count(n: int, k: int, m: int) -> int:
@@ -129,9 +166,11 @@ def test_tables_self_check():
         assert poly.degree == k - low, (fam, k)
     for k, poly in tables.FACE_CORRECTIONS_D8.items():
         assert poly.coeff(0) == 1
-        assert poly == tables.face_correction("D", 8, k), ("D8", k)
+        coeffs, den = tables.face_correction("D", 8, k)
+        assert poly == Poly(coeffs) / den, ("D8", k)
     for k, poly in tables.H_CORRECTIONS_D8.items():
-        assert poly == tables.h_correction("D", 8, k), ("D8h", k)
+        coeffs, den = tables.h_correction("D", 8, k)
+        assert poly == Poly(coeffs) / den, ("D8h", k)
 
 
 @pytest.mark.parametrize("name,info", ALL_TYPES)
@@ -140,7 +179,6 @@ def test_recurrence_equals_closed_forms_symbolically(name, info):
     for k in range(info.n + 1):
         closed = f_k_closed(info, k)
         assert rec[k] == closed, (name, k)
-        assert closed == level_product_f(info, k), (name, k)
 
 
 @pytest.mark.parametrize("name,info", ALL_TYPES)
@@ -149,7 +187,40 @@ def test_h_routes_agree_symbolically(name, info):
     hsym = h_vector_from_f(fsym)
     for k in range(info.n + 1):
         assert hsym[k] == h_k_closed(info, k), (name, k)
-        assert h_k_closed(info, k) == level_product_h(info, k), (name, k)
+
+
+CLASSICAL = (
+    [TypeInfo("A", n) for n in range(1, 41)]
+    + [TypeInfo("B", n) for n in range(2, 41)]
+    + [TypeInfo("D", n) for n in range(4, 41)]
+)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "D"])
+def test_level_product_equals_the_binomial_forms(family):
+    for info in [info for info in CLASSICAL if info.family == family]:
+        for k in range(info.n + 1):
+            closed = f_k_closed(info, k), h_k_closed(info, k)
+            assert closed == binomial_forms(info, k), (info.n, k)
+
+
+def test_facet_counts_equal_the_exponent_products():
+    exceptional = [TypeInfo.of(name) for name in ("E6", "E7", "E8", "F4", "H3", "H4")]
+    dihedral = [TypeInfo("I2", 2, a) for a in range(3, 40)]
+    for info in CLASSICAL + exceptional + dihedral:
+        top = f_k_closed(info, info.n)
+        assert (top, f_plus_poly(top, info.n)) == exponent_products(info), (info.family, info.n)
+
+
+@pytest.mark.parametrize("name,info", ALL_TYPES)
+def test_closed_forms_at_m_are_the_polynomials_evaluated(name, info):
+    for k in range(info.n + 1):
+        f = f_k_closed(info, k)
+        for m in (-2, -1, 0, 1, 3, F(-1, 2), F(5, 3)):
+            assert f_k_closed(info, k, m) == f(m), (name, k, m)
+    for m in (-1, 0, 2):
+        assert N_product(info, m) == f_k_closed(info, info.n)(m)
+        assert N_plus_product(info, m) == f_plus_poly(f_k_closed(info, info.n), info.n)(m)
 
 
 @pytest.mark.parametrize("name,info", ALL_TYPES)
@@ -159,12 +230,12 @@ def test_euler_identity_symbolically(name, info):
     alternating = Poly()
     for k in range(n + 1):
         alternating = alternating + fs[k] * ((-1) ** (n - k))
-    assert alternating == facet_count_poly(info).shifted_arg(-1)
+    assert alternating == f_k_closed(info, n).shifted_arg(-1)
 
 
 @pytest.mark.parametrize("name,info", ALL_TYPES)
 def test_top_h_number_is_previous_facet_count(name, info):
-    assert h_k_closed(info, info.n) == facet_count_poly(info).shifted_arg(-1)
+    assert h_k_closed(info, info.n) == f_k_closed(info, info.n).shifted_arg(-1)
 
 
 def test_first_face_numbers():
@@ -195,11 +266,18 @@ def test_specific_values():
 
 
 def test_e8_quartic_correction_appears():
-    # the one non-linear correction factor in the catalog
+    # the one non-linear correction factor in the catalog: two exponents
+    # of E8 have level <= 4, so the product alone has degree 2
     f4 = f_k_closed(TypeInfo("E8", 8), 4)
-    base = level_product_f(TypeInfo("E8", 8), 4)
-    assert f4 == base
+    assert f4 == f_polys_recursive(parse_diagram("E8"))[4]
     assert f4.degree == 4
+
+
+def test_binomial_poly_matches_binomials():
+    p = Poly([0, 3])  # 3m
+    q = binomial_poly(p, 3)
+    for m in range(1, 6):
+        assert q(m) == comb(3 * m, 3)
 
 
 def test_kirkman_cayley_specialization():
@@ -218,15 +296,13 @@ def test_positive_counts():
     assert N_plus_product(TypeInfo("A", 2), 1) == 2
     assert N_plus_product(TypeInfo("H3", 3), 1) == 21
     info = TypeInfo("I2", 2, 5)
-    assert positive_facet_count_poly(info) == Poly([0, F(3, 2), F(5, 2)])
+    assert f_plus_poly(f_k_closed(info, 2), 2) == Poly([0, F(3, 2), F(5, 2)])
 
 
 def test_reciprocal_face_numbers():
-    # top reciprocal number is the positive facet count
-    for name, info in ALL_TYPES:
-        n = info.n
-        assert f_plus_poly(f_k_closed(info, n), n) == positive_facet_count_poly(info)
-    # rank-3 closed form: m(am+a-6)(am+2a-12)/(6(12-a))
+    # the top reciprocal number is the positive facet count, which
+    # test_facet_counts_equal_the_exponent_products checks on every type;
+    # here the rank-3 closed form m(am+a-6)(am+2a-12)/(6(12-a))
     G = parse_diagram("H3")
     a = 10
     npoly = f_polys_recursive(G)[3]

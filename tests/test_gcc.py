@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ccx import gcc
 from ccx.diagram import InputError, parse_diagram, classify
-from ccx.formulas import positive_facet_count_poly
+from ccx.formulas import N_plus_product
 from ccx.gcc import (
     BudgetExceeded,
     CliqueComplex,
@@ -754,7 +754,7 @@ def test_reducible_complex_audits():
     G = parse_diagram("n=4; 1-2:3 3-4:4")  # A2 x B2
     cx = build_complex(G, 2)
     assert cx.audit_pure() and cx.audit_ridge_degree()
-    nplus = positive_facet_count_poly("A2")(2) * positive_facet_count_poly("B2")(2)
+    nplus = N_plus_product("A2", 2) * N_plus_product("B2", 2)
     assert cx.positive_facet_count() == nplus == 70
 
 

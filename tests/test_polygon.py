@@ -17,7 +17,6 @@ from ccx.polygon import (
     TypeBModel,
     TypeDModel,
     allowable_diagonals,
-    is_allowable,
     m_snake,
     render_svg,
     rotate_diag,
@@ -35,6 +34,14 @@ def crossing(d1, d2) -> bool:
     if len({a, b, c, d}) < 4:
         return False
     return (a < c < b) != (a < d < b)
+
+
+def is_allowable(d, N: int, m: int) -> bool:
+    """Both arcs a diagonal cuts off hold a positive multiple of m vertices."""
+    a, b = d
+    arc1 = b - a - 1
+    arc2 = N - (b - a) - 1
+    return arc1 > 0 and arc2 > 0 and arc1 % m == 0 and arc2 % m == 0
 
 
 def ground_set(model):
@@ -121,6 +128,17 @@ def test_pentagon_allowable_m3():
     # pentagon has 5 diagonals; only 4 satisfy both arc conditions mod 3
     diags = allowable_diagonals(1, 3)
     assert len(diags) == 4
+
+
+def test_allowable_diagonals_are_the_filtered_scan_of_all_pairs():
+    for n in range(1, 7):
+        for m in range(1, 6):
+            N = (n + 1) * m + 2
+            pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
+            scan = [d for d in pairs if is_allowable(d, N, m)]
+            assert allowable_diagonals(n, m) == scan, (n, m)
+    diagonals = allowable_diagonals(1, 1999)
+    assert len(diagonals) == 2000 and diagonals[-1] == (1999, 3999)
 
 
 def test_snake_matches_displayed_indices():

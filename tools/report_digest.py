@@ -17,9 +17,10 @@ with labels 3-4-3-4, and a fixed random draw of connected rank-7
 diagrams whose skeleton has a cycle.
 
 Then each type of the finite catalog gets a ``catalog`` line: the sha256
-of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k,
-``facet_count_poly``, ``positive_facet_count_poly`` and the fields of
-``classify``, among them ``minus_one_longest``, which no CLI output shows.
+of its closed forms ``f_k_closed`` and ``h_k_closed`` for every k, then
+the facet count f_n again and its reciprocal ``f_plus_poly``, the
+positive facet count, and the fields of ``classify``, among them
+``minus_one_longest``, which no CLI output shows.
 Each diagram of ``classify_cases`` gets a ``classify`` line, the sha256 of
 the same ``classify`` fields: types of rank 1000-2000, the edgeless
 diagram, a reducible diagram whose components interleave their ids, the
@@ -39,9 +40,10 @@ lines are the same whether the complex is surveyed whole
 
 Then each (diagram, m) of ``fvector_cases`` gets an ``fvector`` line: the
 sha256 of the stdout of ``ccx fvector --diagram <spec> -m <m>``, as JSON
-and as CSV.  The diagrams are reducible, so the face numbers come from
-the recurrence over subdiagrams (``f_polys_recursive``), not the closed
-forms.
+and as CSV.  The diagrams are reducible, so the face numbers are the
+convolution of the closed-form values of their components at m
+(``formulas.f_vector``); these lines were first written when the
+recurrence over subdiagrams (``f_polys_recursive``) supplied them.
 
 Then each (type, m) of ``facet_cases`` gets a ``facets`` line: the
 sha256 of ``ccx complex --type <type> -m <m> --facets``, whose vertex
@@ -83,13 +85,7 @@ import random
 
 from ccx.cli import main as ccx_main
 from ccx.diagram import classify, connected_components, parse_diagram
-from ccx.formulas import (
-    TypeInfo,
-    f_k_closed,
-    facet_count_poly,
-    h_k_closed,
-    positive_facet_count_poly,
-)
+from ccx.formulas import TypeInfo, f_k_closed, f_plus_poly, h_k_closed
 from ccx.invariants import METHOD_ALIASES, compute_all
 from ccx.verify import FAKE_CATALOG
 
@@ -257,7 +253,7 @@ def catalog_text(spec: str) -> str:
     info = TypeInfo.of(G)
     polys = [f_k_closed(info, k) for k in range(G.rank + 1)]
     polys += [h_k_closed(info, k) for k in range(G.rank + 1)]
-    polys += [facet_count_poly(info), positive_facet_count_poly(info)]
+    polys += [polys[G.rank], f_plus_poly(polys[G.rank], G.rank)]
     return "\n".join([class_fields(G)] + [" ".join(p.serialize()) for p in polys])
 
 
