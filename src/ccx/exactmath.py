@@ -333,21 +333,28 @@ class IrrationalRoot(tuple):
 
         Each step evaluates f exactly at the midpoint.  Once the bracket
         is 2^-e wide with e >= 8, a Newton step from the midpoint, with
-        f' also evaluated exactly, proposes the bracket of width
-        2^(3 - 2e) centred on its dyadic rounding: Newton's error shrinks
-        quadratically, so the proposal usually holds x (Abbott,
-        "Quadratic interval refinement for real roots", 2014).  It is
+        f' also evaluated exactly, proposes a bracket 2^g times narrower,
+        of width 2^(1 - e - g), centred on its dyadic rounding.  It is
         kept only if it lies in the bracket and f changes sign across
         it, -top at its left end and top at its right end.  Otherwise the
-        bracket is bisected with the midpoint value already in hand, and
-        the next proposal waits until e has doubled, so that clustered
-        roots, near which Newton's steps go astray, cost little more than
-        bisection.  Every bracket holds x, so the result is the same as
-        by bisection alone.  Below e = 8 a proposal (4 evaluations for
-        e - 3 bits) gains less than bisecting (1 evaluation a bit).
+        bracket is bisected with the midpoint value already in hand.
+        Every bracket holds x, so the result is the same as by bisection
+        alone.  The width factor 2^g adapts as in Abbott's quadratic
+        interval refinement ("Quadratic interval refinement for real
+        roots", 2014): g starts at e - 3 (below e = 8 a proposal, 4
+        evaluations for e - 3 bits, gains less than bisecting, 1
+        evaluation a bit); Newton's error shrinks quadratically, so after
+        a success the next g is twice the last, and each bisection adds
+        one.  A proposal refused while the Newton point lies in the
+        bracket was too narrow, as near a close neighbouring root: g is
+        halved, and the next proposal comes at the next step.  One whose
+        Newton point leaves the bracket, or whose g is below 4, was made
+        too early: the next waits until e has doubled.  So near clustered
+        roots the proposals narrow until they hold, instead of failing at
+        every e.
         """
         f, lo, k, top = self
-        hi, df, newton_at = lo + 1, _zderiv(f), 8
+        hi, df, newton_at, slack = lo + 1, _zderiv(f), 8, 3
         while True:
             num, den = c1 * lo + (c0 << k), d << k
             x = num / den
@@ -358,20 +365,25 @@ class IrrationalRoot(tuple):
             e = k1 - (hi - lo).bit_length()  # the bracket is 2^-e wide
             if e >= newton_at:
                 dm = _zeval(df, mid, 1 << k1)
+                g = e - slack  # the proposal is 2^g times narrower
+                inside = False
                 if dm:
                     # c / 2^K: the Newton point mid / 2^k1 - f / f', rounded
-                    K = 2 * e - 2
+                    K = e + g + 1
                     n, q = (mid * dm - fm) << (K - k1), dm
                     if q < 0:
                         n, q = -n, -q
                     c = (2 * n + q) // (2 * q)
                     s = K - k
-                    if (lo << s <= c - 1 and c + 1 <= hi << s
-                            and (_zeval(f, c - 1, 1 << K) > 0) != top
+                    inside = lo << s <= c - 1 and c + 1 <= hi << s
+                    if (inside and (_zeval(f, c - 1, 1 << K) > 0) != top
                             and (_zeval(f, c + 1, 1 << K) > 0) == top):
                         lo, hi, k = c - 1, c + 1, K
                         continue
-                newton_at = 2 * e
+                if inside and g >= 4:
+                    slack, newton_at = e - g // 2, e + 1
+                else:
+                    newton_at = 2 * e
             lo, hi, k = (2 * lo, mid, k1) if (fm > 0) == top else (mid, 2 * hi, k1)
 
 

@@ -44,9 +44,9 @@ from .rootsys import LookupMiss, NotFiniteType, RootSystem, check_rotation_order
 
 # faces, the empty one included, that one complex or polygon model may
 # enumerate: E8 at m = 2 has 1.3e7, and ``ccx complex`` on it takes about
-# 0.15-0.2 s (Python 3.11, shared 2-vCPU Xeon host, a fresh process), most
-# of it starting Python and importing; building the root system and the
-# compatibility graph takes about 0.01 s, and so does the survey
+# 0.14-0.17 s (Python 3.11, shared 2-vCPU Xeon host, a fresh process),
+# most of it starting Python and importing; building the root system and
+# the compatibility graph takes about 0.004 s, and the survey 0.008 s
 FACE_BUDGET = 20_000_000
 
 
@@ -199,17 +199,45 @@ def _induced(adj: list[int], within: int, marked: int) -> tuple[list[int], int]:
     return [_image(adj[v] & within, index) for v in index], _image(marked & within, index)
 
 
+def _shift_image(mask: int, to, step: int, delta: int) -> int:
+    """``_image(mask, to)`` where ``to`` maps each vertex v of the mask
+    ``step`` to v + delta, delta = 1 or -1: those bits move as one shift
+    of the mask, and only the rest are walked."""
+    moved = mask & step
+    return (moved << 1 if delta > 0 else moved >> 1) | _image(mask ^ moved, to)
+
+
 def check_automorphism(adj: list[int], turn, within: int) -> None:
     """Raise ``ValueError`` unless ``turn``, a list or a dict over the
     vertex mask ``within``, permutes it and maps each edge among them to
     an edge.  A permutation maps the edges one-to-one, so onto
-    themselves, so it maps non-edges to non-edges as well."""
+    themselves, so it maps non-edges to non-edges as well.
+
+    The colored rotations step most colors to the next vertex, v to
+    v + 1, so the vertices that ``turn`` steps are imaged as one shift of
+    each row, and only the rest are walked bit by bit, as in
+    ``_shift_image``."""
     verts = _bits(within)
     if sorted(turn[v] for v in verts) != verts:
         raise ValueError("the turn is not a permutation of the vertices")
-    to = {v: 1 << turn[v] for v in verts}
+    to = [0] * len(adj)
+    step = 0
     for v in verts:
-        if _image(adj[v] & within & -(2 << v), to) & ~adj[turn[v]]:
+        t = turn[v]
+        if t == v + 1:
+            step |= 1 << v
+        else:
+            to[v] = 1 << t
+    for v in verts:
+        mask = adj[v] & within & -(2 << v)
+        moved = mask & step
+        image = moved << 1
+        mask ^= moved
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            image |= to[low.bit_length() - 1]
+        if image & ~adj[turn[v]]:
             raise ValueError(f"the turn is not an automorphism: it breaks the edges at vertex {v}")
 
 
@@ -408,6 +436,13 @@ class CliqueComplex:
         simple equals its row.  A failed check raises ``LookupMiss``.
         At m = 0 every vertex is a negative simple, and the rows are the
         whole graph.
+
+        The ground set lists each root's colors in consecutive positions,
+        and R_m^-1 steps every color above 1 down to the previous one,
+        v to v - 1.  So a row is carried back as one shift of its bits at
+        those vertices, and only its bits at colors 1 and the negative
+        simples are walked (``_shift_image``): (m-1)/m of the positive
+        roots' bits take one shift.
         """
         V = len(self.vertices)
         negative = self.negative_mask()
@@ -422,11 +457,15 @@ class CliqueComplex:
             for g, t in enumerate(self.turn):
                 back[t] = g
             to = [1 << g for g in back]
+            step = 0
+            for g, b in enumerate(back):
+                if b == g - 1:
+                    step |= 1 << g
             for s in _bits(negative):
-                row, g = _image(rows[s], to), back[s]
+                row, g = _shift_image(rows[s], to, step, -1), back[s]
                 while not negative >> g & 1:
                     rows[g] = row
-                    row, g = _image(row, to), back[g]
+                    row, g = _shift_image(row, to, step, -1), back[g]
                 if row != rows[g]:
                     raise LookupMiss(f"the row of negative simple {s} arrives at {g} as another row")
         if None in rows:
@@ -549,8 +588,9 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
     vertices of K are the colored roots whose support lies in K, taken
     from the roots grouped by support.  They induce the complex of the
     parabolic subsystem on K, whose colored rotation under the inherited
-    bipartition (``RootSystem.rotate`` within K) is checked exactly as an
-    automorphism of the graph they induce, once per K.  A state is K with
+    bipartition (from ``RootSystem.rotation_within``, one list pass per
+    simple reflection of K) is checked exactly as an automorphism of the
+    graph they induce, once per K.  A state is K with
     some of its negative simples marked; it is surveyed by
     ``orbit_frame`` under K's rotation, every orbit of which holds a
     negative simple.  The link of -alpha_j in K holds the vertices of the
@@ -568,37 +608,38 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
     call only; every count is still read from ``cx.adj``.
     """
     adj = cx.adj
-    # per component: each root's positions, by color as the ground set
-    # lists them, and the vertex mask and roots of each support
-    places: list[dict[int, list[int]]] = [{} for _ in cx.systems]
-    groups: list[dict[int, list]] = [{} for _ in cx.systems]
+    # per component: each root's first and last position, its colors
+    # lying between them as the ground set lists them, and the vertex
+    # mask of each support
+    first: list[dict[int, int]] = [{} for _ in cx.systems]
+    last: list[dict[int, int]] = [{} for _ in cx.systems]
+    groups: list[dict[int, int]] = [{} for _ in cx.systems]
     for g, v in enumerate(cx.vertices):
-        places[v.comp].setdefault(v.root, []).append(g)
-        group = groups[v.comp].setdefault(cx.systems[v.comp].support_masks[v.root], [0, set()])
-        group[0] |= 1 << g
-        group[1].add(v.root)
-    negatives = [[1 << at[j][0] for j in range(rs.n)] for rs, at in zip(cx.systems, places)]
-    shapes: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+        first[v.comp].setdefault(v.root, g)
+        last[v.comp][v.root] = g
+        supp = cx.systems[v.comp].support_masks[v.root]
+        groups[v.comp][supp] = groups[v.comp].get(supp, 0) | 1 << g
+    negatives = [[1 << at[j] for j in range(rs.n)] for rs, at in zip(cx.systems, first)]
+    # every color below the last steps to the next position
+    stepped = list(range(1, len(adj) + 1))
+    shapes: dict[tuple[int, int], tuple[int, list[int]]] = {}
     memo: dict[tuple[int, int, int], CliqueSurvey] = {}
 
-    def shape(c: int, K: int) -> tuple[int, dict[int, int]]:
-        """The vertex mask of K and K's colored rotation on it, checked:
-        a root's colors step up to the last, which goes to color 1 of
-        the rotated root."""
+    def shape(c: int, K: int) -> tuple[int, list[int]]:
+        """The vertex mask of K and K's colored rotation on it, checked,
+        as a list read only at that mask: a root's colors step up to the
+        last, which goes to color 1 of the rotated root, from one pass of
+        ``RootSystem.rotation_within``."""
         got = shapes.get((c, K))
         if got is None:
-            rs, at = cx.systems[c], places[c]
             vmask = 0
-            turn: dict[int, int] = {}
-            for supp, (vm, rids) in groups[c].items():
-                if supp & ~K:
-                    continue
-                vmask |= vm
-                for rid in rids:
-                    colors = at[rid]
-                    for a, b in zip(colors, colors[1:]):
-                        turn[a] = b
-                    turn[colors[-1]] = at[rs.rotate(rid, K)][0]
+            for supp, vm in groups[c].items():
+                if not supp & ~K:
+                    vmask |= vm
+            turn = list(stepped)
+            head, tail = first[c], last[c]
+            for rid, image in zip(*cx.systems[c].rotation_within(K)):
+                turn[tail[rid]] = head[image]
             check_automorphism(adj, turn, vmask)
             got = shapes[c, K] = (vmask, turn)
         return got

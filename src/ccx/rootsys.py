@@ -6,16 +6,22 @@ zeta = 1 when it is simply laced).  A coordinate is the int tuple of its
 coefficients over 1, zeta, ..., reduced modulo the minimal polynomial of
 zeta, so equal roots are equal tuples.  A simple reflection s_i permutes
 the positive roots other than alpha_i, so their closure needs no sign
-test.  The closure keeps each s_i it computes as a table on root ids, so
-the twists, the rotation and the rotation of any parabolic subsystem are
-table lookups.  The float ``roots`` for output follow the same closure
-with the float reflection, so their error grows with the closure depth
-only.
+test.  s_i changes coordinate i alone, so the closure computes that
+coordinate first and builds no image of a root that s_i fixes.  It keeps
+each s_i as a table on root ids, so the twists, the rotation and the
+rotation of any parabolic subsystem are passes over these tables.  Each
+root keeps the root and the reflection that found it, and its support
+mask.  The float coordinates for output are replayed when first read,
+by float reflections along the same closure, so their error grows with
+the closure depth only; the support sets and the index of the
+coordinates are also built when first read.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from operator import add, neg, sub
 
 from .diagram import CoxeterDiagram, InputError, bipartition, classify
 from .exactmath import minpoly_2cos
@@ -56,14 +62,16 @@ class RootSystem:
     Root ids: 0..n-1 are the negative simple roots (in vertex order),
     then the positive roots in breadth-first discovery order starting
     from the simple roots.  ``exact`` holds each root's Z[zeta]
-    coordinates, ``roots`` their float values.  ``reflection[i][rid]``
+    coordinates, ``roots`` their float values, replayed when first read
+    along the reflections that found each root.  ``reflection[i][rid]``
     is the id of s_i applied to root ``rid``, None where that is a
     negative root other than a negative simple.  ``rotate`` is the
     deformed Coxeter element (the minus-twist after the plus-twist)
     acting on almost-positive roots, or that of the parabolic subsystem
-    on a set of simple indices.  ``support_masks`` holds each root's
-    support as a mask of simple indices, which colored compatibility
-    reads at the negative simples.
+    on a set of simple indices; ``rotation_within`` is that rotation on
+    every root of the parabolic subsystem at once.  ``support_masks``
+    holds each root's support as a mask of simple indices, which colored
+    compatibility reads at the negative simples.
     """
 
     def __init__(self, G: CoxeterDiagram, plus_class=None):
@@ -105,16 +113,22 @@ class RootSystem:
         """The ring element k of Z[zeta]."""
         return (k,) + (0,) * (self.degree - 1)
 
-    def _reflect(self, i: int, root: tuple) -> tuple:
-        """Simple reflection s_i in the simple-root basis: c_i becomes -c_i
-        plus c_j over the label-3 neighbours and zeta c_j over label L."""
-        ci = tuple(-c for c in root[i])
+    def _coordinate(self, i: int, root: tuple) -> tuple[int, ...]:
+        """Coordinate i of s_i(root), the one it changes: -c_i plus c_j
+        over the label-3 neighbours and zeta c_j over label L."""
+        ci = tuple(map(neg, root[i]))
         for j, lab in self._nbrs[i]:
             cj = root[j]
             if lab != 3:  # times zeta, reduced by its minimal polynomial
-                cj = tuple(a - cj[-1] * p for a, p in zip((0, *cj[:-1]), self._minpoly))
-            ci = tuple(a + b for a, b in zip(ci, cj))
-        return root[:i] + (ci,) + root[i + 1:]
+                top, cj = cj[-1], (0, *cj[:-1])
+                if top:
+                    cj = tuple(map(sub, cj, [top * p for p in self._minpoly]))
+            ci = tuple(map(add, ci, cj))
+        return ci
+
+    def _reflect(self, i: int, root: tuple) -> tuple:
+        """Simple reflection s_i in the simple-root basis."""
+        return root[:i] + (self._coordinate(i, root),) + root[i + 1:]
 
     def _reflect_float(self, i: int, coords: tuple) -> tuple:
         """``_reflect`` on float coordinates."""
@@ -122,12 +136,34 @@ class RootSystem:
         return coords[:i] + (ci - coords[i],) + coords[i + 1:]
 
     def _build_roots(self):
+        """The breadth-first closure of the simple roots under the s_i.
+
+        s_i moves a root exactly where its new coordinate i differs from
+        the old one; elsewhere the table entry is the root's own id and
+        no image is built.  When the ring is Z (simply laced) the
+        coordinates are plain ints during the closure, and ``exact``
+        wraps them on first read.  Each new root's support mask is its
+        parent's with bit i set or cleared."""
         n = self.n
         self.h = int(self.classification.coxeter_number)
         expected = n * self.h // 2
-        simple = [tuple(self.integer(int(j == i)) for j in range(n)) for i in range(n)]
-        pos, flt = list(simple), [tuple(float(j == i) for j in range(n)) for i in range(n)]
-        index = {root: k for k, root in enumerate(pos)}
+        if self.degree == 1:
+            pos = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+            zero = 0
+            nbrs = [[j for j, _ in nb] for nb in self._nbrs]
+
+            def coordinate(i, root):
+                ci = -root[i]
+                for j in nbrs[i]:
+                    ci += root[j]
+                return ci
+        else:
+            pos = [tuple(self.integer(int(j == i)) for j in range(n)) for i in range(n)]
+            zero = self.integer(0)
+            coordinate = self._coordinate
+        index = {root: n + k for k, root in enumerate(pos)}
+        masks = [1 << i for i in range(n)]
+        parents: list[tuple[int, int]] = []  # (parent id, i) of each root after the simple ones
         # s_i on the negative simples: -alpha_i to alpha_i, and -alpha_j
         # to itself, or out of the ids where j is a neighbour of i
         table = [[n + j if j == i else None if self.neighbor_masks[i] >> j & 1 else j
@@ -137,27 +173,67 @@ class RootSystem:
         for k, root in enumerate(pos):
             if len(pos) > expected:
                 break
+            rid = n + k
             for i in range(n):
                 if i == k:
                     table[i].append(i)  # s_i(alpha_i) = -alpha_i
                     continue
-                img = self._reflect(i, root)
-                if img not in index:
-                    index[img] = len(pos)
+                ci = coordinate(i, root)
+                if ci == root[i]:  # s_i fixes the root
+                    table[i].append(rid)
+                    continue
+                img = root[:i] + (ci,) + root[i + 1:]
+                got = index.get(img)
+                if got is None:
+                    got = index[img] = n + len(pos)
                     pos.append(img)
-                    flt.append(self._reflect_float(i, flt[k]))
-                table[i].append(n + index[img])
+                    bit = 1 << i
+                    masks.append(masks[k] | bit if ci != zero else masks[k] & ~bit)
+                    parents.append((rid, i))
+                table[i].append(got)
         if len(pos) != expected:
             raise LookupMiss(f"found {len(pos)} positive roots, expected {expected}")
         self.reflection = table
-        self.exact = [tuple(tuple(-c for c in x) for x in r) for r in simple] + pos
-        self.size = len(self.exact)
-        self._index = {root: rid for rid, root in enumerate(self.exact)}
-        self.positive_roots = flt  # float coordinates, in id order
-        self.roots = [tuple(float(-(j == i)) for j in range(n)) for i in range(n)] + flt
+        self._positive = pos
+        self._parents = parents
         self.num_positive = len(pos)
-        self.support = [frozenset(j for j, c in enumerate(r) if any(c)) for r in self.exact]
-        self.support_masks = [sum(1 << j for j in supp) for supp in self.support]
+        self.size = n + len(pos)
+        self.support_masks = [1 << i for i in range(n)] + masks
+
+    @cached_property
+    def exact(self) -> list[tuple]:
+        """The Z[zeta] coordinates of each root, in id order."""
+        pos = self._positive
+        if self.degree == 1:
+            pos = [tuple((c,) for c in root) for root in pos]
+        negative = [tuple(self.integer(-int(j == i)) for j in range(self.n)) for i in range(self.n)]
+        return negative + pos
+
+    @cached_property
+    def _index(self) -> dict[tuple, int]:
+        return {root: rid for rid, root in enumerate(self.exact)}
+
+    @cached_property
+    def positive_roots(self) -> list[tuple[float, ...]]:
+        """Float coordinates of the positive roots, in id order: each
+        simple root's, then each found root's reflection of its parent's,
+        in discovery order, as the closure found them."""
+        n = self.n
+        flt = [tuple(float(j == i) for j in range(n)) for i in range(n)]
+        for parent, i in self._parents:
+            flt.append(self._reflect_float(i, flt[parent - n]))
+        return flt
+
+    @cached_property
+    def roots(self) -> list[tuple[float, ...]]:
+        """Float coordinates of every root, in id order."""
+        n = self.n
+        return [tuple(float(-(j == i)) for j in range(n)) for i in range(n)] + self.positive_roots
+
+    @cached_property
+    def support(self) -> list[frozenset[int]]:
+        """Each root's support as a set of simple indices."""
+        return [frozenset(j for j in range(self.n) if mask >> j & 1) for mask in self.support_masks]
 
     def root_id(self, coords) -> int:
         """Id of the root with these integer (or integral float)
@@ -171,27 +247,36 @@ class RootSystem:
     def is_negative(self, rid: int) -> bool:
         return rid < self.n
 
-    def _twist(self, sign: str, rid: int, within: int = -1) -> int:
-        """One of the two involutions whose product is the rotation, or
-        that of the parabolic subsystem on the simple indices of the
-        mask ``within``, acting on a root supported there.
+    def _twists(self, rids: list[int], within: int) -> list[int]:
+        """``rotate(rid, within)`` on each id of ``rids``, all supported
+        in ``within``, by one list pass per simple reflection of each of
+        the two twists whose product is the rotation.
 
-        Fixes the negative simples of the opposite class; elsewhere
-        applies the (commuting) product of the simple reflections of
-        its own class.  Between two of them the root is positive or
-        -alpha_i for an i of the class, which the others fix.
+        A twist fixes the negative simples of the opposite class; on the
+        other roots it applies the (commuting) product of the simple
+        reflections of its own class in ``within``.  Between two of them
+        the root is positive or -alpha_i for an i of the class, which
+        the others fix.
         """
-        own = self._own[sign] & within
-        if rid < self.n and not own >> rid & 1:
-            return rid
-        while own:
-            low = own & -own
-            own ^= low
-            rid = self.reflection[low.bit_length() - 1][rid]
-        return rid
+        n = self.n
+        for sign in ("+", "-"):
+            own = rest = self._own[sign] & within
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                tab = self.reflection[low.bit_length() - 1]
+                rids = [tab[r] if r >= n or own >> r & 1 else r for r in rids]
+        return rids
+
+    def rotation_within(self, within: int) -> tuple[list[int], list[int]]:
+        """The ids of the roots supported in the mask ``within`` of simple
+        indices, in increasing order, and their images under the rotation
+        of that parabolic subsystem, as ``rotate(rid, within)`` gives."""
+        rids = [rid for rid, supp in enumerate(self.support_masks) if not supp & ~within]
+        return rids, self._twists(rids, within)
 
     def _build_rotation(self):
-        self.rotation = [self._twist("-", self._twist("+", rid)) for rid in range(self.size)]
+        self.rotation = self._twists(list(range(self.size)), (1 << self.n) - 1)
         self.minus_one_longest = self.classification.minus_one_longest
         self.rotation_order = check_rotation_order(self.rotation, self, 1)
 
@@ -201,7 +286,7 @@ class RootSystem:
         subsystem under the inherited bipartition."""
         if within is None or within == (1 << self.n) - 1:
             return self.rotation[rid]
-        return self._twist("-", self._twist("+", rid, within), within)
+        return self._twists([rid], within)[0]
 
     def compatible(self, a: int, b: int) -> bool:
         """Uncolored compatibility of two root ids, the relation that

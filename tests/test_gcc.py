@@ -683,17 +683,104 @@ def test_complex_survey_reads_a_join_only_where_the_graph_is_one(spec, m):
 def test_complex_survey_checks_each_parabolic_rotation(monkeypatch):
     cx = build_complex(parse_diagram("A3"), 2)
     rs = cx.systems[0]
-    real = RootSystem.rotate
+    real = RootSystem.rotation_within
     a, b = rs.n, rs.n + 1  # alpha_1 and alpha_2, the roots of the parabolic A2 on {1, 2}
 
-    def broken(self, rid, within=None):
-        if within == 0b011 and rid in (a, b):
-            rid = b if rid == a else a
-        return real(self, rid, within)
+    def broken(self, within):
+        rids, images = real(self, within)
+        if within == 0b011:  # the images of alpha_1 and alpha_2 swapped
+            at = {rid: k for k, rid in enumerate(rids)}
+            images = [images[at[b if rid == a else a if rid == b else rid]] for rid in rids]
+        return rids, images
 
-    monkeypatch.setattr(RootSystem, "rotate", broken)
+    monkeypatch.setattr(RootSystem, "rotation_within", broken)
     with pytest.raises(ValueError, match="automorphism"):
         cx.survey
+
+
+@st.composite
+def shift_maps(draw):
+    """A map ``to`` from the vertices of ``within`` (a list, or a dict
+    over ``within`` alone) to vertex masks, the mask ``step`` of the
+    vertices it sends to v + delta, delta = 1 or -1, and a mask within
+    ``within``, possibly empty.  Some maps step no vertex."""
+    V = draw(st.integers(0, 12))
+    delta = draw(st.sampled_from((1, -1)))
+    within = draw(st.integers(0, (1 << V) - 1))
+    to: dict[int, int] = {}
+    step = 0
+    for v in range(V):
+        if not within >> v & 1:
+            continue
+        if 0 <= v + delta < V and draw(st.booleans()):
+            to[v] = 1 << (v + delta)
+            step |= 1 << v
+        else:
+            to[v] = 1 << draw(st.integers(0, max(V - 1, 0)))
+    if draw(st.booleans()):
+        to = [to.get(v, 0) for v in range(V)]
+    mask = draw(st.integers(0, (1 << V) - 1)) & within
+    return to, step, delta, mask
+
+
+@settings(max_examples=300, deadline=4000)
+@given(shift_maps())
+def test_shift_image_equals_the_bit_walk(drawn):
+    to, step, delta, mask = drawn
+    assert gcc._shift_image(mask, to, step, delta) == gcc._image(mask, to)
+    # a map with no stepped vertex is walked whole
+    assert gcc._shift_image(mask, to, 0, delta) == gcc._image(mask, to)
+
+
+@st.composite
+def stepping_graphs(draw):
+    """A graph on at most 12 vertices that ``turn`` preserves, where
+    ``turn`` steps most vertices to the next one, as the colored
+    rotations do: runs of consecutive vertices, each stepping up to its
+    last, which goes to the first vertex of a run (a permutation of the
+    runs).  The graph is a union of edge orbits of ``turn``."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    starts = list(itertools.accumulate([0] + sizes))
+    order = draw(st.permutations(range(len(sizes))))
+    turn: list[int] = []
+    for r, size in enumerate(sizes):
+        turn += list(range(starts[r] + 1, starts[r + 1])) + [starts[order[r]]]
+    V = len(turn)
+    adj = [0] * V
+    pairs = [(i, j) for i in range(V) for j in range(V) if i != j]
+    for edge in draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []:
+        i, j = edge
+        while True:  # the edge orbit
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            i, j = turn[i], turn[j]
+            if (i, j) == edge:
+                break
+    return adj, turn
+
+
+@settings(max_examples=200, deadline=4000)
+@given(stepping_graphs(), st.data())
+def test_check_automorphism_on_turns_that_step(graph, data):
+    adj, turn = graph
+    full = (1 << len(adj)) - 1
+    gcc.check_automorphism(adj, turn, full)
+    # on a union of orbits of ``turn``, read from a list that is garbage
+    # elsewhere
+    orbits = _orbits(turn)
+    within = sum(1 << v for o in orbits if data.draw(st.booleans()) for v in o)
+    partial = [t if within >> v & 1 else -1 for v, t in enumerate(turn)]
+    gcc.check_automorphism(adj, partial, within)
+    # each edge flip that the turn moves elsewhere is found, stepped or not
+    moved = [(i, j) for i in range(len(adj)) for j in range(i)
+             if {turn[i], turn[j]} != {i, j}]
+    if moved:
+        i, j = data.draw(st.sampled_from(moved))
+        broken = list(adj)
+        broken[i] ^= 1 << j
+        broken[j] ^= 1 << i
+        with pytest.raises(ValueError, match="automorphism"):
+            gcc.check_automorphism(broken, turn, full)
 
 
 @st.composite

@@ -804,6 +804,43 @@ def test_clustered_roots_are_correctly_rounded(p):
         assert x == _bisected(f, x)
 
 
+def _bisection_zevals(root, c1: int, c0: int, d: int) -> int:
+    """The exact evaluations that ``IrrationalRoot.rounded`` makes by
+    bisection alone: one a step, until both ends of the bracket round to
+    the same double."""
+    f, lo, k, top = root
+    hi, count = lo + 1, 0
+    while True:
+        num, den = c1 * lo + (c0 << k), d << k
+        if num / den == (num + c1 * (hi - lo)) / den:
+            return count
+        mid, k = lo + hi, k + 1
+        count += 1
+        lo, hi = (2 * lo, mid) if (exactmath._zeval(f, mid, 1 << k) > 0) == top else (mid, 2 * hi)
+
+
+@given(clustered_polys())
+@settings(max_examples=30, deadline=None)
+def test_clustered_roots_take_at_most_the_bisection_work(p):
+    """Work counts, no clock: near close neighbouring roots the Newton
+    proposals narrow until they hold, so rounding every irrational root
+    evaluates f no more often than bisection alone."""
+    roots = [r for r, _ in rational_roots(p).irrational]
+    bisection = sum(_bisection_zevals(r, 1, 0, 1) for r in roots)
+    zevals = []
+    zeval = exactmath._zeval
+
+    def counting_zeval(f, num, den):
+        zevals.append(1)
+        return zeval(f, num, den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactmath, "_zeval", counting_zeval)
+        for r in roots:
+            r.rounded(1, 0, 1)
+    assert len(zevals) <= bisection
+
+
 @pytest.mark.parametrize("spec", ["~D7", "~D8", "~E7", STAR6, RANK8])
 def test_rounding_work_is_bounded(spec, monkeypatch):
     """Work counts, no clock: correct rounding of each irrational

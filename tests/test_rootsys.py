@@ -246,10 +246,10 @@ def test_rotation_from_the_table_matches_the_coordinates(name):
 
 @pytest.mark.parametrize("name", ["A4", "B4", "D5", "E6", "F4", "G2", "H3", "H4", "I2(5)", "I2(7)"])
 def test_parabolic_rotation_matches_the_parabolic_root_system(name):
-    # the rotation within a set J of simple indices, against the rotation
-    # of each component's own root system (inherited bipartition), taken
-    # from its coordinates and carried through its embedding; within J or
-    # within the component alone
+    # the rotation within a set J of simple indices, per root and as one
+    # pass over J's roots, against the rotation of each component's own
+    # root system (inherited bipartition), taken from its coordinates and
+    # carried through its embedding; within J or within the component alone
     import itertools
 
     rs = RootSystem(parse_diagram(name))
@@ -257,11 +257,58 @@ def test_parabolic_rotation_matches_the_parabolic_root_system(name):
     for size in range(1, rs.n + 1):
         for J in itertools.combinations(verts, size):
             within = sum(1 << rs.vertex_index[v] for v in J)
+            passed = dict(zip(*rs.rotation_within(within)))
             for crs, emb in rs.parabolic_embeddings(J):
                 comp = sum(1 << rs.vertex_index[v] for v in crs.diagram.vertices)
                 rotation = coordinate_rotation(crs)
                 for rid in range(crs.size):
                     image = emb[rotation[rid]]
+                    assert passed[emb[rid]] == image, (name, J, rid)
                     assert rs.rotate(emb[rid], within) == image, (name, J, rid)
                     assert rs.rotate(emb[rid], comp) == image, (name, J, rid)
                     assert rs.support_masks[emb[rid]] & ~comp == 0
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D5", "E6", "F4", "G2", "H3", "H4", "I2(5)", "I2(8)"])
+def test_rotation_within_equals_the_rotation_of_each_root(name):
+    # the per-table pass over a parabolic's roots, against ``rotate`` one
+    # root at a time, on every mask of simple indices
+    rs = RootSystem(parse_diagram(name))
+    for within in range(1 << rs.n):
+        rids, images = rs.rotation_within(within)
+        assert rids == [rid for rid in range(rs.size) if not rs.support_masks[rid] & ~within]
+        assert images == [rs.rotate(rid, within) for rid in rids], (name, within)
+    assert rs.rotation_within((1 << rs.n) - 1) == (list(range(rs.size)), rs.rotation)
+
+
+def test_float_roots_are_replayed_when_first_read(monkeypatch):
+    """Work counts, no clock: building E8 reflects no float coordinates;
+    reading ``roots`` replays one float reflection per positive root that
+    is not simple, and reading it again none."""
+    calls = []
+    real = RootSystem._reflect_float
+
+    def counting(self, i, coords):
+        calls.append(i)
+        return real(self, i, coords)
+
+    monkeypatch.setattr(RootSystem, "_reflect_float", counting)
+    rs = RootSystem(parse_diagram("E8"))
+    assert calls == []
+    rs.roots
+    assert len(calls) == rs.num_positive - rs.n == 112
+    rs.positive_roots, rs.roots
+    assert len(calls) == 112
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "E6", "B4", "H3", "I2(7)"])
+def test_support_and_index_match_the_coordinates(name):
+    # the support masks tracked through the closure, and the lazily built
+    # support sets and coordinate index, against the coordinates
+    rs = RootSystem(parse_diagram(name))
+    for rid, root in enumerate(rs.exact):
+        supp = {j for j, c in enumerate(root) if any(c)}
+        assert rs.support[rid] == supp
+        assert rs.support_masks[rid] == sum(1 << j for j in supp)
+        assert rs._index[root] == rid
+        assert all(len(c) == rs.degree for c in root)
