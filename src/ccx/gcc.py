@@ -9,7 +9,11 @@ under the colored rotation R_m, that holds at each negative simple
 row of each negative simple is read from the supports and carried along
 its R_m orbit; ``CliqueComplex`` checks that the rows close up and are
 symmetric.  Reducible diagrams are handled as joins: vertices of
-different components are always compatible.
+different components are always compatible.  Each component's vertices
+lie in one run of positions, its negative simples first and then each
+positive root's m colors in turn, so a vertex's position is arithmetic,
+and one routine, ``CliqueComplex.write_turn``, writes R_m both for the
+whole complex and for the parabolic subsystems that the survey checks.
 
 The clique engine of the package is one survey, one orbit frame and
 one lister.  ``clique_survey`` gives a clique complex its face numbers,
@@ -102,10 +106,11 @@ class CliqueSurvey(NamedTuple):
     pure: bool                # every maximal clique has exactly top vertices
 
 
-def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
+def clique_survey(adj: list[int], top: int, marked: int = 0, within: int | None = None) -> CliqueSurvey:
     """Face numbers, unmarked facets, ridge degrees and purity of the
-    clique complex of ``adj`` with facet size ``top``, in one ordered
-    traversal.
+    clique complex of the graph that ``adj`` induces on the vertex mask
+    ``within`` (the whole graph when None), with facet size ``top``, in
+    one ordered traversal.
 
     A node is a clique with ``later``, its common neighbors above its
     last vertex, and ``common``, all its common neighbors.  Candidates
@@ -115,15 +120,19 @@ def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
     clique is not checked, so the graph without vertices counts as pure.
     The top-cliques are counted from ``later`` at each (top-1)-clique
     without being visited, and one AND each confirms that none of them
-    has a common neighbor.  ``orbit_frame`` runs it on vertex links, and
-    ``parabolic_survey`` on its rank-1 leaves.
+    has a common neighbor.  Every node's masks lie in ``within`` once the
+    root's do, so the induced graph is surveyed in place.  ``orbit_frame``
+    runs it on vertex links, and ``parabolic_survey`` on its rank-1
+    leaves.
     """
-    V = len(adj)
-    full = (1 << V) - 1
+    if within is None:
+        within = (1 << len(adj)) - 1
+    V = within.bit_count()
     if top == 0:
         return CliqueSurvey([1], 1, frozenset(), V == 0)
     if top == 1:  # the empty clique is the one ridge, the vertices are the facets
-        return CliqueSurvey([1, V], (full & ~marked).bit_count(), frozenset({V}), not any(adj))
+        pure = not any(adj[v] & within for v in _bits(within))
+        return CliqueSurvey([1, V], (within & ~marked).bit_count(), frozenset({V}), pure)
     counts = [0] * (top + 1)
     counts[0] = 1
     ridges: set[int] = set()
@@ -166,7 +175,7 @@ def clique_survey(adj: list[int], top: int, marked: int = 0) -> CliqueSurvey:
                 if nxt & adj[low.bit_length() - 1]:
                     pure = False
 
-    rec(full, full, True, 1)
+    rec(within, within, True, 1)
     return CliqueSurvey(counts, unmarked, frozenset(ridges), pure)
 
 
@@ -192,42 +201,34 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _induced(adj: list[int], within: int, marked: int) -> tuple[list[int], int]:
-    """The adjacency induced on the vertex mask ``within``, reindexed in
-    increasing order, and ``marked`` restricted to it and reindexed alike."""
-    index = {v: 1 << i for i, v in enumerate(_bits(within))}
-    return [_image(adj[v] & within, index) for v in index], _image(marked & within, index)
-
-
-def _shift_image(mask: int, to, step: int, delta: int) -> int:
-    """``_image(mask, to)`` where ``to`` maps each vertex v of the mask
-    ``step`` to v + delta, delta = 1 or -1: those bits move as one shift
-    of the mask, and only the rest are walked."""
-    moved = mask & step
-    return (moved << 1 if delta > 0 else moved >> 1) | _image(mask ^ moved, to)
-
-
-def check_automorphism(adj: list[int], turn, within: int) -> None:
-    """Raise ``ValueError`` unless ``turn``, a list or a dict over the
-    vertex mask ``within``, permutes it and maps each edge among them to
-    an edge.  A permutation maps the edges one-to-one, so onto
-    themselves, so it maps non-edges to non-edges as well.
-
-    The colored rotations step most colors to the next vertex, v to
-    v + 1, so the vertices that ``turn`` steps are imaged as one shift of
-    each row, and only the rest are walked bit by bit, as in
-    ``_shift_image``."""
-    verts = _bits(within)
-    if sorted(turn[v] for v in verts) != verts:
-        raise ValueError("the turn is not a permutation of the vertices")
-    to = [0] * len(adj)
+def _stepped(turn: list[int], verts) -> tuple[int, list[int]]:
+    """The vertex map ``turn``, read at the vertices ``verts``, split in
+    two: the mask of the vertices it steps to the next one, v to v + 1,
+    whose image is one shift of the mask, and a list holding the image
+    mask of each other vertex of ``verts``, for ``_image`` (0 elsewhere).
+    The colored rotations step every color of a root but its last."""
     step = 0
+    to = [0] * len(turn)
     for v in verts:
         t = turn[v]
         if t == v + 1:
             step |= 1 << v
         else:
             to[v] = 1 << t
+    return step, to
+
+
+def check_automorphism(adj: list[int], turn: list[int], within: int) -> None:
+    """Raise ``ValueError`` unless ``turn``, a list read only at the vertex
+    mask ``within``, permutes it and maps each edge among them to an edge.
+    A permutation maps the edges one-to-one, so onto themselves, so it
+    maps non-edges to non-edges as well.  The vertices that ``turn``
+    steps (``_stepped``) are imaged as one shift of each row, and only
+    the rest are walked bit by bit."""
+    verts = _bits(within)
+    if sorted(turn[v] for v in verts) != verts:
+        raise ValueError("the turn is not a permutation of the vertices")
+    step, to = _stepped(turn, verts)
     for v in verts:
         mask = adj[v] & within & -(2 << v)
         moved = mask & step
@@ -262,12 +263,10 @@ def orbit_frame(adj: list[int], within: int, top: int, marked: int, turn,
     the rest of it is maximal in the link of each of its vertices: the
     empty link too, which ``clique_survey`` does not count as impure.
     Below top 2 the links say nothing, and ``clique_survey`` runs on the
-    graph itself.
+    graph itself, in place.
     """
     if top <= 1:
-        if within != (1 << len(adj)) - 1:
-            adj, marked = _induced(adj, within, marked)
-        return clique_survey(adj, top, marked)
+        return clique_survey(adj, top, marked, within)
     verts = _bits(within)
     weight: dict[int, int] = {}  # representative -> orbit size
     done = 0
@@ -386,20 +385,17 @@ def colored_ground_set(systems: list[RootSystem], m: int) -> list[ColoredRoot]:
     return out
 
 
-def rotate_colored(rs: RootSystem, v: ColoredRoot, m: int) -> ColoredRoot:
-    """Colored rotation: bump the color while it is below m, otherwise
-    rotate the underlying root and reset the color to 1."""
-    if not rs.is_negative(v.root) and v.color < m:
-        return ColoredRoot(v.comp, v.root, v.color + 1)
-    return ColoredRoot(v.comp, rs.rotate(v.root), 1)
-
-
 class CliqueComplex:
     """The clique complex of colored compatibility.
 
     vertices are ColoredRoot triples in deterministic order; adjacency
-    is a list of bitmasks over vertex positions.  ``turn`` is R_m as a
-    table on positions, None at m = 0, where R_m is not defined.
+    is a list of bitmasks over vertex positions.  The vertices of
+    component c lie at positions ``starts[c]`` up to ``starts[c + 1]``
+    (the last entry is the vertex count): its negative simples first,
+    then the m colors of each positive root in consecutive positions,
+    so ``position`` is arithmetic.  ``turn`` is R_m as a table on
+    positions, written by ``write_turn``, None at m = 0, where R_m is
+    not defined.
     """
 
     def __init__(self, systems: list[RootSystem], m: int):
@@ -407,17 +403,51 @@ class CliqueComplex:
         self.m = m
         self.n = sum(rs.n for rs in systems)
         self.vertices = colored_ground_set(systems, m)
-        self.pos = {v: i for i, v in enumerate(self.vertices)}
-        self.turn = [self.pos[rotate_colored(systems[v.comp], v, m)]
-                     for v in self.vertices] if m else None
+        self.starts = [0]
+        for rs in systems:
+            self.starts.append(self.starts[-1] + rs.n + m * rs.num_positive)
+        self.turn = None
+        if m:
+            self.turn = list(range(1, len(self.vertices) + 1))
+            for c, rs in enumerate(systems):
+                self.write_turn(self.turn, c, range(rs.size), rs.rotation)
         self.adj = self._rows()
         # R_m has its order on each component: this refuses some wrong
         # tables that pass the row checks
-        lo = 0
-        for rs in systems if m else ():
-            hi = lo + rs.n + m * rs.num_positive
+        for c, rs in enumerate(systems if m else ()):
+            lo, hi = self.starts[c], self.starts[c + 1]
             check_rotation_order([t - lo for t in self.turn[lo:hi]], rs, m)
-            lo = hi
+
+    def position(self, comp: int, root: int, color: int = 1) -> int:
+        """The position of the vertex ``ColoredRoot(comp, root, color)``."""
+        start, n = self.starts[comp], self.systems[comp].n
+        return start + root if root < n else start + n + (root - n) * self.m + color - 1
+
+    def write_turn(self, turn: list[int], comp: int, rids, images) -> int:
+        """Write R_m into ``turn`` at the colored roots of ``comp`` whose
+        root ids are ``rids``, under the rotation that sends them to
+        ``images``, and return the vertex mask of those colored roots.
+
+        R_m steps a color below m to the next one, the next position,
+        which ``turn`` must already hold; it sends the last color of a
+        root (a negative simple's one) to color 1 of the root's image.
+        From ``rs.rotation`` on every root id this is R_m on the
+        component; from ``rs.rotation_within(K)`` it is R_m of the
+        parabolic subsystem on K, on the vertices of K."""
+        m, n, start = self.m, self.systems[comp].n, self.starts[comp]
+        off = start + n - n * m  # color 1 of positive root r is at off + r * m
+        colors = (1 << m) - 1
+        mask = 0
+        for rid, image in zip(rids, images):
+            if rid < n:
+                at = start + rid
+                mask |= 1 << at
+            else:
+                at = off + rid * m
+                mask |= colors << at
+                at += m - 1
+            turn[at] = start + image if image < n else off + image * m
+        return mask
 
     def _rows(self) -> list[int]:
         """The rows of colored compatibility, from its defining property.
@@ -425,11 +455,11 @@ class CliqueComplex:
         The row of a negative simple -alpha_i is every vertex of the other
         components and every vertex of its own whose root's support
         avoids i.  Since u ~ v exactly when R_m u ~ R_m v, the row of
-        R_m^-1 x is the image of the row of x under R_m^-1.  So each row
-        is carried backwards along its R_m orbit to every vertex before
-        the previous negative simple, where it must arrive as that
-        vertex's own row; the rows are then invariant under R_m.  R_m is
-        a permutation, so the walks cover disjoint arcs of the orbits;
+        R_m x is the image of the row of x under R_m.  So each row is
+        carried forward along its R_m orbit to every vertex before the
+        next negative simple, where it must arrive as that vertex's own
+        row; the rows are then invariant under R_m.  R_m is a
+        permutation, so the walks cover disjoint arcs of the orbits;
         every vertex must get a row, so every orbit must meet a negative
         simple.  R_m moves any pair to one that holds a negative simple,
         so the rows are symmetric once the column of each negative
@@ -437,12 +467,11 @@ class CliqueComplex:
         At m = 0 every vertex is a negative simple, and the rows are the
         whole graph.
 
-        The ground set lists each root's colors in consecutive positions,
-        and R_m^-1 steps every color above 1 down to the previous one,
-        v to v - 1.  So a row is carried back as one shift of its bits at
-        those vertices, and only its bits at colors 1 and the negative
-        simples are walked (``_shift_image``): (m-1)/m of the positive
-        roots' bits take one shift.
+        R_m steps every color below m to the next position
+        (``_stepped``), so a row is carried as one shift of its bits at
+        those vertices, and only its bits at the last colors and the
+        negative simples are walked: (m-1)/m of the positive roots' bits
+        take one shift.
         """
         V = len(self.vertices)
         negative = self.negative_mask()
@@ -453,19 +482,18 @@ class CliqueComplex:
             rows[s] = sum(1 << g for g, w in enumerate(self.vertices)
                           if w.comp != v.comp or not supp[w.root] >> v.root & 1)
         if self.turn is not None:
-            back = [0] * V
-            for g, t in enumerate(self.turn):
-                back[t] = g
-            to = [1 << g for g in back]
-            step = 0
-            for g, b in enumerate(back):
-                if b == g - 1:
-                    step |= 1 << g
+            turn = self.turn
+            step, to = _stepped(turn, range(V))
+
+            def image(row: int) -> int:
+                moved = row & step
+                return moved << 1 | _image(row ^ moved, to)
+
             for s in _bits(negative):
-                row, g = _shift_image(rows[s], to, step, -1), back[s]
+                row, g = image(rows[s]), turn[s]
                 while not negative >> g & 1:
                     rows[g] = row
-                    row, g = _shift_image(row, to, step, -1), back[g]
+                    row, g = image(row), turn[g]
                 if row != rows[g]:
                     raise LookupMiss(f"the row of negative simple {s} arrives at {g} as another row")
         if None in rows:
@@ -491,12 +519,9 @@ class CliqueComplex:
         return self.turn[i]
 
     def negative_mask(self) -> int:
-        """The positions of the negative simples, as a vertex mask."""
-        negative = 0
-        for i, v in enumerate(self.vertices):
-            if self.systems[v.comp].is_negative(v.root):
-                negative |= 1 << i
-        return negative
+        """The positions of the negative simples, as a vertex mask: the
+        first n positions of each component."""
+        return sum(((1 << rs.n) - 1) << start for rs, start in zip(self.systems, self.starts))
 
     @cached_property
     def survey(self) -> CliqueSurvey:
@@ -585,22 +610,23 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
     parabolic recursion.
 
     For a connected set K of simple indices of one component, the
-    vertices of K are the colored roots whose support lies in K, taken
-    from the roots grouped by support.  They induce the complex of the
-    parabolic subsystem on K, whose colored rotation under the inherited
-    bipartition (from ``RootSystem.rotation_within``, one list pass per
-    simple reflection of K) is checked exactly as an automorphism of the
-    graph they induce, once per K.  A state is K with
-    some of its negative simples marked; it is surveyed by
-    ``orbit_frame`` under K's rotation, every orbit of which holds a
-    negative simple.  The link of -alpha_j in K holds the vertices of the
-    components of K minus j, and is the join of the complexes they
-    induce: each part is surveyed as the state with the marks below j,
-    and ``join_survey`` combines them.  A link that is not exactly that
+    vertices of K are the colored roots whose support lies in K.  They
+    induce the complex of the parabolic subsystem on K, whose colored
+    rotation under the inherited bipartition is written by
+    ``CliqueComplex.write_turn`` from ``RootSystem.rotation_within`` (one
+    list pass per simple reflection of K), and checked exactly as an
+    automorphism of the graph they induce, once per K.  A state is K
+    with some of its negative simples marked, a mask of simple indices
+    that, shifted to the component's start, marks their positions; it is
+    surveyed by ``orbit_frame`` under K's rotation, every orbit of which
+    holds a negative simple.  The link of -alpha_j in K holds the
+    vertices of the components of K minus j, and is the join of the
+    complexes they induce: each part is surveyed as the state with the
+    marks below j, and ``join_survey`` combines them.  A link that is not exactly that
     join (``is_join``) or has an impure part, and the link of a vertex
     that is not a negative simple, is surveyed whole by
-    ``clique_survey``; so is a link in a K of rank 2, an A1 at facet
-    size 1.  A singleton K, a part of a join, is an A1 too, and
+    ``clique_survey``, in place; so is a link in a K of rank 2, an A1 at
+    facet size 1.  A singleton K, a part of a join, is an A1 too, and
     ``orbit_frame`` surveys it by ``clique_survey``.  The whole complex
     is the join of its components, each the state of all its indices,
     all marked, or else, where ``cx.adj`` is not that join, is surveyed
@@ -608,18 +634,6 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
     call only; every count is still read from ``cx.adj``.
     """
     adj = cx.adj
-    # per component: each root's first and last position, its colors
-    # lying between them as the ground set lists them, and the vertex
-    # mask of each support
-    first: list[dict[int, int]] = [{} for _ in cx.systems]
-    last: list[dict[int, int]] = [{} for _ in cx.systems]
-    groups: list[dict[int, int]] = [{} for _ in cx.systems]
-    for g, v in enumerate(cx.vertices):
-        first[v.comp].setdefault(v.root, g)
-        last[v.comp][v.root] = g
-        supp = cx.systems[v.comp].support_masks[v.root]
-        groups[v.comp][supp] = groups[v.comp].get(supp, 0) | 1 << g
-    negatives = [[1 << at[j] for j in range(rs.n)] for rs, at in zip(cx.systems, first)]
     # every color below the last steps to the next position
     stepped = list(range(1, len(adj) + 1))
     shapes: dict[tuple[int, int], tuple[int, list[int]]] = {}
@@ -627,19 +641,11 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
 
     def shape(c: int, K: int) -> tuple[int, list[int]]:
         """The vertex mask of K and K's colored rotation on it, checked,
-        as a list read only at that mask: a root's colors step up to the
-        last, which goes to color 1 of the rotated root, from one pass of
-        ``RootSystem.rotation_within``."""
+        as a list read only at that mask."""
         got = shapes.get((c, K))
         if got is None:
-            vmask = 0
-            for supp, vm in groups[c].items():
-                if not supp & ~K:
-                    vmask |= vm
             turn = list(stepped)
-            head, tail = first[c], last[c]
-            for rid, image in zip(*cx.systems[c].rotation_within(K)):
-                turn[tail[rid]] = head[image]
+            vmask = cx.write_turn(turn, c, *cx.systems[c].rotation_within(K))
             check_automorphism(adj, turn, vmask)
             got = shapes[c, K] = (vmask, turn)
         return got
@@ -658,12 +664,12 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
         got = memo.get((c, K, marks))
         if got is not None:
             return got
-        rs = cx.systems[c]
+        rs, start = cx.systems[c], cx.starts[c]
         vmask, turn = shape(c, K)
         top = K.bit_count()
 
         def link_survey(i: int, below: int) -> CliqueSurvey:
-            j = cx.vertices[i].root
+            j = i - start  # the root id of a negative simple
             link = adj[i] & vmask
             if j < rs.n and top > 2:
                 under = marks & ((1 << j) - 1)
@@ -671,11 +677,9 @@ def parabolic_survey(cx: CliqueComplex) -> CliqueSurvey:
                 got = join(link, [(c, P, under & P) for P in parts])
                 if got is not None:
                     return got
-            local, below = _induced(adj, link, below)
-            return clique_survey(local, top - 1, below)
+            return clique_survey(adj, top - 1, below, link)
 
-        marked = _image(marks, negatives[c])
-        got = memo[c, K, marks] = orbit_frame(adj, vmask, top, marked, turn, link_survey)
+        got = memo[c, K, marks] = orbit_frame(adj, vmask, top, marks << start, turn, link_survey)
         return got
 
     whole = join((1 << len(adj)) - 1, [(c, (1 << rs.n) - 1, (1 << rs.n) - 1)
@@ -691,49 +695,38 @@ def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:
 
     Checks both the vertex set of the link (roots avoiding the removed
     vertex) and edge-by-edge agreement of compatibility with the
-    parabolic complex built from scratch.
+    parabolic complex built from scratch, whose vertices are matched to
+    the parent's by position.
     """
+    negative = cx.negative_mask()
     cur = i
-    for _ in range(10 * len(cx.vertices) + 5):
-        v = cx.vertices[cur]
-        if cx.systems[v.comp].is_negative(v.root):
+    for _ in range(len(cx.vertices)):  # an orbit has at most that many vertices
+        if negative >> cur & 1:
             break
         cur = cx.rotate_vertex(cur)
     else:
         raise RuntimeError("rotation never reached a negative simple")
 
-    v = cx.vertices[cur]
-    rs = cx.systems[v.comp]
-    removed_vertex = rs.diagram.vertices[v.root]
-
+    c, j, _ = cx.vertices[cur]
+    rs = cx.systems[c]
     link = set(cx.link_vertices(cur))
-    expected = set()
-    for j, w in enumerate(cx.vertices):
-        if j == cur:
-            continue
-        if w.comp != v.comp:
-            expected.add(j)
-        elif v.root not in cx.systems[w.comp].support[w.root]:
-            expected.add(j)
+    expected = {g for g, w in enumerate(cx.vertices)
+                if g != cur and (w.comp != c or not rs.support_masks[w.root] >> j & 1)}
     if link != expected:
         return False
 
     # parabolic complex on the remaining vertices of this component
-    J = [u for u in rs.diagram.vertices if u != removed_vertex]
-    embs = rs.parabolic_embeddings(J)
-    sub_systems = [crs for crs, _ in embs]
-    sub = CliqueComplex(sub_systems, cx.m)
+    removed_vertex = rs.diagram.vertices[j]
+    embs = rs.parabolic_embeddings([u for u in rs.diagram.vertices if u != removed_vertex])
+    sub = CliqueComplex([crs for crs, _ in embs], cx.m)
 
     # identify sub vertices with parent vertices via the embeddings
     ident: dict[int, int] = {}
     for ci, (crs, emb) in enumerate(embs):
         for sub_rid, parent_rid in emb.items():
             for k in range(1, (cx.m if sub_rid >= crs.n else 1) + 1):
-                sv = ColoredRoot(ci, sub_rid, k)
-                if sv in sub.pos:
-                    pv = ColoredRoot(v.comp, parent_rid, k)
-                    ident[sub.pos[sv]] = cx.pos[pv]
-    if set(ident.values()) != {j for j in link if cx.vertices[j].comp == v.comp}:
+                ident[sub.position(ci, sub_rid, k)] = cx.position(c, parent_rid, k)
+    if set(ident.values()) != {g for g in link if cx.vertices[g].comp == c}:
         return False
     for a in ident:
         for b in ident:

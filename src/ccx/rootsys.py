@@ -65,11 +65,12 @@ class RootSystem:
     coordinates, ``roots`` their float values, replayed when first read
     along the reflections that found each root.  ``reflection[i][rid]``
     is the id of s_i applied to root ``rid``, None where that is a
-    negative root other than a negative simple.  ``rotate`` is the
+    negative root other than a negative simple.  ``rotation`` is the
     deformed Coxeter element (the minus-twist after the plus-twist)
-    acting on almost-positive roots, or that of the parabolic subsystem
-    on a set of simple indices; ``rotation_within`` is that rotation on
-    every root of the parabolic subsystem at once.  ``support_masks``
+    acting on almost-positive roots, as a table on root ids;
+    ``rotation_within`` is that of the parabolic subsystem on a set of
+    simple indices, under the inherited bipartition, on each root of the
+    subsystem.  ``support_masks``
     holds each root's support as a mask of simple indices, which colored
     compatibility reads at the negative simples.
     """
@@ -248,8 +249,9 @@ class RootSystem:
         return rid < self.n
 
     def _twists(self, rids: list[int], within: int) -> list[int]:
-        """``rotate(rid, within)`` on each id of ``rids``, all supported
-        in ``within``, by one list pass per simple reflection of each of
+        """The rotation of the parabolic subsystem on the mask ``within``
+        of simple indices on each id of ``rids``, all supported in
+        ``within``, by one list pass per simple reflection of each of
         the two twists whose product is the rotation.
 
         A twist fixes the negative simples of the opposite class; on the
@@ -271,7 +273,7 @@ class RootSystem:
     def rotation_within(self, within: int) -> tuple[list[int], list[int]]:
         """The ids of the roots supported in the mask ``within`` of simple
         indices, in increasing order, and their images under the rotation
-        of that parabolic subsystem, as ``rotate(rid, within)`` gives."""
+        of that parabolic subsystem under the inherited bipartition."""
         rids = [rid for rid, supp in enumerate(self.support_masks) if not supp & ~within]
         return rids, self._twists(rids, within)
 
@@ -279,14 +281,6 @@ class RootSystem:
         self.rotation = self._twists(list(range(self.size)), (1 << self.n) - 1)
         self.minus_one_longest = self.classification.minus_one_longest
         self.rotation_order = check_rotation_order(self.rotation, self, 1)
-
-    def rotate(self, rid: int, within: int | None = None) -> int:
-        """The rotation of root ``rid``; with ``within``, a mask of simple
-        indices holding its support, the rotation of that parabolic
-        subsystem under the inherited bipartition."""
-        if within is None or within == (1 << self.n) - 1:
-            return self.rotation[rid]
-        return self._twists([rid], within)[0]
 
     def compatible(self, a: int, b: int) -> bool:
         """Uncolored compatibility of two root ids, the relation that

@@ -382,9 +382,9 @@ def test_dissect_surveys_no_graph_as_large_as_the_model(capsys, monkeypatch, fam
     sizes: list[int] = []
     real = gcc.clique_survey
 
-    def counting(adj, top, marked=0):
-        sizes.append(len(adj))
-        return real(adj, top, marked)
+    def counting(adj, top, marked=0, within=None):
+        sizes.append(len(adj) if within is None else within.bit_count())
+        return real(adj, top, marked, within)
 
     monkeypatch.setattr(gcc, "clique_survey", counting)
     code, out, _ = run_cli(capsys, "dissect", "--family", family, "-n", str(n), "-m", str(m))

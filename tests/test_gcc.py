@@ -19,9 +19,19 @@ from ccx.gcc import (
     colored_ground_set,
     iter_cliques,
     link_decomposition_check,
-    rotate_colored,
 )
+from ccx.diagram import mask_components
 from ccx.rootsys import LookupMiss, RootSystem
+
+
+def rotate_colored(rs: RootSystem, v: ColoredRoot, m: int, rotation=None) -> ColoredRoot:
+    """Colored rotation R_m, vertex by vertex: a test oracle for
+    ``CliqueComplex.write_turn``.  Bump the color while it is below m,
+    otherwise rotate the underlying root and reset the color to 1.  The
+    rotation is ``rs.rotation``, or ``rotation`` (a map on root ids)."""
+    if not rs.is_negative(v.root) and v.color < m:
+        return ColoredRoot(v.comp, v.root, v.color + 1)
+    return ColoredRoot(v.comp, (rs.rotation if rotation is None else rotation)[v.root], 1)
 
 
 def test_ground_set_sizes():
@@ -40,12 +50,43 @@ def test_negative_simples_carry_color_one():
             assert v.color == 1
 
 
+INTERLEAVED = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "D4", "E6", "H3",
+                                  "I2(5)", "n=5; 1-2:3 4-5:5", INTERLEAVED])
+def test_positions_and_written_turns_follow_the_rule_vertex_by_vertex(spec, m):
+    """Each vertex's arithmetic position is its index in the ground set;
+    ``turn`` is R_m vertex by vertex; and for every connected K of every
+    component, the turn written from K's rotation is R_m of K's
+    parabolic on the vertices whose support lies in K."""
+    cx = build_complex(parse_diagram(spec), m)
+    V = cx.num_vertices()
+    assert [cx.position(*v) for v in cx.vertices] == list(range(V))
+    assert cx.turn == [cx.position(*rotate_colored(cx.systems[v.comp], v, m)) for v in cx.vertices]
+    for c, rs in enumerate(cx.systems):
+        for K in range(1, 1 << rs.n):
+            if len(mask_components(K, rs.neighbor_masks)) > 1:
+                continue
+            turn = list(range(1, V + 1))
+            rids, images = rs.rotation_within(K)
+            vmask = cx.write_turn(turn, c, rids, images)
+            verts = [g for g, v in enumerate(cx.vertices)
+                     if v.comp == c and not rs.support_masks[v.root] & ~K]
+            assert vmask == sum(1 << g for g in verts), (spec, m, c, K)
+            rotation = dict(zip(rids, images))
+            for g in verts:
+                want = rotate_colored(rs, cx.vertices[g], m, rotation)
+                assert turn[g] == cx.position(*want), (spec, m, c, K, g)
+
+
 def test_colored_rotation_branches():
     rs = RootSystem(parse_diagram("A2"))
     pos = rs.n  # first positive root id
     assert rotate_colored(rs, ColoredRoot(0, pos, 1), 3) == ColoredRoot(0, pos, 2)
     img = rotate_colored(rs, ColoredRoot(0, 0, 1), 3)
-    assert img == ColoredRoot(0, rs.rotate(0), 1)
+    assert img == ColoredRoot(0, rs.rotation[0], 1)
 
 
 @pytest.mark.parametrize(
@@ -79,7 +120,7 @@ def test_colored_rotation_order(name, m):
 
 def edge(cx: CliqueComplex, u: ColoredRoot, v: ColoredRoot) -> bool:
     """Whether the colored roots u and v are compatible in ``cx``."""
-    return bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1)
+    return bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1)
 
 
 def test_support_rule_for_negative_simples():
@@ -118,7 +159,7 @@ def test_lower_color_complex_is_induced_subcomplex():
     for a, u in enumerate(small.vertices):
         for b in range(a + 1, len(small.vertices)):
             v = small.vertices[b]
-            big_edge = bool(big.adj[big.pos[u]] >> big.pos[v] & 1)
+            big_edge = edge(big, u, v)
             assert big_edge == bool(small.adj[a] >> b & 1)
 
 
@@ -180,6 +221,14 @@ def test_links_decompose():
             )
 
 
+def test_link_decomposition_check_refuses_an_orbit_without_a_negative_simple():
+    """The walk along R_m stops after as many steps as there are vertices."""
+    cx = build_complex(parse_diagram("A2"), 2)
+    cx.negative_mask = lambda: 0
+    with pytest.raises(RuntimeError, match="never reached a negative simple"):
+        link_decomposition_check(cx, 0)
+
+
 def test_link_of_vertex_in_rank_one_is_empty():
     cx = build_complex(parse_diagram("A1"), 3)
     assert all(cx.adj[i] == 0 for i in range(cx.num_vertices()))
@@ -188,7 +237,7 @@ def test_link_of_vertex_in_rank_one_is_empty():
 def test_link_of_negative_simple_in_a2():
     m = 3
     cx = build_complex(parse_diagram("A2"), m)
-    i = cx.pos[ColoredRoot(0, 0, 1)]
+    i = cx.position(0, 0, 1)
     assert len(cx.link_vertices(i)) == m + 1  # a rank-one complex
 
 
@@ -307,7 +356,7 @@ def depths(rs: RootSystem) -> list[int]:
     for rid in range(rs.size):
         d = 0
         while not rs.is_negative(rid):
-            rid, d = rs.rotate(rid), d + 1
+            rid, d = rs.rotation[rid], d + 1
         out.append(d)
     return out
 
@@ -322,7 +371,7 @@ def pair_compatible(rs: RootSystem, a: int, b: int) -> bool:
             return a not in rs.support[b]
         if rs.is_negative(b):
             return b not in rs.support[a]
-        a, b = rs.rotate(a), rs.rotate(b)
+        a, b = rs.rotation[a], rs.rotation[b]
     raise AssertionError("no negative simple reached within one period")
 
 
@@ -354,9 +403,9 @@ def five_case_adjacency(cx: CliqueComplex) -> list[int]:
         rs, d = cx.systems[u.comp], depth[u.comp]
         a, b = u.root, v.root
         if u.color > v.color and d[a] <= d[b]:
-            a = rs.rotate(a)
+            a = rs.rotation[a]
         elif u.color < v.color and d[a] >= d[b]:
-            b = rs.rotate(b)
+            b = rs.rotation[b]
         return tables[u.comp][a][b]
 
     return compatibility_masks(cx.vertices, compatible)
@@ -394,6 +443,18 @@ def test_clique_survey_matches_brute_force(graph):
         assert clique_survey(adj, top, marked) == brute_survey(adj, top, marked)
 
 
+@settings(max_examples=150, deadline=4000)
+@given(graphs(), st.data())
+def test_clique_survey_within_a_mask_is_the_survey_of_the_induced_graph(graph, data):
+    adj, within = graph
+    marked = data.draw(st.integers(0, (1 << len(adj)) - 1))
+    verts = gcc._bits(within)
+    local = [sum(1 << b for b, w in enumerate(verts) if adj[v] >> w & 1) for v in verts]
+    marks = sum(1 << b for b, v in enumerate(verts) if marked >> v & 1)
+    for top in range(len(verts) + 2):
+        assert clique_survey(adj, top, marked, within) == brute_survey(local, top, marks)
+
+
 def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> CliqueSurvey:
     """``clique_survey(adj, top, marked)`` from vertex links only:
     ``check_automorphism`` on every vertex, then ``orbit_frame``."""
@@ -402,8 +463,7 @@ def orbit_survey(adj: list[int], top: int, marked: int, turn: list[int]) -> Cliq
     gcc.check_automorphism(adj, turn, (1 << len(adj)) - 1)
 
     def link_survey(i: int, below: int) -> CliqueSurvey:
-        link, marks = gcc._induced(adj, adj[i], below)
-        return clique_survey(link, top - 1, marks)
+        return clique_survey(adj, top - 1, below, adj[i])
 
     return gcc.orbit_frame(adj, (1 << len(adj)) - 1, top, marked, turn, link_survey)
 
@@ -506,14 +566,15 @@ def _orbits(turn: list[int]) -> list[list[int]]:
     return out
 
 
-def _counting_kernel(monkeypatch) -> list[list[int]]:
-    """Record the adjacency of each ``clique_survey`` call."""
-    calls: list[list[int]] = []
+def _counting_kernel(monkeypatch) -> list[int]:
+    """Record the number of vertices each ``clique_survey`` call surveys:
+    those of its ``within`` mask, or of the whole graph."""
+    calls: list[int] = []
     real = gcc.clique_survey
 
-    def counting(adj, top, marked=0):
-        calls.append(adj)
-        return real(adj, top, marked)
+    def counting(adj, top, marked=0, within=None):
+        calls.append(len(adj) if within is None else within.bit_count())
+        return real(adj, top, marked, within)
 
     monkeypatch.setattr(gcc, "clique_survey", counting)
     return calls
@@ -533,7 +594,7 @@ def test_complex_survey_runs_one_link_per_marked_vertex_or_orbit(monkeypatch):
     # the parabolic recursion runs the kernel on A1s only: the rank-1
     # states it reaches and the links in its rank-2 parabolics
     assert len(calls) == 14
-    assert all(len(adj) < V for adj in calls)
+    assert all(size < V for size in calls)
     assert survey == clique_survey(cx.adj, cx.n, sum(1 << i for i in negative))
 
 
@@ -561,19 +622,24 @@ def test_adjacency_equals_the_five_case_rule(spec, m):
     assert cx.adj == five_case_adjacency(cx)
 
 
+def _swap_written_images(monkeypatch, real, a: int, b: int) -> None:
+    """Make ``CliqueComplex.write_turn`` (``real``) swap the images of
+    the positions a and b once it has written them."""
+    def swapped(self, turn, comp, rids, images):
+        mask = real(self, turn, comp, rids, images)
+        turn[a], turn[b] = turn[b], turn[a]
+        return mask
+
+    monkeypatch.setattr(CliqueComplex, "write_turn", swapped)
+
+
 @pytest.mark.parametrize("spec,a,b,check", [
     ("A2", 0, 1, "arrives"),  # -alpha_1 and -alpha_2
     ("A3", 0, 2, "not symmetric"),  # -alpha_1 and -alpha_3
 ])
 def test_colored_rows_refuse_a_rotation_with_two_images_swapped(monkeypatch, spec, a, b, check):
     rs = RootSystem(parse_diagram(spec))
-    u, v = ColoredRoot(0, a, 1), ColoredRoot(0, b, 1)
-    real = gcc.rotate_colored
-
-    def swapped(rs, w, m):
-        return real(rs, v if w == u else u if w == v else w, m)
-
-    monkeypatch.setattr(gcc, "rotate_colored", swapped)
+    _swap_written_images(monkeypatch, CliqueComplex.write_turn, a, b)
     with pytest.raises(LookupMiss, match=check):
         CliqueComplex([rs], 1)
 
@@ -586,13 +652,10 @@ def test_colored_rotation_with_any_two_images_swapped_builds_no_wrong_graph(monk
     alone pass nine wrong tables here; the order check refuses them."""
     rs = RootSystem(parse_diagram(spec))
     right = CliqueComplex([rs], m).adj
-    real = gcc.rotate_colored
+    real = CliqueComplex.write_turn
     refused = 0
-    for u, v in itertools.combinations(colored_ground_set([rs], m), 2):
-        def swapped(rs, w, m, u=u, v=v):
-            return real(rs, v if w == u else u if w == v else w, m)
-
-        monkeypatch.setattr(gcc, "rotate_colored", swapped)
+    for (a, u), (b, v) in itertools.combinations(enumerate(colored_ground_set([rs], m)), 2):
+        _swap_written_images(monkeypatch, real, a, b)
         try:
             cx = CliqueComplex([rs], m)
         except LookupMiss:
@@ -633,7 +696,7 @@ def test_colored_rows_refuse_a_tampered_negative_simple_row(spec, m, check):
 
 def test_colored_rows_refuse_an_orbit_without_a_negative_simple(monkeypatch):
     rs = RootSystem(parse_diagram("A3"))
-    assert [1, 4, 8] == [1, rs.rotate(1), rs.rotate(rs.rotate(1))] and rs.rotate(8) == 1
+    assert [1, 4, 8] == [1, rs.rotation[1], rs.rotation[4]] and rs.rotation[8] == 1
     real = CliqueComplex.negative_mask
     # -alpha_2 is the one negative simple of its R_1 orbit; left out, the orbit meets none
     monkeypatch.setattr(CliqueComplex, "negative_mask", lambda self: real(self) & ~0b10)
@@ -647,10 +710,10 @@ def test_complex_survey_enumerates_cliques_on_rank_one_leaves_only(monkeypatch, 
     tops: list[int] = []
     real = gcc.clique_survey
 
-    def counting(adj, top, marked=0):
+    def counting(adj, top, marked=0, within=None):
         tops.append(top)
-        assert len(adj) == m + 1  # an A1: its negative simple and m colors of its root
-        return real(adj, top, marked)
+        assert within.bit_count() == m + 1  # an A1: its negative simple and m colors of its root
+        return real(adj, top, marked, within)
 
     monkeypatch.setattr(gcc, "clique_survey", counting)
     cx.survey
@@ -699,37 +762,31 @@ def test_complex_survey_checks_each_parabolic_rotation(monkeypatch):
 
 
 @st.composite
-def shift_maps(draw):
-    """A map ``to`` from the vertices of ``within`` (a list, or a dict
-    over ``within`` alone) to vertex masks, the mask ``step`` of the
-    vertices it sends to v + delta, delta = 1 or -1, and a mask within
-    ``within``, possibly empty.  Some maps step no vertex."""
+def stepping_maps(draw):
+    """A vertex map ``turn`` read at the vertices of ``within`` (-1
+    elsewhere), sending some of them to the next vertex and the others
+    anywhere, and a mask within ``within``, possibly empty.  Some maps
+    step no vertex."""
     V = draw(st.integers(0, 12))
-    delta = draw(st.sampled_from((1, -1)))
     within = draw(st.integers(0, (1 << V) - 1))
-    to: dict[int, int] = {}
-    step = 0
+    turn = [-1] * V
     for v in range(V):
-        if not within >> v & 1:
-            continue
-        if 0 <= v + delta < V and draw(st.booleans()):
-            to[v] = 1 << (v + delta)
-            step |= 1 << v
-        else:
-            to[v] = 1 << draw(st.integers(0, max(V - 1, 0)))
-    if draw(st.booleans()):
-        to = [to.get(v, 0) for v in range(V)]
+        if within >> v & 1:
+            step = v + 1 < V and draw(st.booleans())
+            turn[v] = v + 1 if step else draw(st.integers(0, V - 1))
     mask = draw(st.integers(0, (1 << V) - 1)) & within
-    return to, step, delta, mask
+    return turn, within, mask
 
 
 @settings(max_examples=300, deadline=4000)
-@given(shift_maps())
-def test_shift_image_equals_the_bit_walk(drawn):
-    to, step, delta, mask = drawn
-    assert gcc._shift_image(mask, to, step, delta) == gcc._image(mask, to)
-    # a map with no stepped vertex is walked whole
-    assert gcc._shift_image(mask, to, 0, delta) == gcc._image(mask, to)
+@given(stepping_maps())
+def test_stepped_split_equals_the_bit_walk(drawn):
+    turn, within, mask = drawn
+    step, to = gcc._stepped(turn, gcc._bits(within))
+    assert not step & ~within and all(turn[v] == v + 1 for v in gcc._bits(step))
+    moved = mask & step
+    walk = [1 << t if within >> v & 1 else 0 for v, t in enumerate(turn)]
+    assert moved << 1 | gcc._image(mask ^ moved, to) == gcc._image(mask, walk)
 
 
 @st.composite

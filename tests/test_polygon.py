@@ -10,7 +10,6 @@ from ccx.gcc import (
     CliqueComplex,
     check_budget,
     colored_ground_set,
-    rotate_colored,
 )
 from ccx.polygon import (
     TypeAModel,
@@ -166,11 +165,11 @@ def test_type_a_bijection_is_isomorphism(n, m):
     assert len(gs) == len(model.diagonals)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == (
+        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == (
             not crossing(model.to_diagonal[u], model.to_diagonal[v])
         )
     for v in gs:
-        assert model.to_diagonal[rotate_colored(model.rs, v, m)] == rotate_diag(
+        assert model.to_diagonal[cx.vertices[cx.turn[cx.position(*v)]]] == rotate_diag(
             model.to_diagonal[v], model.N
         )
 
@@ -226,9 +225,9 @@ def test_type_b_bijection_is_isomorphism(n, m):
     assert len(gs) == len(model.vertices)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model_compatible(model, u, v)
+        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == model_compatible(model, u, v)
     for v in gs:
-        assert model.to_vertex[rotate_colored(model.rs, v, m)] == model.rotate_vertex(
+        assert model.to_vertex[cx.vertices[cx.turn[cx.position(*v)]]] == model.rotate_vertex(
             model.to_vertex[v]
         )
 
@@ -260,9 +259,9 @@ def test_type_d_bijection_is_isomorphism(n, m):
     assert len(gs) == len(model.vertices)
     cx = CliqueComplex([model.rs], m)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.pos[u]] >> cx.pos[v] & 1) == model_compatible(model, u, v)
+        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == model_compatible(model, u, v)
     for v in gs:
-        assert model.to_vertex[rotate_colored(model.rs, v, m)] == model.rotate_vertex(
+        assert model.to_vertex[cx.vertices[cx.turn[cx.position(*v)]]] == model.rotate_vertex(
             model.to_vertex[v]
         )
 

@@ -33,7 +33,7 @@ def test_not_finite_type_rejected():
 
 def test_rank_one_rotation_swaps_signs():
     rs = RootSystem(parse_diagram("A1"))
-    assert rs.rotate(0) == 1 and rs.rotate(1) == 0
+    assert rs.rotation == [1, 0]
 
 
 def test_every_orbit_meets_negative_simples():
@@ -44,10 +44,10 @@ def test_every_orbit_meets_negative_simples():
             if start in seen:
                 continue
             orbit = [start]
-            cur = rs.rotate(start)
+            cur = rs.rotation[start]
             while cur != start:
                 orbit.append(cur)
-                cur = rs.rotate(cur)
+                cur = rs.rotation[cur]
             seen.update(orbit)
             assert any(rs.is_negative(r) for r in orbit)
 
@@ -55,10 +55,10 @@ def test_every_orbit_meets_negative_simples():
 def test_orbit_size_small_rank():
     rs = RootSystem(parse_diagram("A2"))
     orbit = [0]
-    cur = rs.rotate(0)
+    cur = rs.rotation[0]
     while cur != 0:
         orbit.append(cur)
-        cur = rs.rotate(cur)
+        cur = rs.rotation[cur]
     assert len(orbit) == 5  # h + 2 with h = 3
 
 
@@ -99,7 +99,7 @@ def test_compatibility_rotation_invariant_and_symmetric(name):
         for b in range(a + 1, rs.size):
             c = rs.compatible(a, b)
             assert c == rs.compatible(b, a) == bool(adj[a] >> b & 1)
-            assert c == rs.compatible(rs.rotate(a), rs.rotate(b))
+            assert c == rs.compatible(rs.rotation[a], rs.rotation[b])
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4"])
@@ -115,7 +115,7 @@ def test_compatibility_first_hit_is_well_defined(name):
                 return first not in rs.support[second]
             if rs.is_negative(second):
                 return second not in rs.support[first]
-            x, y = rs.rotate(x), rs.rotate(y)
+            x, y = rs.rotation[x], rs.rotation[y]
         raise AssertionError("no negative simple reached")
 
     for a in range(rs.size):
@@ -240,16 +240,15 @@ def coordinate_rotation(rs: RootSystem) -> list[int]:
 def test_rotation_from_the_table_matches_the_coordinates(name):
     rs = RootSystem(parse_diagram(name))
     assert rs.rotation == coordinate_rotation(rs)
-    full = (1 << rs.n) - 1
-    assert [rs.rotate(rid, full) for rid in range(rs.size)] == rs.rotation
+    assert rs.rotation_within((1 << rs.n) - 1) == (list(range(rs.size)), rs.rotation)
 
 
 @pytest.mark.parametrize("name", ["A4", "B4", "D5", "E6", "F4", "G2", "H3", "H4", "I2(5)", "I2(7)"])
 def test_parabolic_rotation_matches_the_parabolic_root_system(name):
-    # the rotation within a set J of simple indices, per root and as one
-    # pass over J's roots, against the rotation of each component's own
-    # root system (inherited bipartition), taken from its coordinates and
-    # carried through its embedding; within J or within the component alone
+    # the rotation within a set J of simple indices, as one pass over J's
+    # roots, against the rotation of each component's own root system
+    # (inherited bipartition), taken from its coordinates and carried
+    # through its embedding; within J or within the component alone
     import itertools
 
     rs = RootSystem(parse_diagram(name))
@@ -260,24 +259,24 @@ def test_parabolic_rotation_matches_the_parabolic_root_system(name):
             passed = dict(zip(*rs.rotation_within(within)))
             for crs, emb in rs.parabolic_embeddings(J):
                 comp = sum(1 << rs.vertex_index[v] for v in crs.diagram.vertices)
+                alone = dict(zip(*rs.rotation_within(comp)))
                 rotation = coordinate_rotation(crs)
                 for rid in range(crs.size):
                     image = emb[rotation[rid]]
                     assert passed[emb[rid]] == image, (name, J, rid)
-                    assert rs.rotate(emb[rid], within) == image, (name, J, rid)
-                    assert rs.rotate(emb[rid], comp) == image, (name, J, rid)
+                    assert alone[emb[rid]] == image, (name, J, rid)
                     assert rs.support_masks[emb[rid]] & ~comp == 0
 
 
 @pytest.mark.parametrize("name", ["A4", "B4", "D5", "E6", "F4", "G2", "H3", "H4", "I2(5)", "I2(8)"])
 def test_rotation_within_equals_the_rotation_of_each_root(name):
-    # the per-table pass over a parabolic's roots, against ``rotate`` one
-    # root at a time, on every mask of simple indices
+    # the per-table pass over a parabolic's roots, against the twists
+    # applied to one root at a time, on every mask of simple indices
     rs = RootSystem(parse_diagram(name))
     for within in range(1 << rs.n):
         rids, images = rs.rotation_within(within)
         assert rids == [rid for rid in range(rs.size) if not rs.support_masks[rid] & ~within]
-        assert images == [rs.rotate(rid, within) for rid in rids], (name, within)
+        assert images == [rs._twists([rid], within)[0] for rid in rids], (name, within)
     assert rs.rotation_within((1 << rs.n) - 1) == (list(range(rs.size)), rs.rotation)
 
 

@@ -48,9 +48,13 @@ recurrence over subdiagrams (``f_polys_recursive``) supplied them.
 Then each (type, m) of ``facet_cases`` gets a ``facets`` line: the
 sha256 of ``ccx complex --type <type> -m <m> --facets``, whose vertex
 ``coords`` are the root coordinates rounded to 6 decimals, so these lines
-pin the root order and values of the non-simply-laced types.
+pin the root order and values of the non-simply-laced types.  The last
+of them, the reducible diagram whose components interleave their ids at
+m = 2, pins the position of each component's vertices, the vertex order
+(negative simples first, then each positive root's colors in turn) and
+the facets of a complex with several components.
 
-Last, each diagram of the fake catalog and each affine type gets a
+Then each diagram of the fake catalog and each affine type gets a
 ``stdout`` line: the sha256 of the full stdout of ``ccx invariants
 --diagram <spec>``, floats included, so these lines pin the last bit of
 the ``approx`` and ``exponents_approx`` values that the report lines
@@ -66,6 +70,9 @@ Then each command of ``dissect_cases`` gets a ``dissect`` line: the sha256
 of the exit code, stdout and stderr of ``ccx dissect``, so these lines pin
 the polygon models' face counts, their SVG facets (chord order and
 diameter styles) and the errors on bad parameters.
+
+Last, one ``verify`` line: the sha256 of the stdout of ``ccx verify``,
+every check's name and result and the closing count.
 
 Usage, from the root of a checkout (standard library only)::
 
@@ -192,8 +199,9 @@ def fvector_cases() -> list[tuple[str, int]]:
 
 def facet_cases() -> list[tuple[str, int]]:
     """Non-simply-laced types, whose root coordinates lie in Z[sqrt 2]
-    (B3, F4), Z[golden ratio] (H4), Z[sqrt 3] (G2) and Z[2cos(pi/7)]."""
-    return [("H4", 1), ("B3", 2), ("F4", 1), ("G2", 2), ("I2(7)", 3)]
+    (B3, F4), Z[golden ratio] (H4), Z[sqrt 3] (G2) and Z[2cos(pi/7)],
+    then A4 + B3 on interleaved ids."""
+    return [("H4", 1), ("B3", 2), ("F4", 1), ("G2", 2), ("I2(7)", 3), (INTERLEAVED, 2)]
 
 
 def stdout_cases() -> list[list[str]]:
@@ -287,6 +295,8 @@ def main() -> None:
     for args in dissect_cases():
         text = repr(cli_run(["dissect", *args]))
         print(*args, "dissect", hashlib.sha256(text.encode()).hexdigest())
+    text = cli_stdout(["verify"])
+    print("verify", hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":
