@@ -142,7 +142,7 @@ def cmd_dissect(args) -> int:
             raise DomainError("bad-parameters", f"facet index {args.facet} out of range")
         print(render_svg(model.N, [chord for i in facet for chord in styled[i]]))
         return 0
-    fv = checked_complex(model)[0].survey.counts
+    fv = checked_complex(model).survey.counts
     if args.family == "A":
         counts = {"allowable_diagonals": len(styled), "noncrossing_subset_counts": fv}
     else:

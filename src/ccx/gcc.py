@@ -11,8 +11,10 @@ its R_m orbit; ``CliqueComplex`` checks that the rows close up and are
 symmetric.  Reducible diagrams are handled as joins: vertices of
 different components are always compatible.  Each component's vertices
 lie in one run of positions, its negative simples first and then each
-positive root's m colors in turn, so a vertex's position is arithmetic,
-and one routine, ``CliqueComplex.write_turn``, writes R_m both for the
+positive root's m colors in turn, so a vertex's position is arithmetic
+and no list of vertices is kept: the rows, the JSON export and the
+polygon models' maps all read the layout from ``CliqueComplex.starts``.
+One routine, ``CliqueComplex.write_turn``, writes R_m both for the
 whole complex and for the parabolic subsystems that the survey checks.
 
 The clique engine of the package is one survey, one orbit frame and
@@ -38,6 +40,7 @@ almost-positive roots.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
@@ -60,12 +63,6 @@ class BudgetExceeded(InputError):
 
 class MalformedBudget(InputError):
     """``CCX_BUDGET`` is set to something other than an integer."""
-
-
-class ColoredRoot(NamedTuple):
-    comp: int   # irreducible component index
-    root: int   # root id within that component's RootSystem
-    color: int  # 1..m (always 1 for negative simples)
 
 
 def check_budget(infos: list[TypeInfo], m: int) -> None:
@@ -372,43 +369,31 @@ def check_color_count(m: int) -> None:
         raise InputError("color count must be >= 0")
 
 
-def colored_ground_set(systems: list[RootSystem], m: int) -> list[ColoredRoot]:
-    """Vertices of the m-colored complex, ordered (component, root, color)."""
-    check_color_count(m)
-    out = []
-    for ci, rs in enumerate(systems):
-        for rid in range(rs.n):
-            out.append(ColoredRoot(ci, rid, 1))
-        for rid in range(rs.n, rs.size):
-            for k in range(1, m + 1):
-                out.append(ColoredRoot(ci, rid, k))
-    return out
-
-
 class CliqueComplex:
     """The clique complex of colored compatibility.
 
-    vertices are ColoredRoot triples in deterministic order; adjacency
-    is a list of bitmasks over vertex positions.  The vertices of
-    component c lie at positions ``starts[c]`` up to ``starts[c + 1]``
-    (the last entry is the vertex count): its negative simples first,
-    then the m colors of each positive root in consecutive positions,
-    so ``position`` is arithmetic.  ``turn`` is R_m as a table on
-    positions, written by ``write_turn``, None at m = 0, where R_m is
-    not defined.
+    A vertex is a position, and ``adj`` is a list of bitmasks over the
+    positions.  The vertices of component c lie at positions
+    ``starts[c]`` up to ``starts[c + 1]`` (the last entry is the vertex
+    count): its negative simples first, then the m colors of each
+    positive root in consecutive positions, so ``position`` is
+    arithmetic, and the component, root and color at a position are
+    read from ``starts``.  ``turn`` is R_m as a table on positions,
+    written by ``write_turn``; it is None at m = 0, where R_m is not
+    defined.  A negative m is refused.
     """
 
     def __init__(self, systems: list[RootSystem], m: int):
+        check_color_count(m)
         self.systems = systems
         self.m = m
         self.n = sum(rs.n for rs in systems)
-        self.vertices = colored_ground_set(systems, m)
         self.starts = [0]
         for rs in systems:
             self.starts.append(self.starts[-1] + rs.n + m * rs.num_positive)
         self.turn = None
         if m:
-            self.turn = list(range(1, len(self.vertices) + 1))
+            self.turn = list(range(1, self.starts[-1] + 1))
             for c, rs in enumerate(systems):
                 self.write_turn(self.turn, c, range(rs.size), rs.rotation)
         self.adj = self._rows()
@@ -419,7 +404,7 @@ class CliqueComplex:
             check_rotation_order([t - lo for t in self.turn[lo:hi]], rs, m)
 
     def position(self, comp: int, root: int, color: int = 1) -> int:
-        """The position of the vertex ``ColoredRoot(comp, root, color)``."""
+        """The position of color ``color`` of root ``root`` of ``comp``."""
         start, n = self.starts[comp], self.systems[comp].n
         return start + root if root < n else start + n + (root - n) * self.m + color - 1
 
@@ -454,18 +439,19 @@ class CliqueComplex:
 
         The row of a negative simple -alpha_i is every vertex of the other
         components and every vertex of its own whose root's support
-        avoids i.  Since u ~ v exactly when R_m u ~ R_m v, the row of
-        R_m x is the image of the row of x under R_m.  So each row is
-        carried forward along its R_m orbit to every vertex before the
-        next negative simple, where it must arrive as that vertex's own
-        row; the rows are then invariant under R_m.  R_m is a
-        permutation, so the walks cover disjoint arcs of the orbits;
-        every vertex must get a row, so every orbit must meet a negative
-        simple.  R_m moves any pair to one that holds a negative simple,
-        so the rows are symmetric once the column of each negative
-        simple equals its row.  A failed check raises ``LookupMiss``.
-        At m = 0 every vertex is a negative simple, and the rows are the
-        whole graph.
+        avoids i, an OR of runs: the m colors of each such positive root,
+        and the other negative simples.  Since u ~ v exactly when R_m u ~
+        R_m v, the row of R_m x is the image of the row of x under R_m.
+        So each row is carried forward along its R_m orbit to every
+        vertex before the next negative simple, where it must arrive as
+        that vertex's own row; the rows are then invariant under R_m.
+        R_m is a permutation, so the walks cover disjoint arcs of the
+        orbits; every vertex must get a row, so every orbit must meet a
+        negative simple.  R_m moves any pair to one that holds a
+        negative simple, so the rows are symmetric once the column of
+        each negative simple equals its row.  A failed check raises
+        ``LookupMiss``.  At m = 0 every vertex is a negative simple, and
+        the rows are the whole graph.
 
         R_m steps every color below m to the next position
         (``_stepped``), so a row is carried as one shift of its bits at
@@ -473,14 +459,19 @@ class CliqueComplex:
         negative simples are walked: (m-1)/m of the positive roots' bits
         take one shift.
         """
-        V = len(self.vertices)
+        V = self.starts[-1]
         negative = self.negative_mask()
         rows: list = [None] * V
-        for s in _bits(negative):
-            v = self.vertices[s]
-            supp = self.systems[v.comp].support_masks
-            rows[s] = sum(1 << g for g, w in enumerate(self.vertices)
-                          if w.comp != v.comp or not supp[w.root] >> v.root & 1)
+        colors = (1 << self.m) - 1
+        for c, rs in enumerate(self.systems):
+            lo, hi = self.starts[c], self.starts[c + 1]
+            others = (1 << V) - (1 << hi) | (1 << lo) - 1
+            for i in range(rs.n):
+                row = others | ((1 << rs.n) - 1 ^ 1 << i) << lo
+                for rid in range(rs.n, rs.size):
+                    if not rs.support_masks[rid] >> i & 1:
+                        row |= colors << self.position(c, rid)
+                rows[lo + i] = row
         if self.turn is not None:
             turn = self.turn
             step, to = _stepped(turn, range(V))
@@ -506,7 +497,7 @@ class CliqueComplex:
     # -- structural queries ------------------------------------------------
 
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return self.starts[-1]
 
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
@@ -569,19 +560,16 @@ class CliqueComplex:
     # -- export ---------------------------------------------------------
 
     def export_json(self, include_facets: bool = False) -> dict:
+        """The vertices in position order, and the edges as position pairs."""
         verts = []
-        for v in self.vertices:
-            rs = self.systems[v.comp]
-            verts.append(
-                {
-                    "component": v.comp,
-                    "coords": [round(c, 6) for c in rs.roots[v.root]],
-                    "negative_simple": rs.is_negative(v.root),
-                    "color": v.color,
-                }
-            )
+        for c, rs in enumerate(self.systems):
+            for rid in range(rs.size):
+                coords = [round(x, 6) for x in rs.roots[rid]]
+                for color in range(1, (1 if rs.is_negative(rid) else self.m) + 1):
+                    verts.append({"component": c, "coords": coords,
+                                  "negative_simple": rs.is_negative(rid), "color": color})
         edges = []
-        for i in range(len(self.vertices)):
+        for i in range(self.num_vertices()):
             mask = self.adj[i] & ~((1 << (i + 1)) - 1)
             while mask:
                 low = mask & -mask
@@ -700,18 +688,21 @@ def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:
     """
     negative = cx.negative_mask()
     cur = i
-    for _ in range(len(cx.vertices)):  # an orbit has at most that many vertices
+    for _ in range(cx.num_vertices()):  # an orbit has at most that many vertices
         if negative >> cur & 1:
             break
         cur = cx.rotate_vertex(cur)
     else:
         raise RuntimeError("rotation never reached a negative simple")
 
-    c, j, _ = cx.vertices[cur]
+    c = bisect_right(cx.starts, cur) - 1
+    lo, hi, j = cx.starts[c], cx.starts[c + 1], cur - cx.starts[c]
     rs = cx.systems[c]
     link = set(cx.link_vertices(cur))
-    expected = {g for g, w in enumerate(cx.vertices)
-                if g != cur and (w.comp != c or not rs.support_masks[w.root] >> j & 1)}
+    expected = set(range(lo)) | set(range(hi, cx.num_vertices()))
+    expected |= {cx.position(c, rid, k) for rid in range(rs.size)
+                 if rid != j and not rs.support_masks[rid] >> j & 1
+                 for k in range(1, (1 if rs.is_negative(rid) else cx.m) + 1)}
     if link != expected:
         return False
 
@@ -726,7 +717,7 @@ def link_decomposition_check(cx: CliqueComplex, i: int) -> bool:
         for sub_rid, parent_rid in emb.items():
             for k in range(1, (cx.m if sub_rid >= crs.n else 1) + 1):
                 ident[sub.position(ci, sub_rid, k)] = cx.position(c, parent_rid, k)
-    if set(ident.values()) != {g for g in link if cx.vertices[g].comp == c}:
+    if set(ident.values()) != {g for g in link if lo <= g < hi}:
         return False
     for a in ident:
         for b in ident:

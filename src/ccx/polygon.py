@@ -9,9 +9,11 @@ diameters.  Each family keeps only its diameters (plain for B, a gray and
 a dashed one at each position for D) and its rule sending a colored
 positive root to a model vertex.
 
-A model's adjacency, which the svg output lists facets from, comes from
-crossing masks.  ``checked_complex`` checks a model's bijection to the
-colored complex edge for edge, so ``ccx dissect`` counts faces there.
+A model gives its bijection as ``at``, the model item at each position
+of the colored complex.  Its adjacency rule (crossing masks, and the
+flavor rule for D diameters) applies to any list of its items: to its
+own, as ``adj``, which the svg output lists facets from, and to ``at``,
+which ``checked_complex`` compares with the complex row for row.
 
 Polygon vertices are 0..N-1 internally; the 1-based labels of the text
 descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
@@ -20,10 +22,11 @@ descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .diagram import InputError, parse_diagram
-from .gcc import CliqueComplex, ColoredRoot, _image, iter_cliques
+from .gcc import CliqueComplex, iter_cliques
 from .rootsys import RootSystem
 
 
@@ -88,8 +91,8 @@ class TypeAModel:
     interval [i..j] has exactly m allowable diagonals crossing precisely
     the snake diagonals i..j; they form one clockwise-rotation orbit arc
     whose t-th element carries color t+1; ``arcs`` holds it by support
-    mask.  The root system, ``to_diagonal`` and ``adj`` are built when
-    first read, so the model inside a B or D model builds none of them.
+    mask.  The root system, ``at`` and ``adj`` are built when first
+    read, so the model inside a B or D model builds none of them.
     """
 
     min_rank = 1
@@ -125,19 +128,20 @@ class TypeAModel:
         return RootSystem(parse_diagram(f"A{self.n}"))
 
     @cached_property
-    def to_diagonal(self) -> dict[ColoredRoot, Diagonal]:
-        out = {ColoredRoot(0, i, 1): d for i, d in enumerate(self.snake)}
-        for rid in range(self.n, self.rs.size):
-            for k, d in enumerate(self.arcs.get(self.rs.support_masks[rid], ()), 1):
-                out[ColoredRoot(0, rid, k)] = d
-        return out
+    def at(self) -> list[Diagonal]:
+        """The diagonal at each position of the colored complex: the
+        snake, then each positive root's orbit arc."""
+        supp = self.rs.support_masks
+        return self.snake + [d for rid in range(self.n, self.rs.size) for d in self.arcs[supp[rid]]]
 
     @cached_property
     def adj(self) -> list[int]:
-        """Non-crossing adjacency of ``diagonals``, as bit masks."""
-        full = (1 << len(self.diagonals)) - 1
-        return [full & ~x & ~(1 << i)
-                for i, x in enumerate(_crossing_masks(self.diagonals, self.N))]
+        return self.adjacency(self.diagonals)
+
+    def adjacency(self, chords: list[Diagonal]) -> list[int]:
+        """Non-crossing adjacency of the list ``chords``, as bit masks."""
+        full = (1 << len(chords)) - 1
+        return [full & ~x & ~(1 << i) for i, x in enumerate(_crossing_masks(chords, self.N))]
 
     def root_diagonal(self, lo: int, hi: int, k: int) -> Diagonal:
         """Diagonal of the positive root supported on [lo..hi] (1-based),
@@ -170,6 +174,7 @@ class _SymmetricModel:
     the images of the remaining negative simples (``_central_simples``) and
     the rule for one colored positive root (``_category``).  Compatibility
     is non-crossing of the chords, and rotation turns every chord.
+    ``at`` and ``adj`` are built when first read.
     """
 
     family: str  # "B" | "D"
@@ -188,26 +193,30 @@ class _SymmetricModel:
         pairs = dict.fromkeys(frozenset([d, _half_turn(d, self.N)])
                               for d in turned if d[1] - d[0] != self.half)
         self.vertices += [Vertex("pair", orbit) for orbit in pairs]
-
         self.rs = RootSystem(parse_diagram(f"{self.family}{n}"))
-        snake = [self._turned(d) for d in self.amodel.snake]
-        simples = [Vertex("pair", frozenset([snake[t], snake[a_rank - 1 - t]]))
-                   for t in range(a_rank // 2)]
-        simples += self._central_simples(frozenset([snake[a_rank // 2]]))
-        self.to_vertex = {ColoredRoot(0, i, 1): v for i, v in enumerate(simples)}
-        for rid in range(n, self.rs.size):
-            for k in range(1, m + 1):
-                self.to_vertex[ColoredRoot(0, rid, k)] = self._category(rid, k)
-        images = set(self.to_vertex.values())
-        if len(images) != len(self.to_vertex) or images != set(self.vertices):
-            raise AmbiguousOrbit(f"type {self.family} bijection is not onto the model")
-        self.adj = self._adjacency()
 
-    def _adjacency(self) -> list[int]:
-        """Non-crossing adjacency: by the central symmetry H, vertices u
-        and v cross exactly when a chord c_u of u crosses c_v or H(c_v)."""
-        V = len(self.vertices)
-        reps = [min(v.chords) for v in self.vertices]
+    @cached_property
+    def at(self) -> list[Vertex]:
+        """The model vertex at each position of the colored complex: the
+        negative simples' images, then each colored positive root's."""
+        a_rank = self.amodel.n
+        snake = [self._turned(d) for d in self.amodel.snake]
+        out = [Vertex("pair", frozenset([snake[t], snake[a_rank - 1 - t]]))
+               for t in range(a_rank // 2)]
+        out += self._central_simples(frozenset([snake[a_rank // 2]]))
+        return out + [self._category(rid, k) for rid in range(self.n, self.rs.size)
+                      for k in range(1, self.m + 1)]
+
+    @cached_property
+    def adj(self) -> list[int]:
+        return self.adjacency(self.vertices)
+
+    def adjacency(self, verts: list[Vertex]) -> list[int]:
+        """Non-crossing adjacency of the list ``verts``: by the central
+        symmetry H, vertices u and v cross exactly when a chord c_u of u
+        crosses c_v or H(c_v)."""
+        V = len(verts)
+        reps = [min(v.chords) for v in verts]
         cross = _crossing_masks(reps + [_half_turn(c, self.N) for c in reps], self.N)
         full = (1 << V) - 1
         return [full & ~(x | x >> V) & ~(1 << i) for i, x in enumerate(cross[:V])]
@@ -327,15 +336,22 @@ class TypeDModel(_SymmetricModel):
         )
         return Vertex("pair", self._chords(i, 2 * n - j - 2, k))
 
+    @cached_property
+    def _switch_sums(self) -> list[int]:
+        """Entry q: the positions 1..q that switch flavor when left."""
+        return list(accumulate((q == 1 or q % self.m == 2 % self.m
+                                for q in range(1, self.half + 1)), initial=0))
+
     def _switches(self, p: int, k: int) -> int:
-        """Flavor switches over k clockwise steps starting at position p."""
-        count = 0
-        cur = p
-        for _ in range(k):
-            if cur == 1 or cur % self.m == 2 % self.m:
-                count += 1
-            cur = cur - 1 if cur > 1 else self.half
-        return count
+        """Flavor switches over k clockwise steps starting at position p,
+        which leave p, p-1, ..., p-k+1 (cyclically in 1..half): whole
+        turns, then one cyclic difference of ``_switch_sums``."""
+        P, half = self._switch_sums, self.half
+        turns, rest = divmod(k, half)
+        lo = p - rest
+        if lo < 0:  # the last steps wrap from position 1 to half
+            turns, lo = turns + 1, lo + half
+        return turns * P[half] + P[p] - P[lo]
 
     def diameters_compatible(self, v1: Vertex, v2: Vertex) -> bool:
         if v1.position == v2.position:
@@ -348,14 +364,16 @@ class TypeDModel(_SymmetricModel):
         same = v2.flavor == rotated_flavor
         return same == (ceil_km % 2 == 0)
 
-    def _adjacency(self) -> list[int]:
-        """The non-crossing adjacency, with the diameters (the first 2 * half
-        vertices) among themselves by the flavor rule."""
-        adj = super()._adjacency()
-        D = 2 * self.half
-        for i, u in enumerate(self.vertices[:D]):
-            adj[i] = adj[i] >> D << D | sum(1 << j for j, v in enumerate(self.vertices[:D])
-                                            if j != i and self.diameters_compatible(u, v))
+    def adjacency(self, verts: list[Vertex]) -> list[int]:
+        """The non-crossing adjacency of the list ``verts``, with the
+        diameters among themselves by the flavor rule."""
+        adj = super().adjacency(verts)
+        diams = [i for i, v in enumerate(verts) if v.kind == "diam"]
+        dmask = sum(1 << i for i in diams)
+        for i in diams:
+            u = verts[i]
+            adj[i] = adj[i] & ~dmask | sum(1 << j for j in diams
+                                           if j != i and self.diameters_compatible(u, verts[j]))
         return adj
 
     def rotate_vertex(self, v: Vertex) -> Vertex:
@@ -367,28 +385,22 @@ class TypeDModel(_SymmetricModel):
         return self._diameter(v.position - 1 if v.position > 1 else self.half, flavor)
 
 
-def checked_complex(model) -> tuple[CliqueComplex, list[int]]:
-    """The colored complex of ``model.rs`` and the model index of each of
-    its vertices, checked: the model's map (``to_diagonal`` for type A,
-    ``to_vertex`` for B and D) must be one-to-one onto the model and pull
-    the model's adjacency back to ``cx.adj`` edge for edge, else
-    ``AmbiguousOrbit``.  ``ccx dissect`` checks the budget of ``ccx
-    complex`` before it builds the model."""
-    if isinstance(model, TypeAModel):
-        items, to_model = model.diagonals, model.to_diagonal
-    else:
-        items, to_model = model.vertices, model.to_vertex
+def checked_complex(model) -> CliqueComplex:
+    """The colored complex of ``model.rs``, checked against the model's
+    map ``model.at``: it must be one-to-one onto the model's items (one
+    distinct item per position, and every item), and the model's
+    adjacency rule applied to the list itself must equal ``cx.adj`` row
+    for row, else ``AmbiguousOrbit``.  ``ccx dissect`` checks the budget
+    of ``ccx complex`` before it builds the model."""
+    items = model.diagonals if isinstance(model, TypeAModel) else model.vertices
     cx = CliqueComplex([model.rs], model.m)
-    index = {x: i for i, x in enumerate(items)}
-    image = [index.get(to_model.get(v), -1) for v in cx.vertices]
-    if sorted(image) != list(range(len(items))):
+    at = model.at
+    if len(at) != cx.num_vertices() or len(set(at)) != len(at) or set(at) != set(items):
         raise AmbiguousOrbit("the colored roots do not map one-to-one onto the model")
-    to = {i: 1 << a for a, i in enumerate(image)}
-    mismatches = sum((_image(model.adj[i], to) ^ row).bit_count()
-                     for i, row in zip(image, cx.adj)) // 2
+    mismatches = sum((a ^ b).bit_count() for a, b in zip(model.adjacency(at), cx.adj)) // 2
     if mismatches:
         raise AmbiguousOrbit(f"{mismatches} pair mismatches between the model and the complex")
-    return cx, image
+    return cx
 
 
 def render_svg(N: int, chords, size: int = 400) -> str:

@@ -161,22 +161,17 @@ def suite_oracle(max_rank: int = 5, max_m: int = 3) -> list[Check]:
 def _model_audit(model, label: str, checks: list[Check]):
     """The colored complex of ``model.rs`` against the polygon model under
     its bijection (``polygon.checked_complex``): the same adjacency, and
-    the colored rotation as the model's."""
-    if isinstance(model, TypeAModel):
-        items, rotate = model.diagonals, partial(rotate_diag, N=model.N)
-    else:
-        items, rotate = model.vertices, model.rotate_vertex
+    the colored rotation as the model's, ``at[turn[p]] == rotate(at[p])``
+    at every position p."""
+    rotate = partial(rotate_diag, N=model.N) if isinstance(model, TypeAModel) else model.rotate_vertex
     try:
-        cx, image = checked_complex(model)
+        cx = checked_complex(model)
     except AmbiguousOrbit as e:
         checks += [_check(f"model-iso {label}", False, str(e)), _check(f"model-rotation {label}", False)]
         return
     checks.append(_check(f"model-iso {label}", True))
-    index = {x: i for i, x in enumerate(items)}
-    rot_ok = all(
-        image[cx.rotate_vertex(a)] == index[rotate(items[i])]
-        for a, i in enumerate(image)
-    )
+    at = model.at
+    rot_ok = all(at[cx.rotate_vertex(p)] == rotate(x) for p, x in enumerate(at))
     checks.append(_check(f"model-rotation {label}", rot_ok))
 
 
@@ -198,7 +193,7 @@ def suite_models(max_rank: int = 4, max_m: int = 3) -> list[Check]:
     for n in range(1, min(4, max_rank) + 1):
         for m in range(1, min(3, max_m) + 1):
             want = [f_k_closed(TypeInfo("A", n), k)(m) for k in range(n + 1)]
-            got = checked_complex(TypeAModel(n, m))[0].survey.counts
+            got = checked_complex(TypeAModel(n, m)).survey.counts
             checks.append(
                 _check(f"dissection-counts A{n} m={m}", got == want, f"{got} vs {want}")
             )

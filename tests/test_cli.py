@@ -344,26 +344,24 @@ def test_dissect_a11_counts_equal_the_closed_form(capsys):
 
 @pytest.mark.parametrize("family,n,m", [("A", 3, 2), ("B", 3, 2), ("D", 4, 2)])
 def test_dissect_refuses_a_tampered_bijection(capsys, monkeypatch, family, n, m):
-    """Swapping the images of -alpha_1 and alpha_1 (color 1) keeps the map
-    one-to-one, but the model's adjacency no longer pulls back to the
-    complex's, so the counts are not read: exit 1, internal-error."""
-    from ccx.gcc import ColoredRoot
+    """Swapping entries 0 and n of the model's list on positions, the
+    images of -alpha_1 and alpha_1 (color 1), keeps the map one-to-one,
+    but the model's adjacency rule on the list no longer gives the
+    complex's rows, so the counts are not read: exit 1, internal-error."""
     from ccx.polygon import TypeAModel, TypeBModel, TypeDModel
 
     cls = {"A": TypeAModel, "B": TypeBModel, "D": TypeDModel}[family]
-    attr = "to_diagonal" if family == "A" else "to_vertex"
-    real = cls.__init__
+    real = cls.at.func
 
-    def tampered(self, *args):
-        real(self, *args)
-        images = dict(getattr(self, attr))
-        u, v = ColoredRoot(0, 0, 1), ColoredRoot(0, n, 1)
-        images[u], images[v] = images[v], images[u]
-        setattr(self, attr, images)
+    def tampered(self):
+        at = list(real(self))
+        assert self.rs.support_masks[n] == 1  # root id n is alpha_1
+        at[0], at[n] = at[n], at[0]
+        return at
 
     argv = ("dissect", "--family", family, "-n", str(n), "-m", str(m))
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cls, "__init__", tampered)
+    monkeypatch.setattr(cls, "at", property(tampered))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     error = json.loads(err)

@@ -13,15 +13,14 @@ from ccx.gcc import (
     BudgetExceeded,
     CliqueComplex,
     CliqueSurvey,
-    ColoredRoot,
     build_complex,
     clique_survey,
-    colored_ground_set,
     iter_cliques,
     link_decomposition_check,
 )
 from ccx.diagram import mask_components
 from ccx.rootsys import LookupMiss, RootSystem
+from colored_layout import ColoredRoot, colored_ground_set, layout
 
 
 def rotate_colored(rs: RootSystem, v: ColoredRoot, m: int, rotation=None) -> ColoredRoot:
@@ -45,9 +44,9 @@ def test_ground_set_sizes():
 
 def test_negative_simples_carry_color_one():
     cx = build_complex(parse_diagram("A2"), 3)
-    for v in cx.vertices:
-        if cx.systems[v.comp].is_negative(v.root):
-            assert v.color == 1
+    records = cx.export_json()["vertices"]
+    assert [r["color"] for r in records if r["negative_simple"]] == [1, 1]
+    assert [r["color"] for r in records if not r["negative_simple"]] == [1, 2, 3] * 3
 
 
 INTERLEAVED = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
@@ -63,8 +62,9 @@ def test_positions_and_written_turns_follow_the_rule_vertex_by_vertex(spec, m):
     parabolic on the vertices whose support lies in K."""
     cx = build_complex(parse_diagram(spec), m)
     V = cx.num_vertices()
-    assert [cx.position(*v) for v in cx.vertices] == list(range(V))
-    assert cx.turn == [cx.position(*rotate_colored(cx.systems[v.comp], v, m)) for v in cx.vertices]
+    verts = layout(cx)
+    assert [cx.position(*v) for v in verts] == list(range(V))
+    assert cx.turn == [cx.position(*rotate_colored(cx.systems[v.comp], v, m)) for v in verts]
     for c, rs in enumerate(cx.systems):
         for K in range(1, 1 << rs.n):
             if len(mask_components(K, rs.neighbor_masks)) > 1:
@@ -72,13 +72,39 @@ def test_positions_and_written_turns_follow_the_rule_vertex_by_vertex(spec, m):
             turn = list(range(1, V + 1))
             rids, images = rs.rotation_within(K)
             vmask = cx.write_turn(turn, c, rids, images)
-            verts = [g for g, v in enumerate(cx.vertices)
-                     if v.comp == c and not rs.support_masks[v.root] & ~K]
-            assert vmask == sum(1 << g for g in verts), (spec, m, c, K)
+            inside = [g for g, v in enumerate(verts)
+                      if v.comp == c and not rs.support_masks[v.root] & ~K]
+            assert vmask == sum(1 << g for g in inside), (spec, m, c, K)
             rotation = dict(zip(rids, images))
-            for g in verts:
-                want = rotate_colored(rs, cx.vertices[g], m, rotation)
+            for g in inside:
+                want = rotate_colored(rs, verts[g], m, rotation)
                 assert turn[g] == cx.position(*want), (spec, m, c, K, g)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_export_lists_the_vertices_record_for_record_as_the_oracle(m):
+    cx = build_complex(parse_diagram(INTERLEAVED), m)
+    want = []
+    for v in layout(cx):
+        rs = cx.systems[v.comp]
+        want.append({"component": v.comp, "coords": [round(x, 6) for x in rs.roots[v.root]],
+                     "negative_simple": rs.is_negative(v.root), "color": v.color})
+    assert cx.export_json()["vertices"] == want
+
+
+@pytest.mark.parametrize("spec,m", [("A3", 2), ("B3", 3), ("E6", 1), ("n=5; 1-2:3 4-5:5", 2),
+                                    (INTERLEAVED, 1), ("A2", 0)])
+def test_negative_simple_rows_equal_the_support_scan(spec, m):
+    """The row of -alpha_i, built from color runs, is every vertex of the
+    other components and every vertex of its own whose support avoids i."""
+    cx = build_complex(parse_diagram(spec), m)
+    verts = layout(cx)
+    for s, v in enumerate(verts):
+        if cx.systems[v.comp].is_negative(v.root):
+            supp = cx.systems[v.comp].support_masks
+            want = sum(1 << g for g, w in enumerate(verts)
+                       if w.comp != v.comp or not supp[w.root] >> v.root & 1)
+            assert cx.adj[s] == want, (spec, m, v)
 
 
 def test_colored_rotation_branches():
@@ -143,7 +169,7 @@ def test_support_rule_for_negative_simples():
 def test_m_compatibility_is_symmetric_and_rotation_invariant(name, m):
     rs = RootSystem(parse_diagram(name))
     cx = CliqueComplex([rs], m)
-    verts = cx.vertices
+    verts = layout(cx)
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
             u, v = verts[a], verts[b]
@@ -156,9 +182,10 @@ def test_lower_color_complex_is_induced_subcomplex():
     rs = RootSystem(parse_diagram("B2"))
     big = CliqueComplex([rs], 3)
     small = CliqueComplex([rs], 2)
-    for a, u in enumerate(small.vertices):
-        for b in range(a + 1, len(small.vertices)):
-            v = small.vertices[b]
+    verts = layout(small)
+    for a, u in enumerate(verts):
+        for b in range(a + 1, len(verts)):
+            v = verts[b]
             big_edge = edge(big, u, v)
             assert big_edge == bool(small.adj[a] >> b & 1)
 
@@ -253,8 +280,8 @@ def test_colored_restriction_all_parabolics(name, m):
         for J in itertools.combinations(verts, size):
             embs = rs.parabolic_embeddings(J)
             sub = CliqueComplex([crs for crs, _ in embs], m)
-            parent = {v: ColoredRoot(0, embs[v.comp][1][v.root], v.color) for v in sub.vertices}
-            for su, sv in itertools.combinations(sub.vertices, 2):
+            parent = {v: ColoredRoot(0, embs[v.comp][1][v.root], v.color) for v in layout(sub)}
+            for su, sv in itertools.combinations(layout(sub), 2):
                 assert edge(sub, su, sv) == edge(cx, parent[su], parent[sv]), (name, J, su, sv)
 
 
@@ -408,7 +435,7 @@ def five_case_adjacency(cx: CliqueComplex) -> list[int]:
             b = rs.rotation[b]
         return tables[u.comp][a][b]
 
-    return compatibility_masks(cx.vertices, compatible)
+    return compatibility_masks(layout(cx), compatible)
 
 
 def brute_survey(adj: list[int], top: int, marked: int) -> CliqueSurvey:
@@ -583,7 +610,7 @@ def _counting_kernel(monkeypatch) -> list[int]:
 def test_complex_survey_runs_one_link_per_marked_vertex_or_orbit(monkeypatch):
     cx = build_complex(parse_diagram("E6"), 2)
     V = cx.num_vertices()
-    negative = [i for i, v in enumerate(cx.vertices) if cx.systems[v.comp].is_negative(v.root)]
+    negative = [i for i, v in enumerate(layout(cx)) if cx.systems[v.comp].is_negative(v.root)]
     orbits = _orbits([cx.rotate_vertex(i) for i in range(V)])
     unmarked = [o for o in orbits if not set(o) & set(negative)]
     # the colored rotation meets a negative simple in every orbit, and
@@ -675,7 +702,7 @@ def test_colored_rotation_has_the_order_the_paper_gives(spec, ms):
         cx = build_complex(parse_diagram(spec), m)
         for c, rs in enumerate(cx.systems):
             want = (m * rs.h + 2) // (2 if rs.classification.minus_one_longest else 1)
-            orbits = [o for o in _orbits(cx.turn) if cx.vertices[o[0]].comp == c]
+            orbits = [o for o in _orbits(cx.turn) if cx.starts[c] <= o[0] < cx.starts[c + 1]]
             assert math.lcm(*map(len, orbits)) == want
 
 
@@ -737,7 +764,8 @@ def _without_edge_orbit(cx: CliqueComplex, i: int, j: int) -> list[int]:
 def test_complex_survey_reads_a_join_only_where_the_graph_is_one(spec, m):
     cx = build_complex(parse_diagram(spec), m)
     last = cx.num_vertices() - 1
-    assert cx.vertices[0].comp != cx.vertices[last].comp and cx.adj[0] >> last & 1
+    verts = layout(cx)
+    assert verts[0].comp != verts[last].comp and cx.adj[0] >> last & 1
     cx.adj = _without_edge_orbit(cx, 0, last)  # no longer the join of its components
     assert cx.survey == clique_survey(cx.adj, cx.n, cx.negative_mask())
     assert cx.survey.counts[2] < build_complex(parse_diagram(spec), m).f_vector()[2]

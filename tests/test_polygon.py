@@ -1,25 +1,24 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ccx.diagram import InputError
 from ccx.formulas import TypeInfo, N_product, f_k_closed
-from ccx.gcc import (
-    BudgetExceeded,
-    CliqueComplex,
-    check_budget,
-    colored_ground_set,
-)
+from ccx.gcc import BudgetExceeded, CliqueComplex, check_budget
 from ccx.polygon import (
+    AmbiguousOrbit,
     TypeAModel,
     TypeBModel,
     TypeDModel,
     allowable_diagonals,
+    checked_complex,
     m_snake,
     render_svg,
     rotate_diag,
 )
+from colored_layout import ColoredRoot, colored_ground_set
 
 
 # Oracles for the tests below, built on the models and the non-crossing
@@ -47,6 +46,12 @@ def ground_set(model):
     return colored_ground_set([model.rs], model.m)
 
 
+def model_map(model) -> dict:
+    """The model item of each colored root: ``model.at`` read through
+    the oracle layout."""
+    return dict(zip(ground_set(model), model.at))
+
+
 def vertex_compatible(model, v1, v2) -> bool:
     """Compatibility of two B/D model vertices, chord by chord: no chord
     of one crosses a chord of the other, except that two D diameters
@@ -56,9 +61,15 @@ def vertex_compatible(model, v1, v2) -> bool:
     return not any(crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords)
 
 
-def model_compatible(model, u, v) -> bool:
-    """Compatibility of two colored roots read through a B/D model."""
-    return vertex_compatible(model, model.to_vertex[u], model.to_vertex[v])
+def switches_by_walk(model, p: int, k: int) -> int:
+    """Flavor switches over k clockwise steps of a D model from position
+    p, step by step: a test oracle for ``TypeDModel._switches``."""
+    count = 0
+    for _ in range(k):
+        if p == 1 or p % model.m == 2 % model.m:
+            count += 1
+        p = p - 1 if p > 1 else model.half
+    return count
 
 
 def all_diameter_flavoring(n: int, m: int, positions) -> list[tuple[str, ...]]:
@@ -164,14 +175,13 @@ def test_type_a_bijection_is_isomorphism(n, m):
     gs = ground_set(model)
     assert len(gs) == len(model.diagonals)
     cx = CliqueComplex([model.rs], m)
+    image = model_map(model)
     for u, v in itertools.combinations(gs, 2):
         assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == (
-            not crossing(model.to_diagonal[u], model.to_diagonal[v])
+            not crossing(image[u], image[v])
         )
     for v in gs:
-        assert model.to_diagonal[cx.vertices[cx.turn[cx.position(*v)]]] == rotate_diag(
-            model.to_diagonal[v], model.N
-        )
+        assert image[gs[cx.turn[cx.position(*v)]]] == rotate_diag(image[v], model.N)
 
 
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (3, 1), (3, 2), (4, 3), (6, 2)])
@@ -197,7 +207,7 @@ def test_symmetric_model_adjacency_is_its_compatibility(cls, n, m):
 
 def test_type_a_root_diagonal_agrees_with_the_bijection():
     model = TypeAModel(4, 3)
-    for v, d in model.to_diagonal.items():
+    for v, d in model_map(model).items():
         if v.root >= model.n:
             supp = model.rs.support_masks[v.root]
             lo, hi = (supp & -supp).bit_length(), supp.bit_length()
@@ -206,16 +216,15 @@ def test_type_a_root_diagonal_agrees_with_the_bijection():
 
 def test_type_a_model_inside_b_and_d_builds_no_root_system_or_adjacency():
     for model in (TypeBModel(3, 2), TypeDModel(4, 2)):
-        assert {"rs", "to_diagonal", "adj"}.isdisjoint(vars(model.amodel))
+        assert {"rs", "at", "adj"}.isdisjoint(vars(model.amodel))
 
 
 def test_type_a_negative_simples_map_to_snake():
     model = TypeAModel(3, 2)
     snake = m_snake(3, 2)
+    image = model_map(model)
     for i in range(3):
-        from ccx.gcc import ColoredRoot
-
-        assert model.to_diagonal[ColoredRoot(0, i, 1)] == snake[i]
+        assert image[ColoredRoot(0, i, 1)] == snake[i]
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -224,12 +233,13 @@ def test_type_b_bijection_is_isomorphism(n, m):
     gs = ground_set(model)
     assert len(gs) == len(model.vertices)
     cx = CliqueComplex([model.rs], m)
+    image = model_map(model)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == model_compatible(model, u, v)
-    for v in gs:
-        assert model.to_vertex[cx.vertices[cx.turn[cx.position(*v)]]] == model.rotate_vertex(
-            model.to_vertex[v]
+        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == vertex_compatible(
+            model, image[u], image[v]
         )
+    for v in gs:
+        assert image[gs[cx.turn[cx.position(*v)]]] == model.rotate_vertex(image[v])
 
 
 def test_type_b_counts():
@@ -258,12 +268,59 @@ def test_type_d_bijection_is_isomorphism(n, m):
     gs = ground_set(model)
     assert len(gs) == len(model.vertices)
     cx = CliqueComplex([model.rs], m)
+    image = model_map(model)
     for u, v in itertools.combinations(gs, 2):
-        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == model_compatible(model, u, v)
-    for v in gs:
-        assert model.to_vertex[cx.vertices[cx.turn[cx.position(*v)]]] == model.rotate_vertex(
-            model.to_vertex[v]
+        assert bool(cx.adj[cx.position(*u)] >> cx.position(*v) & 1) == vertex_compatible(
+            model, image[u], image[v]
         )
+    for v in gs:
+        assert image[gs[cx.turn[cx.position(*v)]]] == model.rotate_vertex(image[v])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_type_d_switch_count_equals_the_walk(n, m):
+    model = TypeDModel(n, m)
+    for p in range(1, model.half + 1):
+        for k in range(3 * model.half):
+            assert model._switches(p, k) == switches_by_walk(model, p, k), (p, k)
+
+
+@pytest.mark.parametrize("cls,n,m", [(TypeAModel, 3, 2), (TypeAModel, 5, 1), (TypeBModel, 3, 2),
+                                     (TypeDModel, 4, 2), (TypeDModel, 3, 3)])
+def test_adjacency_rule_reads_any_order_of_the_items(cls, n, m):
+    """The rule applied to a shuffled list of the model's items is
+    ``adj`` shuffled alike, wherever the D diameters land."""
+    model = cls(n, m)
+    items = model.diagonals if cls is TypeAModel else model.vertices
+    perm = list(range(len(items)))
+    random.Random(n * 10 + m).shuffle(perm)
+    adj = model.adjacency([items[i] for i in perm])
+    for a, b in itertools.product(range(len(perm)), repeat=2):
+        assert bool(adj[a] >> b & 1) == bool(model.adj[perm[a]] >> perm[b] & 1)
+
+
+@pytest.mark.parametrize("cls,n,m", [(TypeAModel, 3, 2), (TypeBModel, 3, 2), (TypeDModel, 4, 2)])
+def test_checked_complex_refuses_a_map_off_by_one_position(cls, n, m):
+    """The model's list rotated by one position is still one-to-one onto
+    the model, but its rows are not the complex's."""
+    model = cls(n, m)
+    assert checked_complex(model).num_vertices() == len(model.at)
+    model.at = model.at[1:] + model.at[:1]
+    with pytest.raises(AmbiguousOrbit, match="pair mismatches"):
+        checked_complex(model)
+
+
+@pytest.mark.parametrize("cls,n,m", [(TypeAModel, 3, 2), (TypeBModel, 3, 2), (TypeDModel, 4, 2)])
+def test_checked_complex_refuses_a_map_that_is_not_one_to_one(cls, n, m):
+    model = cls(n, m)
+    at = list(model.at)
+    model.at = at[:-1] + at[:1]  # the first item twice, the last one missing
+    with pytest.raises(AmbiguousOrbit, match="one-to-one"):
+        checked_complex(model)
+    model.at = at[:-1]
+    with pytest.raises(AmbiguousOrbit, match="one-to-one"):
+        checked_complex(model)
 
 
 def test_type_d_same_position_opposite_flavors_compatible():

@@ -5,6 +5,7 @@ import pytest
 from ccx.diagram import parse_diagram, classify
 from ccx.gcc import CliqueComplex
 from ccx.rootsys import NotFiniteType, RootSystem
+from colored_layout import layout
 
 CATALOG = [
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -66,7 +67,7 @@ def compatibility(rs: RootSystem) -> list[int]:
     """Uncolored compatibility as bit masks on root ids: the colored
     complex at m = 1, whose vertex positions are the root ids."""
     cx = CliqueComplex([rs], 1)
-    assert [v.root for v in cx.vertices] == list(range(rs.size))
+    assert [v.root for v in layout(cx)] == list(range(rs.size))
     return cx.adj
 
 
