@@ -15,7 +15,7 @@ from itertools import islice
 
 from . import __version__
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, parse_diagram
-from .formulas import f_vector, h_vector_from_f, reduced_euler
+from .formulas import f_k_closed, h_k_closed, join_vector, reduced_euler
 from .exactmath import format_fraction
 from .gcc import (
     BudgetExceeded,
@@ -91,8 +91,7 @@ def _face_table(G: CoxeterDiagram, m: int) -> tuple[list, list]:
     if not cls.is_finite:
         raise DomainError("not-finite-type", f"{G.to_spec()} is not of finite type")
     check_color_count(m)
-    fv = f_vector(cls.infos, m)
-    return fv, h_vector_from_f(fv)
+    return join_vector(cls.infos, m, f_k_closed), join_vector(cls.infos, m, h_k_closed)
 
 
 def _emit_face_csv(G: CoxeterDiagram, m: int, fv, hv):

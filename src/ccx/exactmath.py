@@ -17,7 +17,7 @@ square-free mod p (Yun's decomposition runs only when no such prime is
 found), its roots mod p are lifted p-adically, and each lift is
 reconstructed as a fraction and tested exactly.  The cofactor left
 without rational roots is the only polynomial whose real roots are
-isolated, by Sturm sequences at dyadic points.  Rational roots come out
+isolated, by Descartes' rule of signs.  Rational roots come out
 exactly; an irrational real root is kept as its isolating interval and
 is rounded to the nearest double only when that value is read, the
 interval refined by sign-checked Newton steps or by bisection.
@@ -470,21 +470,14 @@ def _zmul(f, g) -> list[int]:
 
 
 def _zrem(f: list[int], g: list[int]) -> list[int]:
-    """Remainder of |lc(g)|^(deg f - deg g + 1) * f on division by g.
-
-    The multiplier is positive, so the remainder has the sign of the
-    remainder over Q, as Sturm sequences need.
-    """
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g."""
     lg, dg = g[-1], len(g) - 1
-    steps = len(f) - dg
     f = list(f)
-    for k in range(steps - 1, -1, -1):
+    for k in range(len(f) - dg - 1, -1, -1):
         c = f.pop()
         f = [lg * x for x in f]
         for j in range(dg):
             f[k + j] -= c * g[j]
-    if lg < 0 and steps > 0 and steps % 2:
-        f = [-x for x in f]
     while f and not f[-1]:
         f.pop()
     return f
@@ -572,33 +565,6 @@ def _zeval(f: list[int], num: int, den: int) -> int:
     return acc
 
 
-def _dyadic(a: int, k: int) -> tuple[int, int]:
-    """a / 2^k as (numerator, positive denominator)."""
-    return (a, 1 << k) if k >= 0 else (a << -k, 1)
-
-
-def _sturm(f: list[int]) -> list[list[int]]:
-    """Sturm sequence of a square-free f, each term made primitive."""
-    seq = [f, _zderiv(f)]
-    while True:
-        r = _zrem(seq[-2], seq[-1])
-        if not r:
-            return seq
-        seq.append([-c for c in _zprimitive(r)])
-
-
-def _variations(seq: list[list[int]], num: int, den: int) -> int:
-    """Sign changes of the sequence at num/den, zeros skipped."""
-    count, last = 0, 0
-    for s in seq:
-        v = _zeval(s, num, den)
-        if v:
-            if last and (v > 0) != (last > 0):
-                count += 1
-            last = v
-    return count
-
-
 def _root_bound_exp(f: list[int]) -> int:
     """e with every root of f inside (-2^e, 2^e), by Fujiwara's bound
     2 max |a_(d-i) / a_d|^(1/i), read off bit lengths."""
@@ -612,31 +578,65 @@ def _root_bound_exp(f: list[int]) -> int:
     return e + 1
 
 
+def _taylor_shift(g: list[int]) -> list[int]:
+    """g(y + 1), by Horner's scheme (Taylor shift by 1)."""
+    g = list(g)
+    for i in range(len(g) - 1):
+        for j in range(len(g) - 2, i - 1, -1):
+            g[j] += g[j + 1]
+    return g
+
+
+def _sign_changes(b: list[int]) -> int:
+    """Sign changes in the coefficients of b, zeros skipped."""
+    signs = [c > 0 for c in b if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _left_half(b: list[int]) -> list[int]:
+    """b(2y + 1): the Descartes form of an interval's left half."""
+    return [c << i for i, c in enumerate(_taylor_shift(b))]
+
+
 def _isolate(f: list[int]) -> list[IrrationalRoot]:
     """Real roots of a square-free integer polynomial without rational
     roots, ascending, each held by its isolating interval.
 
-    Sturm counts over half-open dyadic intervals (a/2^k, (a+1)/2^k]
-    isolate the roots, left half first, and bisect further until k >= 1,
-    as IrrationalRoot asks.  No dyadic point is a root, so the sign of f
-    at each right end is nonzero.
+    Descartes' rule of signs with bisection (Collins & Akritas 1976;
+    Rouillier & Zimmermann 2004) on g(y) = f(s 2^e y) in (0, 1), s = -1, 1
+    (``_root_bound_exp``).  An interval carries g moved onto it, reversed
+    and shifted by 1, whose sign changes exceed its roots by an even number
+    and whose end coefficients have g's signs at its ends.  Its halves
+    (``_left_half``; reversal mirrors) count at most its count together,
+    so a right half is formed only if the left leaves it 2 or more; else
+    it holds a root exactly when g changes sign across it.  A lone root is
+    bisected on by g's sign at each midpoint until it is held by
+    (a/2^k, (a+1)/2^k] with k >= 1.  No dyadic point is a root.
     """
-    seq = _sturm(f)
-    e = _root_bound_exp(f)
-
-    def var(a, k):
-        return _variations(seq, *_dyadic(a, k))
-
-    v0 = var(0, 0)
-    todo = [(0, -e, v0, var(1, -e)), (-1, -e, var(-1, -e), v0)]
-    roots: list[IrrationalRoot] = []
-    while todo:
-        a, k, vlo, vhi = todo.pop()
-        if vlo - vhi == 1 and k > 0:
-            roots.append(IrrationalRoot((tuple(f), a, k, _zeval(f, a + 1, 1 << k) > 0)))
-        elif vlo > vhi:
-            vmid = var(2 * a + 1, k + 1)
-            todo += [(2 * a + 1, k + 1, vmid, vhi), (2 * a, k + 1, vlo, vmid)]
+    e, roots = _root_bound_exp(f), []
+    for s in (-1, 1):
+        g = [c * s**i << e * i for i, c in enumerate(f)]
+        b = _taylor_shift(g[::-1])
+        todo, found = [(b, _sign_changes(b), 0, 0)], []
+        while todo:
+            b, count, c, j = todo.pop()
+            if count == 1:
+                low = _zeval(g, c, 1 << j) > 0
+                for j in range(j + 1, e + 2):
+                    mid = _zeval(g, 2 * c + 1, 1 << j) > 0
+                    c, low = (2 * c, low) if mid != low else (2 * c + 1, mid)
+                a, k = (c if s > 0 else -c - 1), j - e
+                found.append(IrrationalRoot((tuple(f), a, k, _zeval(f, a + 1, 1 << k) > 0)))
+            elif count > 1:
+                left = _left_half(b)
+                left_count = _sign_changes(left)
+                todo.append((left, left_count, 2 * c, j + 1))
+                if count - left_count > 1:
+                    right = _left_half(b[::-1])[::-1]
+                    todo.append((right, _sign_changes(right), 2 * c + 1, j + 1))
+                elif (left[0] > 0) != (b[0] > 0):
+                    todo.append((None, 1, 2 * c + 1, j + 1))
+        roots += found[::-s]  # right halves pop first: y descends, x too for s = 1
     return roots
 
 

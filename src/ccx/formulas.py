@@ -6,9 +6,9 @@ exponent levels with the correction factors of ``ccx.tables``
 (Fomin-Reading for the face numbers, Athanasiadis for the h-numbers).
 The closed form is generic in m: at the formal variable ``M`` it gives
 the polynomial, at an int the value, without building a polynomial.
-The command line reads the values; ``verify`` and the tests cross-assert
-the routes, and the tests check the closed form against the binomial
-forms of the classical families.
+The command line reads the values, h-numbers included; ``verify`` and
+the tests cross-assert the routes (h also with ``h_vector_from_f``), and
+the tests check the closed form against the classical binomial forms.
 """
 
 from __future__ import annotations
@@ -150,11 +150,10 @@ def f_k_closed(info, k: int, m=M):
     return _level_product(TypeInfo.of(info), k, m, face_correction, 1)
 
 
-def h_k_closed(info, k: int) -> Poly:
-    """The h-number h_k as a polynomial in m: the product of
-    ``f_k_closed`` with hm + 1 - e for hm + 1 + e and the h correction
-    factor."""
-    return _level_product(TypeInfo.of(info), k, M, h_correction, -1)
+def h_k_closed(info, k: int, m=M):
+    """h_k, ``f_k_closed``'s product with hm + 1 - e for hm + 1 + e and
+    the h correction factor: a Poly at ``M``, the value at an int m."""
+    return _level_product(TypeInfo.of(info), k, m, h_correction, -1)
 
 
 def N_product(info, m) -> Fraction:
@@ -170,19 +169,19 @@ def N_plus_product(info, m) -> Fraction:
     return (-1) ** info.n * f_k_closed(info, info.n, -1 - m)
 
 
-def f_vector(infos: list[TypeInfo], m: int) -> list:
-    """f_0..f_r at m of the join of the complexes of the irreducible
-    components ``infos``: the convolution of their closed-form values,
-    [1] when there is none."""
-    fv = [1]
+def join_vector(infos: list[TypeInfo], m: int, closed) -> list:
+    """The f- or h-numbers at m of the join of the complexes of the
+    components ``infos`` ([1] for none): the convolution of their values
+    ``closed(info, k, m)``, a join's polynomial being its parts' product."""
+    vec = [1]
     for info in infos:
-        out = [0] * (len(fv) + info.n)
+        out = [0] * (len(vec) + info.n)
         for j in range(info.n + 1):
-            fj = f_k_closed(info, j, m)
-            for i, fi in enumerate(fv):
-                out[i + j] += fi * fj
-        fv = out
-    return fv
+            x = closed(info, j, m)
+            for i, y in enumerate(vec):
+                out[i + j] += y * x
+        vec = out
+    return vec
 
 
 def f_plus_poly(f_k: Poly, k: int) -> Poly:

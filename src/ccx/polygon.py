@@ -11,9 +11,10 @@ positive root to a model vertex.
 
 A model gives its bijection as ``at``, the model item at each position
 of the colored complex.  Its adjacency rule (crossing masks, and the
-flavor rule for D diameters) applies to any list of its items: to its
-own, as ``adj``, which the svg output lists facets from, and to ``at``,
-which ``checked_complex`` compares with the complex row for row.
+flavor rule for D diameters, one row per position and phase) applies to
+any list of its items: to its own, as ``adj``, which the svg output
+lists facets from, and to ``at``, which ``checked_complex`` compares
+with the complex row for row.
 
 Polygon vertices are 0..N-1 internally; the 1-based labels of the text
 descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
@@ -22,7 +23,7 @@ descriptions map by subtracting one, and "clockwise rotation" is v -> v-1.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, permutations
 from typing import NamedTuple
 
 from .diagram import InputError, parse_diagram
@@ -353,27 +354,27 @@ class TypeDModel(_SymmetricModel):
             turns, lo = turns + 1, lo + half
         return turns * P[half] + P[p] - P[lo]
 
-    def diameters_compatible(self, v1: Vertex, v2: Vertex) -> bool:
-        if v1.position == v2.position:
-            return v1.flavor != v2.flavor
-        k = (v1.position - v2.position) % self.half
-        rotated_flavor = v1.flavor
-        if self._switches(v1.position, k) % 2:
-            rotated_flavor = "dashed" if v1.flavor == "gray" else "gray"
-        ceil_km = -(-k // self.m)
-        same = v2.flavor == rotated_flavor
-        return same == (ceil_km % 2 == 0)
-
     def adjacency(self, verts: list[Vertex]) -> list[int]:
-        """The non-crossing adjacency of the list ``verts``, with the
-        diameters among themselves by the flavor rule."""
+        """The non-crossing adjacency of the list ``verts``, the diameters
+        by the flavor rule read off their phases b = flavor (gray 0, dashed
+        1) + P[p] mod 2 at position p (P is ``_switch_sums``): compatible at
+        p = q when the b differ, else when they add up to [p < q] P[half] +
+        ceil(((p - q) mod half) / m) mod 2.  A row ORs a mask per position."""
         adj = super().adjacency(verts)
-        diams = [i for i, v in enumerate(verts) if v.kind == "diam"]
-        dmask = sum(1 << i for i in diams)
-        for i in diams:
-            u = verts[i]
-            adj[i] = adj[i] & ~dmask | sum(1 << j for j in diams
-                                           if j != i and self.diameters_compatible(u, verts[j]))
+        P, half, m = self._switch_sums, self.half, self.m
+        phases = {i: (P[v.position] + (v.flavor == "dashed")) % 2
+                  for i, v in enumerate(verts) if v.kind == "diam"}
+        masks = [[0, 0] for _ in range(half + 1)]  # masks[q][b]: the diameters at q of phase b
+        for i, b in phases.items():
+            masks[verts[i].position][b] |= 1 << i
+        rows = [pair[::-1] for pair in masks]  # rows[p][b]: the row of phase b at p
+        for p, q in permutations(range(1, half + 1), 2):
+            t = ((p < q) * P[half] - (-((p - q) % half) // m)) % 2
+            rows[p][0] |= masks[q][t]
+            rows[p][1] |= masks[q][1 - t]
+        dmask = sum(1 << i for i in phases)
+        for i, b in phases.items():
+            adj[i] = adj[i] & ~dmask | rows[verts[i].position][b]
         return adj
 
     def rotate_vertex(self, v: Vertex) -> Vertex:

@@ -287,6 +287,24 @@ def test_face_numbers_and_the_budget_build_no_polynomial(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["fvector", "hvector"])
+def test_face_numbers_make_no_call_to_h_vector_from_f(capsys, monkeypatch, command):
+    """``ccx fvector`` and ``ccx hvector`` convolve the components'
+    closed-form h values; ``h_vector_from_f``, the quadratic route from
+    the f-vector, is left to ``verify`` as the independent check."""
+    from ccx import cli, formulas
+
+    calls = []
+    real = formulas.h_vector_from_f
+    for module in (cli, formulas):
+        monkeypatch.setattr(module, "h_vector_from_f",
+                            lambda fv: calls.append(fv) or real(fv), raising=False)
+    for spec in ("A30", disjoint_union(["B3", "D4", "H3"]), "n=5; 1-2:3 4-5:5", "n=0;"):
+        code, out, _ = run_cli(capsys, command, "--diagram", spec, "-m", "2")
+        assert code == 0 and json.loads(out)["h_vector"][0] == "1"
+    assert calls == []
+
+
 def test_invariants_h4(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--type", "H4")
     data = json.loads(out)

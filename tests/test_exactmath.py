@@ -506,6 +506,90 @@ def test_yun_runs_only_without_a_certifying_prime(monkeypatch):
     assert len(calls) == 1
 
 
+# -- real-root isolation ------------------------------------------------------
+
+
+def sturm_root_count(f: list[int]) -> int:
+    """The real roots of the square-free integer polynomial f, by Sturm's
+    theorem: the sign changes of its Sturm sequence at -infinity less
+    those at +infinity, the sequence's remainders taken over Q.  A test
+    oracle for ``exactmath._isolate``."""
+    seq = [[F(c) for c in f], [F(i * c) for i, c in enumerate(f)][1:]]
+    while True:
+        r, b = list(seq[-2]), seq[-1]
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            for i, c in enumerate(b):
+                r[len(r) - len(b) + i] -= q * c
+            r.pop()
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def changes(signs):
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    # p(-inf) has the sign of lc(p) times (-1)^deg(p)
+    return changes([(p[-1] > 0) == (len(p) % 2 == 1) for p in seq]) - changes([p[-1] > 0 for p in seq])
+
+
+def test_sturm_oracle_counts_known_roots():
+    assert [sturm_root_count(f) for f in ROOT_FREE] == [2, 0, 1, 0, 0, 6]
+    assert sturm_root_count([-1, 1, 0, 0, 1]) == 2  # m^4 + m - 1
+
+
+@st.composite
+def root_free_polys(draw):
+    """Square-free integer polynomials without a rational root: products
+    of one to three factors of degree 2 to 4 with small coefficients."""
+    f = [1]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        g = draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=3, max_size=5))
+        assume(g[0] and g[-1])
+        f = exactmath._zmul(f, g)
+    assume(len(exactmath._zgcd(f, exactmath._zderiv(f))) == 1)
+    assume(rational_roots(Poly(f)).rational == ())
+    return f
+
+
+@given(root_free_polys())
+@settings(max_examples=150, deadline=None)
+def test_isolating_intervals_hold_each_real_root_once(f):
+    """As many intervals as Sturm counts roots, each (a/2^k, (a+1)/2^k]
+    with k >= 1, ascending and disjoint, with f changing sign across it
+    from -top to top: so each holds exactly one root."""
+    roots = exactmath._isolate(f)
+    assert len(roots) == sturm_root_count(f)
+    ends = []
+    for g, a, k, top in roots:
+        assert g == tuple(f) and k >= 1
+        lo, hi = exactmath._zeval(f, a, 1 << k), exactmath._zeval(f, a + 1, 1 << k)
+        assert lo and hi and (lo > 0) != top and (hi > 0) == top
+        ends.append((F(a, 1 << k), F(a + 1, 1 << k)))
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+
+
+def test_isolating_a_mignotte_cluster_takes_two_taylor_shifts_a_level(monkeypatch):
+    """x^8 - 2(a x - 1)^2 with a = 10^12 has two roots near 1/a, about
+    a^-5 = 2^-200 apart, and two near -11 000 and 11 000, all inside the
+    root bound 2^15.  The close pair parts about 215 halvings down, and
+    each halving forms at most two halves, one Taylor shift each: so
+    isolation takes fewer than 2 (215 + 15) shifts, a count set by the
+    depth of the cluster and not by the size of the coefficients."""
+    shifts = []
+    shift = exactmath._taylor_shift
+    monkeypatch.setattr(exactmath, "_taylor_shift", lambda g: shifts.append(len(g)) or shift(g))
+    a = 10**12
+    f = [-2, 4 * a, -2 * a * a, 0, 0, 0, 0, 0, 1]
+    roots = exactmath._isolate(f)
+    assert len(roots) == sturm_root_count(f) == 4
+    assert F(roots[1][1] + 1, 1 << roots[1][2]) <= F(roots[2][1], 1 << roots[2][2])
+    assert roots[1].rounded(1, 0, 1) == roots[2].rounded(1, 0, 1) == 1e-12
+    assert len(shifts) < 2 * (215 + 15)
+
+
 # 10^5000 + 3 over 10^4999 + 1, in lowest terms (10^4999 + 1 is 4 mod 7):
 # each side has about 5000 digits, over the 4300 that ``str`` prints
 BIG_NUM, BIG_DEN = 10**5000 + 3, 10**4999 + 1

@@ -866,32 +866,32 @@ def test_rounding_work_is_bounded(spec, monkeypatch):
     assert per_root and max(per_root) <= 40, per_root
 
 
-def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
-    """Sturm sequences are built only for the cofactors left without
+def test_compute_all_isolates_only_in_mu(monkeypatch):
+    """Real roots are isolated only for the cofactors left without
     rational roots, once each facet polynomial's rational roots are
     divided out: per extraction, their product is the square-free part
-    of the residual.  None is built outside root extraction in mu, so
+    of the residual.  None is isolated outside root extraction in mu, so
     none for the residual in the exponent variable, whose roots are
     refined from their mu-intervals."""
-    calls, sturms = [], []
-    sturm = exactmath._sturm
+    calls, isolated = [], []
+    isolate = exactmath._isolate
 
     def counting_roots(p):
-        before = len(sturms)
+        before = len(isolated)
         rs = rational_roots(p)
-        calls.append((rs, sturms[before:]))
+        calls.append((rs, isolated[before:]))
         return rs
 
-    def counting_sturm(f):
-        sturms.append(f)
-        return sturm(f)
+    def counting_isolate(f):
+        isolated.append(f)
+        return isolate(f)
 
     monkeypatch.setattr(invariants, "rational_roots", counting_roots)
-    monkeypatch.setattr(exactmath, "_sturm", counting_sturm)
+    monkeypatch.setattr(exactmath, "_isolate", counting_isolate)
     invariants._exponents.cache_clear()
     rep = compute_all(parse_diagram(STAR6))
     assert any(r.exponents.residual_approx for r in rep.methods.values() if r.exponents)
-    assert sturms and sum(len(fs) for _, fs in calls) == len(sturms)
+    assert isolated and sum(len(fs) for _, fs in calls) == len(isolated)
     for rs, fs in calls:
         cofactors = [Poly(f) for f in fs]
         for f in cofactors:
@@ -904,7 +904,6 @@ def test_compute_all_builds_sturm_sequences_only_in_mu(monkeypatch):
             product = product * f
         part = _squarefree_part(rs.residual)
         assert product / product.leading() == part / part.leading()
-
 
 
 @pytest.mark.parametrize("spec", [RANK8, "~D8"])

@@ -52,12 +52,28 @@ def model_map(model) -> dict:
     return dict(zip(ground_set(model), model.at))
 
 
+def diameters_compatible(model, v1, v2) -> bool:
+    """The flavor rule for two diameters of a D model, pair by pair: at
+    one position they are compatible when their flavors differ;
+    otherwise v1 is turned k = (p1 - p2) mod half steps clockwise onto
+    v2's position, switching flavor as ``_switches`` counts, and they are
+    compatible when v2 has the flavor it reaches exactly when ceil(k/m)
+    is even.  A test oracle for ``TypeDModel.adjacency``."""
+    if v1.position == v2.position:
+        return v1.flavor != v2.flavor
+    k = (v1.position - v2.position) % model.half
+    rotated_flavor = v1.flavor
+    if model._switches(v1.position, k) % 2:
+        rotated_flavor = "dashed" if v1.flavor == "gray" else "gray"
+    return (v2.flavor == rotated_flavor) == (-(-k // model.m) % 2 == 0)
+
+
 def vertex_compatible(model, v1, v2) -> bool:
     """Compatibility of two B/D model vertices, chord by chord: no chord
     of one crosses a chord of the other, except that two D diameters
     follow the flavor rule."""
     if isinstance(model, TypeDModel) and v1.kind == v2.kind == "diam":
-        return model.diameters_compatible(v1, v2)
+        return diameters_compatible(model, v1, v2)
     return not any(crossing(c1, c2) for c1 in v1.chords for c2 in v2.chords)
 
 
@@ -284,6 +300,22 @@ def test_type_d_switch_count_equals_the_walk(n, m):
     for p in range(1, model.half + 1):
         for k in range(3 * model.half):
             assert model._switches(p, k) == switches_by_walk(model, p, k), (p, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_type_d_diameter_rows_equal_the_pairwise_rule(n, m):
+    """The rows that ``adjacency`` ORs per position and phase hold, among
+    the diameters, exactly the pairs of the flavor rule, in the model's
+    order and in the complex's."""
+    model = TypeDModel(n, m)
+    for verts in (model.vertices, model.at):
+        adj = model.adjacency(verts)
+        diams = [i for i, v in enumerate(verts) if v.kind == "diam"]
+        assert len(diams) == 2 * model.half
+        for i, j in itertools.product(diams, repeat=2):
+            want = i != j and diameters_compatible(model, verts[i], verts[j])
+            assert bool(adj[i] >> j & 1) == want, (verts[i], verts[j])
 
 
 @pytest.mark.parametrize("cls,n,m", [(TypeAModel, 3, 2), (TypeAModel, 5, 1), (TypeBModel, 3, 2),
