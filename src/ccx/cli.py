@@ -15,7 +15,7 @@ from itertools import islice
 
 from . import __version__
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, parse_diagram
-from .formulas import f_k_closed, h_k_closed, join_vector, reduced_euler
+from .formulas import f_vector_closed, h_vector_closed, join_vector, reduced_euler
 from .exactmath import format_fraction
 from .gcc import (
     BudgetExceeded,
@@ -23,6 +23,7 @@ from .gcc import (
     build_complex,
     check_budget,
     check_color_count,
+    check_table_budget,
     iter_cliques,
 )
 from .invariants import METHOD_ALIASES, compute_all
@@ -91,7 +92,8 @@ def _face_table(G: CoxeterDiagram, m: int) -> tuple[list, list]:
     if not cls.is_finite:
         raise DomainError("not-finite-type", f"{G.to_spec()} is not of finite type")
     check_color_count(m)
-    return join_vector(cls.infos, m, f_k_closed), join_vector(cls.infos, m, h_k_closed)
+    check_table_budget(cls.infos, m)
+    return join_vector(cls.infos, m, f_vector_closed), join_vector(cls.infos, m, h_vector_closed)
 
 
 def _emit_face_csv(G: CoxeterDiagram, m: int, fv, hv):

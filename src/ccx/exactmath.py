@@ -4,10 +4,16 @@ A polynomial in the formal variable ``m`` is integer numerators over
 one positive denominator (FLINT's ``fmpq_poly`` layout), and all its
 arithmetic runs on the integer lists of the root-finding section; an
 int scalar is used as it is, without a Fraction.  Sums of many terms,
-polynomial (``poly_sum``), of products (``poly_dot``) or rational
-(``frac_sum``), put every term over the lcm of the denominators, add
-the integer numerators and reduce once, instead of reducing each
-product and each pairwise sum.
+polynomial (``poly_sum``) or rational (``frac_sum``), put every term
+over the lcm of the denominators, add the integer numerators and reduce
+once, instead of reducing each pairwise sum.
+A vector of polynomials (``PolyVec``), such as the face numbers
+f_0..f_r of one subdiagram, is the same layout for the whole vector:
+integer rows over one positive denominator, reduced once when it is
+built.  Its entrywise sums (``vec_sum``, ``graded_sum``), its
+convolution (``vec_convolve``, products left unreduced) and its integer
+combinations (``PolyVec.weighted``) each make one reduction, and an
+entry becomes a canonical ``Poly`` only when it is read.
 A rational function (``RatFun``) is kept as the quotient it was given:
 whether it is constant is decided by cross-multiplying the numerators,
 with no gcd, and its reduced form is computed only for ``repr``.
@@ -213,11 +219,112 @@ def poly_sum(terms) -> Poly:
     return _over_lcm([(p.num, p.den) for p in terms])
 
 
-def poly_dot(pairs) -> Poly:
-    """The sum of the products p * q over an iterable of Poly pairs: each
-    product stays unreduced integers over den(p) den(q) until the one
-    reduction of the sum."""
-    return _over_lcm([(_zmul(p.num, q.num), p.den * q.den) for p, q in pairs])
+class PolyVec:
+    """A vector of polynomials over Q with one denominator: entry k is
+    rows[k]/den, where rows[k] is a tuple of ints in ascending degree
+    (trailing zeros allowed).
+
+    Reduced once, when built (``_vec``): den > 0 and gcd(den, every
+    coefficient) = 1.  An entry becomes a canonical ``Poly`` only when
+    it is read (``v[k]``, ``iter``), once; ``len`` reads none.
+    """
+
+    __slots__ = ("rows", "den", "_read")
+
+    def __setattr__(self, *a):
+        raise AttributeError("PolyVec is immutable")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> Poly:
+        p = self._read[k]
+        if p is None:
+            p = self._read[k] = _of(list(self.rows[k]), self.den)
+        return p
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+    def weighted(self, ws) -> Poly:
+        """The sum of w_k times entry k over the ints and Fractions ws
+        (one per entry): one integer combination of the rows over
+        den times the lcm of the weights' denominators, reduced once."""
+        ws = [_rational(w) for w in ws]
+        d = lcm(*[w.denominator for w in ws])
+        acc = [0] * max([len(row) for row in self.rows], default=0)
+        for w, row in zip(ws, self.rows):
+            s = w.numerator * (d // w.denominator)
+            if s:
+                for i, c in enumerate(row):
+                    acc[i] += c * s
+        return _of(acc, self.den * d)
+
+
+def _vec(rows: list, den: int) -> PolyVec:
+    """The PolyVec rows/den (den > 0), divided by the gcd of den and
+    every coefficient: one reduction for the whole vector."""
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    v = object.__new__(PolyVec)
+    if g != 1:
+        rows = [[c // g for c in row] for row in rows]
+        den //= g
+    object.__setattr__(v, "rows", tuple(map(tuple, rows)))
+    object.__setattr__(v, "den", den)
+    object.__setattr__(v, "_read", [None] * len(rows))
+    return v
+
+
+def vec_sum(vecs, n: int) -> PolyVec:
+    """The entrywise sum of the PolyVecs ``vecs`` as n entries (an entry
+    past a vector's end is zero): every row scaled to the lcm of the
+    denominators, the integers added, one reduction."""
+    vecs = list(vecs)
+    den = lcm(*[v.den for v in vecs])
+    return _rows_sum([(k, row, den // v.den) for v in vecs for k, row in enumerate(v.rows[:n])],
+                     n, den)
+
+
+def graded_sum(terms, n: int) -> PolyVec:
+    """The PolyVec of n entries whose entry k is the sum of the Polys p
+    over the pairs (k, p) of ``terms``: one lcm over all the terms, one
+    reduction."""
+    terms = list(terms)
+    den = lcm(*[p.den for _, p in terms])
+    return _rows_sum([(k, p.num, den // p.den) for k, p in terms], n, den)
+
+
+def _rows_sum(terms: list, n: int, den: int) -> PolyVec:
+    """The PolyVec of n entries over den whose entry k has as numerator
+    the sum of s * row over the triples (k, row, s) of ``terms``."""
+    acc: list[list[int]] = [[] for _ in range(n)]
+    for k, row, s in terms:
+        out = acc[k]
+        if len(out) < len(row):
+            out.extend([0] * (len(row) - len(out)))
+        for i, c in enumerate(row):
+            out[i] += c * s
+    return _vec(acc, den)
+
+
+def vec_convolve(a: PolyVec, b: PolyVec) -> PolyVec:
+    """The PolyVec c with c_k the sum of a_i * b_(k-i): the products of
+    the rows added unreduced over den(a) den(b), one reduction."""
+    acc: list[list[int]] = [[] for _ in range(len(a.rows) + len(b.rows) - 1)]
+    for i, p in enumerate(a.rows):
+        for j, q in enumerate(b.rows):
+            out = acc[i + j]
+            if len(out) < len(p) + len(q) - 1:
+                out.extend([0] * (len(p) + len(q) - 1 - len(out)))
+            for x, c in enumerate(p):
+                if c:
+                    for y, d in enumerate(q, x):
+                        out[y] += c * d
+    return _vec(acc, a.den * b.den)
 
 
 def frac_sum(terms) -> Fraction:

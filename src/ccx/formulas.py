@@ -4,25 +4,28 @@ Two independent routes exist for every irreducible type: the recurrence
 over vertex-deleted subdiagrams, and one closed form, the product over
 exponent levels with the correction factors of ``ccx.tables``
 (Fomin-Reading for the face numbers, Athanasiadis for the h-numbers).
-The closed form is generic in m: at the formal variable ``M`` it gives
-the polynomial, at an int the value, without building a polynomial.
-The command line reads the values, h-numbers included; ``verify`` and
-the tests cross-assert the routes (h also with ``h_vector_from_f``), and
-the tests check the closed form against the classical binomial forms.
+The recurrence carries the f-vector of each subdiagram as one
+``exactmath.PolyVec``, integer rows over one denominator, so each of
+its sums, scalings and convolutions is one reduction.  The closed form
+gives a whole f- or h-vector from one running product over the levels,
+and is generic in m: at the formal variable ``M`` it gives polynomials,
+at an int the values, without building a polynomial.  The command line
+reads the values, h-numbers included; ``verify`` and the tests
+cross-assert the routes (h also with ``h_vector_from_f``), and the tests
+check the closed form against the classical binomial forms.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import comb
+from functools import cache
+from itertools import islice
+from math import comb, lcm
 
 from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
-from .exactmath import ONE, Poly, _of, poly_dot, poly_sum
+from .exactmath import Poly, PolyVec, _vec, vec_convolve, vec_sum
 from .tables import face_correction, h_correction
-
-_M_PLUS_1 = Poly([1, 1])
-
 
 # ---------------------------------------------------------------------------
 # recurrence route
@@ -36,7 +39,7 @@ def f_polys_recursive(G: CoxeterDiagram) -> list[Poly]:
     ``ValueError`` naming it."""
     lat = subset_lattice(G)
 
-    def h_of(mask: int, sums) -> Fraction:
+    def h_of(mask: int, sums: PolyVec) -> Fraction:
         cls = _classify_connected(lat._adjacency(mask))
         if cls.kind != "finite":
             sub = induced_subdiagram(G, lat.vertices(mask))
@@ -46,10 +49,10 @@ def f_polys_recursive(G: CoxeterDiagram) -> list[Poly]:
     return list(face_polys(lat, h_of)(lat.full))
 
 
-def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
+def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], PolyVec]:
     """The vertex-deletion recurrence: a function giving, for a mask of
-    rank r, its face polynomials f_0..f_r, memoized per isomorphism
-    class (``lat.key``).
+    rank r, its face polynomials f_0..f_r as one ``PolyVec``, memoized
+    per isomorphism class (``lat.key``).
 
     On a connected mask of rank >= 3, f_k = (hm + 2)/(2k) * sums[k-1],
     where sums[j] is the sum of f_j over the masks with one vertex
@@ -57,19 +60,21 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
     must be an isomorphism invariant: it is asked about one mask of each
     class and its answer serves them all.  Ranks one and two are
     postulated; a disconnected mask convolves the component of least
-    key with the rest.  Each sum is reduced once: the sum of the
-    codimension-one f_j is one n-ary ``poly_sum``, and each convolution
-    coefficient, a sum of products, is one ``poly_dot``, whose products
-    are never reduced on their own.
+    key with the rest.  Every vector is one denominator over integer
+    rows, reduced once: the sums one vertex down are one ``vec_sum``, a
+    convolution one ``vec_convolve``, and with h = hn/hd and
+    L = lcm(1..r) the rows of f_k are those of sums[k-1] times
+    (hn m + 2 hd) L/k, over den(sums) hd 2L.  An entry is a ``Poly``
+    only when read.
 
     Results live in ``lat.fpolys`` for the life of the lattice, keyed
     by class, h and the ids of the stored sub-results they were built
-    from: callers whose h agree on a subdiagram share its polynomials.
+    from: callers whose h agree on a subdiagram share their vectors.
     """
     store = lat.fpolys
-    seen: dict[int, tuple[Poly, ...]] = {}
+    seen: dict[int, PolyVec] = {}
 
-    def walk(mask: int) -> tuple[Poly, ...]:
+    def walk(mask: int) -> PolyVec:
         cls = lat.key(mask)
         out = seen.get(cls)
         if out is not None:
@@ -82,38 +87,45 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
             key = (cls, id(low), id(rest))
             out = store.get(key)
             if out is None:
-                terms: list[list[tuple[Poly, Poly]]] = [[] for _ in range(len(low) + len(rest) - 1)]
-                for i, p in enumerate(low):
-                    for j, q in enumerate(rest):
-                        terms[i + j].append((p, q))
-                out = store[key] = tuple(map(poly_dot, terms))
+                out = store[key] = vec_convolve(low, rest)
         elif r <= 2:
             out = store.get((cls,))
             if out is None:
-                base = [ONE, _M_PLUS_1]
-                if r == 2:
-                    f1 = _of([2, lat.label(mask)], 1)
-                    base = [ONE, f1, f1 * _M_PLUS_1 / 2]
-                out = store[(cls,)] = tuple(base[: r + 1])
+                if r == 2:  # f_1 = am + 2, f_2 = f_1 (m + 1) / 2
+                    a = lat.label(mask)
+                    out = _vec([[2], [4, 2 * a], [2, a + 2, a]], 2)
+                else:
+                    out = _vec([[1], [1, 1]][: r + 1], 1)
+                store[(cls,)] = out
         else:
             subs = [walk(sub) for sub in lat.codim1(mask)]
             ids = tuple(sorted(map(id, subs)))
             sums = store.get((cls, ids))
             if sums is None:
-                sums = store[(cls, ids)] = tuple(
-                    poly_sum(fs[j] for fs in subs) for j in range(r)
-                )
+                sums = store[(cls, ids)] = vec_sum(subs, r)
             h = Fraction(h_of(mask, sums))
             out = store.get((cls, h, ids))
             if out is None:
-                hn, hd = h.numerator, h.denominator  # f_k = (hm + 2)/(2k) * sums[k-1]
-                out = store[(cls, h, ids)] = (ONE,) + tuple(
-                    _of([2 * hd, hn], 2 * k * hd) * sums[k - 1] for k in range(1, r + 1)
-                )
+                hn, hd, L = h.numerator, h.denominator, _lcm_upto(r)
+                den = sums.den * hd * 2 * L
+                rows = [[den]]  # f_0 = 1
+                for k, row in enumerate(sums.rows, 1):
+                    # (hm + 2)/(2k) = (bm + a)/(2 hd L)
+                    a, b = 2 * hd * (L // k), hn * (L // k)
+                    f = [a * c for c in row] + [0]
+                    for i, c in enumerate(row, 1):
+                        f[i] += b * c
+                    rows.append(f)
+                out = store[(cls, h, ids)] = _vec(rows, den)
         seen[cls] = out
         return out
 
     return walk
+
+
+@cache
+def _lcm_upto(r: int) -> int:
+    return lcm(*range(1, r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,38 +134,62 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], tuple[Poly, ...]]:
 M = Poly([0, 1])  # the formal variable m
 
 
-def _level_product(info: TypeInfo, k: int, m, correction, sign: int):
-    """c(m) * C(n, k) * prod (hm + 1 + sign*e) / (e + 1) over the
-    exponents e of level <= k, where ``correction`` gives c.
+def _level_products(info: TypeInfo, m, correction, sign: int) -> Iterator:
+    """For k = 0..n in turn, c_k(m) * C(n, k) * prod (hm + 1 + sign*e) /
+    (e + 1) over the exponents e of level <= k, where ``correction``
+    gives c_k.
 
-    Generic in m: the formal variable ``M`` gives a Poly, an int or a
-    Fraction the exact value, and then no polynomial is built.  The
-    numerator is multiplied out first and divided once, at the end."""
+    One running product over the levels in ascending order serves every
+    k, so a vector of rank n costs n factors, not n per entry, and a
+    reader that stops at k has paid for the levels up to k only.
+    Generic in m: the formal variable ``M`` gives Polys, an int or a
+    Fraction the exact values, and then no polynomial is built.  Each
+    entry's numerator is multiplied out first and divided once, at the
+    end."""
+    levels = sorted(info.levels, key=lambda t: t[1])
+    num, den, i = 1, 1, 0
+    for k in range(info.n + 1):
+        while i < len(levels) and levels[i][1] <= k:
+            e = levels[i][0]
+            num *= info.h * m + 1 + sign * e
+            den *= e + 1
+            i += 1
+        coeffs, cden = correction(info.family, info.n, k)
+        c = 0
+        for x in reversed(coeffs):
+            c = c * m + x
+        yield c * comb(info.n, k) * num * Fraction(1, cden * den)
+
+
+def f_vector_closed(info, m=M) -> Iterator:
+    """The face numbers f_0..f_n in turn, as polynomials in m or as their
+    values at an int or Fraction m: the exponent-level product with the
+    face correction factors of ``ccx.tables``."""
+    return _level_products(TypeInfo.of(info), m, face_correction, 1)
+
+
+def h_vector_closed(info, m=M) -> Iterator:
+    """h_0..h_n in turn, ``f_vector_closed``'s product with hm + 1 - e
+    for hm + 1 + e and the h correction factors: Polys at ``M``, the
+    values at an int m."""
+    return _level_products(TypeInfo.of(info), m, h_correction, -1)
+
+
+def _entry(vector, info, k: int, m):
+    info = TypeInfo.of(info)
     if not 0 <= k <= info.n:
         raise ValueError(f"k={k} out of range for rank {info.n}")
-    coeffs, den = correction(info.family, info.n, k)
-    out = 0
-    for c in reversed(coeffs):
-        out = out * m + c
-    out *= comb(info.n, k)
-    for e, level in info.levels:
-        if level <= k:
-            out *= info.h * m + 1 + sign * e
-            den *= e + 1
-    return out * Fraction(1, den)
+    return next(islice(vector(info, m), k, None))
 
 
 def f_k_closed(info, k: int, m=M):
-    """The face number f_k as a polynomial in m, or its value at an int
-    or Fraction m: the exponent-level product with the face correction
-    factor of ``ccx.tables``."""
-    return _level_product(TypeInfo.of(info), k, m, face_correction, 1)
+    """Entry k of ``f_vector_closed``."""
+    return _entry(f_vector_closed, info, k, m)
 
 
 def h_k_closed(info, k: int, m=M):
-    """h_k, ``f_k_closed``'s product with hm + 1 - e for hm + 1 + e and
-    the h correction factor: a Poly at ``M``, the value at an int m."""
-    return _level_product(TypeInfo.of(info), k, m, h_correction, -1)
+    """Entry k of ``h_vector_closed``."""
+    return _entry(h_vector_closed, info, k, m)
 
 
 def N_product(info, m) -> Fraction:
@@ -169,19 +205,23 @@ def N_plus_product(info, m) -> Fraction:
     return (-1) ** info.n * f_k_closed(info, info.n, -1 - m)
 
 
-def join_vector(infos: list[TypeInfo], m: int, closed) -> list:
+def join_vector(infos: list[TypeInfo], m: int, closed) -> list[Fraction]:
     """The f- or h-numbers at m of the join of the complexes of the
-    components ``infos`` ([1] for none): the convolution of their values
-    ``closed(info, k, m)``, a join's polynomial being its parts' product."""
-    vec = [1]
+    components ``infos`` ([1] for none): the convolution of their
+    vectors ``closed(info, m)`` (``f_vector_closed``, ``h_vector_closed``),
+    a join's polynomial being its parts' product.  The vectors are
+    convolved as integers over one denominator, divided out at the end."""
+    nums, den = [1], 1
     for info in infos:
-        out = [0] * (len(vec) + info.n)
-        for j in range(info.n + 1):
-            x = closed(info, j, m)
-            for i, y in enumerate(vec):
-                out[i + j] += y * x
-        vec = out
-    return vec
+        xs = list(closed(info, m))
+        d = lcm(*[x.denominator for x in xs])
+        out = [0] * (len(nums) + info.n)
+        for j, x in enumerate(xs):
+            x = x.numerator * (d // x.denominator)
+            for i, y in enumerate(nums, j):
+                out[i] += y * x
+        nums, den = out, den * d
+    return [Fraction(x, den) for x in nums]
 
 
 def f_plus_poly(f_k: Poly, k: int) -> Poly:

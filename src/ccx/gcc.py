@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, connected_components
 from .diagram import mask_components
-from .formulas import f_k_closed
+from .formulas import f_vector_closed
 from .rootsys import LookupMiss, NotFiniteType, RootSystem, check_rotation_order
 
 # faces, the empty one included, that one complex or polygon model may
@@ -83,8 +83,8 @@ def check_budget(infos: list[TypeInfo], m: int) -> None:
     faces = 1
     for info in infos:
         total = 0
-        for k in range(info.n + 1):
-            total += f_k_closed(info, k, m)
+        for f_k in f_vector_closed(info, m):
+            total += f_k
             if faces * total > FACE_BUDGET:
                 raise BudgetExceeded(
                     f"at least {faces * total} faces predicted, over the budget of {FACE_BUDGET}"
@@ -94,6 +94,36 @@ def check_budget(infos: list[TypeInfo], m: int) -> None:
     if roots > cap:
         counted = "vertices" if m else "almost-positive roots"
         raise BudgetExceeded(f"{roots} {counted} exceed budget {cap}")
+
+
+# the f- and h-vectors ``ccx fvector`` and ``ccx hvector`` compute: A1000
+# and B1000 at m = 1 (13 000 and 14 000 bits predicted) take 0.15-0.2 s
+# each in process, and the join of a thousand A1 at m = 8190 (16 000
+# bits), about the slowest admitted input, 1.6 s (Python 3.11, shared
+# 2-vCPU host).  A join is convolved in rank^2 steps, hence the rank.
+TABLE_RANK_BUDGET = 1000
+TABLE_BITS_BUDGET = 16_000
+
+
+def check_table_budget(infos: list[TypeInfo], m: int) -> None:
+    """Refuse the face table of a finite type at m from its irreducible
+    components ``infos`` alone, before any value is computed: a total
+    rank over ``TABLE_RANK_BUDGET``, or a largest entry predicted to need
+    more than ``TABLE_BITS_BUDGET`` bits.
+
+    The prediction, the sum over the components of n (2 + the bit length
+    of h (m + 1)), bounds every f_k and |h_k| from above: per component
+    f_n = prod (hm + 1 + e)/(e + 1) <= (h (m + 1))^n, the complexes are
+    pure, so f_k <= C(n, k) f_n <= 2^n f_n, and h_k is a signed sum of
+    the C(n - i, k - i) f_i, so |h_k| <= 2^n (f_0 + ... + f_n)."""
+    rank = sum(info.n for info in infos)
+    if rank > TABLE_RANK_BUDGET:
+        raise BudgetExceeded(f"rank {rank} exceeds the face-table budget {TABLE_RANK_BUDGET}")
+    bits = sum(info.n * (2 + (info.h * (m + 1)).bit_length()) for info in infos)
+    if bits > TABLE_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"entries of up to {bits} bits predicted, over the budget of {TABLE_BITS_BUDGET}"
+        )
 
 
 class CliqueSurvey(NamedTuple):

@@ -31,11 +31,13 @@ from .exactmath import (
     NonZeroRemainder,
     NotConstant,
     Poly,
+    PolyVec,
     RatFun,
     _of,
     _zprimitive,
     format_fraction,
     frac_sum,
+    graded_sum,
     poly_divide_exact,
     poly_sum,
     rational_roots,
@@ -254,7 +256,7 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
         rule_h, finish = rule(lat)
         hs: dict[int, Fraction] = {}  # the h of each class, recorded once
 
-        def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+        def h_of(mask: int, sums: PolyVec) -> Fraction:
             h = hs[lat.key(mask)] = rule_h(mask, sums)
             return h
 
@@ -285,12 +287,12 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
     solution a constant.
     """
 
-    def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+    def h_of(mask: int, sums: PolyVec) -> Fraction:
         # with C = sum_k (-1)^(r-k) S_k / k and T = -S_r(m - 1) / r:
         # A = (mC + (m - 1)T) / 2 and B = (-1)^r + C + T
         r = len(sums)
         T = sums[r - 1].compose(_M_MINUS_1) / -r
-        C = poly_sum(sums[k - 1] * F((-1) ** (r - k), k) for k in range(1, r + 1))
+        C = sums.weighted([F((-1) ** (r - k), k) for k in range(1, r + 1)])
         A = poly_sum([_M * C, _M_MINUS_1 * T]) / 2
         B = poly_sum([C, T, ONE if r % 2 == 0 else -ONE])
         if A.is_zero():
@@ -316,7 +318,7 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
     def rule(lat: SubsetLattice):
         asymmetric: set[int] = set()  # the masks whose Q fails the audit
 
-        def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+        def h_of(mask: int, sums: PolyVec) -> Fraction:
             r = len(sums)
             try:
                 Q = poly_divide_exact(sums[r - 1], _M_PLUS_1)
@@ -409,17 +411,14 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
             if r <= 2:
                 h, _, ppoly, _ = _postulates(lat, mask)
                 return h, ppoly
-            P = poly_sum(nplus(sub) for sub in lat.codim1(mask))
-            # sum of N+(H) over the subsets H of each size up to r - 2
-            terms: list[list[Poly]] = [[] for _ in range(r - 1)]
-            for sub in lat.submasks(mask):
-                size = sub.bit_count()
-                if size <= r - 2:
-                    terms[size].append(nplus(sub))
-            by_size = list(map(poly_sum, terms))
-            W = poly_sum(g * (r - s) for s, g in enumerate(by_size))
-            Xs = poly_sum(g * s for s, g in enumerate(by_size))
-            num = poly_sum([P * (2 * (r - 2)), Xs * 2])
+            # the sums of N+(H) over the proper subsets H of each size,
+            # P the last; num = 2((r - 2)P + X)
+            by_size = graded_sum(
+                ((sub.bit_count(), nplus(sub)) for sub in lat.submasks(mask) if sub != mask), r
+            )
+            P = by_size[r - 1]
+            W = by_size.weighted([r - s for s in range(r - 1)] + [0])
+            num = by_size.weighted([2 * s for s in range(r - 1)] + [2 * (r - 2)])
             den = poly_sum([_M * W, -P])
             if den.is_zero():
                 raise MethodFailure("zero-denominator", "reciprocity denominator is 0")
@@ -479,7 +478,7 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
         sigma2 = _per_class(lat, connected_sum)
         _each_connected(lat, m_connected)
 
-        def h_of(mask: int, sums: tuple[Poly, ...]) -> Fraction:
+        def h_of(mask: int, sums: PolyVec) -> Fraction:
             r = mask.bit_count()
             return 2 * (m_connected(mask) + sigma2(mask) + r) / r
 

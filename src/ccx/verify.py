@@ -15,9 +15,9 @@ from .formulas import (
     TypeInfo,
     N_plus_product,
     N_product,
-    f_k_closed,
     f_polys_recursive,
-    h_k_closed,
+    f_vector_closed,
+    h_vector_closed,
     h_vector_from_f,
     reduced_euler,
 )
@@ -70,7 +70,7 @@ def suite_oracle(max_rank: int = 5, max_m: int = 3) -> list[Check]:
         info = TypeInfo.of(G)
         cx = build_complex(G, m)
         fv = cx.f_vector()
-        closed = [f_k_closed(info, k)(m) for k in range(rank + 1)]
+        closed = [p(m) for p in f_vector_closed(info)]
         rec = [p(m) for p in f_polys_recursive(G)]
         checks.append(
             _check(
@@ -84,7 +84,7 @@ def suite_oracle(max_rank: int = 5, max_m: int = 3) -> list[Check]:
             _check(f"ridge-degree {name} m={m}", cx.audit_ridge_degree())
         )
         hv = h_vector_from_f(fv)
-        hclosed = [h_k_closed(info, k)(m) for k in range(rank + 1)]
+        hclosed = [p(m) for p in h_vector_closed(info)]
         checks.append(
             _check(
                 f"hvector {name} m={m}",
@@ -192,7 +192,7 @@ def suite_models(max_rank: int = 4, max_m: int = 3) -> list[Check]:
     # dissection counts
     for n in range(1, min(4, max_rank) + 1):
         for m in range(1, min(3, max_m) + 1):
-            want = [f_k_closed(TypeInfo("A", n), k)(m) for k in range(n + 1)]
+            want = [p(m) for p in f_vector_closed(TypeInfo("A", n))]
             got = checked_complex(TypeAModel(n, m)).survey.counts
             checks.append(
                 _check(f"dissection-counts A{n} m={m}", got == want, f"{got} vs {want}")

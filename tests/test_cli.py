@@ -305,6 +305,62 @@ def test_face_numbers_make_no_call_to_h_vector_from_f(capsys, monkeypatch, comma
     assert calls == []
 
 
+@pytest.mark.parametrize("command,spec,m", [
+    ("fvector", "A1001", 1),          # rank over TABLE_RANK_BUDGET
+    ("hvector", "n=1001;", 0),
+    ("hvector", "A1000", 16),         # 1000 (2 + 15) bits predicted
+    ("fvector", "n=1000;", 8191),     # 1000 (2 + 15) bits
+    ("hvector", "I2(5)", 2 ** 8000),  # 2 (2 + 8003) bits
+])
+def test_face_tables_refuse_over_budget_before_any_value(capsys, monkeypatch, command, spec, m):
+    from ccx import formulas
+
+    def level_products(*args):
+        raise Built("_level_products")
+
+    monkeypatch.setattr(formulas, "_level_products", level_products)
+    code, out, err = run_cli(capsys, command, "--diagram", spec, "-m", str(m))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "budget"
+
+
+def test_face_table_budget_admits_a1000_and_b1000():
+    from ccx.gcc import TABLE_BITS_BUDGET, check_table_budget
+
+    for info in (TypeInfo("A", 1000), TypeInfo("B", 1000), TypeInfo("D", 1000)):
+        check_table_budget([info], 1)
+    check_table_budget([TypeInfo("A", 1)] * 1000, 8190)  # 1000 (2 + 14) bits
+    check_table_budget([TypeInfo("A", 1000)], 15)
+    check_table_budget([TypeInfo("I2", 2, 5)], 2 ** (TABLE_BITS_BUDGET // 2 - 7))
+
+
+def test_hvector_builds_each_level_product_once_per_vector(capsys, monkeypatch):
+    """Work count, no clock: the closed forms give a component's whole
+    f- or h-vector from one running product over its levels, so A1000
+    builds one product for its f-vector and one for its h-vector."""
+    from ccx import formulas
+
+    calls = []
+    real = formulas._level_products
+
+    def counting(info, m, correction, sign):
+        calls.append((info.family, info.n, sign))
+        return real(info, m, correction, sign)
+
+    monkeypatch.setattr(formulas, "_level_products", counting)
+    code, out, _ = run_cli(capsys, "hvector", "--type", "A1000", "-m", "1")
+    data = json.loads(out)
+    assert code == 0 and len(data["f_vector"]) == len(data["h_vector"]) == 1001
+    assert data["h_vector"][1] == str(1000 * 1001 // 2)  # the Narayana number N(1001, 2)
+    assert sorted(calls) == [("A", 1000, -1), ("A", 1000, 1)]
+    del calls[:]
+    code, _, _ = run_cli(capsys, "fvector", "--diagram", disjoint_union(["B3", "D4", "H3"]),
+                         "-m", "2")
+    assert code == 0
+    assert sorted(calls) == sorted((f, n, s) for f, n in (("B", 3), ("D", 4), ("H3", 3))
+                                   for s in (1, -1))
+
+
 def test_invariants_h4(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--type", "H4")
     data = json.loads(out)

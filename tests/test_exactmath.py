@@ -16,13 +16,17 @@ from ccx.exactmath import (
     format_integer,
     frac_sum,
     minpoly_2cos,
+    PolyVec,
+    graded_sum,
     poly_divide_exact,
-    poly_dot,
     poly_gcd,
     poly_sum,
     rational_roots,
     real_roots,
+    vec_convolve,
+    vec_sum,
 )
+from face_oracle import poly_dot
 
 
 def poly_shift(p: Poly) -> Poly:
@@ -310,9 +314,22 @@ def test_ratfun_repr_is_reduced():
     assert repr(r) == "RatFun(Poly(1/6 + 1/3*m), Poly(1*m))"
 
 
+def vec(polys) -> PolyVec:
+    """The PolyVec of the Polys ``polys``, in order."""
+    return graded_sum(enumerate(polys), len(polys))
+
+
+def _reduced(v: PolyVec) -> bool:
+    return v.den > 0 and gcd(v.den, *[c for row in v.rows for c in row]) == 1
+
+
 def test_poly_dot_of_nothing_is_zero():
     assert poly_dot([]) == Poly() and _canonical(poly_dot([]))
     assert poly_dot(iter([(Poly(), Poly([1, 2]))])) == Poly()
+    # the convolution's entries of no nonzero product are zero, canonical
+    zero = vec_convolve(vec([Poly()]), vec([Poly(), Poly([1, 2])]))
+    assert list(zero) == [Poly(), Poly()] and all(map(_canonical, zero)) and _reduced(zero)
+    assert list(vec_convolve(vec([Poly([1, 2])]), vec([Poly()]))) == [Poly()]
 
 
 @given(st.lists(st.tuples(polys, polys), max_size=6))
@@ -321,6 +338,58 @@ def test_poly_dot_is_the_sum_of_products(pairs):
     total = poly_dot(iter(pairs))
     assert total == sum((p * q for p, q in pairs), Poly())
     assert _canonical(total)
+    if not pairs:
+        return
+    # vec_convolve's entry k is the sum of the products a_i b_(k-i)
+    a, b = [p for p, _ in pairs], [q for _, q in pairs[::-1]]
+    c = vec_convolve(vec(a), vec(b))
+    assert len(c) == 2 * len(pairs) - 1 and _reduced(c)
+    for k, entry in enumerate(c):
+        want = poly_dot((a[i], b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b))
+        assert entry == want == sum((a[i] * b[k - i] for i in range(len(a))
+                                     if 0 <= k - i < len(b)), Poly())
+        assert _canonical(entry)
+    assert c[len(pairs) - 1] == total  # the middle entry pairs a_i with b_(n-1-i)
+
+
+@given(st.lists(st.lists(polys, min_size=1, max_size=4), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_vec_sum_is_the_entrywise_poly_sum(vectors, n):
+    total = vec_sum(map(vec, vectors), n)
+    assert len(total) == n and _reduced(total)
+    for k in range(n):
+        assert total[k] == poly_sum(v[k] for v in vectors if k < len(v))
+        assert _canonical(total[k])
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), polys), max_size=8),
+       st.lists(st.one_of(st.integers(min_value=-5, max_value=5), small_fracs),
+                min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_graded_and_weighted_sums(terms, ws):
+    graded = graded_sum(iter(terms), 4)
+    assert _reduced(graded)
+    for k in range(4):
+        assert graded[k] == poly_sum(p for j, p in terms if j == k)
+    combo = graded.weighted(ws)
+    assert combo == poly_sum(p * ws[k] for k, p in terms) and _canonical(combo)
+
+
+def test_poly_vec_is_reduced_once_and_read_once():
+    v = vec([Poly([F(1, 6), F(1, 3)]), Poly([F(2, 3)]), Poly()])
+    assert (v.rows, v.den) == (((1, 2), (4,), ()), 6)
+    assert len(v) == 3 and v._read == [None] * 3  # len reads no entry
+    assert v[-2] is v[1] == Poly([F(2, 3)]) and v._read[1] is not None
+    assert list(v) == [Poly([F(1, 6), F(1, 3)]), Poly([F(2, 3)]), Poly()]
+    assert all(p is q for p, q in zip(v, v))
+    # a common factor of den and every coefficient is divided out once
+    w = vec([Poly([2, 4]), Poly([6])])
+    assert (w.rows, w.den) == (((2, 4), (6,)), 1)
+    assert vec_sum([w, w], 2).rows == ((4, 8), (12,))
+    assert vec_sum([vec([Poly([F(1, 2)])]), vec([Poly([F(1, 2)])])], 1).den == 1
+    with pytest.raises(AttributeError):
+        v.den = 1
 
 
 def _ref_add(a, b):

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccx import tables
-from ccx.diagram import CoxeterDiagram, DiagramError, parse_diagram
+from ccx import exactmath, formulas, invariants, tables
+from ccx.diagram import CoxeterDiagram, DiagramError, parse_diagram, subset_lattice
 from ccx.exactmath import Poly
 from ccx.formulas import (
     TypeInfo,
@@ -14,10 +16,15 @@ from ccx.formulas import (
     f_k_closed,
     f_plus_poly,
     f_polys_recursive,
+    f_vector_closed,
+    face_polys,
     h_k_closed,
+    h_vector_closed,
     h_vector_from_f,
     reduced_euler,
 )
+from ccx.invariants import compute_all
+from face_oracle import face_polys_per_entry
 
 
 # The paper's closed forms for type A and the type-B model, kept here as
@@ -374,3 +381,109 @@ def test_f_plus_values():
     # (am + a - 2) m / 2 at a=5, m=1
     assert f_plus(TypeInfo("I2", 2, 5), 2, 1) == 4
     assert f_plus(TypeInfo("A", 2), 2, 1) == 2
+
+
+# ---------------------------------------------------------------------------
+# the recurrence over one denominator against the per-entry walk
+
+
+FINITE_UP_TO_7 = ["A1", "A2", "A7", "B4", "B7", "D5", "D7", "E6", "E7", "F4", "H3", "H4",
+                  "I2(7)"]
+
+
+@st.composite
+def diagrams_up_to_rank_7(draw):
+    """Named finite types, or labels 2-6 drawn on every pair of up to 7
+    vertices: connected or not, finite or not."""
+    if draw(st.booleans()):
+        return parse_diagram(draw(st.sampled_from(FINITE_UP_TO_7)))
+    rank = draw(st.integers(min_value=0, max_value=7))
+    labels = st.sampled_from([2, 2, 2, 3, 4, 5, 6])
+    edges = [f"{i}-{j}:{a}" for i in range(1, rank + 1) for j in range(i + 1, rank + 1)
+             for a in [draw(labels)] if a > 2]
+    return parse_diagram(" ".join([f"n={rank};", *edges]))
+
+
+@given(diagrams_up_to_rank_7(),
+       st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=1,
+                max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_face_vectors_equal_the_per_entry_walk(G, hs):
+    """Each class gets an arbitrary rational h, an isomorphism invariant
+    through its key; ``face_polys`` must give every mask's f_0..f_r and
+    hand ``h_of`` every class's sums entry for entry as the walk that
+    makes each f_k its own Poly."""
+    lat = subset_lattice(G)
+    got_sums, want_sums = {}, {}
+
+    def h_rule(seen):
+        def h_of(mask, sums):
+            seen[lat.key(mask)] = list(sums)
+            return hs[lat.key(mask) % len(hs)]
+        return h_of
+
+    got, want = face_polys(lat, h_rule(got_sums)), face_polys_per_entry(lat, h_rule(want_sums))
+    for mask in range(lat.full + 1):
+        assert list(got(mask)) == list(want(mask)), mask
+    assert got_sums == want_sums
+
+
+def _count_reductions(monkeypatch) -> list:
+    """Count every Poly reduction (``exactmath._set``) from here on."""
+    sets, real = [], exactmath._set
+    monkeypatch.setattr(exactmath, "_set", lambda *a: sets.append(1) or real(*a))
+    return sets
+
+
+def test_face_recurrence_reduces_only_the_entries_it_returns(monkeypatch):
+    """Work counts, no clock.  With cold caches, ``f_polys_recursive(E8)``
+    reduces the 9 Polys it returns and nothing else: every other vector
+    of the recurrence is reduced once as a whole.  With each f_k its own
+    Poly it made 352 reductions.  ``compute_all(E8)`` makes 315 (926 then)."""
+    G = parse_diagram("E8")
+    subset_lattice.cache_clear()
+    sets = _count_reductions(monkeypatch)
+    rec = f_polys_recursive(G)
+    assert len(sets) == 9
+    assert rec == [f_k_closed(TypeInfo("E8", 8), k) for k in range(9)]
+    del sets[:]
+    subset_lattice.cache_clear()
+    invariants._exponents.cache_clear()
+    assert compute_all(G).consensus == "agree"
+    subset_lattice.cache_clear()
+    assert len(sets) <= 400
+
+
+# ---------------------------------------------------------------------------
+# the closed forms in one pass
+
+
+def level_product(info: TypeInfo, k: int, m, correction, sign: int):
+    """The closed form at one k, the level product built anew for that k:
+    c(m) C(n, k) prod (hm + 1 + sign e)/(e + 1) over the levels <= k."""
+    coeffs, den = correction(info.family, info.n, k)
+    out = 0
+    for c in reversed(coeffs):
+        out = out * m + c
+    out *= comb(info.n, k)
+    for e, level in info.levels:
+        if level <= k:
+            out = out * (info.h * m + 1 + sign * e)
+            den *= e + 1
+    return out * F(1, den)
+
+
+@pytest.mark.parametrize("info", [TypeInfo.of(name) for name in ("E6", "E7", "E8", "F4", "H3",
+                                                                  "H4", "D20", "B12", "A15")]
+                         + [TypeInfo("I2", 2, 11)])
+def test_one_pass_closed_forms_equal_the_per_k_product(info):
+    for vector, correction, sign in ((f_vector_closed, tables.face_correction, 1),
+                                     (h_vector_closed, tables.h_correction, -1)):
+        for m in (formulas.M, 0, 1, 3, F(-2, 3)):
+            want = [level_product(info, k, m, correction, sign) for k in range(info.n + 1)]
+            assert list(vector(info, m)) == want, (info.family, info.n, m)
+    with pytest.raises(ValueError, match="out of range"):
+        f_k_closed(info, info.n + 1)
+    with pytest.raises(ValueError, match="out of range"):
+        h_k_closed(info, -1, 2)
+

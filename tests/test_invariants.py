@@ -554,9 +554,11 @@ def test_recursions_sum_exact_terms_once(monkeypatch):
 def test_recursions_decide_h_without_gcds(monkeypatch):
     """Work counts, no clock.  On ~E8 the h rules decide that a rational
     function of m is constant by cross-multiplying, so no polynomial gcd
-    runs (reducing each quotient took 30), and each convolution
-    coefficient is one sum of unreduced products: 1911 reductions (_set)
-    with each product reduced on its own, at most 1500 without."""
+    runs (reducing each quotient took 30), and the face recurrence
+    reduces each whole vector once, a convolution over components being
+    one ``vec_convolve`` of unreduced products: Poly reductions (_set)
+    were 1911 with each product reduced on its own and 1307 with one per
+    entry, and are 404 with one per vector (the bound is 1500)."""
     gcds, sets = [], []
     gcd, reduce_ = exactmath.poly_gcd, exactmath._set
     monkeypatch.setattr(exactmath, "poly_gcd", lambda *a: gcds.append(1) or gcd(*a))
