@@ -8,7 +8,8 @@ declaration order, and induced subdiagrams keep their parent's ids so
 that vertex subsets work as memoization keys.  The recursions over
 induced subdiagrams run on ``SubsetLattice`` masks instead, build no
 diagram objects, and share their work between masks whose subdiagrams
-are isomorphic: the lattice keys each mask by its isomorphism class.
+are isomorphic: the lattice keys each mask by its isomorphism class and
+counts the submasks of a mask by class.
 
 The constructors ``_named`` and ``_named_affine`` are the one
 description of each finite and affine type.  Classification is
@@ -21,6 +22,7 @@ are the one shape checked directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -386,6 +388,23 @@ def _tree_key(adj: dict[int, dict[int, int]]) -> int:
     return min(_name(pa + [(lab, _name(pb))]), _name(pb + [(lab, _name(pa))]))
 
 
+def _ring_key(adj: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """Exact isomorphism-invariant key of a connected diagram whose every
+    vertex has two neighbours, given as its adjacency: a cycle.  Its
+    edge labels read around the cycle form a sequence, and two labelled
+    cycles are isomorphic exactly when their sequences agree up to
+    rotation and reflection; the key is the least of the 2n sequences."""
+    start = prev = next(iter(adj))
+    v, lab = next(iter(adj[start].items()))
+    seq = [lab]
+    while v != start:
+        (a, la), (b, lb) = adj[v].items()
+        prev, v, lab = (v, b, lb) if a == prev else (v, a, la)
+        seq.append(lab)
+    n = len(seq)
+    return min(tuple(d[i:i + n]) for d in (seq * 2, seq[::-1] * 2) for i in range(n))
+
+
 def _refine(nbrs: list[list[tuple[int, int]]], colour: list[int]) -> list[int]:
     """Label-aware colour refinement to the coarsest stable colouring
     below ``colour``.
@@ -518,15 +537,17 @@ class SubsetLattice:
     ``key(mask)`` is the isomorphism class of the labelled subdiagram of
     a mask, as a small int: two masks of one lattice get the same key
     exactly when their induced subdiagrams are isomorphic with their
-    labels.  The invariant recursions compute a function of the
-    subdiagram alone, so they memoize by key and visit one mask of each
-    class.  ``fpolys`` is the face-polynomial store of
-    ``formulas.face_polys``, shared by every caller of the lattice and
-    keyed by class as well.
+    labels.  The lattice records the first mask of each class.  The
+    invariant recursions compute a function of the subdiagram alone, so
+    they memoize by key and visit one mask of each class.
+    ``census(mask)`` counts the proper submasks of a mask by class, once
+    per class, so a sum over every submask takes one term per class.
+    ``fpolys`` is the face-polynomial store of ``formulas.face_polys``,
+    shared by every caller of the lattice and keyed by class as well.
     """
 
     __slots__ = ("diagram", "rank", "full", "nbr", "_labels", "_components", "_connected",
-                 "_keys", "_classes", "fpolys")
+                 "_keys", "_classes", "_firsts", "_census", "fpolys")
 
     def __init__(self, G: CoxeterDiagram):
         self.diagram = G
@@ -543,6 +564,8 @@ class SubsetLattice:
         self._connected: tuple[int, ...] | None = None
         self._keys: dict[int, int] = {}
         self._classes: dict[tuple, int] = {}  # canonical form -> key
+        self._firsts: list[int] = []  # the first mask of each key
+        self._census: dict[int, tuple[tuple[int, int], ...]] = {}  # key -> census
         self.fpolys: dict = {}
 
     def vertices(self, mask: int) -> list[int]:
@@ -573,8 +596,11 @@ class SubsetLattice:
 
         The canonical form behind the key: for a disconnected or empty
         mask, the sorted keys of its components; for a connected tree,
-        ``_tree_key``; for a connected mask with a cycle, ``_graph_key``.
-        Each form is numbered the first time the lattice meets it.
+        ``_tree_key``; for a connected mask whose every vertex has two
+        neighbours, a ring, ``_ring_key``; for any other connected mask
+        with a cycle, ``_graph_key``.  Each form is numbered the first
+        time the lattice meets it, and that mask is recorded as the
+        first of its class.
         """
         out = self._keys.get(mask)
         if out is None:
@@ -583,11 +609,34 @@ class SubsetLattice:
                 form = ("union", *sorted(map(self.key, comps)))
             else:
                 adj = self._adjacency(mask)
-                if sum(map(len, adj.values())) == 2 * (len(adj) - 1):
+                degrees = [len(nbrs) for nbrs in adj.values()]
+                if sum(degrees) == 2 * (len(adj) - 1):
                     form = ("tree", _tree_key(adj))
+                elif degrees.count(2) == len(degrees):
+                    form = ("ring", _ring_key(adj))
                 else:
                     form = ("cycle", _graph_key(adj))
-            out = self._keys[mask] = self._classes.setdefault(form, len(self._classes))
+            out = self._classes.get(form)
+            if out is None:
+                out = self._classes[form] = len(self._firsts)
+                self._firsts.append(mask)
+            self._keys[mask] = out
+        return out
+
+    def census(self, mask: int) -> tuple[tuple[int, int], ...]:
+        """The classes of the proper submasks of mask: one pair (the
+        first mask of the class, how many submasks fall in it) per class
+        met.  The first mask stands for the class in any function of the
+        subdiagram alone, so a sum of such a function over the submasks
+        takes one term per class, times its count.  Memoized per class
+        of mask: one walk over the submasks serves every caller."""
+        cls = self.key(mask)
+        out = self._census.get(cls)
+        if out is None:
+            counts = Counter(map(self.key, self.submasks(mask)))
+            del counts[cls]  # mask itself, the one submask of its rank
+            firsts = self._firsts
+            out = self._census[cls] = tuple((firsts[k], n) for k, n in counts.items())
         return out
 
     def _adjacency(self, mask: int) -> dict[int, dict[int, int]]:

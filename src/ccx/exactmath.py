@@ -6,7 +6,9 @@ arithmetic runs on the integer lists of the root-finding section; an
 int scalar is used as it is, without a Fraction.  Sums of many terms,
 polynomial (``poly_sum``) or rational (``frac_sum``), put every term
 over the lcm of the denominators, add the integer numerators and reduce
-once, instead of reducing each pairwise sum.
+once, instead of reducing each pairwise sum.  Each term of
+``graded_sum``, and of ``frac_sum`` when weights are given, carries an
+int weight, a factor of its numerator.
 A vector of polynomials (``PolyVec``), such as the face numbers
 f_0..f_r of one subdiagram, is the same layout for the whole vector:
 integer rows over one positive denominator, reduced once when it is
@@ -290,12 +292,12 @@ def vec_sum(vecs, n: int) -> PolyVec:
 
 
 def graded_sum(terms, n: int) -> PolyVec:
-    """The PolyVec of n entries whose entry k is the sum of the Polys p
-    over the pairs (k, p) of ``terms``: one lcm over all the terms, one
-    reduction."""
+    """The PolyVec of n entries whose entry k is the sum of w * p over
+    the triples (k, p, w) of ``terms``, p a Poly and w an int weight:
+    one lcm over all the terms, one reduction."""
     terms = list(terms)
-    den = lcm(*[p.den for _, p in terms])
-    return _rows_sum([(k, p.num, den // p.den) for k, p in terms], n, den)
+    den = lcm(*[p.den for _, p, _ in terms])
+    return _rows_sum([(k, p.num, w * (den // p.den)) for k, p, w in terms], n, den)
 
 
 def _rows_sum(terms: list, n: int, den: int) -> PolyVec:
@@ -327,12 +329,16 @@ def vec_convolve(a: PolyVec, b: PolyVec) -> PolyVec:
     return _vec(acc, a.den * b.den)
 
 
-def frac_sum(terms) -> Fraction:
-    """The sum of an iterable of ints and Fractions over the lcm of their
-    denominators, reduced once."""
+def frac_sum(terms, weights=None) -> Fraction:
+    """The sum of an iterable of ints and Fractions, each times its int
+    weight in ``weights`` if given, over the lcm of their denominators,
+    reduced once."""
     terms = list(terms)
     den = lcm(*[q.denominator for q in terms])
-    return Fraction(sum(q.numerator * (den // q.denominator) for q in terms), den)
+    if weights is None:
+        return Fraction(sum(q.numerator * (den // q.denominator) for q in terms), den)
+    return Fraction(sum(w * q.numerator * (den // q.denominator)
+                        for q, w in zip(terms, weights, strict=True)), den)
 
 
 def format_integer(n: int) -> str:

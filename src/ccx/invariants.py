@@ -16,7 +16,13 @@ subdiagram, and reads off N, N+, the exponents and the status.  A method
 supplies only its h rule, plus at most a short step on its result.  The
 recursions run on the subset lattice of the diagram and memoize by the
 isomorphism class of each subdiagram (``SubsetLattice.key``), so each
-runs once per class, not once per vertex subset.
+runs once per class, not once per vertex subset.  The three sums over
+every proper submask of a mask (U of ``reciprocity_simple``, sigma2 of
+``mg`` and the graded sum of ``reciprocity_general``) read the
+lattice's census of the mask (``SubsetLattice.census``): one term per
+class of submask, its count an integer weight inside one ``frac_sum``
+or ``graded_sum``, and one walk over the submasks per class for all
+the methods of a report.
 """
 
 from __future__ import annotations
@@ -215,13 +221,14 @@ def _flag(res: MethodResult, flag: str) -> None:
 # The subset recursions walk up to 2^rank masks, once per isomorphism
 # class.  A rank limit does not bound their work: the rank-12 star (one
 # vertex joined to eleven; 2059 connected masks in 12 classes) takes
-# 0.26-0.43 s (Python 3.11, shared 2-vCPU host), 0.06 of its 1.0
-# profiled seconds in root extraction and most of the rest in the
-# subset sums, while the five methods on A14 take 0.12 s.  On infinite
-# diagrams the coefficients grow too, by about 5x in bits per rank, and
-# nothing bounds them yet.  So the budget stays at 12 rather than
-# growing with the speed of A_r.  ``_solve`` checks it for every
-# method, called directly or through ``compute_all``.
+# 0.11 s for the five methods in process (best of 5, Python 3.11, shared
+# 2-vCPU host), 0.02 of its 0.34 profiled seconds in root extraction,
+# about half in the face recurrence and a third in keying its 4096
+# masks, while A12 takes 0.018 s and A14, with the budget lifted,
+# 0.06 s.  On infinite diagrams the coefficients grow too, by about 5x
+# in bits per rank, and nothing bounds them yet.  So the budget stays at
+# 12 rather than growing with the speed of A_r.  ``_solve`` checks it
+# for every method, called directly or through ``compute_all``.
 RANK_BUDGET = 12
 
 _NOT_APPLICABLE = "invariants are defined for connected nonempty diagrams"
@@ -369,7 +376,8 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
                 return h, npoly(1), ppoly(1)
             S = frac_sum(n_at_1(sub) for sub in lat.codim1(mask))
             T = frac_sum(nplus_at_1(sub) for sub in lat.codim1(mask))
-            U = frac_sum(nplus_at_1(sub) for sub in lat.submasks(mask) if sub != mask)
+            census = lat.census(mask)
+            U = frac_sum((nplus_at_1(sub) for sub, _ in census), (n for _, n in census))
             den = S - 2 * T
             if den == 0:
                 raise MethodFailure("zero-denominator", "3x3 reciprocity system is singular")
@@ -412,9 +420,9 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                 h, _, ppoly, _ = _postulates(lat, mask)
                 return h, ppoly
             # the sums of N+(H) over the proper subsets H of each size,
-            # P the last; num = 2((r - 2)P + X)
+            # one term per class; P the last; num = 2((r - 2)P + X)
             by_size = graded_sum(
-                ((sub.bit_count(), nplus(sub)) for sub in lat.submasks(mask) if sub != mask), r
+                ((sub.bit_count(), nplus(sub), n) for sub, n in lat.census(mask)), r
             )
             P = by_size[r - 1]
             W = by_size.weighted([r - s for s in range(r - 1)] + [0])
@@ -468,11 +476,9 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
             return sigma1 * sigma2(mask) / den
 
         def connected_sum(mask: int) -> Fraction:
-            r = mask.bit_count()
-            return frac_sum(
-                m_connected(sub) for sub in lat.submasks(mask)
-                if 2 <= sub.bit_count() <= r - 1 and len(lat.components(sub)) == 1
-            )
+            census = [(sub, n) for sub, n in lat.census(mask)
+                      if sub.bit_count() >= 2 and len(lat.components(sub)) == 1]
+            return frac_sum((m_connected(sub) for sub, _ in census), (n for _, n in census))
 
         m_connected = _per_class(lat, full_support)
         sigma2 = _per_class(lat, connected_sum)

@@ -446,7 +446,16 @@ def diagram_pairs(draw):
     return G, H
 
 
+def _ring(labels) -> CoxeterDiagram:
+    """The cycle 1-2-...-n-1 whose edges, in that order, carry ``labels``."""
+    n = len(labels)
+    return CoxeterDiagram(range(1, n + 1), {(min(i, i % n + 1), max(i, i % n + 1)): lab
+                                            for i, lab in enumerate(labels, 1)})
+
+
 @example((K33, PRISM))
+@example((_ring([3, 3, 4, 4, 5]), _ring([4, 3, 3, 5, 4])))  # rotated and reflected
+@example((_ring([3, 4, 3, 4]), _ring([3, 3, 4, 4])))  # the same labels, not isomorphic
 @example((CO_C3_C4, _relabel(CO_C3_C4, [5, 6, 7, 1, 2, 3, 4], CO_C3_C4.vertices)))
 @example((_diagram(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), _diagram(4, [(1, 2), (2, 3), (3, 4), (1, 4)], 4)))
 @given(diagram_pairs())
@@ -455,6 +464,47 @@ def test_lattice_keys_are_equal_exactly_for_isomorphic_subdiagrams(pair):
     G, H = pair
     lat, g, h = _union(G, H)
     assert (lat.key(g) == lat.key(h)) == _isomorphic(G, H)
+
+
+def test_rings_are_keyed_without_search(monkeypatch):
+    """Every connected mask of ~A8 and ~A11 is a path or the whole
+    cycle, so no mask needs the refinement search."""
+    def refused(adj):
+        raise AssertionError("a ring went to _graph_key")
+
+    monkeypatch.setattr(diagram, "_graph_key", refused)
+    for name in ("~A8", "~A11"):
+        lat = SubsetLattice(parse_diagram(name))
+        for mask in range(lat.full + 1):
+            lat.key(mask)
+        assert len({lat.key(m) for m in lat.connected_masks()}) == lat.rank
+
+
+@st.composite
+def random_diagrams(draw):
+    """A diagram on 1-7 vertices, each pair labelled 2 (no edge) half the
+    time and 3-5 otherwise."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = st.sampled_from([2, 2, 2, 3, 3, 4, 5])
+    return CoxeterDiagram(range(1, n + 1),
+                          {p: draw(labels) for p in combinations(range(1, n + 1), 2)})
+
+
+@given(random_diagrams())
+@settings(max_examples=60, deadline=None)
+def test_census_counts_the_proper_submasks_by_class(G):
+    lat = SubsetLattice(G)
+    for mask in lat.connected_masks():
+        census = lat.census(mask)
+        brute: dict[int, int] = {}
+        for sub in range(lat.full + 1):
+            if sub & mask == sub and sub != mask:
+                brute[lat.key(sub)] = brute.get(lat.key(sub), 0) + 1
+        assert {lat.key(first): n for first, n in census} == brute
+        assert len(census) == len(brute)  # one pair per class
+        # the first mask numbered in each class stands for it
+        assert all(lat._firsts[lat.key(first)] == first for first, _ in census)
+        assert lat.census(mask) is census
 
 
 def test_lattice_class_counts():

@@ -238,6 +238,17 @@ def test_frac_sum_is_the_pairwise_sum(terms):
     assert frac_sum(terms + [-t for t in terms]) == 0
 
 
+@given(st.lists(st.tuples(st.one_of(st.integers(min_value=-50, max_value=50), small_fracs),
+                          st.integers(min_value=-3, max_value=600)), max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_weighted_frac_sum_scales_each_term(pairs):
+    total = frac_sum((q for q, _ in pairs), iter([n for _, n in pairs]))
+    assert isinstance(total, F) and total == sum((q * n for q, n in pairs), F(0))
+    assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
+    with pytest.raises(ValueError):
+        frac_sum([F(1, 2)], [1, 2])
+
+
 def _reduced_constant(num: Poly, den: Poly) -> F:
     """The constant num/den by reducing first: both divided by their gcd,
     den made monic, and a constant read off when both are of degree 0;
@@ -316,7 +327,7 @@ def test_ratfun_repr_is_reduced():
 
 def vec(polys) -> PolyVec:
     """The PolyVec of the Polys ``polys``, in order."""
-    return graded_sum(enumerate(polys), len(polys))
+    return graded_sum(((k, p, 1) for k, p in enumerate(polys)), len(polys))
 
 
 def _reduced(v: PolyVec) -> bool:
@@ -365,15 +376,22 @@ def test_vec_sum_is_the_entrywise_poly_sum(vectors, n):
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), polys), max_size=8),
        st.lists(st.one_of(st.integers(min_value=-5, max_value=5), small_fracs),
-                min_size=4, max_size=4))
+                min_size=4, max_size=4),
+       st.lists(st.integers(min_value=-3, max_value=600), min_size=8, max_size=8))
 @settings(max_examples=80, deadline=None)
-def test_graded_and_weighted_sums(terms, ws):
-    graded = graded_sum(iter(terms), 4)
+def test_graded_and_weighted_sums(terms, ws, counts):
+    graded = graded_sum(((k, p, 1) for k, p in terms), 4)
     assert _reduced(graded)
     for k in range(4):
         assert graded[k] == poly_sum(p for j, p in terms if j == k)
     combo = graded.weighted(ws)
     assert combo == poly_sum(p * ws[k] for k, p in terms) and _canonical(combo)
+    # an int weight per term scales it inside the one integer sum
+    scaled = graded_sum(((k, p, n) for (k, p), n in zip(terms, counts)), 4)
+    assert _reduced(scaled)
+    for k in range(4):
+        want = poly_sum(p * n for (j, p), n in zip(terms, counts) if j == k)
+        assert scaled[k] == want and _canonical(scaled[k])
 
 
 def test_poly_vec_is_reduced_once_and_read_once():

@@ -642,6 +642,32 @@ def test_submask_sums_run_once_per_class(monkeypatch):
     assert sorted(map(lat.key, calls)) == sorted(classes)
 
 
+def test_methods_share_one_census_per_class(monkeypatch):
+    """Work count, no clock: U of reciprocity_simple, sigma2 of mg and the
+    graded sum of reciprocity_general read the lattice's census, so on
+    ~E8 the submasks of each class of rank >= 3 are walked once in all,
+    not once per method."""
+    from ccx.diagram import SubsetLattice
+
+    calls = []
+    submasks = SubsetLattice.submasks
+
+    def counting(self, mask):
+        calls.append(mask)
+        return submasks(self, mask)
+
+    monkeypatch.setattr(SubsetLattice, "submasks", counting)
+    subset_lattice.cache_clear()
+    G = parse_diagram("~E8")
+    rep = compute_all(G)
+    lat = subset_lattice(G)
+    subset_lattice.cache_clear()
+    assert rep.methods["mg"].h == 98
+    assert rep.methods["reciprocity_simple"].status == "ok"
+    classes = [lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3]
+    assert sorted(map(lat.key, calls)) == sorted(set(classes))
+
+
 # Drawn once as a random spanning tree plus further edges, labels 3-6,
 # keeping draws on which reciprocity_general yields: four of rank 4 of
 # infinite type, and at ranks 5 and 6, where every yielding draw was of
