@@ -6,10 +6,13 @@ A diagram is a loopless undirected graph with integer edge labels >= 3;
 every absent pair implicitly carries label 2.  Vertices are integers in
 declaration order, and induced subdiagrams keep their parent's ids so
 that vertex subsets work as memoization keys.  The recursions over
-induced subdiagrams run on ``SubsetLattice`` masks instead, build no
-diagram objects, and share their work between masks whose subdiagrams
-are isomorphic: the lattice keys each mask by its isomorphism class and
-counts the submasks of a mask by class.
+induced subdiagrams run on the class table of a ``SubsetLattice``
+instead and build no diagram objects: one ascending sweep over the
+vertex masks, when the lattice is built, finds each mask's components
+from those of the mask without its lowest vertex and keys each mask by
+the isomorphism class of its subdiagram, so the recursions take one
+step per class, not per mask, and the lattice counts the submasks of a
+class by class.
 
 The constructors ``_named`` and ``_named_affine`` are the one
 description of each finite and affine type.  Classification is
@@ -528,26 +531,34 @@ def mask_components(mask: int, nbr: list[int]) -> tuple[int, ...]:
 
 
 class SubsetLattice:
-    """The induced subdiagrams of one diagram as int masks.
+    """The induced subdiagrams of one diagram as int masks, and the class
+    table of their isomorphism classes.
 
     Bit i stands for ``G.vertices[i]``, so masks compare in the order of
-    the vertex lists of the subdiagrams they name.  Components are
-    memoized per mask.
+    the vertex lists of the subdiagrams they name.
 
-    ``key(mask)`` is the isomorphism class of the labelled subdiagram of
-    a mask, as a small int: two masks of one lattice get the same key
-    exactly when their induced subdiagrams are isomorphic with their
-    labels.  The lattice records the first mask of each class.  The
-    invariant recursions compute a function of the subdiagram alone, so
-    they memoize by key and visit one mask of each class.
-    ``census(mask)`` counts the proper submasks of a mask by class, once
-    per class, so a sum over every submask takes one term per class.
-    ``fpolys`` is the face-polynomial store of ``formulas.face_polys``,
-    shared by every caller of the lattice and keyed by class as well.
+    One ascending sweep over the masks, when the lattice is built, keys
+    every mask (``_sweep``); ``key(mask)`` reads its class, a small int.
+    Two masks of one lattice share a class exactly when their induced
+    subdiagrams are isomorphic with their labels.  Per class the table
+    holds its least mask (``least``), which stands for the class in any
+    function of the subdiagram alone, and its rank (``ranks``); a
+    connected class its codim-1 child classes (``children``, the
+    classes of its least mask with one vertex removed, lowest first); a
+    disconnected class its split (``split``): the class of its component
+    of least class and the class of the rest.  ``connected`` lists the
+    connected classes by rank, then least mask.  The invariant
+    recursions run on class ids and keep their memos in lists indexed
+    by class, so each runs once per class, not once per vertex subset.
+    ``census(cls)`` counts the proper submasks of a class by class, so a
+    sum over every submask takes one term per class.  ``fpolys`` is the
+    face-polynomial store of ``formulas.face_polys``, shared by every
+    caller of the lattice and keyed by class as well.
     """
 
-    __slots__ = ("diagram", "rank", "full", "nbr", "_labels", "_components", "_connected",
-                 "_keys", "_classes", "_firsts", "_census", "fpolys")
+    __slots__ = ("diagram", "rank", "full", "nbr", "_labels", "_class", "_low",
+                 "_connected_masks", "least", "ranks", "children", "split", "connected",
+                 "_census", "fpolys")
 
     def __init__(self, G: CoxeterDiagram):
         self.diagram = G
@@ -560,13 +571,74 @@ class SubsetLattice:
             self.nbr[bit[i].bit_length() - 1] |= bit[j]
             self.nbr[bit[j].bit_length() - 1] |= bit[i]
             self._labels[bit[i] | bit[j]] = lab
-        self._components: dict[int, tuple[int, ...]] = {}
-        self._connected: tuple[int, ...] | None = None
-        self._keys: dict[int, int] = {}
-        self._classes: dict[tuple, int] = {}  # canonical form -> key
-        self._firsts: list[int] = []  # the first mask of each key
-        self._census: dict[int, tuple[tuple[int, int], ...]] = {}  # key -> census
+        self._sweep()
+        self._census: list[tuple[tuple[int, int], ...] | None] = [None] * len(self.least)
         self.fpolys: dict = {}
+
+    def _sweep(self) -> None:
+        """Build the class table: one pass over the masks, ascending.
+
+        The components of a mask m are those of m without its lowest
+        vertex v, with the ones that touch v merged with v; ``_low`` keeps
+        the component of each mask's lowest vertex, so the components of
+        any mask are a chain of reads.  A disconnected mask is keyed by
+        the sorted classes of its components; a connected tree by
+        ``_tree_key``, a connected mask whose every vertex has two
+        neighbours, a ring, by ``_ring_key``, and any other connected
+        mask by ``_graph_key``: each connected mask's canonical form is
+        built once.  A form is numbered the first time the sweep meets
+        it, at the least mask of its class.
+        """
+        nbr, size = self.nbr, self.full + 1
+        low = self._low = [0] * size
+        classes = self._class = [0] * size
+        forms: dict[tuple, int] = {(): 0}  # canonical form -> class; () is the empty mask's
+        parts: list[tuple[int, ...]] = [()]  # the sorted component classes of each class
+        least, ranks, children, split = [0], [0], [None], [None]
+        connected_masks = []
+        for m in range(1, size):
+            v = m & -m
+            comp, rest = v, m ^ v
+            touch = nbr[v.bit_length() - 1] & rest
+            while touch:
+                c = low[rest]
+                if c & touch:
+                    comp |= c
+                    touch &= ~c
+                rest ^= c
+            low[m] = comp
+            if comp == m:
+                adj = self._adjacency(m)
+                degrees = [len(nbrs) for nbrs in adj.values()]
+                if sum(degrees) == 2 * (len(adj) - 1):
+                    form = ("tree", _tree_key(adj))
+                elif degrees.count(2) == len(degrees):
+                    form = ("ring", _ring_key(adj))
+                else:
+                    form = ("cycle", _graph_key(adj))
+                connected_masks.append(m)
+            else:
+                form = tuple(sorted((*parts[classes[m ^ comp]], classes[comp])))
+            cls = forms.get(form)
+            if cls is None:
+                cls = forms[form] = len(least)
+                least.append(m)
+                ranks.append(m.bit_count())
+                if comp == m:
+                    parts.append((cls,))
+                    children.append(tuple(classes[sub] for sub in self.codim1(m)))
+                    split.append(None)
+                else:
+                    parts.append(form)
+                    first = min(self.components(m), key=classes.__getitem__)
+                    children.append(None)
+                    split.append((classes[first], classes[m ^ first]))
+            classes[m] = cls
+        self.least, self.ranks, self.children, self.split = least, ranks, children, split
+        # classes are numbered in the order of their least masks
+        self.connected = tuple(sorted((cls for cls, kids in enumerate(children) if kids is not None),
+                                      key=ranks.__getitem__))
+        self._connected_masks = tuple(sorted(connected_masks, key=int.bit_count))
 
     def vertices(self, mask: int) -> list[int]:
         return [v for i, v in enumerate(self.diagram.vertices) if mask >> i & 1]
@@ -575,68 +647,35 @@ class SubsetLattice:
         """Label of the pair of vertices whose two bits are set."""
         return self._labels.get(pair_mask, 2)
 
+    def key(self, mask: int) -> int:
+        """The class of the subdiagram of mask."""
+        return self._class[mask]
+
     def components(self, mask: int) -> tuple[int, ...]:
         """Component masks of the label>=3 skeleton, lowest bit first."""
-        comps = self._components.get(mask)
-        if comps is None:
-            comps = self._components[mask] = mask_components(mask, self.nbr)
-        return comps
+        out = []
+        while mask:
+            comp = self._low[mask]
+            out.append(comp)
+            mask ^= comp
+        return tuple(out)
 
     def connected_masks(self) -> tuple[int, ...]:
         """Every connected nonempty mask, by rank, then ascending."""
-        if self._connected is None:
-            self._connected = tuple(sorted(
-                (m for m in range(1, self.full + 1) if len(self.components(m)) == 1),
-                key=int.bit_count,
-            ))
-        return self._connected
+        return self._connected_masks
 
-    def key(self, mask: int) -> int:
-        """The isomorphism class of the subdiagram of mask, memoized.
-
-        The canonical form behind the key: for a disconnected or empty
-        mask, the sorted keys of its components; for a connected tree,
-        ``_tree_key``; for a connected mask whose every vertex has two
-        neighbours, a ring, ``_ring_key``; for any other connected mask
-        with a cycle, ``_graph_key``.  Each form is numbered the first
-        time the lattice meets it, and that mask is recorded as the
-        first of its class.
-        """
-        out = self._keys.get(mask)
+    def census(self, cls: int) -> tuple[tuple[int, int], ...]:
+        """The classes of the proper submasks of class cls: one pair (the
+        class, how many submasks of a mask of cls fall in it) per class
+        met.  A sum of a function of the subdiagram alone over the
+        submasks takes one term per class, times its count.  Memoized
+        per class: one walk over the submasks of the least mask serves
+        every caller."""
+        out = self._census[cls]
         if out is None:
-            comps = self.components(mask)
-            if len(comps) != 1:
-                form = ("union", *sorted(map(self.key, comps)))
-            else:
-                adj = self._adjacency(mask)
-                degrees = [len(nbrs) for nbrs in adj.values()]
-                if sum(degrees) == 2 * (len(adj) - 1):
-                    form = ("tree", _tree_key(adj))
-                elif degrees.count(2) == len(degrees):
-                    form = ("ring", _ring_key(adj))
-                else:
-                    form = ("cycle", _graph_key(adj))
-            out = self._classes.get(form)
-            if out is None:
-                out = self._classes[form] = len(self._firsts)
-                self._firsts.append(mask)
-            self._keys[mask] = out
-        return out
-
-    def census(self, mask: int) -> tuple[tuple[int, int], ...]:
-        """The classes of the proper submasks of mask: one pair (the
-        first mask of the class, how many submasks fall in it) per class
-        met.  The first mask stands for the class in any function of the
-        subdiagram alone, so a sum of such a function over the submasks
-        takes one term per class, times its count.  Memoized per class
-        of mask: one walk over the submasks serves every caller."""
-        cls = self.key(mask)
-        out = self._census.get(cls)
-        if out is None:
-            counts = Counter(map(self.key, self.submasks(mask)))
-            del counts[cls]  # mask itself, the one submask of its rank
-            firsts = self._firsts
-            out = self._census[cls] = tuple((firsts[k], n) for k, n in counts.items())
+            counts = Counter(map(self._class.__getitem__, self.submasks(self.least[cls])))
+            del counts[cls]  # the mask itself, the one submask of its rank
+            out = self._census[cls] = tuple(counts.items())
         return out
 
     def _adjacency(self, mask: int) -> dict[int, dict[int, int]]:

@@ -411,7 +411,7 @@ class RatFun:
         la, lb = a[-1], b[-1]
         if len(a) == len(b) and all(x * lb == y * la for x, y in zip(a, b)):
             return Fraction(la * self.den.den, lb * self.num.den)
-        raise NotConstant(f"{self.num!r} / {self.den!r} is not constant")
+        raise NotConstant("the rational function is not constant")
 
     def __repr__(self):
         num, den = self.num, self.den

@@ -39,51 +39,48 @@ def f_polys_recursive(G: CoxeterDiagram) -> list[Poly]:
     ``ValueError`` naming it."""
     lat = subset_lattice(G)
 
-    def h_of(mask: int, sums: PolyVec) -> Fraction:
-        cls = _classify_connected(lat._adjacency(mask))
-        if cls.kind != "finite":
+    def h_of(cls: int, sums: PolyVec) -> Fraction:
+        mask = lat.least[cls]
+        info = _classify_connected(lat._adjacency(mask))
+        if info.kind != "finite":
             sub = induced_subdiagram(G, lat.vertices(mask))
             raise ValueError(f"{sub.to_spec()} has no classified Coxeter number")
-        return cls.coxeter_number
+        return info.coxeter_number
 
-    return list(face_polys(lat, h_of)(lat.full))
+    return list(face_polys(lat, h_of)(lat.key(lat.full)))
 
 
 def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], PolyVec]:
-    """The vertex-deletion recurrence: a function giving, for a mask of
-    rank r, its face polynomials f_0..f_r as one ``PolyVec``, memoized
-    per isomorphism class (``lat.key``).
+    """The vertex-deletion recurrence on the lattice's class table: a
+    function giving, for a class of rank r, its face polynomials
+    f_0..f_r as one ``PolyVec``, memoized in a list indexed by class.
 
-    On a connected mask of rank >= 3, f_k = (hm + 2)/(2k) * sums[k-1],
-    where sums[j] is the sum of f_j over the masks with one vertex
-    removed and ``h_of(mask, sums)`` gives h (it may raise).  ``h_of``
-    must be an isomorphism invariant: it is asked about one mask of each
-    class and its answer serves them all.  Ranks one and two are
-    postulated; a disconnected mask convolves the component of least
-    key with the rest.  Every vector is one denominator over integer
-    rows, reduced once: the sums one vertex down are one ``vec_sum``, a
-    convolution one ``vec_convolve``, and with h = hn/hd and
-    L = lcm(1..r) the rows of f_k are those of sums[k-1] times
-    (hn m + 2 hd) L/k, over den(sums) hd 2L.  An entry is a ``Poly``
-    only when read.
+    On a connected class of rank >= 3, f_k = (hm + 2)/(2k) * sums[k-1],
+    where sums[j] is the sum of f_j over the codim-1 child classes
+    (``lat.children``) and ``h_of(cls, sums)`` gives h (it may raise).
+    Ranks one and two are postulated; a disconnected class convolves
+    the two classes of its split (``lat.split``).  Every vector is one
+    denominator over integer rows, reduced once: the sums one vertex
+    down are one ``vec_sum``, a convolution one ``vec_convolve``, and
+    with h = hn/hd and L = lcm(1..r) the rows of f_k are those of
+    sums[k-1] times (hn m + 2 hd) L/k, over den(sums) hd 2L.  An entry
+    is a ``Poly`` only when read.
 
     Results live in ``lat.fpolys`` for the life of the lattice, keyed
     by class, h and the ids of the stored sub-results they were built
     from: callers whose h agree on a subdiagram share their vectors.
     """
     store = lat.fpolys
-    seen: dict[int, PolyVec] = {}
+    seen: list[PolyVec | None] = [None] * len(lat.least)
+    ranks, children, split = lat.ranks, lat.children, lat.split
 
-    def walk(mask: int) -> PolyVec:
-        cls = lat.key(mask)
-        out = seen.get(cls)
+    def walk(cls: int) -> PolyVec:
+        out = seen[cls]
         if out is not None:
             return out
-        comps = lat.components(mask)
-        r = mask.bit_count()
-        if len(comps) > 1:
-            first = min(comps, key=lat.key)
-            low, rest = walk(first), walk(mask ^ first)
+        r = ranks[cls]
+        if split[cls] is not None:
+            low, rest = map(walk, split[cls])
             key = (cls, id(low), id(rest))
             out = store.get(key)
             if out is None:
@@ -92,18 +89,18 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], PolyVec]:
             out = store.get((cls,))
             if out is None:
                 if r == 2:  # f_1 = am + 2, f_2 = f_1 (m + 1) / 2
-                    a = lat.label(mask)
+                    a = lat.label(lat.least[cls])
                     out = _vec([[2], [4, 2 * a], [2, a + 2, a]], 2)
                 else:
                     out = _vec([[1], [1, 1]][: r + 1], 1)
                 store[(cls,)] = out
         else:
-            subs = [walk(sub) for sub in lat.codim1(mask)]
+            subs = list(map(walk, children[cls]))
             ids = tuple(sorted(map(id, subs)))
             sums = store.get((cls, ids))
             if sums is None:
                 sums = store[(cls, ids)] = vec_sum(subs, r)
-            h = Fraction(h_of(mask, sums))
+            h = Fraction(h_of(cls, sums))
             out = store.get((cls, h, ids))
             if out is None:
                 hn, hd, L = h.numerator, h.denominator, _lcm_upto(r)

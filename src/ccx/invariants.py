@@ -14,15 +14,17 @@ ranks one and two, builds the face polynomials by the vertex-deletion
 recurrence (``formulas.face_polys``) with the method's h of each
 subdiagram, and reads off N, N+, the exponents and the status.  A method
 supplies only its h rule, plus at most a short step on its result.  The
-recursions run on the subset lattice of the diagram and memoize by the
-isomorphism class of each subdiagram (``SubsetLattice.key``), so each
-runs once per class, not once per vertex subset.  The three sums over
-every proper submask of a mask (U of ``reciprocity_simple``, sigma2 of
-``mg`` and the graded sum of ``reciprocity_general``) read the
-lattice's census of the mask (``SubsetLattice.census``): one term per
-class of submask, its count an integer weight inside one ``frac_sum``
-or ``graded_sum``, and one walk over the submasks per class for all
-the methods of a report.
+recursions run on the class table of the diagram's subset lattice: they
+take class ids, read a class's codim-1 child classes or its split into
+components from the table, and keep their memos in lists indexed by
+class, so each runs once per isomorphism class of subdiagram, not once
+per vertex subset, and a failing class fails once.  The three sums over
+every proper submask (U of ``reciprocity_simple``, sigma2 of ``mg`` and
+the graded sum of ``reciprocity_general``) read the lattice's census of
+the class (``SubsetLattice.census``): one term per class of submask,
+its count an integer weight inside one ``frac_sum`` or ``graded_sum``,
+and one walk over the submasks per class for all the methods of a
+report.
 """
 
 from __future__ import annotations
@@ -146,9 +148,9 @@ def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
     return "ok", tuple(flags)
 
 
-def _postulates(lat: SubsetLattice, mask: int) -> tuple[Fraction, Poly, Poly, Fraction]:
-    """h, N, N+ and M of a connected mask of rank one or two, postulated."""
-    return _postulated(lat.label(mask) if mask.bit_count() == 2 else None)
+def _postulates(lat: SubsetLattice, cls: int) -> tuple[Fraction, Poly, Poly, Fraction]:
+    """h, N, N+ and M of a connected class of rank one or two, postulated."""
+    return _postulated(lat.label(lat.least[cls]) if lat.ranks[cls] == 2 else None)
 
 
 @cache
@@ -160,38 +162,38 @@ def _postulated(a: int | None) -> tuple[Fraction, Poly, Poly, Fraction]:
 
 
 def _each_connected(lat: SubsetLattice, step) -> None:
-    """Run ``step`` on every connected mask, lowest rank first.
+    """Run ``step`` once on every connected class, lowest rank first.
 
     A step sees every proper connected subdiagram already computed.
     When steps fail, the failure raised is the least (by status, then
     detail) among those of the lowest failing rank, so which failure a
-    method reports does not depend on the order of the vertices.
+    method reports does not depend on the order of the vertices; a
+    failing class fails once.
     """
     failures: list[MethodFailure] = []
     rank = 0
-    for mask in lat.connected_masks():
-        if failures and mask.bit_count() > rank:
+    for cls in lat.connected:
+        if failures and lat.ranks[cls] > rank:
             break
         try:
-            step(mask)
+            step(cls)
         except MethodFailure as exc:
             failures.append(exc)
-            rank = mask.bit_count()
+            rank = lat.ranks[cls]
     if failures:
         raise min(failures, key=lambda exc: (exc.status, exc.detail))
 
 
 def _per_class(lat: SubsetLattice, fn):
-    """``fn`` of a mask, memoized by the class of the mask (``lat.key``):
-    it is asked about one mask of each class, and its answer serves them
-    all.  A failure is not memoized."""
-    memo: dict = {}
+    """``fn`` of a class, memoized in a list indexed by class.  A failure
+    is not memoized: ``_each_connected`` asks about a failing class
+    once."""
+    memo: list = [None] * len(lat.least)
 
-    def get(mask: int):
-        cls = lat.key(mask)
-        out = memo.get(cls)
+    def get(cls: int):
+        out = memo[cls]
         if out is None:
-            out = memo[cls] = fn(mask)
+            out = memo[cls] = fn(cls)
         return out
 
     return get
@@ -199,16 +201,15 @@ def _per_class(lat: SubsetLattice, fn):
 
 def _products(lat: SubsetLattice, connected, unit):
     """The product of ``connected(component)`` over the components of a
-    mask, memoized per class: a disconnected mask multiplies its lowest
-    component by the rest.  ``unit`` is the empty product."""
+    class, memoized per class: a disconnected class multiplies the two
+    classes of its split (``lat.split``).  ``unit`` is the empty
+    product."""
 
-    def product(mask: int):
-        comps = lat.components(mask)
-        if len(comps) == 1:
-            return connected(mask)
-        if not comps:
-            return unit
-        return memo(comps[0]) * memo(mask ^ comps[0])
+    def product(cls: int):
+        split = lat.split[cls]
+        if split is not None:
+            return memo(split[0]) * memo(split[1])
+        return connected(cls) if lat.ranks[cls] else unit
 
     memo = _per_class(lat, product)
     return memo
@@ -218,16 +219,17 @@ def _flag(res: MethodResult, flag: str) -> None:
     res.flags = tuple(sorted({*res.flags, flag}))
 
 
-# The subset recursions walk up to 2^rank masks, once per isomorphism
-# class.  A rank limit does not bound their work: the rank-12 star (one
-# vertex joined to eleven; 2059 connected masks in 12 classes) takes
-# 0.11 s for the five methods in process (best of 5, Python 3.11, shared
-# 2-vCPU host), 0.02 of its 0.34 profiled seconds in root extraction,
-# about half in the face recurrence and a third in keying its 4096
-# masks, while A12 takes 0.018 s and A14, with the budget lifted,
-# 0.06 s.  On infinite diagrams the coefficients grow too, by about 5x
-# in bits per rank, and nothing bounds them yet.  So the budget stays at
-# 12 rather than growing with the speed of A_r.  ``_solve`` checks it
+# The lattice's class table sweeps all 2^rank masks, and the recursions
+# then step once per isomorphism class.  A rank limit does not bound
+# their work: the rank-12 star (one vertex joined to eleven; 2059
+# connected masks in 12 classes) takes 0.045 s for the five methods in
+# process (best of 5, Python 3.11, shared 2-vCPU host), 0.023 s of it in
+# building the class table with its 2059 tree keys, and 0.02 of 0.13
+# profiled seconds in root extraction,
+# while A12 takes 0.010 s and, with the budget lifted, A14 0.024 s and
+# A20 1.0 s.  On infinite diagrams the coefficients grow too, by about
+# 5x in bits per rank, and nothing bounds them yet.  So the budget stays
+# at 12 rather than growing with the speed of A_r.  ``_solve`` checks it
 # for every method, called directly or through ``compute_all``.
 RANK_BUDGET = 12
 
@@ -239,10 +241,10 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
 
     The diagram must be connected, then within ``RANK_BUDGET``.
     ``rule(lat)`` sets the method up on the subset lattice and returns
-    ``(h_of, finish)``.  ``h_of(mask, sums)`` is the h of one connected
-    mask of rank >= 3 of each class, given the sums of the face
-    polynomials one vertex down (``formulas.face_polys``); ranks one and
-    two are postulated.  A rule whose h does not read the sums runs its
+    ``(h_of, finish)``.  ``h_of(cls, sums)`` is the h of a connected
+    class of rank >= 3, given the sums of the face polynomials one
+    vertex down (``formulas.face_polys``); ranks one and two are
+    postulated.  A rule whose h does not read the sums runs its
     own ``_each_connected`` pass inside ``rule(lat)``, so that a failure
     stops it before any face polynomial is built.  The facet polynomial
     N is the top face polynomial, N+ its reciprocal, and the exponents
@@ -258,19 +260,20 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
                 "budget-exceeded", f"rank {G.rank} exceeds the recursion budget {RANK_BUDGET}"
             )
         lat = subset_lattice(G)
-        if len(lat.components(lat.full)) != 1:
+        top = lat.key(lat.full)
+        if lat.children[top] is None:
             raise MethodFailure("not-applicable", _NOT_APPLICABLE)
         rule_h, finish = rule(lat)
         hs: dict[int, Fraction] = {}  # the h of each class, recorded once
 
-        def h_of(mask: int, sums: PolyVec) -> Fraction:
-            h = hs[lat.key(mask)] = rule_h(mask, sums)
+        def h_of(cls: int, sums: PolyVec) -> Fraction:
+            h = hs[cls] = rule_h(cls, sums)
             return h
 
         fp = face_polys(lat, h_of)
         _each_connected(lat, fp)
-        npoly = fp(lat.full)[-1]
-        h = hs[lat.key(lat.full)] if lat.rank > 2 else _postulates(lat, lat.full)[0]
+        npoly = fp(top)[-1]
+        h = hs[top] if lat.rank > 2 else _postulates(lat, top)[0]
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return MethodResult(status=exc.status, detail=exc.detail)
@@ -294,7 +297,7 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
     solution a constant.
     """
 
-    def h_of(mask: int, sums: PolyVec) -> Fraction:
+    def h_of(cls: int, sums: PolyVec) -> Fraction:
         # with C = sum_k (-1)^(r-k) S_k / k and T = -S_r(m - 1) / r:
         # A = (mC + (m - 1)T) / 2 and B = (-1)^r + C + T
         r = len(sums)
@@ -323,9 +326,9 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
     their mean to pin h from two coefficients of Q = sum N(G') / (m+1)."""
 
     def rule(lat: SubsetLattice):
-        asymmetric: set[int] = set()  # the masks whose Q fails the audit
+        asymmetric: set[int] = set()  # the classes whose Q fails the audit
 
-        def h_of(mask: int, sums: PolyVec) -> Fraction:
+        def h_of(cls: int, sums: PolyVec) -> Fraction:
             r = len(sums)
             try:
                 Q = poly_divide_exact(sums[r - 1], _M_PLUS_1)
@@ -347,13 +350,14 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
             # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
             c = (h + 2) / h
             if Q.compose(Poly([-c, -1])) != Q * ((-1) ** Q.degree):
-                asymmetric.add(mask)
+                asymmetric.add(cls)
             return h
 
         def finish(res: MethodResult) -> None:
-            if lat.full in asymmetric:
+            top = lat.key(lat.full)
+            if top in asymmetric:
                 res.status = "asymmetric-Q"
-            if asymmetric - {lat.full}:
+            if asymmetric - {top}:
                 _flag(res, "subgraph-asymmetric-Q")
 
         return h_of, finish
@@ -369,14 +373,14 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
     """Three linear equations in h, N(G), N+(G) at m = 1."""
 
     def rule(lat: SubsetLattice):
-        def solve(mask: int) -> tuple[Fraction, Fraction, Fraction]:
-            r = mask.bit_count()
+        def solve(cls: int) -> tuple[Fraction, Fraction, Fraction]:
+            r = lat.ranks[cls]
             if r <= 2:
-                h, npoly, ppoly, _ = _postulates(lat, mask)
+                h, npoly, ppoly, _ = _postulates(lat, cls)
                 return h, npoly(1), ppoly(1)
-            S = frac_sum(n_at_1(sub) for sub in lat.codim1(mask))
-            T = frac_sum(nplus_at_1(sub) for sub in lat.codim1(mask))
-            census = lat.census(mask)
+            S = frac_sum(map(n_at_1, lat.children[cls]))
+            T = frac_sum(map(nplus_at_1, lat.children[cls]))
+            census = lat.census(cls)
             U = frac_sum((nplus_at_1(sub) for sub, _ in census), (n for _, n in census))
             den = S - 2 * T
             if den == 0:
@@ -385,17 +389,17 @@ def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
             return h, (h + 2) * S / (2 * r), (h - 1) * T / r
 
         connected = _per_class(lat, solve)
-        # N and N+ at m=1 of any mask, products over its components
-        n_at_1 = _products(lat, lambda mask: connected(mask)[1], F(1))
-        nplus_at_1 = _products(lat, lambda mask: connected(mask)[2], F(1))
+        # N and N+ at m=1 of any class, products over its components
+        n_at_1 = _products(lat, lambda cls: connected(cls)[1], F(1))
+        nplus_at_1 = _products(lat, lambda cls: connected(cls)[2], F(1))
         _each_connected(lat, connected)
-        _, n1, np1 = connected(lat.full)
+        _, n1, np1 = connected(lat.key(lat.full))
 
         def finish(res: MethodResult) -> None:
             if res.facet_poly(1) != n1 or res.positive_poly(1) != np1:
                 _flag(res, "poly-mismatch")
 
-        return (lambda mask, sums: connected(mask)[0]), finish
+        return (lambda cls, sums: connected(cls)[0]), finish
 
     return _solve(G, rule)
 
@@ -414,16 +418,14 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
     """
 
     def rule(lat: SubsetLattice):
-        def solve(mask: int) -> tuple[Fraction, Poly]:
-            r = mask.bit_count()
+        def solve(cls: int) -> tuple[Fraction, Poly]:
+            r = lat.ranks[cls]
             if r <= 2:
-                h, _, ppoly, _ = _postulates(lat, mask)
+                h, _, ppoly, _ = _postulates(lat, cls)
                 return h, ppoly
             # the sums of N+(H) over the proper subsets H of each size,
             # one term per class; P the last; num = 2((r - 2)P + X)
-            by_size = graded_sum(
-                ((sub.bit_count(), nplus(sub), n) for sub, n in lat.census(mask)), r
-            )
+            by_size = graded_sum(((lat.ranks[sub], nplus(sub), n) for sub, n in lat.census(cls)), r)
             P = by_size[r - 1]
             W = by_size.weighted([r - s for s in range(r - 1)] + [0])
             num = by_size.weighted([2 * s for s in range(r - 1)] + [2 * (r - 2)])
@@ -441,9 +443,9 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
             return h, _of([hn - 2 * hd, hn], 2 * r * hd) * P
 
         connected = _per_class(lat, solve)
-        nplus = _products(lat, lambda mask: connected(mask)[1], ONE)
+        nplus = _products(lat, lambda cls: connected(cls)[1], ONE)
         _each_connected(lat, connected)
-        return (lambda mask, sums: connected(mask)[0]), None
+        return (lambda cls, sums: connected(cls)[0]), None
 
     return _solve(G, rule)
 
@@ -461,35 +463,35 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
     """
 
     def rule(lat: SubsetLattice):
-        def full_support(mask: int) -> Fraction:
-            r = mask.bit_count()
+        children, ranks = lat.children, lat.ranks
+
+        def full_support(cls: int) -> Fraction:
+            r = ranks[cls]
             if r <= 2:
-                return _postulates(lat, mask)[3]
-            sigma1 = frac_sum(
-                m_connected(sub) for sub in lat.codim1(mask) if len(lat.components(sub)) == 1
-            )
+                return _postulates(lat, cls)[3]
+            sigma1 = frac_sum(m_connected(sub) for sub in children[cls] if children[sub] is not None)
             den = r * (r - 1) - sigma1
             if den == 0:
                 raise MethodFailure(
                     "zero-denominator", "full-support recursion denominator is 0"
                 )
-            return sigma1 * sigma2(mask) / den
+            return sigma1 * sigma2(cls) / den
 
-        def connected_sum(mask: int) -> Fraction:
-            census = [(sub, n) for sub, n in lat.census(mask)
-                      if sub.bit_count() >= 2 and len(lat.components(sub)) == 1]
+        def connected_sum(cls: int) -> Fraction:
+            census = [(sub, n) for sub, n in lat.census(cls)
+                      if ranks[sub] >= 2 and children[sub] is not None]
             return frac_sum((m_connected(sub) for sub, _ in census), (n for _, n in census))
 
         m_connected = _per_class(lat, full_support)
         sigma2 = _per_class(lat, connected_sum)
         _each_connected(lat, m_connected)
 
-        def h_of(mask: int, sums: PolyVec) -> Fraction:
-            r = mask.bit_count()
-            return 2 * (m_connected(mask) + sigma2(mask) + r) / r
+        def h_of(cls: int, sums: PolyVec) -> Fraction:
+            r = ranks[cls]
+            return 2 * (m_connected(cls) + sigma2(cls) + r) / r
 
         def finish(res: MethodResult) -> None:
-            res.full_support_count = m_connected(lat.full)
+            res.full_support_count = m_connected(lat.key(lat.full))
 
         return h_of, finish
 

@@ -25,20 +25,18 @@ def poly_dot(pairs) -> Poly:
 
 def face_polys_per_entry(lat, h_of):
     """The recurrence of ``formulas.face_polys`` with each f_k its own
-    ``Poly``: a function giving, for a mask, the tuple f_0..f_r, memoized
-    per class in its own dict (never in ``lat.fpolys``).  ``h_of(mask,
-    sums)`` gets the tuple of the sums one vertex down."""
+    ``Poly``: a function giving, for a class of the lattice, the tuple
+    f_0..f_r, memoized per class in its own dict (never in
+    ``lat.fpolys``).  ``h_of(cls, sums)`` gets the tuple of the sums one
+    vertex down."""
     seen: dict[int, tuple[Poly, ...]] = {}
 
-    def walk(mask: int) -> tuple[Poly, ...]:
-        cls = lat.key(mask)
+    def walk(cls: int) -> tuple[Poly, ...]:
         if cls in seen:
             return seen[cls]
-        comps = lat.components(mask)
-        r = mask.bit_count()
-        if len(comps) > 1:
-            first = min(comps, key=lat.key)
-            low, rest = walk(first), walk(mask ^ first)
+        r = lat.ranks[cls]
+        if lat.split[cls] is not None:
+            low, rest = map(walk, lat.split[cls])
             terms: list[list[tuple[Poly, Poly]]] = [[] for _ in range(len(low) + len(rest) - 1)]
             for i, p in enumerate(low):
                 for j, q in enumerate(rest):
@@ -47,13 +45,13 @@ def face_polys_per_entry(lat, h_of):
         elif r <= 2:
             base = [ONE, _M_PLUS_1]
             if r == 2:
-                f1 = _of([2, lat.label(mask)], 1)
+                f1 = _of([2, lat.label(lat.least[cls])], 1)
                 base = [ONE, f1, f1 * _M_PLUS_1 / 2]
             out = tuple(base[: r + 1])
         else:
-            subs = [walk(sub) for sub in lat.codim1(mask)]
+            subs = [walk(sub) for sub in lat.children[cls]]
             sums = tuple(poly_sum(fs[j] for fs in subs) for j in range(r))
-            h = Fraction(h_of(mask, sums))
+            h = Fraction(h_of(cls, sums))
             hn, hd = h.numerator, h.denominator  # f_k = (hm + 2)/(2k) * sums[k-1]
             out = (ONE,) + tuple(
                 _of([2 * hd, hn], 2 * k * hd) * sums[k - 1] for k in range(1, r + 1)

@@ -495,16 +495,51 @@ def random_diagrams(draw):
 def test_census_counts_the_proper_submasks_by_class(G):
     lat = SubsetLattice(G)
     for mask in lat.connected_masks():
-        census = lat.census(mask)
+        census = lat.census(lat.key(mask))
         brute: dict[int, int] = {}
         for sub in range(lat.full + 1):
             if sub & mask == sub and sub != mask:
                 brute[lat.key(sub)] = brute.get(lat.key(sub), 0) + 1
-        assert {lat.key(first): n for first, n in census} == brute
+        assert dict(census) == brute
         assert len(census) == len(brute)  # one pair per class
-        # the first mask numbered in each class stands for it
-        assert all(lat._firsts[lat.key(first)] == first for first, _ in census)
-        assert lat.census(mask) is census
+        # the least mask of each class stands for it
+        assert all(lat.least[cls] == min(m for m in range(lat.full + 1) if lat.key(m) == cls)
+                   for cls, _ in census)
+        assert lat.census(lat.key(mask)) is census
+
+
+@pytest.mark.parametrize("spec", [
+    "~E8",
+    "n=6; 1-2:3 2-3:3 3-4:3 4-5:3 5-6:3 1-6:3 1-4:4",  # trees, rings and thetas
+    "n=7; 1-2:3 3-4:4 4-5:3 5-3:5 6-7:3",  # disconnected
+])
+def test_sweep_keys_each_connected_mask_once(monkeypatch, spec):
+    """Work count, no clock: building the lattice builds the canonical
+    form of each connected mask once, and runs no breadth-first search
+    (``mask_components``): each mask's components come from those of the
+    mask without its lowest vertex."""
+    keyed = []
+
+    def recording(key):
+        def run(adj):
+            keyed.append(sum(1 << v for v in adj))
+            return key(adj)
+        return run
+
+    for name in ("_tree_key", "_ring_key", "_graph_key"):
+        monkeypatch.setattr(diagram, name, recording(getattr(diagram, name)))
+
+    def refused(*args):
+        raise AssertionError("the lattice ran a breadth-first search")
+
+    monkeypatch.setattr(diagram, "mask_components", refused)
+    G = parse_diagram(spec)
+    lat = SubsetLattice(G)
+    assert sorted(keyed) == sorted(lat.connected_masks())
+    assert len(set(keyed)) == len(keyed)
+    connected = [m for m in range(1, lat.full + 1)
+                 if is_connected(induced_subdiagram(G, lat.vertices(m)))]
+    assert sorted(lat.connected_masks()) == connected
 
 
 def test_lattice_class_counts():
@@ -526,19 +561,22 @@ def test_key_search_takes_one_leaf_per_twin_free_branch(monkeypatch, G, leaves):
     """K12, K6,6 and the rank-12 star: twins are exchanged without
     search, so a complete mask takes one leaf, a complete bipartite one
     at most two (one per side, when the sides are equal), and a star,
-    being a tree, none."""
+    being a tree, none.  The leaves are counted per connected mask as
+    the lattice's sweep keys it."""
     from ccx import diagram
 
     count = [0]
-    certificate = diagram._certificate
+    certificate, graph_key = diagram._certificate, diagram._graph_key
 
     def counting(rows, order):
         count[0] += 1
         assert count[0] <= leaves, "twins were searched"
         return certificate(rows, order)
 
-    monkeypatch.setattr(diagram, "_certificate", counting)
-    lat = SubsetLattice(G)
-    for mask in (*lat.connected_masks(), *range(lat.full + 1)):
+    def per_mask(adj):
         count[0] = 0
-        lat.key(mask)
+        return graph_key(adj)
+
+    monkeypatch.setattr(diagram, "_certificate", counting)
+    monkeypatch.setattr(diagram, "_graph_key", per_mask)
+    SubsetLattice(G)

@@ -410,21 +410,21 @@ def diagrams_up_to_rank_7(draw):
 @settings(max_examples=80, deadline=None)
 def test_face_vectors_equal_the_per_entry_walk(G, hs):
     """Each class gets an arbitrary rational h, an isomorphism invariant
-    through its key; ``face_polys`` must give every mask's f_0..f_r and
-    hand ``h_of`` every class's sums entry for entry as the walk that
-    makes each f_k its own Poly."""
+    through its class; ``face_polys`` must give every mask's f_0..f_r
+    and hand ``h_of`` every class's sums entry for entry as the walk
+    that makes each f_k its own Poly."""
     lat = subset_lattice(G)
     got_sums, want_sums = {}, {}
 
     def h_rule(seen):
-        def h_of(mask, sums):
-            seen[lat.key(mask)] = list(sums)
-            return hs[lat.key(mask) % len(hs)]
+        def h_of(cls, sums):
+            seen[cls] = list(sums)
+            return hs[cls % len(hs)]
         return h_of
 
     got, want = face_polys(lat, h_rule(got_sums)), face_polys_per_entry(lat, h_rule(want_sums))
     for mask in range(lat.full + 1):
-        assert list(got(mask)) == list(want(mask)), mask
+        assert list(got(lat.key(mask))) == list(want(lat.key(mask))), mask
     assert got_sums == want_sums
 
 

@@ -484,10 +484,10 @@ def test_huge_residual_diagram_reports():
 
 @st.composite
 def infinite_diagrams(draw):
-    """Diagrams of rank 3-6 with labels 2-8, not of finite type: a random
+    """Diagrams of rank 3-9 with labels 2-8, not of finite type: a random
     spanning tree plus random further edges, where label 2 drops an edge
     and so may disconnect the diagram."""
-    rank = draw(st.integers(min_value=3, max_value=6))
+    rank = draw(st.integers(min_value=3, max_value=9))
     labels = st.integers(min_value=2, max_value=8)
     edges = {}
     for v in range(2, rank + 1):
@@ -603,21 +603,31 @@ def test_report_invariant_under_relabelling(pair):
 
 
 def test_reported_failure_is_the_least_of_the_lowest_failing_rank():
-    lat = subset_lattice(parse_diagram("A4"))
+    """The path 3-4-5 and its reverse: three connected classes of rank
+    two, two of rank three.  Steps fail by the labels of their class;
+    the least failure of rank two is raised under both vertex orders,
+    and each class is stepped once, none above the failing rank."""
     failing = {
-        0b1100: MethodFailure("zero-denominator", "b"),
-        0b0011: MethodFailure("zero-denominator", "c"),
-        0b0110: MethodFailure("zero-denominator", "a"),
-        0b0111: MethodFailure("non-constant-h", "a"),
+        (3,): MethodFailure("zero-denominator", "b"),
+        (5,): MethodFailure("zero-denominator", "c"),
+        (4,): MethodFailure("zero-denominator", "a"),
+        (3, 4): MethodFailure("non-constant-h", "a"),
     }
+    for spec in ("n=4; 1-2:3 2-3:4 3-4:5", "n=4; 1-2:5 2-3:4 3-4:3"):
+        G = parse_diagram(spec)
+        lat = SubsetLattice(G)
+        stepped = []
 
-    def step(mask):
-        if mask in failing:
-            raise failing[mask]
+        def step(cls):
+            stepped.append(cls)
+            labels = tuple(sorted(induced_subdiagram(G, lat.vertices(lat.least[cls])).labels.values()))
+            if labels in failing:
+                raise failing[labels]
 
-    with pytest.raises(MethodFailure) as info:
-        _each_connected(lat, step)
-    assert info.value is failing[0b0110]
+        with pytest.raises(MethodFailure) as info:
+            _each_connected(lat, step)
+        assert info.value is failing[(4,)]
+        assert sorted(stepped) == sorted(cls for cls in lat.connected if lat.ranks[cls] <= 2)
 
 
 def test_submask_sums_run_once_per_class(monkeypatch):
@@ -666,6 +676,53 @@ def test_methods_share_one_census_per_class(monkeypatch):
     assert rep.methods["reciprocity_simple"].status == "ok"
     classes = [lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3]
     assert sorted(map(lat.key, calls)) == sorted(set(classes))
+
+
+STAR12 = "n=12; " + " ".join(f"1-{j}:3" for j in range(2, 13))
+
+
+def test_each_per_class_function_runs_once_per_class(monkeypatch):
+    """Work count, no clock: on the rank-12 star (23 classes, 12 of them
+    connected) every per-class function of every method, the h rules
+    the face recurrence asks and the memoized steps alike, runs at most
+    once per class.  Euler and reciprocity_general fail there; a failing
+    class once failed again for each of its masks (reciprocity_general's
+    step ran 467 times)."""
+    calls = []
+    per_class, face_polys = invariants._per_class, invariants.face_polys
+
+    def counted(fn):
+        def run(cls, *args):
+            calls.append((fn, cls))
+            return fn(cls, *args)
+        return run
+
+    monkeypatch.setattr(invariants, "_per_class", lambda lat, fn: per_class(lat, counted(fn)))
+    monkeypatch.setattr(invariants, "face_polys", lambda lat, h_of: face_polys(lat, counted(h_of)))
+    subset_lattice.cache_clear()
+    G = parse_diagram(STAR12)
+    rep = compute_all(G)
+    lat = subset_lattice(G)
+    subset_lattice.cache_clear()
+    assert rep.methods["euler"].status == "non-constant-h"
+    assert rep.methods["reciprocity_general"].status == "non-constant-h"
+    assert len(lat.least) == 23 and len(lat.connected) == 12
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_failing_methods_format_no_polynomial(monkeypatch):
+    """Work count, no clock: a rational function that is not constant
+    raises ``NotConstant`` with a fixed message, so compute_all on the
+    rank-12 star, where two methods fail so, formats no Poly (1584 did
+    when the message carried both polynomials)."""
+    reprs = []
+    real = Poly.__repr__
+    monkeypatch.setattr(Poly, "__repr__", lambda p: reprs.append(1) or real(p))
+    subset_lattice.cache_clear()
+    rep = compute_all(parse_diagram(STAR12))
+    subset_lattice.cache_clear()
+    assert rep.methods["euler"].status == "non-constant-h"
+    assert reprs == []
 
 
 # Drawn once as a random spanning tree plus further edges, labels 3-6,
