@@ -12,13 +12,22 @@ int weight, a factor of its numerator.
 A vector of polynomials (``PolyVec``), such as the face numbers
 f_0..f_r of one subdiagram, is the same layout for the whole vector:
 integer rows over one positive denominator, reduced once when it is
-built.  Its entrywise sums (``vec_sum``, ``graded_sum``), its
-convolution (``vec_convolve``, products left unreduced) and its integer
-combinations (``PolyVec.weighted``) each make one reduction, and an
-entry becomes a canonical ``Poly`` only when it is read.
-A rational function (``RatFun``) is kept as the quotient it was given:
-whether it is constant is decided by cross-multiplying the numerators,
-with no gcd, and its reduced form is computed only for ``repr``.
+built.  Its entrywise sums (``vec_sum``, ``graded_sum``) and its
+convolution (``vec_convolve``, products left unreduced) each make one
+reduction, and an entry becomes a canonical ``Poly`` only when it is
+read; an integer combination of its rows (``_combine``) stays an
+unreduced row.
+Whether a quotient of two polynomials is a constant is decided on their
+integer rows, whatever common factor they carry, by cross-multiplying
+with no gcd (``_constant_ratio``).  ``RatFun`` wraps that test for two
+Polys and computes its reduced form only for ``repr``; the program
+builds none.  Every substitution the program makes is of a line with
+integer ends: a scale (``_scale``, t^d f(s y / t)), a shift by 1
+(``_taylor_shift``) and sign flips (``_flip``), with no Fraction and no
+reduction per step.  ``Poly.compose``, the general substitution, and
+``shifted_arg`` are kept as the tests' reference.  An integer of
+14 000 bits or more is printed in decimal by divide and conquer through
+``decimal`` (``format_integer``), which ``str`` would refuse.
 Roots are found without factoring integers and without floating-point
 arithmetic.  A small prime p certifies the primitive numerator
 square-free mod p (Yun's decomposition runs only when no such prime is
@@ -52,6 +61,13 @@ def _rational(x) -> int | Fraction:
     if isinstance(x, (int, Fraction)):
         return x
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _trim(f: list[int]) -> list[int]:
+    """f without its trailing zeros, in place."""
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 class Poly:
@@ -150,7 +166,11 @@ class Poly:
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)).  With inner = u/v and self = (sum a_i x^i)/d,
-        Horner over the numerators gives sum a_i u^i v^(n-i) over d v^n."""
+        Horner over the numerators gives sum a_i u^i v^(n-i) over d v^n.
+
+        The general substitution, kept as the tests' reference: every
+        substitution the program makes is of a line, and runs on integer
+        rows as ``_scale`` and ``_taylor_shift``."""
         u, v = inner.num, inner.den
         acc: list[int] = []
         pw = 1
@@ -181,8 +201,7 @@ class Poly:
 def _set(p: Poly, num: list[int], den: int) -> Poly:
     """Store num/den (den != 0) in p in canonical form: trailing zeros
     stripped, the common factor and the sign of den divided out."""
-    while num and not num[-1]:
-        num.pop()
+    _trim(num)
     g = gcd(den, *num)
     if den < 0:
         g = -g
@@ -248,20 +267,6 @@ class PolyVec:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.rows)))
 
-    def weighted(self, ws) -> Poly:
-        """The sum of w_k times entry k over the ints and Fractions ws
-        (one per entry): one integer combination of the rows over
-        den times the lcm of the weights' denominators, reduced once."""
-        ws = [_rational(w) for w in ws]
-        d = lcm(*[w.denominator for w in ws])
-        acc = [0] * max([len(row) for row in self.rows], default=0)
-        for w, row in zip(ws, self.rows):
-            s = w.numerator * (d // w.denominator)
-            if s:
-                for i, c in enumerate(row):
-                    acc[i] += c * s
-        return _of(acc, self.den * d)
-
 
 def _vec(rows: list, den: int) -> PolyVec:
     """The PolyVec rows/den (den > 0), divided by the gcd of den and
@@ -313,6 +318,17 @@ def _rows_sum(terms: list, n: int, den: int) -> PolyVec:
     return _vec(acc, den)
 
 
+def _combine(rows, ws) -> list[int]:
+    """The integer row sum of w * row over the rows and their int weights
+    ``ws``, unreduced (trailing zeros kept)."""
+    acc = [0] * max([len(row) for row in rows], default=0)
+    for w, row in zip(ws, rows):
+        if w:
+            for i, c in enumerate(row):
+                acc[i] += c * w
+    return acc
+
+
 def vec_convolve(a: PolyVec, b: PolyVec) -> PolyVec:
     """The PolyVec c with c_k the sum of a_i * b_(k-i): the products of
     the rows added unreduced over den(a) den(b), one reduction."""
@@ -341,14 +357,58 @@ def frac_sum(terms, weights=None) -> Fraction:
                         for q, w in zip(terms, weights, strict=True)), den)
 
 
+_STR_BITS = 14_000  # under 4215 digits: ``str`` prints these
+
+
 def format_integer(n: int) -> str:
-    """n in decimal at any size: ``str`` refuses over 4300 digits (a
-    process-wide limit), so those are printed through ``decimal``."""
-    if n.bit_length() < 14_000:  # under 4215 digits
+    """n in decimal at any size.  ``str`` refuses over 4300 digits (a
+    process-wide limit), so from ``_STR_BITS`` bits n is converted to a
+    ``decimal.Decimal`` by divide and conquer (``_to_decimal``)."""
+    if n.bit_length() < _STR_BITS:
         return str(n)
+    return ("-" if n < 0 else "") + format(_to_decimal(abs(n)), "f")
+
+
+def _to_decimal(n: int):
+    """n >= 0 as an exact Decimal.  n = hi 2^k + lo, with k the largest
+    power of 2 below n's bit length: the halves are converted
+    recursively and joined by one product with the cached 2^k and one
+    sum, exact in ``_exact_context``; libmpdec multiplies large operands
+    by a number-theoretic transform, where converting n whole is
+    quadratic in its length.  A part under ``_STR_BITS`` bits is
+    converted directly."""
     import decimal
 
-    return format(decimal.Context(prec=decimal.MAX_PREC).create_decimal(n), "f")
+    bits = n.bit_length()
+    if bits < _STR_BITS:
+        return decimal.Decimal(n)
+    k = 1 << ((bits - 1).bit_length() - 1)
+    ctx = _exact_context()
+    return ctx.add(ctx.multiply(_to_decimal(n >> k), _pow2_decimal(k)),
+                   _to_decimal(n & ((1 << k) - 1)))
+
+
+@lru_cache(maxsize=None)
+def _exact_context():
+    """A decimal context that never rounds an integer and traps if it
+    would."""
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+
+
+@lru_cache(maxsize=None)
+def _pow2_decimal(k: int):
+    """2^k as a Decimal, k a power of 2, from ``_STR_BITS`` bits on the
+    square of 2^(k/2); cached, so integers under 2^20 bits share 7
+    entries."""
+    import decimal
+
+    if k < _STR_BITS:
+        return decimal.Decimal(1 << k)
+    half = _pow2_decimal(k >> 1)
+    return _exact_context().multiply(half, half)
 
 
 def format_fraction(q: Fraction) -> str:
@@ -378,12 +438,31 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return _of(g, g[-1])
 
 
+def _constant_ratio(a, b, scale=1) -> Fraction:
+    """scale * a/b for the integer rows a and b (ascending, trailing
+    zeros allowed, b nonzero) when a is a constant multiple of b, else
+    NotConstant; scale is an int or a Fraction.
+
+    A nonzero a is c b exactly when deg a = deg b and a lc(b) = b lc(a)
+    coefficientwise; then c is lc(a)/lc(b).  No gcd is taken: the rows
+    may carry any common factor.
+    """
+    a, b = _trim(list(a)), _trim(list(b))
+    if not a:
+        return Fraction(0)
+    la, lb = a[-1], b[-1]
+    if len(a) == len(b) and all(x * lb == y * la for x, y in zip(a, b)):
+        return Fraction(la * scale.numerator, lb * scale.denominator)
+    raise NotConstant("the rational function is not constant")
+
+
 class RatFun:
     """The quotient num/den of two Polys, den nonzero, kept as given.
 
     Whether it is constant is decided without a gcd (``constant_value``);
     the reduced form, num and den over their gcd with den monic, is
-    computed only when ``repr`` reads it.
+    computed only when ``repr`` reads it.  No program path builds one:
+    the h rules test their integer rows with ``_constant_ratio``.
     """
 
     __slots__ = ("num", "den")
@@ -398,20 +477,10 @@ class RatFun:
         raise AttributeError("RatFun is immutable")
 
     def constant_value(self) -> Fraction:
-        """The constant this function equals, else NotConstant.
-
-        A nonzero a/b is a constant c exactly when a = c b, that is when
-        deg a = deg b and a lc(b) = b lc(a) coefficientwise; then c is
-        lc(a)/lc(b).  On the integer numerators, with a = A/s and
-        b = B/t, c = lc(A) t / (lc(B) s).
-        """
-        a, b = self.num.num, self.den.num
-        if not a:
-            return Fraction(0)
-        la, lb = a[-1], b[-1]
-        if len(a) == len(b) and all(x * lb == y * la for x, y in zip(a, b)):
-            return Fraction(la * self.den.den, lb * self.num.den)
-        raise NotConstant("the rational function is not constant")
+        """The constant this function equals, else NotConstant: with
+        num = A/s and den = B/t, the constant ratio of the integer rows A
+        and B times t/s (``_constant_ratio``)."""
+        return _constant_ratio(self.num.num, self.den.num, Fraction(self.den.den, self.num.den))
 
     def __repr__(self):
         num, den = self.num, self.den
@@ -566,9 +635,7 @@ def _zadd(f, g) -> list[int]:
     out = list(f)
     for i, b in enumerate(g):
         out[i] += b
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 def _zmul(f, g) -> list[int]:
@@ -591,9 +658,7 @@ def _zrem(f: list[int], g: list[int]) -> list[int]:
         f = [lg * x for x in f]
         for j in range(dg):
             f[k + j] -= c * g[j]
-    while f and not f[-1]:
-        f.pop()
-    return f
+    return _trim(f)
 
 
 def _zquo(f: list[int], g: list[int]) -> list[int]:
@@ -700,6 +765,27 @@ def _taylor_shift(g: list[int]) -> list[int]:
     return g
 
 
+def _flip(f) -> list[int]:
+    """f(-y): the coefficient of y^i times (-1)^i.  A shift by -1 is a
+    flip, a shift by 1 and a flip."""
+    return [-c if i & 1 else c for i, c in enumerate(f)]
+
+
+def _scale(f, s: int, t: int) -> list[int]:
+    """t^d f(s y / t) for f of degree d: the coefficient of y^i times
+    s^i t^(d-i).  With a shift by 1 after it, it is the substitution of
+    the integer line s (y + 1) / t."""
+    out, pw = list(f), 1
+    for i in range(len(out) - 2, -1, -1):
+        pw *= t
+        out[i] *= pw
+    pw = 1
+    for i in range(1, len(out)):
+        pw *= s
+        out[i] *= pw
+    return out
+
+
 def _sign_changes(b: list[int]) -> int:
     """Sign changes in the coefficients of b, zeros skipped."""
     signs = [c > 0 for c in b if c]
@@ -794,8 +880,7 @@ def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
             c, s = f[-1] * inv % p, len(f) - len(g)
             for j, b in enumerate(g):
                 f[s + j] = (f[s + j] - c * b) % p
-            while f and not f[-1]:
-                f.pop()
+            _trim(f)
         f, g = g, f
     return f
 
@@ -807,9 +892,7 @@ def _certifies_squarefree(f: list[int], p: int) -> bool:
     if not f[-1] % p:
         return False
     fp = [c % p for c in f]
-    df = [c % p for c in _zderiv(fp)]
-    while df and not df[-1]:
-        df.pop()
+    df = _trim([c % p for c in _zderiv(fp)])
     return len(_pgcd(fp, df, p)) == 1
 
 

@@ -24,7 +24,7 @@ from itertools import islice
 from math import comb, lcm
 
 from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
-from .exactmath import Poly, PolyVec, _vec, vec_convolve, vec_sum
+from .exactmath import Poly, PolyVec, _flip, _of, _taylor_shift, _vec, vec_convolve, vec_sum
 from .tables import face_correction, h_correction
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,12 @@ def join_vector(infos: list[TypeInfo], m: int, closed) -> list[Fraction]:
 
 
 def f_plus_poly(f_k: Poly, k: int) -> Poly:
-    """Sign-twisted evaluation at -m-1 defining the reciprocal numbers."""
-    return f_k.compose(Poly([-1, -1])) * ((-1) ** k)
+    """Sign-twisted evaluation at -m-1 defining the reciprocal numbers:
+    (-1)^k f_k(-m-1), the shift by 1 of f_k's numerator flipped (the
+    coefficient of m^i times (-1)^i, which is f_k(-m)), over the same
+    denominator."""
+    num = _taylor_shift(_flip(f_k.num))
+    return _of(num if k % 2 == 0 else [-c for c in num], f_k.den)
 
 
 # ---------------------------------------------------------------------------

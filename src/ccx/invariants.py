@@ -25,6 +25,16 @@ the class (``SubsetLattice.census``): one term per class of submask,
 its count an integer weight inside one ``frac_sum`` or ``graded_sum``,
 and one walk over the submasks per class for all the methods of a
 report.
+
+The h rules that read polynomials read the integer rows of a face
+vector over its one denominator, and build no Poly, Fraction or
+rational function only to compare it.  Euler's A and B and the two
+sides of ``reciprocity_general`` are integer combinations of the rows,
+and h is their constant ratio, decided by cross-multiplying
+(``exactmath._constant_ratio``).  Symmetry's Q is the facet sum's row
+divided by m + 1; its audit and the map of the residual to the exponent
+variable substitute a line with integer ends, one scale and one shift
+by 1 (``_symmetric``, ``_exponent_row``).
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import gcd
 
 from .diagram import CoxeterDiagram, SubsetLattice, classify, is_connected, subset_lattice
 from .exactmath import (
@@ -40,22 +51,25 @@ from .exactmath import (
     NotConstant,
     Poly,
     PolyVec,
-    RatFun,
+    _combine,
+    _constant_ratio,
+    _flip,
     _of,
-    _zprimitive,
+    _scale,
+    _taylor_shift,
+    _trim,
+    _zmul,
+    _zquo,
     format_fraction,
     frac_sum,
     graded_sum,
-    poly_divide_exact,
-    poly_sum,
     rational_roots,
 )
-from .formulas import f_plus_poly, face_polys
+from .formulas import _lcm_upto, f_plus_poly, face_polys
 
 F = Fraction
 _M = Poly([0, 1])
 _M_PLUS_1 = Poly([1, 1])
-_M_MINUS_1 = Poly([-1, 1])
 
 # statuses that still produced a full numeric answer
 YIELDING = ("ok", "negative-h", "asymmetric-Q")
@@ -131,12 +145,64 @@ def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
     rationals = sorted(-h * mu - 1 for mu in roots.rational_multiset())
     if roots.residual is None:
         return ExponentData(tuple(rationals), None)
-    # map the residual to the exponent variable: mu = -(e+1)/h
-    num = _zprimitive(list(roots.residual.compose(Poly([F(-1, h), F(-1, h)])).num))
-    residual = Poly(num if num[-1] > 0 else [-c for c in num])
-    # and each irrational root: with h = p/q, e = (-p mu - q) / q
+    # the residual and each irrational root, with h = p/q: e = (-p mu - q) / q
     p, q = h.numerator, h.denominator
+    residual = _of(_exponent_row(roots.residual.num, p, q), 1)
     return ExponentData(tuple(rationals), residual, roots.residual_images(-p, -q, q))
+
+
+def _exponent_row(a, p: int, q: int) -> list[int]:
+    """The integer polynomial a(mu) of degree d in the exponent variable,
+    mu = -(e+1)/h with h = p/q in lowest terms: p^d a(-q(e+1)/p), a's
+    scale by (-q, p) shifted by 1, made primitive with a positive
+    leading coefficient.
+
+    The shift keeps the content, and a prime divides at most one of p
+    and q, so the content is gcd_i(a_i p^(d-i)) gcd_i(a_i q^i) over a's
+    own content: gcds of numbers of a's size, where the scaled row's
+    coefficients are about d + 1 times as long."""
+    num = _taylor_shift(_scale(a, -q, p))
+    g = _scaled_content(a[::-1], p) * _scaled_content(a, q) // gcd(*a)
+    if num[-1] < 0:
+        g = -g
+    return [c // g for c in num] if g != 1 else num
+
+
+def _scaled_content(a, x: int) -> int:
+    """gcd_i(a_i x^i), each term after the first nonzero one reduced
+    modulo the gcd so far."""
+    g = 0
+    for i, c in enumerate(a):
+        g = gcd(g, c % g * pow(x, i, g) if g else c * x**i)
+    return g
+
+
+_SCREEN = (1 << 61) - 1  # a Mersenne prime
+
+
+def _symmetric(a, s: int, t: int) -> bool:
+    """Whether the integer polynomial a of degree d has a(-c - x) =
+    (-1)^d a(x), c = s/t (t nonzero, in any terms): whether its roots are
+    symmetric about -c/2.
+
+    For s nonzero, x = c y turns both sides into rows of b = t^d a(c y),
+    a's scale by (s, t): b(-1 - y), the shift by 1 of b flipped, against
+    (-1)^d b(y).  For s = 0 it compares a flipped with (-1)^d a.  The
+    rows are compared modulo the prime ``_SCREEN`` first: the identity
+    over Z implies it there, so a difference refutes it without scaling
+    the full-size coefficients, about d + 1 times a's length."""
+    sign = -1 if len(a) % 2 == 0 else 1  # (-1)^d
+    if not s:
+        return _flip(a) == [sign * c for c in a]
+
+    def defects(b):  # b(-1 - y) - (-1)^d b(y), coefficientwise
+        return (x - sign * y for x, y in zip(_taylor_shift(_flip(b)), b))
+
+    P = _SCREEN
+    if any(x % P for x in defects(_scale([c % P for c in a], s % P, t % P))):
+        return False
+    g = gcd(s, t)
+    return not any(defects(_scale(a, s // g, t // g)))
 
 
 def _status_for_h(h: Fraction) -> tuple[str, tuple[str, ...]]:
@@ -299,16 +365,19 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
 
     def h_of(cls: int, sums: PolyVec) -> Fraction:
         # with C = sum_k (-1)^(r-k) S_k / k and T = -S_r(m - 1) / r:
-        # A = (mC + (m - 1)T) / 2 and B = (-1)^r + C + T
-        r = len(sums)
-        T = sums[r - 1].compose(_M_MINUS_1) / -r
-        C = sums.weighted([F((-1) ** (r - k), k) for k in range(1, r + 1)])
-        A = poly_sum([_M * C, _M_MINUS_1 * T]) / 2
-        B = poly_sum([C, T, ONE if r % 2 == 0 else -ONE])
-        if A.is_zero():
+        # A = (mC + (m - 1)T) / 2 and B = (-1)^r + C + T; over L den(sums),
+        # L = lcm(1..r), C and T are the integer rows c and t, so B is
+        # beta and A is alpha over twice that, and h = -B/A = -2 beta/alpha
+        r, rows = len(sums), sums.rows
+        L = _lcm_upto(r)
+        c = _combine(rows, [(-1) ** (r - k) * (L // k) for k in range(1, r + 1)])
+        t = [-(L // r) * x for x in _flip(_taylor_shift(_flip(rows[r - 1])))]  # S_r(m - 1)
+        alpha = _combine([[0, *c], [0, *t], t], [1, 1, -1])
+        beta = _combine([c, t, [L * sums.den]], [1, 1, (-1) ** r])
+        if not any(alpha):
             raise MethodFailure("zero-denominator", "h-coefficient vanishes identically")
         try:
-            return RatFun(-1 * B, A).constant_value()
+            return _constant_ratio(beta, alpha, -2)
         except NotConstant:
             raise MethodFailure(
                 "non-constant-h", "alternating-sum equation has no constant solution"
@@ -329,29 +398,29 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
         asymmetric: set[int] = set()  # the classes whose Q fails the audit
 
         def h_of(cls: int, sums: PolyVec) -> Fraction:
+            # Q's integer row: the facet sum's row over m + 1
             r = len(sums)
             try:
-                Q = poly_divide_exact(sums[r - 1], _M_PLUS_1)
+                Q = _zquo(_trim(list(sums.rows[r - 1])), [1, 1])
             except NonZeroRemainder:
                 raise MethodFailure(
                     "non-polynomial-Q", "subdiagram facet sum not divisible by m+1"
                 )
-            if Q.degree != r - 2:
+            if len(Q) - 1 != r - 2:
                 raise MethodFailure(
-                    "zero-denominator", f"Q has degree {Q.degree}, expected {r - 2}"
+                    "zero-denominator", f"Q has degree {len(Q) - 1}, expected {r - 2}"
                 )
-            ratio = Q.coeff(r - 3) / Q.coeff(r - 2)
-            denom = 2 * ratio - (r - 2)
+            # with a/b the ratio of Q's top two coefficients, b nonzero:
+            # h = 2(r - 2)/(2a/b - (r - 2)), never 0, and c = (h + 2)/h
+            # = 2a/((r - 2)b)
+            a, b = Q[r - 3], Q[r - 2]
+            denom = 2 * a - (r - 2) * b
             if denom == 0:
                 raise MethodFailure("zero-denominator", "mean-of-roots equation degenerates")
-            h = 2 * (r - 2) / denom
-            if h == 0:
-                raise MethodFailure("zero-denominator", "h = 0")
-            # audit: root multiset of Q invariant under mu -> -(h+2)/h - mu
-            c = (h + 2) / h
-            if Q.compose(Poly([-c, -1])) != Q * ((-1) ** Q.degree):
+            # audit: root multiset of Q invariant under mu -> -c - mu
+            if not _symmetric(Q, 2 * a, (r - 2) * b):
                 asymmetric.add(cls)
-            return h
+            return F(2 * (r - 2) * b, denom)
 
         def finish(res: MethodResult) -> None:
             top = lat.key(lat.full)
@@ -424,23 +493,25 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                 h, _, ppoly, _ = _postulates(lat, cls)
                 return h, ppoly
             # the sums of N+(H) over the proper subsets H of each size,
-            # one term per class; P the last; num = 2((r - 2)P + X)
+            # one term per class; P the last; num = 2((r - 2)P + X); P, W,
+            # num and den = mW - P are integer rows over den(by_size)
             by_size = graded_sum(((lat.ranks[sub], nplus(sub), n) for sub, n in lat.census(cls)), r)
-            P = by_size[r - 1]
-            W = by_size.weighted([r - s for s in range(r - 1)] + [0])
-            num = by_size.weighted([2 * s for s in range(r - 1)] + [2 * (r - 2)])
-            den = poly_sum([_M * W, -P])
-            if den.is_zero():
+            rows = by_size.rows
+            P = rows[r - 1]
+            W = _combine(rows, [r - s for s in range(r - 1)])
+            num = _combine(rows, [2 * s for s in range(r - 1)] + [2 * (r - 2)])
+            den = _combine([[0, *W], P], [1, -1])
+            if not any(den):
                 raise MethodFailure("zero-denominator", "reciprocity denominator is 0")
             try:
-                h = RatFun(num, den).constant_value()
+                h = _constant_ratio(num, den)
             except NotConstant:
                 raise MethodFailure(
                     "non-constant-h", "reciprocity h is a non-constant function of m"
                 )
             # N+ = (hm + h - 2) P / (2r)
             hn, hd = h.numerator, h.denominator
-            return h, _of([hn - 2 * hd, hn], 2 * r * hd) * P
+            return h, _of(_zmul([hn - 2 * hd, hn], P), 2 * r * hd * by_size.den)
 
         connected = _per_class(lat, solve)
         nplus = _products(lat, lambda cls: connected(cls)[1], ONE)

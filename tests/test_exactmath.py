@@ -320,6 +320,40 @@ def test_constant_test_cases(num, den, value):
     assert got == value == _constant_or_not(num, den, _reduced_constant)
 
 
+@pytest.mark.parametrize("a,b,scale", [
+    ([], [0, 0, 3], 1),  # a zero numerator
+    ([0, 0], [1, 2], 5),  # zero, with trailing zeros
+    ([2, 4, 6], [1, 2, 3], 1),
+    ([2, 4, 6, 0], [1, 2, 3], -2),
+    ([6, 12], [4, 8, 0, 0], F(1, 3)),
+    ([0, 5], [0, -7], F(-3, 2)),
+    ([2, 4, 7], [1, 2, 3], 1),  # non-constant, of equal degree
+    ([3, 4, 6, 8], [1, 2, 3, 4], 1),
+    ([2, 4, 6, 9, 0], [1, 2, 3, 4], -2),
+    ([1], [1, 1], 1),
+    ([1, 1], [1], 1),
+])
+def test_constant_ratio_of_rows_is_the_reduced_constant(a, b, scale):
+    got = _constant_or_not(a, b, lambda x, y: exactmath._constant_ratio(x, y, scale))
+    want = _constant_or_not(Poly(a), Poly(b), _reduced_constant)
+    assert got == (None if want is None else want * scale)
+    assert got is None or isinstance(got, F)
+
+
+@given(quotients(), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=-40, max_value=-1), st.integers(min_value=0, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_constant_ratio_ignores_common_factors_and_trailing_zeros(pair, k1, k2, zeros):
+    # rows k1 A and k2 B of num = A / s and den = B / t, padded with zeros:
+    # the ratio of the rows times k2 t / (k1 s) is num / den
+    num, den = pair
+    a = [k1 * c for c in num.num] + [0] * zeros
+    b = [k2 * c for c in den.num] + [0] * zeros
+    scale = F(k2 * den.den, k1 * num.den)
+    got = _constant_or_not(a, b, lambda x, y: exactmath._constant_ratio(x, y, scale))
+    assert got == _constant_or_not(num, den, _reduced_constant)
+
+
 def test_ratfun_repr_is_reduced():
     r = RatFun(Poly([2, 2]) * Poly([1, 2]), Poly([3, 3]) * Poly([0, 4]))
     assert repr(r) == "RatFun(Poly(1/6 + 1/3*m), Poly(1*m))"
@@ -375,8 +409,7 @@ def test_vec_sum_is_the_entrywise_poly_sum(vectors, n):
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), polys), max_size=8),
-       st.lists(st.one_of(st.integers(min_value=-5, max_value=5), small_fracs),
-                min_size=4, max_size=4),
+       st.lists(st.integers(min_value=-5, max_value=5), min_size=4, max_size=4),
        st.lists(st.integers(min_value=-3, max_value=600), min_size=8, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_graded_and_weighted_sums(terms, ws, counts):
@@ -384,8 +417,9 @@ def test_graded_and_weighted_sums(terms, ws, counts):
     assert _reduced(graded)
     for k in range(4):
         assert graded[k] == poly_sum(p for j, p in terms if j == k)
-    combo = graded.weighted(ws)
-    assert combo == poly_sum(p * ws[k] for k, p in terms) and _canonical(combo)
+    # an integer combination of the rows is the combination of the entries
+    combo = exactmath._combine(graded.rows, ws)
+    assert exactmath._of(combo, graded.den) == poly_sum(p * ws[k] for k, p in terms)
     # an int weight per term scales it inside the one integer sum
     scaled = graded_sum(((k, p, n) for (k, p), n in zip(terms, counts)), 4)
     assert _reduced(scaled)
@@ -698,6 +732,34 @@ def test_format_integer_prints_any_size():
     assert format_integer(2**13_999) == str(2**13_999)  # the fast path
 
 
+def test_format_integer_is_str_across_split_points():
+    # from 14 000 bits format_integer splits n at 2^k, k the largest power
+    # of 2 below its bit length: integers around the switch size, at and
+    # next to each split point, with long runs of zero or one bits in the
+    # low half and powers of 10 in decimal, each with both signs
+    import random
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    rng = random.Random(20051031)
+    cases = [10**4214, 10**4215 - 1, 10**4300, 10**20_000 + 1]
+    for bits in (13_999, 14_000, 14_001, 16_383, 16_384, 16_385, 16_384 + 8_192,
+                 32_768, 32_769, 65_537, 140_000):
+        cases += [1 << bits, (1 << bits) - 1, (1 << bits) + 1,
+                  rng.getrandbits(bits) | 1 << (bits - 1)]
+    for k in (8_192, 16_384, 32_768):
+        cases += [(rng.getrandbits(k) | 1 << (k - 1)) << k | 7,
+                  (1 << 2 * k) - (1 << k) + 1, (1 << k) * 12345]
+    lift(0)
+    try:
+        for n in cases:
+            assert format_integer(n) == str(n)
+            assert format_integer(-n) == str(-n)
+    finally:
+        lift(limit)
+
+
 def test_format_fraction_prints_any_size():
     q = F(BIG_NUM, BIG_DEN)
     assert (q.numerator, q.denominator) == (BIG_NUM, BIG_DEN)
@@ -705,3 +767,19 @@ def test_format_fraction_prints_any_size():
     assert format_fraction(-q) == f"-{BIG_NUM_TEXT}/{BIG_DEN_TEXT}"
     assert format_fraction(F(BIG_NUM)) == BIG_NUM_TEXT
     assert [format_fraction(x) for x in (F(-3, 4), F(5), 7)] == ["-3/4", "5", "7"]
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7),
+       st.integers(min_value=-30, max_value=30),
+       st.integers(min_value=-30, max_value=30).filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_scale_and_shift_substitute_a_line(f, s, t):
+    # t^d f(s (y + 1) / t) by a scale and a shift by 1, f(-y) by a flip
+    # and f(y - 1) by a flip, a shift and a flip, each against compose
+    d, p = len(f) - 1, Poly(f)
+    line = exactmath._taylor_shift(exactmath._scale(f, s, t))
+    assert exactmath._of(line, 1) == p.compose(Poly([F(s, t), F(s, t)])) * t**d
+    assert exactmath._of(exactmath._scale(f, s, t), 1) == p.compose(Poly([0, F(s, t)])) * t**d
+    assert exactmath._of(exactmath._flip(f), 1) == p.compose(Poly([0, -1]))
+    back = exactmath._flip(exactmath._taylor_shift(exactmath._flip(f)))
+    assert exactmath._of(back, 1) == p.shifted_arg(-1)

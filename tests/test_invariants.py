@@ -1017,3 +1017,89 @@ def test_root_extraction_work_is_bounded(spec, monkeypatch):
         assert len(zevals) <= 3000 and yun == []
     else:
         assert yun
+
+
+# -- integer rows: the exponent map, the symmetry audit, no compose ----------
+
+nonzero_fracs = st.fractions(min_value=-12, max_value=12, max_denominator=7).filter(bool)
+
+
+@example([3, -1, 2], F(-2))
+@example([0, 5, 0, 1], F(7, 3))
+@given(st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=6)
+       .filter(lambda a: a[-1] != 0),
+       nonzero_fracs)
+@settings(max_examples=150, deadline=None)
+def test_exponent_row_is_the_composed_residual(a, h):
+    # the residual a(mu) in e, mu = -(e + 1)/h: once by a scale and a
+    # shift, once by composing with the Fraction line, both made
+    # primitive with a positive leading coefficient
+    want = exactmath._zprimitive(list(Poly(a).compose(Poly([-1 / h, -1 / h])).num))
+    want = want if want[-1] > 0 else [-c for c in want]
+    assert invariants._exponent_row(a, h.numerator, h.denominator) == want
+
+
+@st.composite
+def audits(draw):
+    """(Q's integer row, h, k): Q symmetric about -c/2, c = (h + 2)/h, by
+    construction (pairs of roots mu, -c - mu, and -c/2 when the degree is
+    odd), such a Q with one coefficient moved, or drawn freely; h = -2
+    (c = 0) and negative h among them; k a nonzero factor of c's terms."""
+    h = draw(st.one_of(st.just(F(-2)), nonzero_fracs))
+    c = (h + 2) / h
+    kind = draw(st.sampled_from(["symmetric", "moved", "free"]))
+    if kind == "free":
+        Q = Poly(draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=6)))
+    else:
+        Q = Poly([draw(st.integers(min_value=1, max_value=5))])
+        for mu in draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                max_size=3)):
+            Q = Q * Poly([-mu, 1]) * Poly([c + mu, 1])
+        if draw(st.booleans()):
+            Q = Q * Poly([c / 2, 1])
+        if kind == "moved":
+            i = draw(st.integers(min_value=0, max_value=Q.degree))
+            Q = Q + Poly([0] * i + [F(draw(st.integers(min_value=1, max_value=3)), Q.den)])
+    assume(Q.degree >= 1)
+    return list(Q.num), h, draw(st.sampled_from([1, -1, 2, -3]))
+
+
+@example(([-1, 0, 1], F(-2), 1))  # m^2 - 1: c = 0, symmetric
+@example(([-1, 1, 1], F(-2), 1))  # c = 0, not symmetric
+@example(([1, 3, 2], F(-1), -2))  # (m + 1)(2m + 1): c = -1, t < 0
+@example(([10, 21, 9], F(-4, 3), 1))  # (3m + 2)(3m + 5): c = -1/2, t > 1
+# m^2 - m is symmetric about 1/2 (c = -1); moving its m coefficient by
+# the screening prime keeps it symmetric modulo that prime only
+@example(([0, invariants._SCREEN - 1, 1], F(-1), 1))
+@given(audits())
+@settings(max_examples=200, deadline=None)
+def test_symmetry_audit_is_the_composed_comparison(audit):
+    a, h, k = audit
+    c = (h + 2) / h
+    Q = Poly(a)
+    want = Q.compose(Poly([-c, -1])) == Q * (-1) ** Q.degree
+    assert invariants._symmetric(a, k * c.numerator, k * c.denominator) == want
+
+
+@pytest.mark.parametrize("spec", ["~E8", "~D4", RANK8])
+def test_h_rules_compose_nothing_and_build_no_ratfun(monkeypatch, spec):
+    """No clock: with ``Poly.compose`` and ``RatFun`` refused, the report
+    is the one computed without the refusal.  The exponent map, the
+    symmetry audit, Euler's T, N+ and the constant tests run on integer
+    rows; each diagram's top Q fails the audit."""
+    G = parse_diagram(spec)
+    subset_lattice.cache_clear()
+    invariants._exponents.cache_clear()
+    want = compute_all(G).to_json()
+
+    def refuse(*args):
+        raise AssertionError("a substitution or a RatFun on a program path")
+
+    monkeypatch.setattr(Poly, "compose", refuse)
+    monkeypatch.setattr(exactmath.RatFun, "__init__", refuse)
+    subset_lattice.cache_clear()
+    invariants._exponents.cache_clear()
+    got = compute_all(G).to_json()
+    subset_lattice.cache_clear()
+    assert got == want
+    assert got["methods"]["symmetry"]["status"] == "asymmetric-Q"
