@@ -3,20 +3,21 @@
 A polynomial in the formal variable ``m`` is integer numerators over
 one positive denominator (FLINT's ``fmpq_poly`` layout), and all its
 arithmetic runs on the integer lists of the root-finding section; an
-int scalar is used as it is, without a Fraction.  Sums of many terms,
-polynomial (``poly_sum``) or rational (``frac_sum``), put every term
-over the lcm of the denominators, add the integer numerators and reduce
-once, instead of reducing each pairwise sum.  Each term of
-``graded_sum``, and of ``frac_sum`` when weights are given, carries an
-int weight, a factor of its numerator.
+int scalar is used as it is, without a Fraction.  A polynomial sum of
+many terms (``poly_sum``) puts every term over the lcm of the
+denominators, adds the integer numerators and reduces once, instead of
+reducing each pairwise sum.  The same sum on bare integer rows, each
+over its own denominator and with an int weight, placed by index
+(``_rows_sum``), is left unreduced; ``_lowest`` reduces a row over its
+denominator, and a polynomial is printed coefficient by coefficient in
+lowest terms, one gcd each, with no Fraction (``Poly.serialize``).
 A vector of polynomials (``PolyVec``), such as the face numbers
 f_0..f_r of one subdiagram, is the same layout for the whole vector:
 integer rows over one positive denominator, reduced once when it is
-built.  Its entrywise sums (``vec_sum``, ``graded_sum``) and its
-convolution (``vec_convolve``, products left unreduced) each make one
-reduction, and an entry becomes a canonical ``Poly`` only when it is
-read; an integer combination of its rows (``_combine``) stays an
-unreduced row.
+built.  Its entrywise sum (``vec_sum``) and its convolution
+(``vec_convolve``, products left unreduced) each make one reduction,
+and an entry becomes a canonical ``Poly`` only when it is read; an
+integer combination of its rows (``_combine``) stays an unreduced row.
 Whether a quotient of two polynomials is a constant is decided on their
 integer rows, whatever common factor they carry, by cross-multiplying
 with no gcd (``_constant_ratio``).  ``RatFun`` wraps that test for two
@@ -194,23 +195,33 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def serialize(self) -> list[str]:
-        """Coefficient list as "p/q" strings, ascending degree."""
-        return [format_fraction(c) for c in self.coeffs]
+        """Coefficient list as "p/q" strings, ascending degree: each
+        numerator and the denominator divided by their gcd, with no
+        Fraction."""
+        out = []
+        for c in self.num:
+            g = gcd(c, self.den)
+            num = format_integer(c // g)
+            out.append(num if g == self.den else f"{num}/{format_integer(self.den // g)}")
+        return out
 
 
 def _set(p: Poly, num: list[int], den: int) -> Poly:
     """Store num/den (den != 0) in p in canonical form: trailing zeros
     stripped, the common factor and the sign of den divided out."""
-    _trim(num)
-    g = gcd(den, *num)
-    if den < 0:
-        g = -g
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
+    num, den = _lowest(_trim(num), den)
     object.__setattr__(p, "num", tuple(num))
     object.__setattr__(p, "den", den)
     return p
+
+
+def _lowest(num: list[int], den: int) -> tuple[list[int], int]:
+    """The row num over den (den != 0) with the gcd of den and every
+    coefficient, and the sign of den, divided out."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    return ([c // g for c in num], den // g) if g != 1 else (num, den)
 
 
 def _of(num: list[int], den: int) -> Poly:
@@ -222,22 +233,10 @@ ZERO = Poly()
 ONE = Poly.const(1)
 
 
-def _over_lcm(terms) -> Poly:
-    """The sum of the polynomials num/den given as (num, den) pairs: each
-    numerator scaled to the lcm of the denominators, the integers added,
-    one reduction (``_set``)."""
-    den = lcm(*[d for _, d in terms])
-    acc = [0] * max([len(num) for num, _ in terms], default=0)
-    for num, d in terms:
-        s = den // d
-        for i, c in enumerate(num):
-            acc[i] += c * s
-    return _of(acc, den)
-
-
 def poly_sum(terms) -> Poly:
     """The sum of an iterable of Polys, reduced once."""
-    return _over_lcm([(p.num, p.den) for p in terms])
+    [row], den = _rows_sum(((0, p.num, p.den, 1) for p in terms), 1)
+    return _of(row, den)
 
 
 class PolyVec:
@@ -288,34 +287,26 @@ def _vec(rows: list, den: int) -> PolyVec:
 
 def vec_sum(vecs, n: int) -> PolyVec:
     """The entrywise sum of the PolyVecs ``vecs`` as n entries (an entry
-    past a vector's end is zero): every row scaled to the lcm of the
-    denominators, the integers added, one reduction."""
-    vecs = list(vecs)
-    den = lcm(*[v.den for v in vecs])
-    return _rows_sum([(k, row, den // v.den) for v in vecs for k, row in enumerate(v.rows[:n])],
-                     n, den)
+    past a vector's end is zero): one ``_rows_sum``, one reduction."""
+    return _vec(*_rows_sum(((k, row, v.den, 1) for v in vecs for k, row in enumerate(v.rows[:n])),
+                           n))
 
 
-def graded_sum(terms, n: int) -> PolyVec:
-    """The PolyVec of n entries whose entry k is the sum of w * p over
-    the triples (k, p, w) of ``terms``, p a Poly and w an int weight:
-    one lcm over all the terms, one reduction."""
+def _rows_sum(terms, n: int) -> tuple[list[list[int]], int]:
+    """n integer rows over one denominator, unreduced: row k is the sum
+    of w * row/d over the terms (k, row, d, w) with that k, each row an
+    integer row over d > 0 with an int weight w, scaled to the lcm of
+    the denominators.  An entry that no term reaches is the empty row."""
     terms = list(terms)
-    den = lcm(*[p.den for _, p, _ in terms])
-    return _rows_sum([(k, p.num, w * (den // p.den)) for k, p, w in terms], n, den)
-
-
-def _rows_sum(terms: list, n: int, den: int) -> PolyVec:
-    """The PolyVec of n entries over den whose entry k has as numerator
-    the sum of s * row over the triples (k, row, s) of ``terms``."""
+    den = lcm(*{d for _, _, d, _ in terms})
     acc: list[list[int]] = [[] for _ in range(n)]
-    for k, row, s in terms:
-        out = acc[k]
+    for k, row, d, w in terms:
+        s, out = w * (den // d), acc[k]
         if len(out) < len(row):
             out.extend([0] * (len(row) - len(out)))
         for i, c in enumerate(row):
             out[i] += c * s
-    return _vec(acc, den)
+    return acc, den
 
 
 def _combine(rows, ws) -> list[int]:
@@ -343,18 +334,6 @@ def vec_convolve(a: PolyVec, b: PolyVec) -> PolyVec:
                     for y, d in enumerate(q, x):
                         out[y] += c * d
     return _vec(acc, a.den * b.den)
-
-
-def frac_sum(terms, weights=None) -> Fraction:
-    """The sum of an iterable of ints and Fractions, each times its int
-    weight in ``weights`` if given, over the lcm of their denominators,
-    reduced once."""
-    terms = list(terms)
-    den = lcm(*[q.denominator for q in terms])
-    if weights is None:
-        return Fraction(sum(q.numerator * (den // q.denominator) for q in terms), den)
-    return Fraction(sum(w * q.numerator * (den // q.denominator)
-                        for q, w in zip(terms, weights, strict=True)), den)
 
 
 _STR_BITS = 14_000  # under 4215 digits: ``str`` prints these

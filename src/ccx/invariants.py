@@ -22,15 +22,18 @@ per vertex subset, and a failing class fails once.  The three sums over
 every proper submask (U of ``reciprocity_simple``, sigma2 of ``mg`` and
 the graded sum of ``reciprocity_general``) read the lattice's census of
 the class (``SubsetLattice.census``): one term per class of submask,
-its count an integer weight inside one ``frac_sum`` or ``graded_sum``,
-and one walk over the submasks per class for all the methods of a
-report.
+its count an integer weight inside one ``exactmath._rows_sum``, and one
+walk over the submasks per class for all the methods of a report.
 
-The h rules that read polynomials read the integer rows of a face
-vector over its one denominator, and build no Poly, Fraction or
-rational function only to compare it.  Euler's A and B and the two
-sides of ``reciprocity_general`` are integer combinations of the rows,
-and h is their constant ratio, decided by cross-multiplying
+The rules carry their per-class values as integer rows over one
+denominator, (row, den), a number at m = 1, M and sigma as rows of
+length 1: products over the components of a class unreduced
+(``_products``), sums over the lcm of the denominators, one reduction
+per connected class (``exactmath._lowest``); only each h is a Fraction.
+The h rules read the integer rows of the face vectors:
+``reciprocity_simple`` its m = 1 numbers, at 1 and -2.  Euler's A and B
+and the two sides of ``reciprocity_general`` are integer combinations of
+the rows, and h is their constant ratio, decided by cross-multiplying
 (``exactmath._constant_ratio``).  Symmetry's Q is the facet sum's row
 divided by m + 1; its audit and the map of the residual to the exponent
 variable substitute a line with integer ends, one scale and one shift
@@ -46,7 +49,6 @@ from math import gcd
 
 from .diagram import CoxeterDiagram, SubsetLattice, classify, is_connected, subset_lattice
 from .exactmath import (
-    ONE,
     NonZeroRemainder,
     NotConstant,
     Poly,
@@ -54,15 +56,16 @@ from .exactmath import (
     _combine,
     _constant_ratio,
     _flip,
+    _lowest,
     _of,
+    _rows_sum,
     _scale,
     _taylor_shift,
     _trim,
     _zmul,
+    _zeval,
     _zquo,
     format_fraction,
-    frac_sum,
-    graded_sum,
     rational_roots,
 )
 from .formulas import _lcm_upto, f_plus_poly, face_polys
@@ -103,8 +106,8 @@ class ExponentData:
         return tuple(sorted([*map(float, self.rational), *self.residual_approx]))
 
     def key(self):
-        res = self.residual.coeffs if self.residual is not None else None
-        return (self.rational, res)
+        res = self.residual
+        return (self.rational, None if res is None else (res.num, res.den))
 
 
 @dataclass
@@ -142,11 +145,12 @@ def _exponents(npoly: Poly, h: Fraction) -> ExponentData:
     is then refined in its mu-interval until the images of both ends
     under e = -h mu - 1 round alike."""
     roots = rational_roots(npoly)
-    rationals = sorted(-h * mu - 1 for mu in roots.rational_multiset())
+    # with h = p/q: e = (-p mu - q) / q, one Fraction for each rational mu
+    p, q = h.numerator, h.denominator
+    rationals = sorted(F(-p * mu.numerator - q * mu.denominator, q * mu.denominator)
+                       for mu in roots.rational_multiset())
     if roots.residual is None:
         return ExponentData(tuple(rationals), None)
-    # the residual and each irrational root, with h = p/q: e = (-p mu - q) / q
-    p, q = h.numerator, h.denominator
     residual = _of(_exponent_row(roots.residual.num, p, q), 1)
     return ExponentData(tuple(rationals), residual, roots.residual_images(-p, -q, q))
 
@@ -265,17 +269,19 @@ def _per_class(lat: SubsetLattice, fn):
     return get
 
 
-def _products(lat: SubsetLattice, connected, unit):
+def _products(lat: SubsetLattice, connected):
     """The product of ``connected(component)`` over the components of a
-    class, memoized per class: a disconnected class multiplies the two
-    classes of its split (``lat.split``).  ``unit`` is the empty
-    product."""
+    class, memoized per class, each value an integer row over a
+    denominator, (row, den): a connected class's value reduced once
+    (``_lowest``), a disconnected class the unreduced product of the two
+    classes of its split (``lat.split``), the empty class ([1], 1)."""
 
     def product(cls: int):
         split = lat.split[cls]
         if split is not None:
-            return memo(split[0]) * memo(split[1])
-        return connected(cls) if lat.ranks[cls] else unit
+            (a, d), (b, e) = memo(split[0]), memo(split[1])
+            return _zmul(a, b), d * e
+        return _lowest(*connected(cls)) if lat.ranks[cls] else ([1], 1)
 
     memo = _per_class(lat, product)
     return memo
@@ -306,13 +312,17 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
     """The frame every method runs in: the method supplies its h rule.
 
     The diagram must be connected, then within ``RANK_BUDGET``.
-    ``rule(lat)`` sets the method up on the subset lattice and returns
-    ``(h_of, finish)``.  ``h_of(cls, sums)`` is the h of a connected
-    class of rank >= 3, given the sums of the face polynomials one
-    vertex down (``formulas.face_polys``); ranks one and two are
-    postulated.  A rule whose h does not read the sums runs its
-    own ``_each_connected`` pass inside ``rule(lat)``, so that a failure
-    stops it before any face polynomial is built.  The facet polynomial
+    ``rule(lat, faces)`` sets the method up on the subset lattice and
+    returns ``(h_of, finish)``; ``faces(cls)`` is the face walk
+    (``formulas.face_polys``) built with the method's own h, a class's
+    face polynomials f_0..f_r as one ``PolyVec``.  ``h_of(cls, sums)``
+    is the h of a connected class of rank >= 3, given the sums of the
+    face polynomials one vertex down; ranks one and two are postulated.
+    When ``h_of`` runs, ``faces`` has walked every connected class
+    inside ``cls`` and may read any class inside it.  A rule whose h
+    does not read the faces runs its own ``_each_connected`` pass inside
+    ``rule(lat, faces)``, so that a failure stops it before any face
+    polynomial is built.  The facet polynomial
     N is the top face polynomial, N+ its reciprocal, and the exponents
     are read off the roots of N.  ``finish(res)``, unless None, adjusts
     a yielding result.  A ``MethodFailure`` becomes a result carrying
@@ -329,7 +339,6 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
         top = lat.key(lat.full)
         if lat.children[top] is None:
             raise MethodFailure("not-applicable", _NOT_APPLICABLE)
-        rule_h, finish = rule(lat)
         hs: dict[int, Fraction] = {}  # the h of each class, recorded once
 
         def h_of(cls: int, sums: PolyVec) -> Fraction:
@@ -337,6 +346,7 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
             return h
 
         fp = face_polys(lat, h_of)
+        rule_h, finish = rule(lat, fp)
         _each_connected(lat, fp)
         npoly = fp(top)[-1]
         h = hs[top] if lat.rank > 2 else _postulates(lat, top)[0]
@@ -383,7 +393,7 @@ def euler_method(G: CoxeterDiagram) -> MethodResult:
                 "non-constant-h", "alternating-sum equation has no constant solution"
             )
 
-    return _solve(G, lambda lat: (h_of, None))
+    return _solve(G, lambda lat, faces: (h_of, None))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +404,7 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
     """Use invariance of the facet-poly roots under reflection about
     their mean to pin h from two coefficients of Q = sum N(G') / (m+1)."""
 
-    def rule(lat: SubsetLattice):
+    def rule(lat: SubsetLattice, faces):
         asymmetric: set[int] = set()  # the classes whose Q fails the audit
 
         def h_of(cls: int, sums: PolyVec) -> Fraction:
@@ -439,36 +449,34 @@ def symmetry_method(G: CoxeterDiagram) -> MethodResult:
 
 
 def reciprocity_simple_method(G: CoxeterDiagram) -> MethodResult:
-    """Three linear equations in h, N(G), N+(G) at m = 1."""
+    """Three linear equations in h, N(G), N+(G) at m = 1.
 
-    def rule(lat: SubsetLattice):
-        def solve(cls: int) -> tuple[Fraction, Fraction, Fraction]:
-            r = lat.ranks[cls]
-            if r <= 2:
-                h, npoly, ppoly, _ = _postulates(lat, cls)
-                return h, npoly(1), ppoly(1)
-            S = frac_sum(map(n_at_1, lat.children[cls]))
-            T = frac_sum(map(nplus_at_1, lat.children[cls]))
-            census = lat.census(cls)
-            U = frac_sum((nplus_at_1(sub) for sub, _ in census), (n for _, n in census))
-            den = S - 2 * T
-            if den == 0:
+    With S and T the sums of N(1) and N+(1) one vertex down and U that
+    of N+(1) over every proper subset: h = (2rU - 2S - 2T)/(S - 2T),
+    N(1) = (h + 2)S/(2r), N+(1) = (h - 1)T/r.  These are the frame's N
+    = (hm + 2)/(2r) times the facet sum and N+(m) = (-1)^r N(-m - 1) at
+    m = 1, so S and T are the facet sum at 1 and, signed, at -2, and
+    N+(1) of a connected class of rank k is (-1)^k times its top face
+    polynomial at -2.
+    """
+
+    def rule(lat: SubsetLattice, faces):
+        def top_at_minus_2(cls: int) -> tuple[list[int], int]:
+            r, v = lat.ranks[cls], faces(cls)
+            return [(-1) ** r * _zeval(v.rows[r], -2, 1)], v.den
+
+        nplus_at_1 = _products(lat, top_at_minus_2)
+
+        def h_of(cls: int, sums: PolyVec) -> Fraction:
+            # S = s/den and T = t/den; h = (2r den U - 2(s + t))/(s - 2t)
+            r, row = len(sums), sums.rows[-1]
+            s, t = sum(row), (-1) ** (r - 1) * _zeval(row, -2, 1)
+            if s == 2 * t:
                 raise MethodFailure("zero-denominator", "3x3 reciprocity system is singular")
-            h = (2 * r * U - 2 * S - 2 * T) / den
-            return h, (h + 2) * S / (2 * r), (h - 1) * T / r
+            [[u]], ud = _rows_sum(((0, *nplus_at_1(sub), n) for sub, n in lat.census(cls)), 1)
+            return F(2 * r * sums.den * u - 2 * (s + t) * ud, (s - 2 * t) * ud)
 
-        connected = _per_class(lat, solve)
-        # N and N+ at m=1 of any class, products over its components
-        n_at_1 = _products(lat, lambda cls: connected(cls)[1], F(1))
-        nplus_at_1 = _products(lat, lambda cls: connected(cls)[2], F(1))
-        _each_connected(lat, connected)
-        _, n1, np1 = connected(lat.key(lat.full))
-
-        def finish(res: MethodResult) -> None:
-            if res.facet_poly(1) != n1 or res.positive_poly(1) != np1:
-                _flag(res, "poly-mismatch")
-
-        return (lambda cls, sums: connected(cls)[0]), finish
+        return h_of, None
 
     return _solve(G, rule)
 
@@ -486,17 +494,16 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
     those of the recursion.
     """
 
-    def rule(lat: SubsetLattice):
-        def solve(cls: int) -> tuple[Fraction, Poly]:
+    def rule(lat: SubsetLattice, faces):
+        def solve(cls: int) -> tuple[Fraction, tuple[list[int], int]]:
             r = lat.ranks[cls]
             if r <= 2:
                 h, _, ppoly, _ = _postulates(lat, cls)
-                return h, ppoly
+                return h, (list(ppoly.num), ppoly.den)
             # the sums of N+(H) over the proper subsets H of each size,
             # one term per class; P the last; num = 2((r - 2)P + X); P, W,
-            # num and den = mW - P are integer rows over den(by_size)
-            by_size = graded_sum(((lat.ranks[sub], nplus(sub), n) for sub, n in lat.census(cls)), r)
-            rows = by_size.rows
+            # num and den = mW - P are integer rows over d
+            rows, d = _rows_sum(((lat.ranks[sub], *nplus(sub), n) for sub, n in lat.census(cls)), r)
             P = rows[r - 1]
             W = _combine(rows, [r - s for s in range(r - 1)])
             num = _combine(rows, [2 * s for s in range(r - 1)] + [2 * (r - 2)])
@@ -511,10 +518,10 @@ def reciprocity_general_method(G: CoxeterDiagram) -> MethodResult:
                 )
             # N+ = (hm + h - 2) P / (2r)
             hn, hd = h.numerator, h.denominator
-            return h, _of(_zmul([hn - 2 * hd, hn], P), 2 * r * hd * by_size.den)
+            return h, (_zmul([hn - 2 * hd, hn], P), 2 * r * hd * d)
 
         connected = _per_class(lat, solve)
-        nplus = _products(lat, lambda cls: connected(cls)[1], ONE)
+        nplus = _products(lat, lambda cls: connected(cls)[1])
         _each_connected(lat, connected)
         return (lambda cls, sums: connected(cls)[0]), None
 
@@ -530,39 +537,47 @@ def mg_method(G: CoxeterDiagram) -> MethodResult:
 
     The count is zero for disconnected diagrams, so only connected
     subgraphs enter the sums; h then follows from the total reflection
-    count identity and the face polynomials from the recurrence.
+    count identity and the face polynomials from the recurrence.  M and
+    the sums sigma1 and sigma2 are rows of length 1 over a denominator.
     """
 
-    def rule(lat: SubsetLattice):
+    def rule(lat: SubsetLattice, faces):
         children, ranks = lat.children, lat.ranks
 
-        def full_support(cls: int) -> Fraction:
+        def full_support(cls: int) -> tuple[list[int], int]:
             r = ranks[cls]
             if r <= 2:
-                return _postulates(lat, cls)[3]
-            sigma1 = frac_sum(m_connected(sub) for sub in children[cls] if children[sub] is not None)
-            den = r * (r - 1) - sigma1
+                M = _postulates(lat, cls)[3]
+                return [M.numerator], M.denominator
+            # sigma1 = a/b, sigma2 = c/e: M = sigma1 sigma2 / (r(r - 1) - sigma1)
+            [[a]], b = _rows_sum(((0, *m_connected(sub), 1)
+                                  for sub in children[cls] if children[sub] is not None), 1)
+            [[c]], e = sigma2(cls)
+            den = r * (r - 1) * b - a
             if den == 0:
                 raise MethodFailure(
                     "zero-denominator", "full-support recursion denominator is 0"
                 )
-            return sigma1 * sigma2(cls) / den
+            return _lowest([a * c], e * den)
 
-        def connected_sum(cls: int) -> Fraction:
+        def connected_sum(cls: int) -> tuple[list[list[int]], int]:
             census = [(sub, n) for sub, n in lat.census(cls)
                       if ranks[sub] >= 2 and children[sub] is not None]
-            return frac_sum((m_connected(sub) for sub, _ in census), (n for _, n in census))
+            return _rows_sum(((0, *m_connected(sub), n) for sub, n in census), 1)
 
         m_connected = _per_class(lat, full_support)
         sigma2 = _per_class(lat, connected_sum)
         _each_connected(lat, m_connected)
 
         def h_of(cls: int, sums: PolyVec) -> Fraction:
+            # h = 2(M + sigma2 + r)/r
+            ([a], b), ([[c]], e) = m_connected(cls), sigma2(cls)
             r = ranks[cls]
-            return 2 * (m_connected(cls) + sigma2(cls) + r) / r
+            return F(2 * (a * e + c * b + r * b * e), r * b * e)
 
         def finish(res: MethodResult) -> None:
-            res.full_support_count = m_connected(lat.key(lat.full))
+            [a], b = m_connected(lat.key(lat.full))
+            res.full_support_count = F(a, b)
 
         return h_of, finish
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ccx.exactmath import ONE, Poly, _of, _over_lcm, _zmul, poly_sum
+from ccx.exactmath import ONE, Poly, _of, _rows_sum, _zmul, poly_sum
 
 _M_PLUS_1 = Poly([1, 1])
 
@@ -20,7 +20,8 @@ def poly_dot(pairs) -> Poly:
     """The sum of the products p * q over an iterable of Poly pairs: each
     product stays unreduced integers over den(p) den(q) until the one
     reduction of the sum."""
-    return _over_lcm([(_zmul(p.num, q.num), p.den * q.den) for p, q in pairs])
+    [row], den = _rows_sum(((0, _zmul(p.num, q.num), p.den * q.den, 1) for p, q in pairs), 1)
+    return _of(row, den)
 
 
 def face_polys_per_entry(lat, h_of):

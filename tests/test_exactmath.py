@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from decimal import Decimal
-from math import cos, gcd, isqrt, pi, prod
+from math import cos, gcd, isqrt, lcm, pi, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,10 +14,8 @@ from ccx.exactmath import (
     RatFun,
     format_fraction,
     format_integer,
-    frac_sum,
     minpoly_2cos,
     PolyVec,
-    graded_sum,
     poly_divide_exact,
     poly_gcd,
     poly_sum,
@@ -203,11 +201,39 @@ def _canonical(p: Poly) -> bool:
     return p.den > 0 and gcd(p.den, *p.num) == 1 and (not p.num or p.num[-1] != 0)
 
 
+def scalar_sum(qs, ws=None) -> F:
+    """The sum of the ints and Fractions qs, each times its int weight in
+    ws (1 if ws is None), as one row of length 1 through ``_rows_sum``,
+    read as a Fraction; its denominator is checked to be the lcm of the
+    terms' denominators, unreduced."""
+    qs = [F(q) for q in qs]
+    ws = [1] * len(qs) if ws is None else list(ws)
+    [row], den = exactmath._rows_sum(
+        ((0, [q.numerator], q.denominator, w) for q, w in zip(qs, ws)), 1)
+    assert den == lcm(*[q.denominator for q in qs]) and len(row) == min(len(qs), 1)
+    return F(sum(row), den)
+
+
+@given(polys)
+@settings(max_examples=60, deadline=None)
+def test_serialize_prints_each_coefficient_in_lowest_terms(p):
+    assert p.serialize() == [format_fraction(c) for c in p.coeffs]
+
+
+def test_serialize_divides_each_coefficient_by_its_own_gcd():
+    p = Poly([F(1, 2), 1, F(-3, 4), 0, F(5, 6)])  # num (6, 12, -9, 0, 10) over 12
+    assert (p.num, p.den) == ((6, 12, -9, 0, 10), 12)
+    assert p.serialize() == ["1/2", "1", "-3/4", "0", "5/6"]
+    big = 1 << 14_000  # printed through ``format_integer``'s decimal path
+    assert Poly([F(big, 3), F(-1, 3 * big)]).serialize() == [
+        format_fraction(F(big, 3)), format_fraction(F(-1, 3 * big))]
+
+
 def test_sums_of_nothing_and_of_zeros():
     assert poly_sum([]) == Poly() and _canonical(poly_sum([]))
     assert poly_sum(iter([Poly(), Poly(), Poly()])) == Poly()
-    assert frac_sum([]) == 0 and isinstance(frac_sum([]), F)
-    assert frac_sum(iter([0, F(0), 0])) == 0
+    assert exactmath._rows_sum([], 1) == ([[]], 1) and scalar_sum([]) == 0
+    assert exactmath._rows_sum(iter([(0, [0], 1, 1), (0, [0], 1, 5)]), 1) == ([[0]], 1)
 
 
 def test_sums_that_cancel():
@@ -215,8 +241,10 @@ def test_sums_that_cancel():
     total = poly_sum([p, -p, p * 2, p * -2])
     assert total == Poly() and (total.num, total.den) == ((), 1)
     assert poly_sum([Poly([1, F(1, 2)]), Poly([0, F(-1, 2)])]) == Poly([1])
-    assert frac_sum([F(1, 6), F(-1, 3), F(1, 6)]) == 0
-    assert frac_sum([F(1, 6), F(1, 3), 2]) == F(5, 2)
+    assert exactmath._rows_sum(
+        [(0, [q.numerator], q.denominator, 1) for q in (F(1, 6), F(-1, 3), F(1, 6))], 1) == ([[0]], 6)
+    assert exactmath._rows_sum(
+        [(0, [q.numerator], q.denominator, 1) for q in (F(1, 6), F(1, 3), F(2))], 1) == ([[15]], 6)
 
 
 @given(st.lists(polys, max_size=8))
@@ -231,22 +259,17 @@ def test_poly_sum_is_the_pairwise_sum(terms):
 
 @given(st.lists(st.one_of(st.integers(min_value=-50, max_value=50), small_fracs), max_size=10))
 @settings(max_examples=100, deadline=None)
-def test_frac_sum_is_the_pairwise_sum(terms):
-    total = frac_sum(iter(terms))
-    assert isinstance(total, F) and total == sum(terms, F(0))
-    assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
-    assert frac_sum(terms + [-t for t in terms]) == 0
+def test_scalar_rows_sum_is_the_pairwise_sum(terms):
+    assert scalar_sum(iter(terms)) == sum(terms, F(0))
+    assert scalar_sum(terms + [-t for t in terms]) == 0
 
 
 @given(st.lists(st.tuples(st.one_of(st.integers(min_value=-50, max_value=50), small_fracs),
                           st.integers(min_value=-3, max_value=600)), max_size=10))
 @settings(max_examples=100, deadline=None)
-def test_weighted_frac_sum_scales_each_term(pairs):
-    total = frac_sum((q for q, _ in pairs), iter([n for _, n in pairs]))
-    assert isinstance(total, F) and total == sum((q * n for q, n in pairs), F(0))
-    assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
-    with pytest.raises(ValueError):
-        frac_sum([F(1, 2)], [1, 2])
+def test_weighted_rows_sum_scales_each_term(pairs):
+    total = scalar_sum((q for q, _ in pairs), iter([n for _, n in pairs]))
+    assert total == sum((q * n for q, n in pairs), F(0))
 
 
 def _reduced_constant(num: Poly, den: Poly) -> F:
@@ -361,7 +384,8 @@ def test_ratfun_repr_is_reduced():
 
 def vec(polys) -> PolyVec:
     """The PolyVec of the Polys ``polys``, in order."""
-    return graded_sum(((k, p, 1) for k, p in enumerate(polys)), len(polys))
+    return exactmath._vec(*exactmath._rows_sum(
+        ((k, p.num, p.den, 1) for k, p in enumerate(polys)), len(polys)))
 
 
 def _reduced(v: PolyVec) -> bool:
@@ -413,19 +437,19 @@ def test_vec_sum_is_the_entrywise_poly_sum(vectors, n):
        st.lists(st.integers(min_value=-3, max_value=600), min_size=8, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_graded_and_weighted_sums(terms, ws, counts):
-    graded = graded_sum(((k, p, 1) for k, p in terms), 4)
-    assert _reduced(graded)
+    rows, den = exactmath._rows_sum(((k, p.num, p.den, 1) for k, p in terms), 4)
+    assert den == lcm(*[p.den for _, p in terms])  # one lcm, no reduction
     for k in range(4):
-        assert graded[k] == poly_sum(p for j, p in terms if j == k)
+        assert exactmath._of(list(rows[k]), den) == sum((p for j, p in terms if j == k), Poly())
     # an integer combination of the rows is the combination of the entries
-    combo = exactmath._combine(graded.rows, ws)
-    assert exactmath._of(combo, graded.den) == poly_sum(p * ws[k] for k, p in terms)
+    combo = exactmath._combine(rows, ws)
+    assert exactmath._of(combo, den) == sum((p * ws[k] for k, p in terms), Poly())
     # an int weight per term scales it inside the one integer sum
-    scaled = graded_sum(((k, p, n) for (k, p), n in zip(terms, counts)), 4)
-    assert _reduced(scaled)
+    scaled, sden = exactmath._rows_sum(((k, p.num, p.den, n) for (k, p), n in zip(terms, counts)), 4)
+    assert sden == den
     for k in range(4):
-        want = poly_sum(p * n for (j, p), n in zip(terms, counts) if j == k)
-        assert scaled[k] == want and _canonical(scaled[k])
+        want = sum((p * n for (j, p), n in zip(terms, counts) if j == k), Poly())
+        assert exactmath._of(list(scaled[k]), den) == want
 
 
 def test_poly_vec_is_reduced_once_and_read_once():
