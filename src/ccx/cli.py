@@ -22,8 +22,8 @@ from .gcc import (
     MalformedBudget,
     build_complex,
     check_budget,
-    check_color_count,
     check_table_budget,
+    finite_infos,
     iter_cliques,
 )
 from .invariants import METHOD_ALIASES, compute_all
@@ -82,18 +82,15 @@ def cmd_complex(args) -> int:
     }
     if args.facets:
         payload["facets"] = [list(f) for f in cx.facets()]
-        payload["vertices"] = cx.export_json()["vertices"]
+        payload["vertices"] = cx.vertices_json()
     _emit(payload, args.emit)
     return 0
 
 
 def _face_table(G: CoxeterDiagram, m: int) -> tuple[list, list]:
-    cls = classify(G)
-    if not cls.is_finite:
-        raise DomainError("not-finite-type", f"{G.to_spec()} is not of finite type")
-    check_color_count(m)
-    check_table_budget(cls.infos, m)
-    return join_vector(cls.infos, m, f_vector_closed), join_vector(cls.infos, m, h_vector_closed)
+    infos = finite_infos(G, m)
+    check_table_budget(infos, m)
+    return join_vector(infos, m, f_vector_closed), join_vector(infos, m, h_vector_closed)
 
 
 def _emit_face_csv(G: CoxeterDiagram, m: int, fv, hv):
@@ -246,7 +243,7 @@ def main(argv=None) -> int:
     except InputError as e:
         kinds = {BudgetExceeded: "budget", MalformedBudget: "usage", NotFiniteType: "not-finite-type"}
         kind, message = kinds.get(type(e), "domain-error"), str(e)
-    except (LookupMiss, AmbiguousOrbit, AssertionError, ValueError) as e:
+    except (LookupMiss, AmbiguousOrbit, ArithmeticError, ValueError) as e:
         # a failed internal check (a root-system invariant, a polygon
         # bijection, root reassembly) or any other ValueError: a bug
         kind, message = "internal-error", f"{type(e).__name__}: {e}"

@@ -26,6 +26,7 @@ are the one shape checked directly.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,18 +51,18 @@ class OddCycle(DiagramError):
 class CoxeterDiagram:
     """Immutable labeled graph. ``labels`` maps sorted pairs to m_ij >= 3."""
 
-    __slots__ = ("vertices", "labels", "name", "_adj")
+    __slots__ = ("vertices", "labels", "_adj", "_nbr")
 
-    def __init__(self, vertices, labels, name: str | None = None):
+    def __init__(self, vertices, labels):
         vs = tuple(vertices)
-        if len(set(vs)) != len(vs):
+        index = {v: k for k, v in enumerate(vs)}
+        if len(index) != len(vs):
             raise DiagramError("duplicate vertex ids")
-        vset = set(vs)
         norm: dict[tuple[int, int], int] = {}
         for (i, j), lab in dict(labels).items():
             if i == j:
                 raise DiagramError(f"self-loop at vertex {i}")
-            if i not in vset or j not in vset:
+            if i not in index or j not in index:
                 raise DiagramError(f"edge {{{i},{j}}} uses unknown vertex")
             if not isinstance(lab, int):
                 raise DiagramError(f"label {lab!r} is not an integer")
@@ -74,12 +75,12 @@ class CoxeterDiagram:
                 norm[key] = lab
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "labels", norm)
-        object.__setattr__(self, "name", name)
         adj: dict[int, dict[int, int]] = {v: {} for v in vs}
         for (i, j), lab in norm.items():
             adj[i][j] = lab
             adj[j][i] = lab
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_nbr", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CoxeterDiagram is immutable")
@@ -87,6 +88,20 @@ class CoxeterDiagram:
     @property
     def rank(self) -> int:
         return len(self.vertices)
+
+    @property
+    def nbr(self) -> tuple[int, ...]:
+        """The neighbour mask of each vertex, by its index: bit i stands
+        for ``vertices[i]``.  Built when first read, since a diagram of
+        rank n takes up to n^2/2 bits of them."""
+        if self._nbr is None:
+            index = {v: k for k, v in enumerate(self.vertices)}
+            nbr = [0] * len(index)
+            for i, j in self.labels:
+                nbr[index[i]] |= 1 << index[j]
+                nbr[index[j]] |= 1 << index[i]
+            object.__setattr__(self, "_nbr", tuple(nbr))
+        return self._nbr
 
     def label(self, i: int, j: int) -> int:
         if i == j:
@@ -302,41 +317,27 @@ def induced_subdiagram(G: CoxeterDiagram, S) -> CoxeterDiagram:
     return CoxeterDiagram(verts, labels)
 
 
-def _component_numbers(G: CoxeterDiagram) -> tuple[dict[int, int], int]:
-    """One breadth-first search of the label>=3 skeleton: the number of
-    each vertex's component, counted in the order of first vertices, and
-    the number of components."""
-    comp: dict[int, int] = {}
-    count = 0
-    for v in G.vertices:
-        if v in comp:
-            continue
-        comp[v] = count
-        queue = [v]
-        for u in queue:
-            for w in G.neighbors(u):
-                if w not in comp:
-                    comp[w] = count
-                    queue.append(w)
-        count += 1
-    return comp, count
-
-
 def is_connected(G: CoxeterDiagram) -> bool:
     """One component, without building it; the empty diagram has none."""
-    return _component_numbers(G)[1] == 1
+    return len(mask_components((1 << G.rank) - 1, G.nbr)) == 1
+
+
+def _component_vertices(G: CoxeterDiagram) -> list[list[int]]:
+    """The vertices of each component of the label>=3 skeleton, in the
+    parent's order, the components in the order of their first vertices:
+    one ``mask_components`` search over ``G.nbr``."""
+    return [[G.vertices[k] for k in _bits(comp)]
+            for comp in mask_components((1 << G.rank) - 1, G.nbr)]
 
 
 def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
     """Components of the label>=3 skeleton, each keeping parent ids and
     the parent's order of vertices and labels, in the order of their
-    first vertices.  One breadth-first search numbers the components;
-    one pass over the vertices and one over the labels share them out."""
-    comp, count = _component_numbers(G)
-    verts: list[list[int]] = [[] for _ in range(count)]
-    for v in G.vertices:
-        verts[comp[v]].append(v)
-    labels: list[dict[tuple[int, int], int]] = [{} for _ in range(count)]
+    first vertices.  One mask search finds the components; one pass over
+    their vertices and one over the labels share them out."""
+    verts = _component_vertices(G)
+    comp = {v: c for c, vs in enumerate(verts) for v in vs}
+    labels: list[dict[tuple[int, int], int]] = [{} for _ in verts]
     for (i, j), lab in G.labels.items():
         labels[comp[i]][i, j] = lab
     return [CoxeterDiagram(vs, labs) for vs, labs in zip(verts, labels)]
@@ -512,7 +513,17 @@ def _graph_key(adj: dict[int, dict[int, int]]) -> tuple[int, ...]:
 # the subset lattice and bipartition
 
 
-def mask_components(mask: int, nbr: list[int]) -> tuple[int, ...]:
+def _bits(mask: int) -> list[int]:
+    """The vertices of ``mask`` in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def mask_components(mask: int, nbr: Sequence[int]) -> tuple[int, ...]:
     """The connected components of the vertex mask ``mask`` in the graph
     with neighbour masks ``nbr``, as masks, in the order of their lowest
     vertex."""
@@ -534,8 +545,9 @@ class SubsetLattice:
     """The induced subdiagrams of one diagram as int masks, and the class
     table of their isomorphism classes.
 
-    Bit i stands for ``G.vertices[i]``, so masks compare in the order of
-    the vertex lists of the subdiagrams they name.
+    Bit i stands for ``G.vertices[i]``, as in ``G.nbr``, which the
+    lattice reads as ``nbr``, so masks compare in the order of the
+    vertex lists of the subdiagrams they name.
 
     One ascending sweep over the masks, when the lattice is built, keys
     every mask (``_sweep``); ``key(mask)`` reads its class, a small int.
@@ -557,20 +569,15 @@ class SubsetLattice:
     """
 
     __slots__ = ("diagram", "rank", "full", "nbr", "_labels", "_class", "_low",
-                 "_connected_masks", "least", "ranks", "children", "split", "connected",
-                 "_census", "fpolys")
+                 "least", "ranks", "children", "split", "connected", "_census", "fpolys")
 
     def __init__(self, G: CoxeterDiagram):
         self.diagram = G
         self.rank = G.rank
         self.full = (1 << G.rank) - 1
+        self.nbr = G.nbr
         bit = {v: 1 << i for i, v in enumerate(G.vertices)}
-        self.nbr = [0] * G.rank  # neighbour mask of each vertex
-        self._labels: dict[int, int] = {}
-        for (i, j), lab in G.labels.items():
-            self.nbr[bit[i].bit_length() - 1] |= bit[j]
-            self.nbr[bit[j].bit_length() - 1] |= bit[i]
-            self._labels[bit[i] | bit[j]] = lab
+        self._labels = {bit[i] | bit[j]: lab for (i, j), lab in G.labels.items()}
         self._sweep()
         self._census: list[tuple[tuple[int, int], ...] | None] = [None] * len(self.least)
         self.fpolys: dict = {}
@@ -595,7 +602,6 @@ class SubsetLattice:
         forms: dict[tuple, int] = {(): 0}  # canonical form -> class; () is the empty mask's
         parts: list[tuple[int, ...]] = [()]  # the sorted component classes of each class
         least, ranks, children, split = [0], [0], [None], [None]
-        connected_masks = []
         for m in range(1, size):
             v = m & -m
             comp, rest = v, m ^ v
@@ -616,7 +622,6 @@ class SubsetLattice:
                     form = ("ring", _ring_key(adj))
                 else:
                     form = ("cycle", _graph_key(adj))
-                connected_masks.append(m)
             else:
                 form = tuple(sorted((*parts[classes[m ^ comp]], classes[comp])))
             cls = forms.get(form)
@@ -638,7 +643,6 @@ class SubsetLattice:
         # classes are numbered in the order of their least masks
         self.connected = tuple(sorted((cls for cls, kids in enumerate(children) if kids is not None),
                                       key=ranks.__getitem__))
-        self._connected_masks = tuple(sorted(connected_masks, key=int.bit_count))
 
     def vertices(self, mask: int) -> list[int]:
         return [v for i, v in enumerate(self.diagram.vertices) if mask >> i & 1]
@@ -661,8 +665,10 @@ class SubsetLattice:
         return tuple(out)
 
     def connected_masks(self) -> tuple[int, ...]:
-        """Every connected nonempty mask, by rank, then ascending."""
-        return self._connected_masks
+        """Every connected nonempty mask, by rank, then ascending: the
+        masks that are their lowest vertex's component."""
+        low = self._low
+        return tuple(sorted((m for m in range(1, self.full + 1) if low[m] == m), key=int.bit_count))
 
     def census(self, cls: int) -> tuple[tuple[int, int], ...]:
         """The classes of the proper submasks of class cls: one pair (the
@@ -695,13 +701,7 @@ class SubsetLattice:
 
     def codim1(self, mask: int) -> list[int]:
         """The masks with one vertex removed, lowest removed bit first."""
-        out = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out.append(mask ^ low)
-            rest ^= low
-        return out
+        return [mask ^ 1 << k for k in _bits(mask)]
 
     def submasks(self, mask: int):
         """Every subset of mask, ascending, from 0 to mask itself."""
@@ -854,10 +854,12 @@ def _classify_connected(adj: dict[int, dict[int, int]]) -> Classification:
 
 
 def classify(G: CoxeterDiagram) -> Classification:
-    comps = connected_components(G)
+    """The class of G; each component is classified from ``G._adj``
+    restricted to its vertices, and no component diagram is built."""
+    comps = _component_vertices(G)
     if len(comps) <= 1:
         return _classify_connected(G._adj)
-    parts = tuple(_classify_connected(c._adj) for c in comps)
+    parts = tuple(_classify_connected({v: G._adj[v] for v in vs}) for vs in comps)
     if all(p.kind == "finite" for p in parts):
         # larger rank first, then by name: the vertex order must not matter
         parts = tuple(sorted(parts, key=lambda p: (-p.rank, p.type_name or "?")))

@@ -960,7 +960,8 @@ def rational_roots(p: Poly) -> RootSet:
     (_isolate), and each of its real roots keeps its interval, refined
     no further here.  No integer is factored, so large prime factors in
     the coefficients cost nothing extra.  The returned factorization is
-    re-multiplied and checked against the input before returning.
+    re-multiplied and checked against the input before returning; a
+    mismatch raises ``ArithmeticError``.
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -990,7 +991,8 @@ def rational_roots(p: Poly) -> RootSet:
     for r, mult in found:
         for _ in range(mult):
             rebuilt = _zmul(rebuilt, [-r.numerator, r.denominator])
-    assert rebuilt == prim, "root extraction lost a factor"
+    if rebuilt != prim:
+        raise ArithmeticError("root extraction lost a factor")
 
     residual = _of(work, 1) if len(work) > 1 else None
     return RootSet(tuple(found), residual, tuple(irrational))

@@ -24,7 +24,7 @@ from itertools import islice
 from math import comb, lcm
 
 from .diagram import CoxeterDiagram, SubsetLattice, TypeInfo, _classify_connected, induced_subdiagram, subset_lattice
-from .exactmath import Poly, PolyVec, _flip, _of, _taylor_shift, _vec, vec_convolve, vec_sum
+from .exactmath import Poly, PolyVec, _flip, _of, _taylor_shift, _vec, _zmul, vec_convolve, vec_sum
 from .tables import face_correction, h_correction
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def face_polys(lat: SubsetLattice, h_of) -> Callable[[int], PolyVec]:
             sums = store.get((cls, ids))
             if sums is None:
                 sums = store[(cls, ids)] = vec_sum(subs, r)
-            h = Fraction(h_of(cls, sums))
+            h = h_of(cls, sums)
             out = store.get((cls, h, ids))
             if out is None:
                 hn, hd, L = h.numerator, h.denominator, _lcm_upto(r)
@@ -207,17 +207,13 @@ def join_vector(infos: list[TypeInfo], m: int, closed) -> list[Fraction]:
     components ``infos`` ([1] for none): the convolution of their
     vectors ``closed(info, m)`` (``f_vector_closed``, ``h_vector_closed``),
     a join's polynomial being its parts' product.  The vectors are
-    convolved as integers over one denominator, divided out at the end."""
+    convolved as integers (``_zmul``) over one denominator, divided out
+    at the end."""
     nums, den = [1], 1
     for info in infos:
         xs = list(closed(info, m))
         d = lcm(*[x.denominator for x in xs])
-        out = [0] * (len(nums) + info.n)
-        for j, x in enumerate(xs):
-            x = x.numerator * (d // x.denominator)
-            for i, y in enumerate(nums, j):
-                out[i] += y * x
-        nums, den = out, den * d
+        nums, den = _zmul(nums, [x.numerator * (d // x.denominator) for x in xs]), den * d
     return [Fraction(x, den) for x in nums]
 
 

@@ -44,8 +44,9 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
-from .diagram import CoxeterDiagram, InputError, TypeInfo, classify, connected_components
+from .diagram import CoxeterDiagram, InputError, TypeInfo, _bits, classify, connected_components
 from .diagram import mask_components
+from .exactmath import _zmul
 from .formulas import f_vector_closed
 from .rootsys import LookupMiss, NotFiniteType, RootSystem, check_rotation_order
 
@@ -218,16 +219,6 @@ def _image(mask: int, to) -> int:
     return out
 
 
-def _bits(mask: int) -> list[int]:
-    """The vertices of ``mask`` in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
-
-
 def _stepped(turn: list[int], verts) -> tuple[int, list[int]]:
     """The vertex map ``turn``, read at the vertices ``verts``, split in
     two: the mask of the vertices it steps to the next one, v to v + 1,
@@ -344,11 +335,7 @@ def join_survey(parts: list[CliqueSurvey]) -> CliqueSurvey:
     for part in parts:
         if not part.pure:
             raise ValueError("the join of an impure complex is not read from its parts")
-        joined = [0] * (len(counts) + len(part.counts) - 1)
-        for a, x in enumerate(counts):
-            for b, y in enumerate(part.counts):
-                joined[a + b] += x * y
-        counts = joined
+        counts = _zmul(counts, part.counts)
         unmarked *= part.unmarked_top
         ridges |= part.ridge_degrees
     return CliqueSurvey(counts, unmarked, frozenset(ridges), True)
@@ -589,8 +576,8 @@ class CliqueComplex:
 
     # -- export ---------------------------------------------------------
 
-    def export_json(self, include_facets: bool = False) -> dict:
-        """The vertices in position order, and the edges as position pairs."""
+    def vertices_json(self) -> list[dict]:
+        """The vertices in position order, as JSON records."""
         verts = []
         for c, rs in enumerate(self.systems):
             for rid in range(rs.size):
@@ -598,27 +585,24 @@ class CliqueComplex:
                 for color in range(1, (1 if rs.is_negative(rid) else self.m) + 1):
                     verts.append({"component": c, "coords": coords,
                                   "negative_simple": rs.is_negative(rid), "color": color})
-        edges = []
-        for i in range(self.num_vertices()):
-            mask = self.adj[i] & ~((1 << (i + 1)) - 1)
-            while mask:
-                low = mask & -mask
-                edges.append([i, low.bit_length() - 1])
-                mask ^= low
-        out = {"m": self.m, "rank": self.n, "vertices": verts, "edges": edges}
-        if include_facets:
-            out["facets"] = [list(f) for f in self.facets()]
-        return out
+        return verts
+
+
+def finite_infos(G: CoxeterDiagram, m: int) -> list[TypeInfo]:
+    """The irreducible components of G, admitted at m: ``NotFiniteType``
+    unless G is of finite type, and a negative m refused
+    (``check_color_count``)."""
+    cls = classify(G)
+    if not cls.is_finite:
+        raise NotFiniteType(f"{G.to_spec()} is not of finite type")
+    check_color_count(m)
+    return cls.infos
 
 
 def build_complex(G: CoxeterDiagram, m: int) -> CliqueComplex:
     """Complex of the (possibly reducible) finite-type diagram G, within
     the budget."""
-    cls = classify(G)
-    if not cls.is_finite:
-        raise NotFiniteType(f"{G.to_spec()} is not of finite type")
-    check_color_count(m)
-    check_budget(cls.infos, m)
+    check_budget(finite_infos(G, m), m)
     systems = [RootSystem(c) for c in connected_components(G)]
     return CliqueComplex(systems, m)
 

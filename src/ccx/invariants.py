@@ -339,17 +339,17 @@ def _solve(G: CoxeterDiagram, rule) -> MethodResult:
         top = lat.key(lat.full)
         if lat.children[top] is None:
             raise MethodFailure("not-applicable", _NOT_APPLICABLE)
-        hs: dict[int, Fraction] = {}  # the h of each class, recorded once
+        h = _postulates(lat, top)[0] if lat.rank <= 2 else None
 
         def h_of(cls: int, sums: PolyVec) -> Fraction:
-            h = hs[cls] = rule_h(cls, sums)
+            nonlocal h  # the walk ends at the top class: its h is the last
+            h = rule_h(cls, sums)
             return h
 
         fp = face_polys(lat, h_of)
         rule_h, finish = rule(lat, fp)
         _each_connected(lat, fp)
         npoly = fp(top)[-1]
-        h = hs[top] if lat.rank > 2 else _postulates(lat, top)[0]
         exps = exponents_from_facet_poly(npoly, h)
     except MethodFailure as exc:
         return MethodResult(status=exc.status, detail=exc.detail)

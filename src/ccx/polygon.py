@@ -268,10 +268,10 @@ class TypeBModel(_SymmetricModel):
     def _category(self, rid: int, k: int) -> Vertex:
         n, coords = self.n, self.rs.exact[rid]
         zero, one = self.rs.integer(0), self.rs.integer(1)
-        supp = sorted(self.rs.support[rid])
-        i = supp[0] + 1
+        supp = self.rs.support_masks[rid]
+        i = (supp & -supp).bit_length()  # the first and last simple index, from 1
         if coords[n - 1] == zero:  # category I: no short-root content
-            return Vertex("pair", self._chords(i, supp[-1] + 1, k))
+            return Vertex("pair", self._chords(i, supp.bit_length(), k))
         if coords[n - 1] == one:  # category II: short root
             return Vertex("diam", self._chords(i, 2 * n - i, k))
         # category III: doubled tail
@@ -320,10 +320,10 @@ class TypeDModel(_SymmetricModel):
     def _category(self, rid: int, k: int) -> Vertex:
         n, coords = self.n, self.rs.exact[rid]
         zero, one = self.rs.integer(0), self.rs.integer(1)
-        supp = sorted(self.rs.support[rid])
-        i = supp[0] + 1
+        supp = self.rs.support_masks[rid]
+        i = (supp & -supp).bit_length()  # the first and last simple index, from 1
         if coords[n - 1] == zero:  # category I
-            j = supp[-1] + 1
+            j = supp.bit_length()
             if j <= n - 2:
                 return Vertex("pair", self._chords(i, j, k))
             # chain ending at the gray fork vertex

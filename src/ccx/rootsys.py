@@ -13,8 +13,8 @@ rotation of any parabolic subsystem are passes over these tables.  Each
 root keeps the root and the reflection that found it, and its support
 mask.  The float coordinates for output are replayed when first read,
 by float reflections along the same closure, so their error grows with
-the closure depth only; the support sets and the index of the
-coordinates are also built when first read.
+the closure depth only; the index of the coordinates is also built
+when first read.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class RootSystem:
     simple indices, under the inherited bipartition, on each root of the
     subsystem.  ``support_masks``
     holds each root's support as a mask of simple indices, which colored
-    compatibility reads at the negative simples.
+    compatibility reads at the negative simples.  ``neighbor_masks`` is
+    the diagram's ``nbr``.
     """
 
     def __init__(self, G: CoxeterDiagram, plus_class=None):
@@ -102,7 +103,7 @@ class RootSystem:
         self._zeta = 2 * math.cos(math.pi / self.L)
         self._nbrs = [[(self.vertex_index[w], lab) for w, lab in G.neighbors(v).items()]
                       for v in G.vertices]
-        self.neighbor_masks = [sum(1 << j for j, _ in nb) for nb in self._nbrs]
+        self.neighbor_masks = G.nbr
         self._own = {sign: sum(1 << self.vertex_index[v] for v in part)
                      for sign, part in (("+", self.I_plus), ("-", self.I_minus))}
         self._build_roots()
@@ -230,11 +231,6 @@ class RootSystem:
         """Float coordinates of every root, in id order."""
         n = self.n
         return [tuple(float(-(j == i)) for j in range(n)) for i in range(n)] + self.positive_roots
-
-    @cached_property
-    def support(self) -> list[frozenset[int]]:
-        """Each root's support as a set of simple indices."""
-        return [frozenset(j for j in range(self.n) if mask >> j & 1) for mask in self.support_masks]
 
     def root_id(self, coords) -> int:
         """Id of the root with these integer (or integral float)

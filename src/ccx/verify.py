@@ -262,15 +262,11 @@ FAKE_CATALOG: list[dict] = [
 
 def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
     checks: list[Check] = []
-    agreement: dict[str, set] = {}
+    disagree: list[str] = []  # the specs whose report's methods disagree
 
     def pool(spec: str, rep) -> None:
-        """Pool the agreement key of each method that yielded, unless its
-        specialization is suspect."""
-        keys = agreement.setdefault(spec, set())
-        for res in rep.methods.values():
-            if res.yielded and "specialization-suspect" not in res.flags:
-                keys.add(res.agreement_key())
+        if rep.consensus == "disagree":
+            disagree.append(spec)
 
     # finite catalog, every method
     names = (
@@ -377,14 +373,9 @@ def suite_catalog(max_rank: int = 8, max_m: int = 3) -> list[Check]:
     checks.append(_check("fake ~D4", ok))
     pool("~D4", rep)
 
-    # cross-method agreement (criterion 9)
-    disagreements = {k: v for k, v in agreement.items() if len(v) > 1}
+    # cross-method agreement (criterion 9): each report's own consensus
     checks.append(
-        _check(
-            "cross-method agreement",
-            not disagreements,
-            f"{sorted(disagreements)}" if disagreements else "",
-        )
+        _check("cross-method agreement", not disagree, f"{sorted(disagree)}" if disagree else "")
     )
     return checks
 

@@ -677,3 +677,19 @@ def test_cli_imports_only_the_standard_library():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, ccx.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_lost_root_factor_is_internal_error(capsys, monkeypatch):
+    """A root extraction that loses a factor fails its audit, which the
+    command reports as an internal error, exit 1."""
+    from ccx import exactmath, invariants
+    from test_exactmath import _losing_a_root
+
+    invariants._exponents.cache_clear()  # so that the roots are extracted here
+    monkeypatch.setattr(exactmath, "_padic_roots", _losing_a_root(exactmath._padic_roots))
+    code, out, err = run_cli(capsys, "invariants", "--type", "~E8")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "internal-error",
+        "message": "ArithmeticError: root extraction lost a factor",
+    }

@@ -19,6 +19,7 @@ from ccx.diagram import (
     parse_diagram,
 )
 from ccx.formulas import TypeInfo
+import component_oracle
 
 INTERLEAVED_SPEC = "n=7; 1-3:3 3-5:3 5-7:3 2-4:3 4-6:4"  # A4 on the odd ids, B3 on the even
 
@@ -122,6 +123,34 @@ def test_connected_components():
 def test_is_connected_counts_the_components(spec):
     G = parse_diagram(spec)
     assert is_connected(G) == (len(connected_components(G)) == 1)
+
+
+@st.composite
+def interleaved_diagrams(draw):
+    """Rank 0-9 with sparse edges labelled 3-6, vertex ids drawn from
+    1..30 and declared unsorted, so components interleave by id and the
+    vertex order is not the id order."""
+    ids = draw(st.lists(st.integers(min_value=1, max_value=30), max_size=9, unique=True))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(ids, 2))), max_size=len(ids))
+                 if len(ids) > 1 else st.just([]))
+    return CoxeterDiagram(ids, {pair: draw(st.integers(min_value=3, max_value=6)) for pair in pairs})
+
+
+@given(interleaved_diagrams())
+@settings(max_examples=200, deadline=None)
+@example(parse_diagram(INTERLEAVED_SPEC))
+@example(CoxeterDiagram([9, 2, 7, 4], {(9, 7): 3, (2, 4): 4}))
+def test_components_agree_with_the_breadth_first_oracle(G):
+    """The mask search goes by vertex order, not by id: components,
+    connectivity and classification agree with a breadth-first search
+    over the ids."""
+    want = component_oracle.components(G)
+    got = connected_components(G)
+    assert [(C.vertices, list(C.labels.items())) for C in got] == [
+        (C.vertices, list(C.labels.items())) for C in want
+    ]
+    assert is_connected(G) == (len(want) == 1)
+    assert classify(G) == component_oracle.classify(G)
 
 
 def test_connected_components_reads_the_parent_once():
@@ -518,6 +547,10 @@ def test_sweep_keys_each_connected_mask_once(monkeypatch, spec):
     form of each connected mask once, and runs no breadth-first search
     (``mask_components``): each mask's components come from those of the
     mask without its lowest vertex."""
+    G = parse_diagram(spec)
+    # the oracle searches components itself, so it runs before the refusal
+    connected = [m for m in range(1, 1 << G.rank)
+                 if is_connected(induced_subdiagram(G, [v for i, v in enumerate(G.vertices) if m >> i & 1]))]
     keyed = []
 
     def recording(key):
@@ -533,12 +566,9 @@ def test_sweep_keys_each_connected_mask_once(monkeypatch, spec):
         raise AssertionError("the lattice ran a breadth-first search")
 
     monkeypatch.setattr(diagram, "mask_components", refused)
-    G = parse_diagram(spec)
     lat = SubsetLattice(G)
     assert sorted(keyed) == sorted(lat.connected_masks())
     assert len(set(keyed)) == len(keyed)
-    connected = [m for m in range(1, lat.full + 1)
-                 if is_connected(induced_subdiagram(G, lat.vertices(m)))]
     assert sorted(lat.connected_masks()) == connected
 
 

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from decimal import Decimal
 from math import cos, gcd, isqrt, lcm, pi, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ccx
 from ccx import exactmath
 from ccx.exactmath import (
     NonZeroRemainder,
@@ -807,3 +812,50 @@ def test_scale_and_shift_substitute_a_line(f, s, t):
     assert exactmath._of(exactmath._flip(f), 1) == p.compose(Poly([0, -1]))
     back = exactmath._flip(exactmath._taylor_shift(exactmath._flip(f)))
     assert exactmath._of(back, 1) == p.shifted_arg(-1)
+
+
+def _losing_a_root(padic_roots):
+    """``_padic_roots`` that deflates the caller's polynomial, in place, by
+    the last root it finds and then drops that root: the factor x - r is
+    lost from the factorization."""
+
+    def run(f, p):
+        roots, g = padic_roots(f, p)
+        if roots:
+            r = roots.pop()
+            f[:] = exactmath._zquo(f, [-r.numerator, r.denominator])
+        return roots, g
+
+    return run
+
+
+LOSSY_AUDIT = """
+import sys
+from ccx import exactmath
+from ccx.exactmath import Poly, rational_roots
+sys.path.insert(0, {tests!r})
+from test_exactmath import _losing_a_root
+assert sys.flags.optimize == 1
+exactmath._padic_roots = _losing_a_root(exactmath._padic_roots)
+try:
+    rational_roots(Poly([-6, 11, -6, 1]) * Poly([-2, 0, 1]))
+except ArithmeticError as e:
+    print(e)
+"""
+
+
+def test_root_audit_raises_when_a_factor_is_lost(monkeypatch):
+    """(x-1)(x-2)(x-3)(x^2-2) with one root lost: the re-multiplied
+    factorization misses x - 3, and the audit raises."""
+    monkeypatch.setattr(exactmath, "_padic_roots", _losing_a_root(exactmath._padic_roots))
+    with pytest.raises(ArithmeticError, match="lost a factor"):
+        rational_roots(Poly([-6, 11, -6, 1]) * Poly([-2, 0, 1]))
+
+
+def test_root_audit_survives_python_O():
+    """The audit is no ``assert``: ``python -O`` keeps it."""
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=str(Path(ccx.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", LOSSY_AUDIT.format(tests=tests)], env=env,
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out == "root extraction lost a factor\n"

@@ -18,6 +18,7 @@ from ccx.gcc import (
     iter_cliques,
     link_decomposition_check,
 )
+from ccx.cli import main
 from ccx.diagram import mask_components
 from ccx.rootsys import LookupMiss, RootSystem
 from colored_layout import ColoredRoot, colored_ground_set, layout
@@ -44,7 +45,7 @@ def test_ground_set_sizes():
 
 def test_negative_simples_carry_color_one():
     cx = build_complex(parse_diagram("A2"), 3)
-    records = cx.export_json()["vertices"]
+    records = cx.vertices_json()
     assert [r["color"] for r in records if r["negative_simple"]] == [1, 1]
     assert [r["color"] for r in records if not r["negative_simple"]] == [1, 2, 3] * 3
 
@@ -89,7 +90,7 @@ def test_export_lists_the_vertices_record_for_record_as_the_oracle(m):
         rs = cx.systems[v.comp]
         want.append({"component": v.comp, "coords": [round(x, 6) for x in rs.roots[v.root]],
                      "negative_simple": rs.is_negative(v.root), "color": v.color})
-    assert cx.export_json()["vertices"] == want
+    assert cx.vertices_json() == want
 
 
 @pytest.mark.parametrize("spec,m", [("A3", 2), ("B3", 3), ("E6", 1), ("n=5; 1-2:3 4-5:5", 2),
@@ -157,7 +158,7 @@ def test_support_rule_for_negative_simples():
         neg = ColoredRoot(0, i, 1)
         for rid in range(rs.n, rs.size):
             for k in range(1, m + 1):
-                expected = i not in rs.support[rid]
+                expected = not rs.support_masks[rid] >> i & 1
                 assert edge(cx, neg, ColoredRoot(0, rid, k)) == expected
         # its own positive copy is incompatible in every color
         pos_same = rs.root_id([1.0 if t == i else 0.0 for t in range(rs.n)])
@@ -395,9 +396,9 @@ def pair_compatible(rs: RootSystem, a: int, b: int) -> bool:
         return False
     for _ in range(rs.rotation_order + 1):
         if rs.is_negative(a):
-            return a not in rs.support[b]
+            return not rs.support_masks[b] >> a & 1
         if rs.is_negative(b):
-            return b not in rs.support[a]
+            return not rs.support_masks[a] >> b & 1
         a, b = rs.rotation[a], rs.rotation[b]
     raise AssertionError("no negative simple reached within one period")
 
@@ -930,15 +931,14 @@ def test_reducible_complex_audits():
     assert cx.positive_facet_count() == nplus == 70
 
 
-def export_complex_json(cx: CliqueComplex, include_facets: bool = False) -> str:
-    return json.dumps(cx.export_json(include_facets), sort_keys=True)
-
-
-def test_export_json_deterministic():
-    cx = build_complex(parse_diagram("A2"), 1)
-    blob = export_complex_json(cx, include_facets=True)
-    data = json.loads(blob)
+def test_export_json_deterministic(capsys):
+    """``ccx complex --facets`` prints the same vertices and facets twice."""
+    blobs = []
+    for _ in range(2):
+        assert main(["complex", "--type", "A2", "-m", "1", "--facets"]) == 0
+        blobs.append(capsys.readouterr().out)
+    data = json.loads(blobs[0])
     assert len(data["vertices"]) == 5
-    assert len(data["edges"]) == 5
+    assert data["f_vector"] == [1, 5, 5]  # five vertices, five edges
     assert len(data["facets"]) == 5
-    assert blob == export_complex_json(build_complex(parse_diagram("A2"), 1), True)
+    assert blobs[0] == blobs[1]

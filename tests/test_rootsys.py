@@ -113,9 +113,9 @@ def test_compatibility_first_hit_is_well_defined(name):
         for _ in range(rs.rotation_order + 1):
             first, second = (x, y) if prefer_first else (y, x)
             if rs.is_negative(first):
-                return first not in rs.support[second]
+                return not rs.support_masks[second] >> first & 1
             if rs.is_negative(second):
-                return second not in rs.support[first]
+                return not rs.support_masks[first] >> second & 1
             x, y = rs.rotation[x], rs.rotation[y]
         raise AssertionError("no negative simple reached")
 
@@ -304,11 +304,10 @@ def test_float_roots_are_replayed_when_first_read(monkeypatch):
 @pytest.mark.parametrize("name", ["A5", "D5", "E6", "B4", "H3", "I2(7)"])
 def test_support_and_index_match_the_coordinates(name):
     # the support masks tracked through the closure, and the lazily built
-    # support sets and coordinate index, against the coordinates
+    # coordinate index, against the coordinates
     rs = RootSystem(parse_diagram(name))
     for rid, root in enumerate(rs.exact):
         supp = {j for j, c in enumerate(root) if any(c)}
-        assert rs.support[rid] == supp
         assert rs.support_masks[rid] == sum(1 << j for j in supp)
         assert rs._index[root] == rid
         assert all(len(c) == rs.degree for c in root)
