@@ -317,26 +317,38 @@ def induced_subdiagram(G: CoxeterDiagram, S) -> CoxeterDiagram:
     return CoxeterDiagram(verts, labels)
 
 
+def _components(G: CoxeterDiagram) -> tuple[dict[int, int], list[list[int]]]:
+    """One breadth-first search of the label>=3 skeleton, in one pass over
+    the vertices: each vertex's component number, and the vertices of each
+    component in the parent's order, the components in the order of their
+    first vertices.  Linear in the diagram: no neighbour masks are built."""
+    comp: dict[int, int] = {}
+    verts: list[list[int]] = []
+    for v in G.vertices:
+        if v not in comp:
+            comp[v] = len(verts)
+            queue = [v]
+            for u in queue:
+                for w in G._adj[u]:
+                    if w not in comp:
+                        comp[w] = len(verts)
+                        queue.append(w)
+            verts.append([])
+        verts[comp[v]].append(v)
+    return comp, verts
+
+
 def is_connected(G: CoxeterDiagram) -> bool:
     """One component, without building it; the empty diagram has none."""
-    return len(mask_components((1 << G.rank) - 1, G.nbr)) == 1
-
-
-def _component_vertices(G: CoxeterDiagram) -> list[list[int]]:
-    """The vertices of each component of the label>=3 skeleton, in the
-    parent's order, the components in the order of their first vertices:
-    one ``mask_components`` search over ``G.nbr``."""
-    return [[G.vertices[k] for k in _bits(comp)]
-            for comp in mask_components((1 << G.rank) - 1, G.nbr)]
+    return len(_components(G)[1]) == 1
 
 
 def connected_components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
     """Components of the label>=3 skeleton, each keeping parent ids and
     the parent's order of vertices and labels, in the order of their
-    first vertices.  One mask search finds the components; one pass over
-    their vertices and one over the labels share them out."""
-    verts = _component_vertices(G)
-    comp = {v: c for c, vs in enumerate(verts) for v in vs}
+    first vertices.  One search finds the components; one pass over the
+    labels shares them out."""
+    comp, verts = _components(G)
     labels: list[dict[tuple[int, int], int]] = [{} for _ in verts]
     for (i, j), lab in G.labels.items():
         labels[comp[i]][i, j] = lab
@@ -664,12 +676,6 @@ class SubsetLattice:
             mask ^= comp
         return tuple(out)
 
-    def connected_masks(self) -> tuple[int, ...]:
-        """Every connected nonempty mask, by rank, then ascending: the
-        masks that are their lowest vertex's component."""
-        low = self._low
-        return tuple(sorted((m for m in range(1, self.full + 1) if low[m] == m), key=int.bit_count))
-
     def census(self, cls: int) -> tuple[tuple[int, int], ...]:
         """The classes of the proper submasks of class cls: one pair (the
         class, how many submasks of a mask of cls fall in it) per class
@@ -856,7 +862,7 @@ def _classify_connected(adj: dict[int, dict[int, int]]) -> Classification:
 def classify(G: CoxeterDiagram) -> Classification:
     """The class of G; each component is classified from ``G._adj``
     restricted to its vertices, and no component diagram is built."""
-    comps = _component_vertices(G)
+    comps = _components(G)[1]
     if len(comps) <= 1:
         return _classify_connected(G._adj)
     parts = tuple(_classify_connected({v: G._adj[v] for v in vs}) for vs in comps)

@@ -1,47 +1,34 @@
-"""Test oracle for the component search: the breadth-first search over
-vertex ids that ``diagram.mask_components`` over ``CoxeterDiagram.nbr``
-replaced, and the components and classification built from it.
+"""Test oracles for the component search and the subset lattice.
 
-The search reads ``G.neighbors`` and numbers the components in the order
-of their first vertices in ``G.vertices``, so it shares no mask
-arithmetic with the search it checks.
+``components`` and ``classify`` find the components with
+``diagram.mask_components`` over ``CoxeterDiagram.nbr``, the neighbour
+masks that the subset lattice and the root systems read, so they share
+no code with the breadth-first search over vertex ids that
+``connected_components``, ``is_connected`` and ``classify`` run.
+``connected_masks`` lists a lattice's connected masks from its table.
 """
 
 from __future__ import annotations
 
-from ccx.diagram import Classification, CoxeterDiagram, _classify_connected
-
-
-def component_numbers(G: CoxeterDiagram) -> tuple[dict[int, int], int]:
-    """One breadth-first search of the label>=3 skeleton: the number of
-    each vertex's component, counted in the order of first vertices, and
-    the number of components."""
-    comp: dict[int, int] = {}
-    count = 0
-    for v in G.vertices:
-        if v in comp:
-            continue
-        comp[v] = count
-        queue = [v]
-        for u in queue:
-            for w in G.neighbors(u):
-                if w not in comp:
-                    comp[w] = count
-                    queue.append(w)
-        count += 1
-    return comp, count
+from ccx.diagram import (
+    Classification,
+    CoxeterDiagram,
+    SubsetLattice,
+    _bits,
+    _classify_connected,
+    mask_components,
+)
 
 
 def components(G: CoxeterDiagram) -> list[CoxeterDiagram]:
     """The components, each with the parent's order of vertices and labels."""
-    comp, count = component_numbers(G)
-    verts: list[list[int]] = [[] for _ in range(count)]
-    for v in G.vertices:
-        verts[comp[v]].append(v)
-    labels: list[dict[tuple[int, int], int]] = [{} for _ in range(count)]
+    masks = mask_components((1 << G.rank) - 1, G.nbr)
+    comp = {G.vertices[k]: c for c, mask in enumerate(masks) for k in _bits(mask)}
+    labels: list[dict[tuple[int, int], int]] = [{} for _ in masks]
     for (i, j), lab in G.labels.items():
         labels[comp[i]][i, j] = lab
-    return [CoxeterDiagram(vs, labs) for vs, labs in zip(verts, labels)]
+    return [CoxeterDiagram([G.vertices[k] for k in _bits(mask)], labs)
+            for mask, labs in zip(masks, labels)]
 
 
 def classify(G: CoxeterDiagram) -> Classification:
@@ -55,3 +42,10 @@ def classify(G: CoxeterDiagram) -> Classification:
         return Classification("finite-reducible", "x".join(p.type_name or "?" for p in parts),
                               G.rank, components=parts)
     return Classification("other-infinite", None, G.rank, components=parts)
+
+
+def connected_masks(lat: SubsetLattice) -> tuple[int, ...]:
+    """Every connected nonempty mask, by rank, then ascending: the masks
+    that are their lowest vertex's component."""
+    low = lat._low
+    return tuple(sorted((m for m in range(1, lat.full + 1) if low[m] == m), key=int.bit_count))

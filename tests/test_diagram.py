@@ -140,10 +140,10 @@ def interleaved_diagrams(draw):
 @settings(max_examples=200, deadline=None)
 @example(parse_diagram(INTERLEAVED_SPEC))
 @example(CoxeterDiagram([9, 2, 7, 4], {(9, 7): 3, (2, 4): 4}))
-def test_components_agree_with_the_breadth_first_oracle(G):
-    """The mask search goes by vertex order, not by id: components,
-    connectivity and classification agree with a breadth-first search
-    over the ids."""
+def test_components_agree_with_the_mask_search_oracle(G):
+    """The breadth-first search over ids and the mask search over
+    ``G.nbr``, which goes by vertex order, not by id, find the same
+    components, connectivity and classification."""
     want = component_oracle.components(G)
     got = connected_components(G)
     assert [(C.vertices, list(C.labels.items())) for C in got] == [
@@ -298,8 +298,8 @@ def test_subset_lattice_matches_reference_helpers(G, data):
     for mask in range(lat.full + 1):
         if len(connected_components(induced_subdiagram(G, lat.vertices(mask)))) == 1:
             connected.append(mask)
-    assert sorted(lat.connected_masks()) == connected
-    assert [m.bit_count() for m in lat.connected_masks()] == sorted(
+    assert sorted(component_oracle.connected_masks(lat)) == connected
+    assert [m.bit_count() for m in component_oracle.connected_masks(lat)] == sorted(
         m.bit_count() for m in connected
     )
     for mask in data.draw(st.lists(st.integers(min_value=0, max_value=lat.full), max_size=8)):
@@ -506,7 +506,7 @@ def test_rings_are_keyed_without_search(monkeypatch):
         lat = SubsetLattice(parse_diagram(name))
         for mask in range(lat.full + 1):
             lat.key(mask)
-        assert len({lat.key(m) for m in lat.connected_masks()}) == lat.rank
+        assert len({lat.key(m) for m in component_oracle.connected_masks(lat)}) == lat.rank
 
 
 @st.composite
@@ -523,7 +523,7 @@ def random_diagrams(draw):
 @settings(max_examples=60, deadline=None)
 def test_census_counts_the_proper_submasks_by_class(G):
     lat = SubsetLattice(G)
-    for mask in lat.connected_masks():
+    for mask in component_oracle.connected_masks(lat):
         census = lat.census(lat.key(mask))
         brute: dict[int, int] = {}
         for sub in range(lat.full + 1):
@@ -547,10 +547,6 @@ def test_sweep_keys_each_connected_mask_once(monkeypatch, spec):
     form of each connected mask once, and runs no breadth-first search
     (``mask_components``): each mask's components come from those of the
     mask without its lowest vertex."""
-    G = parse_diagram(spec)
-    # the oracle searches components itself, so it runs before the refusal
-    connected = [m for m in range(1, 1 << G.rank)
-                 if is_connected(induced_subdiagram(G, [v for i, v in enumerate(G.vertices) if m >> i & 1]))]
     keyed = []
 
     def recording(key):
@@ -566,17 +562,20 @@ def test_sweep_keys_each_connected_mask_once(monkeypatch, spec):
         raise AssertionError("the lattice ran a breadth-first search")
 
     monkeypatch.setattr(diagram, "mask_components", refused)
+    G = parse_diagram(spec)
     lat = SubsetLattice(G)
-    assert sorted(keyed) == sorted(lat.connected_masks())
+    assert sorted(keyed) == sorted(component_oracle.connected_masks(lat))
     assert len(set(keyed)) == len(keyed)
-    assert sorted(lat.connected_masks()) == connected
+    connected = [m for m in range(1, lat.full + 1)
+                 if is_connected(induced_subdiagram(G, lat.vertices(m)))]
+    assert sorted(component_oracle.connected_masks(lat)) == connected
 
 
 def test_lattice_class_counts():
     lat = SubsetLattice(parse_diagram("~A8"))
-    assert len({lat.key(m) for m in lat.connected_masks()}) == 9  # A1..A8 and the cycle
+    assert len({lat.key(m) for m in component_oracle.connected_masks(lat)}) == 9  # A1..A8 and the cycle
     lat = SubsetLattice(parse_diagram("~E8"))
-    assert len({lat.key(m) for m in lat.connected_masks()}) == 17
+    assert len({lat.key(m) for m in component_oracle.connected_masks(lat)}) == 17
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from ccx.invariants import (
 from ccx.rootsys import RootSystem
 from ccx.verify import FAKE_CATALOG
 from reciprocity_oracle import reciprocity_at_1
+import component_oracle
 
 
 def test_rank3_euler_h():
@@ -350,7 +351,8 @@ def test_rank_budget():
 )
 def test_over_the_budget_no_lattice_is_built(monkeypatch, spec, status):
     """Over the rank budget the methods tell a connected diagram from a
-    disconnected one without a subset lattice."""
+    disconnected one without a subset lattice, and neither they nor
+    ``classify`` read the neighbour masks, rank^2/2 bits on a path."""
     built = []
     real = SubsetLattice.__init__
 
@@ -358,7 +360,11 @@ def test_over_the_budget_no_lattice_is_built(monkeypatch, spec, status):
         built.append(G)
         real(self, G)
 
+    def refused(self):
+        raise AssertionError("the neighbour masks were read")
+
     monkeypatch.setattr(SubsetLattice, "__init__", counting)
+    monkeypatch.setattr(CoxeterDiagram, "nbr", property(refused))
     subset_lattice.cache_clear()
     rep = compute_all(parse_diagram(spec))
     assert {res.status for res in rep.methods.values()} == {status}
@@ -709,8 +715,8 @@ def test_submask_sums_run_once_per_class(monkeypatch):
     G = parse_diagram("~A8")
     assert reciprocity_general_method(G).status == "ok"
     lat = subset_lattice(G)
-    classes = {lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3}
-    assert len(classes) == 7 and len(lat.connected_masks()) == 73
+    classes = {lat.key(m) for m in component_oracle.connected_masks(lat) if m.bit_count() >= 3}
+    assert len(classes) == 7 and len(component_oracle.connected_masks(lat)) == 73
     assert sorted(map(lat.key, calls)) == sorted(classes)
 
 
@@ -736,7 +742,7 @@ def test_methods_share_one_census_per_class(monkeypatch):
     subset_lattice.cache_clear()
     assert rep.methods["mg"].h == 98
     assert rep.methods["reciprocity_simple"].status == "ok"
-    classes = [lat.key(m) for m in lat.connected_masks() if m.bit_count() >= 3]
+    classes = [lat.key(m) for m in component_oracle.connected_masks(lat) if m.bit_count() >= 3]
     assert sorted(map(lat.key, calls)) == sorted(set(classes))
 
 

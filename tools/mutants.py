@@ -1,11 +1,9 @@
 """Re-runnable mutants: each one breaks the program in one place and
 names the tests that must then fail.
 
-    python tools/mutants.py              # every mutant, one after another
-    python tools/mutants.py NAME ...     # the named mutants
-    python tools/mutants.py --list       # names, files and tests
+    python tools/mutants.py
 
-For each mutant the script copies ``src``, ``tests``, ``tools`` and
+runs every mutant, one after another.  For each mutant the script copies ``src``, ``tests``, ``tools`` and
 ``pyproject.toml`` of this checkout to a temporary directory, replaces
 the mutant's anchor text, which must occur exactly once in its file,
 and runs pytest there on the mutant's tests.  The mutant is killed when
@@ -17,7 +15,6 @@ Standard library only, apart from the pytest that runs the tests.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -43,15 +40,14 @@ MUTANTS = (
     Mutant(
         "one-way-nbr", "src/ccx/diagram.py",
         "nbr[index[j]] |= 1 << index[i]", "pass",
-        ("tests/test_diagram.py::test_components_agree_with_the_breadth_first_oracle",
+        ("tests/test_diagram.py::test_components_agree_with_the_mask_search_oracle",
          "tests/test_diagram.py::test_subset_lattice_matches_reference_helpers"),
     ),
     Mutant(
         "components-out-of-order", "src/ccx/diagram.py",
         "        out.append(comp)\n        mask &= ~comp",
         "        out.insert(0, comp)\n        mask &= ~comp",
-        ("tests/test_diagram.py::test_components_agree_with_the_breadth_first_oracle",
-         "tests/test_diagram.py::test_connected_components_reads_the_parent_once"),
+        ("tests/test_diagram.py::test_components_agree_with_the_mask_search_oracle",),
     ),
     Mutant(
         "join-vector-wrong-denominator", "src/ccx/formulas.py",
@@ -114,30 +110,16 @@ def run(mutant: Mutant) -> tuple[str, str]:
     return verdict, last
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="run the mutant table against the tests")
-    p.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    p.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = p.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        p.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] if args.names else list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}  {m.file}  {' '.join(m.tests)}")
-        return 0
+def main() -> int:
     bad = 0
     start = time.perf_counter()
-    for m in chosen:
+    for m in MUTANTS:
         t = time.perf_counter()
         verdict, last = run(m)
         bad += verdict != "killed"
         print(f"{verdict:8} {m.name}  ({time.perf_counter() - t:.1f} s; {last})", flush=True)
-    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
+    print(f"{len(MUTANTS) - bad}/{len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
